@@ -39,7 +39,6 @@ from .goldstein_taylor import (
     GT_RATE,
     GTBoundReport,
     GTModeCertificate,
-    ModeVector,
     TorusField,
     decompose,
     deviation_norm,
@@ -119,7 +118,7 @@ __all__ = [
     "BoundCheck", "exact_solution", "propagator_matrix", "rk4_oracle",
     "verify_bounds", "time_grid",
     # transport model
-    "TorusField", "ModeVector", "GTModeCertificate", "GTBoundReport",
+    "TorusField", "GTModeCertificate", "GTBoundReport",
     "GT_RATE", "GT_CONSTANT",
     "mode_matrix", "mode_certificate", "decompose", "reconstruct",
     "evolve", "deviation_norm", "verify_gt_bound",

@@ -25,7 +25,6 @@ from .lyapunov import LyapunovMatrix, lyapunov_residual
 
 __all__ = [
     "TorusField",
-    "ModeVector",
     "GTModeCertificate",
     "GTBoundReport",
     "GT_RATE",
@@ -130,14 +129,6 @@ class TorusField:
 
 
 @dataclass
-class ModeVector:
-    """Fourier coefficient pair u_k = (p_k, q_k)."""
-
-    k: int
-    u: np.ndarray
-
-
-@dataclass
 class GTModeCertificate:
     k: int
     rate: float
@@ -149,7 +140,12 @@ class GTModeCertificate:
 
 @dataclass
 class GTBoundReport:
+    """Deviations |f(t) - f_inf| along times, by Parseval, and their ratios
+    to e^{-t/2} |f0 - f_inf| (initial_deviation)."""
+
     times: np.ndarray
+    deviations: np.ndarray
+    initial_deviation: float
     ratios: np.ndarray
     max_ratio: float
     t_at_max: float
@@ -179,57 +175,59 @@ def mode_certificate(k: int) -> GTModeCertificate:
                              matrix=lm.matrix, residual=res)
 
 
-def decompose(field: TorusField, cutoff: int) -> list[ModeVector]:
-    """Fourier modes u_k for |k| <= cutoff in the (p, q) variables."""
+def decompose(field: TorusField, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier modes k = -cutoff..cutoff and their coefficient pairs
+    u_k = (p_k, q_k), as arrays of shapes (2 cutoff + 1,) and (2 cutoff + 1, 2)."""
     n = field.n
     if cutoff > n // 2 - 1:
         raise CutoffTooLarge(f"cutoff {cutoff} exceeds resolvable {n // 2 - 1}")
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
+    ks = np.arange(-cutoff, cutoff + 1)
     p_hat = np.fft.fft(field.f_plus + field.f_minus) / n
     q_hat = np.fft.fft(field.f_plus - field.f_minus) / n
-    return [ModeVector(k=k, u=np.array([p_hat[k % n], q_hat[k % n]]))
-            for k in range(-cutoff, cutoff + 1)]
+    return ks, np.stack([p_hat[ks % n], q_hat[ks % n]], axis=1)
 
 
-def reconstruct(modes: list[ModeVector], n: int) -> TorusField:
-    """Grid samples of the trigonometric polynomial with the given modes."""
-    p_spec = np.zeros(n, dtype=complex)
-    q_spec = np.zeros(n, dtype=complex)
-    for mv in modes:
-        if abs(mv.k) > n // 2 - 1:
-            raise CutoffTooLarge(f"mode {mv.k} does not fit on a grid of size {n}")
-        p_spec[mv.k % n] += n * mv.u[0]
-        q_spec[mv.k % n] += n * mv.u[1]
-    p = np.fft.ifft(p_spec).real
-    q = np.fft.ifft(q_spec).real
+def reconstruct(ks: np.ndarray, u: np.ndarray, n: int) -> TorusField:
+    """Grid samples of the trigonometric polynomial with modes ks and
+    coefficient pairs u (rows (p_k, q_k)); repeated modes add up."""
+    ks = np.asarray(ks, dtype=int)
+    u = np.asarray(u, dtype=complex)
+    if ks.size and np.abs(ks).max() > n // 2 - 1:
+        raise CutoffTooLarge(f"mode {ks[np.argmax(np.abs(ks))]} does not fit "
+                             f"on a grid of size {n}")
+    spec = np.zeros((n, 2), dtype=complex)
+    np.add.at(spec, ks % n, n * u)
+    p = np.fft.ifft(spec[:, 0]).real
+    q = np.fft.ifft(spec[:, 1]).real
     return TorusField(0.5 * (p + q), 0.5 * (p - q))
 
 
-def _propagate(ks: np.ndarray, u: np.ndarray, t: float):
-    """Apply e^{-C_k t} to each row of u, in closed form.
+def _propagate(ks: np.ndarray, u: np.ndarray, times) -> np.ndarray:
+    """Apply e^{-C_k t} to each row of u at every time, in closed form.
 
-    For |k| >= 1 write C_k = I/2 + B with B^2 = -omega^2 I,
-    omega = sqrt(k^2 - 1/4); then
+    Returns shape (len(times), len(ks), 2). The conserved mode k = 0 keeps
+    p and damps q by e^{-t}. For |k| >= 1 write C_k = I/2 + B with
+    B^2 = -omega^2 I, omega = sqrt(k^2 - 1/4); then
     e^{-C_k t} = e^{-t/2} (cos(omega t) I - sin(omega t)/omega B).
     """
-    out = np.empty_like(u)
+    ts = np.atleast_1d(np.asarray(times, dtype=float))[:, None]
+    out = np.empty((len(ts),) + u.shape, dtype=complex)
     zero = ks == 0
-    if zero.any():
-        out[zero, 0] = u[zero, 0]
-        out[zero, 1] = np.exp(-t) * u[zero, 1]
+    out[:, zero, 0] = u[zero, 0]
+    out[:, zero, 1] = np.exp(-ts) * u[zero, 1]
     nz = ~zero
-    if nz.any():
-        k = ks[nz].astype(float)
-        om = np.sqrt(k * k - 0.25)
-        u1, u2 = u[nz, 0], u[nz, 1]
-        b1 = -0.5 * u1 + 1j * k * u2
-        b2 = 1j * k * u1 + 0.5 * u2
-        ct = np.cos(om * t)
-        st = np.sin(om * t) / om
-        damp = np.exp(-0.5 * t)
-        out[nz, 0] = damp * (ct * u1 - st * b1)
-        out[nz, 1] = damp * (ct * u2 - st * b2)
+    k = ks[nz].astype(float)
+    om = np.sqrt(k * k - 0.25)
+    u1, u2 = u[nz, 0], u[nz, 1]
+    b1 = -0.5 * u1 + 1j * k * u2
+    b2 = 1j * k * u1 + 0.5 * u2
+    ct = np.cos(ts * om)
+    st = np.sin(ts * om) / om
+    damp = np.exp(-0.5 * ts)
+    out[:, nz, 0] = damp * (ct * u1 - st * b1)
+    out[:, nz, 1] = damp * (ct * u2 - st * b2)
     return out
 
 
@@ -239,12 +237,8 @@ def evolve(field: TorusField, t: float, cutoff: int) -> TorusField:
     Modes above the cutoff are dropped, so this is exact precisely when the
     initial field is band-limited to the cutoff.
     """
-    modes = decompose(field, cutoff)
-    ks = np.array([mv.k for mv in modes])
-    u = np.array([mv.u for mv in modes])
-    ut = _propagate(ks, u, float(t))
-    return reconstruct([ModeVector(k=int(k), u=row) for k, row in zip(ks, ut)],
-                       field.n)
+    ks, u = decompose(field, cutoff)
+    return reconstruct(ks, _propagate(ks, u, float(t))[0], field.n)
 
 
 def deviation_norm(field: TorusField) -> float:
@@ -272,37 +266,19 @@ def verify_gt_bound(field: TorusField, times, cutoff: int,
     if ts.size == 0 or (ts < 0).any():
         raise ValueError("need at least one non-negative time")
 
-    modes = decompose(field, cutoff)
-    ks = np.array([mv.k for mv in modes])
-    u = np.array([mv.u for mv in modes])
+    ks, u = decompose(field, cutoff)
     # deviation coefficients: the conserved component is the k = 0 mean of p
     d = u.copy()
     d[ks == 0, 0] = 0.0
-
-    nz = ks != 0
-    k = ks[nz].astype(float)
-    om = np.sqrt(k * k - 0.25)
-    d1, d2 = d[nz, 0], d[nz, 1]
-    b1 = -0.5 * d1 + 1j * k * d2
-    b2 = 1j * k * d1 + 0.5 * d2
-    ct = np.cos(np.outer(ts, om))
-    st = np.sin(np.outer(ts, om)) / om
-    x1 = ct * d1 - st * b1
-    x2 = ct * d2 - st * b2
-    osc = (np.abs(x1) ** 2 + np.abs(x2) ** 2).sum(axis=1) * np.exp(-ts)
-    q0_sq = float(np.sum(np.abs(d[ks == 0, 1]) ** 2))
-    dev = np.sqrt(np.pi * (osc + q0_sq * np.exp(-2.0 * ts)))
-
-    dev0_sq = float((np.abs(d) ** 2).sum())
-    dev0 = float(np.sqrt(np.pi * dev0_sq))
+    dev = np.sqrt(np.pi * (np.abs(_propagate(ks, d, ts)) ** 2).sum(axis=(1, 2)))
+    dev0 = float(np.sqrt(np.pi * (np.abs(d) ** 2).sum()))
     if dev0 < 1e-300:
         ratios = np.zeros_like(ts)
-        return GTBoundReport(times=ts, ratios=ratios, max_ratio=0.0,
-                             t_at_max=float(ts[0]), rate=GT_RATE,
-                             constant=GT_CONSTANT, passed=True)
-    ratios = dev / (np.exp(-GT_RATE * ts) * dev0)
+    else:
+        ratios = dev / (np.exp(-GT_RATE * ts) * dev0)
     i = int(np.argmax(ratios))
-    return GTBoundReport(times=ts, ratios=ratios, max_ratio=float(ratios[i]),
+    return GTBoundReport(times=ts, deviations=dev, initial_deviation=dev0,
+                         ratios=ratios, max_ratio=float(ratios[i]),
                          t_at_max=float(ts[i]), rate=GT_RATE,
                          constant=GT_CONSTANT,
                          passed=bool(ratios[i] <= GT_CONSTANT * (1.0 + tol)))

@@ -118,7 +118,9 @@ def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEn
     lo_rates = np.linspace(form.nu, form.nu_s, n_rates)
     up_c = np.array([upper_bound_constant(form, r).constant for r in up_rates])
     lo_c = np.array([lower_bound_constant(form, r).constant for r in lo_rates])
-    upper = np.min(up_c[:, None] * np.exp(-np.outer(up_rates, ts)), axis=0)
+    # e^{-rt} overflows for rates far below 0; the r = mu member keeps the min finite
+    with np.errstate(over="ignore"):
+        upper = np.min(up_c[:, None] * np.exp(-np.outer(up_rates, ts)), axis=0)
     lower = np.max(lo_c[:, None] * np.exp(-np.outer(lo_rates, ts)), axis=0)
     return FamilyEnvelope(times=ts, upper=upper, lower=lower,
                           upper_rates=up_rates, lower_rates=lo_rates,

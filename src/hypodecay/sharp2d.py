@@ -92,6 +92,12 @@ class SupOfEnvelope:
     tail_certified: bool
 
 
+def _tie_tol(lam: np.ndarray, rtol: float = TIE_RTOL) -> float:
+    """Absolute eigenvalue coincidence tolerance: rtol times the spectral
+    radius, so that the case split is invariant under time rescaling C -> sC."""
+    return rtol * float(np.abs(lam).max())
+
+
 def _m_plus_minus(alpha: float, gamma: float, delta: float, ts: np.ndarray):
     """Both envelope factors; m_- via the reciprocal form, which does not
     cancel catastrophically when A grows like e^{gamma t}."""
@@ -110,13 +116,13 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     lam = form.eigenvalues
-    scale = max(1.0, float(np.abs(lam).max()))
+    tie = abs(lam[1] - lam[0]) <= _tie_tol(lam)
     pre = np.exp(-2.0 * lam[0].real * ts)
-    if abs(lam[1] - lam[0]) <= TIE_RTOL * scale or form.alpha < ALPHA_FLOOR:
+    if tie or form.alpha < ALPHA_FLOOR:
         gamma = form.gamma
         lo = pre * np.exp(-2.0 * gamma * ts)
         hi = pre.copy()
-        if abs(lam[1] - lam[0]) <= TIE_RTOL * scale:
+        if tie:
             lo = pre.copy()
         return EnvelopeCurve(times=ts, h_minus=lo, h_plus=hi, alpha=form.alpha,
                              gamma=form.gamma, delta=form.delta)
@@ -182,8 +188,7 @@ def classify_and_sharp_constant(form: Canonical2DForm, tie_rtol: float = TIE_RTO
     lam = form.eigenvalues
     if lam[0].real <= 0.0:
         raise NotPositiveStable(f"spectral gap is not positive: mu = {lam[0].real}")
-    scale = max(1.0, float(np.abs(lam).max()))
-    tol = tie_rtol * scale
+    tol = _tie_tol(lam, tie_rtol)
     a = form.alpha
     kmin = (1.0 + a) / (1.0 - a)
 
@@ -294,29 +299,60 @@ def _theta_gain(off, theta_grid):
     return np.abs(off) * np.cos(dist)
 
 
+def _nearest_theta(target, theta_grid):
+    n = len(theta_grid)
+    step = 2.0 * np.pi / n
+    idx = np.rint((target - theta_grid[0]) / step).astype(int) % n
+    return theta_grid[idx]
+
+
 def _grid_extrema(a, d, off, phi_grid, theta_grid):
-    """Exact per-time extrema of the quadratic form over the product grid.
+    """Exact per-time extrema of the quadratic form over the product grid,
+    with their grid arguments (phi, theta), shape (len(a), 2) each, which
+    seed the refinement.
 
     For an even uniform theta grid the inner theta maximum collapses to a
     nearest-phase cosine, which reproduces the literal double loop exactly at
-    a fraction of the cost; other grids take the literal (chunked) route.
+    a fraction of the cost; other grids take the literal per-time route.
     """
+    nt = len(a)
     c = np.cos(phi_grid)
     s = np.sin(phi_grid)
     cross = s * c
     core = np.outer(a, c * c) + np.outer(d, s * s)
+    arg_max = np.empty((nt, 2))
+    arg_min = np.empty((nt, 2))
     if _is_even_uniform_circle(theta_grid):
         mix = 2.0 * np.abs(cross)[None, :] * _theta_gain(off, theta_grid)[:, None]
-        return (core + mix).max(axis=1), (core - mix).min(axis=1)
-    nt = len(a)
+        hi = core + mix
+        lo = core - mix
+        imax = np.argmax(hi, axis=1)
+        imin = np.argmin(lo, axis=1)
+        rows = np.arange(nt)
+        psi = np.angle(off)
+        # the best theta sits nearest -psi when the phi cross-term is
+        # positive and gets a half-turn otherwise; flipped for the minimum
+        flip_max = cross[imax] < 0.0
+        flip_min = cross[imin] >= 0.0
+        arg_max[:, 0] = phi_grid[imax]
+        arg_max[:, 1] = _nearest_theta(-psi + np.where(flip_max, np.pi, 0.0),
+                                       theta_grid)
+        arg_min[:, 0] = phi_grid[imin]
+        arg_min[:, 1] = _nearest_theta(-psi + np.where(flip_min, np.pi, 0.0),
+                                       theta_grid)
+        return hi[rows, imax], lo[rows, imin], arg_max, arg_min
     vmax = np.empty(nt)
     vmin = np.empty(nt)
     phase = np.exp(1j * theta_grid)
     for i in range(nt):
         vals = core[i][:, None] + 2.0 * np.outer(cross, (off[i] * phase).real)
-        vmax[i] = vals.max()
-        vmin[i] = vals.min()
-    return vmax, vmin
+        kmax = np.unravel_index(np.argmax(vals), vals.shape)
+        kmin = np.unravel_index(np.argmin(vals), vals.shape)
+        vmax[i] = vals[kmax]
+        vmin[i] = vals[kmin]
+        arg_max[i] = phi_grid[kmax[0]], theta_grid[kmax[1]]
+        arg_min[i] = phi_grid[kmin[0]], theta_grid[kmin[1]]
+    return vmax, vmin, arg_max, arg_min
 
 
 def _compass_refine(a, d, off, phi0, theta0, sign: float, step0: float,
@@ -352,48 +388,6 @@ def _compass_refine(a, d, off, phi0, theta0, sign: float, step0: float,
     return f
 
 
-def _nearest_theta(target, theta_grid):
-    n = len(theta_grid)
-    step = 2.0 * np.pi / n
-    idx = np.rint((target - theta_grid[0]) / step).astype(int) % n
-    return theta_grid[idx]
-
-
-def _grid_argextrema(a, d, off, phi_grid, theta_grid):
-    """Grid arguments of the per-time extrema (used to seed refinement)."""
-    nt = len(a)
-    c = np.cos(phi_grid)
-    s = np.sin(phi_grid)
-    cross = s * c
-    core = np.outer(a, c * c) + np.outer(d, s * s)
-    arg_max = np.empty((nt, 2))
-    arg_min = np.empty((nt, 2))
-    if _is_even_uniform_circle(theta_grid):
-        gain = _theta_gain(off, theta_grid)
-        imax = np.argmax(core + 2.0 * np.abs(cross)[None, :] * gain[:, None], axis=1)
-        imin = np.argmin(core - 2.0 * np.abs(cross)[None, :] * gain[:, None], axis=1)
-        psi = np.angle(off)
-        # the best theta sits nearest -psi when the phi cross-term is
-        # positive and gets a half-turn otherwise; flipped for the minimum
-        flip_max = cross[imax] < 0.0
-        flip_min = cross[imin] >= 0.0
-        arg_max[:, 0] = phi_grid[imax]
-        arg_max[:, 1] = _nearest_theta(-psi + np.where(flip_max, np.pi, 0.0),
-                                       theta_grid)
-        arg_min[:, 0] = phi_grid[imin]
-        arg_min[:, 1] = _nearest_theta(-psi + np.where(flip_min, np.pi, 0.0),
-                                       theta_grid)
-        return arg_max, arg_min
-    phase = np.exp(1j * theta_grid)
-    for i in range(nt):
-        vals = core[i][:, None] + 2.0 * np.outer(cross, (off[i] * phase).real)
-        kmax = np.unravel_index(np.argmax(vals), vals.shape)
-        kmin = np.unravel_index(np.argmin(vals), vals.shape)
-        arg_max[i] = phi_grid[kmax[0]], theta_grid[kmax[1]]
-        arg_min[i] = phi_grid[kmin[0]], theta_grid[kmin[1]]
-    return arg_max, arg_min
-
-
 def trajectory_envelope_oracle(C, phi_grid, theta_grid, times,
                                refine: bool = True):
     """Per-time max and min of |f(t)|^2 over unit initial data.
@@ -412,10 +406,9 @@ def trajectory_envelope_oracle(C, phi_grid, theta_grid, times,
     theta_grid = np.asarray(theta_grid, dtype=float)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     a, d, off = _gram_coefficients(data, times)
-    vmax, vmin = _grid_extrema(a, d, off, phi_grid, theta_grid)
+    vmax, vmin, arg_max, arg_min = _grid_extrema(a, d, off, phi_grid, theta_grid)
     if not refine:
         return vmax, vmin
-    arg_max, arg_min = _grid_argextrema(a, d, off, phi_grid, theta_grid)
     step0 = max(float(np.pi / len(phi_grid)), float(np.pi / len(theta_grid)))
     fmax = _compass_refine(a, d, off, arg_max[:, 0], arg_max[:, 1], +1.0, step0)
     fmin = _compass_refine(a, d, off, arg_min[:, 0], arg_min[:, 1], -1.0, step0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hypodecay import GT_CONSTANT, TorusField, deviation_norm, evolve
 from hypodecay.cli import main
 
 
@@ -216,6 +217,20 @@ class TestGT:
                                   "--modes", "40"])
         assert code == 1
 
+    def test_csv_matches_grid_reference(self, capsys):
+        # the Parseval columns agree with per-time evolution plus grid
+        # quadrature at the default grid (256) and cutoff (64)
+        code, out, _ = run(capsys, ["gt", "random:3", "--points", "40"])
+        assert code == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in out.strip().splitlines()[1:]])
+        t, dev, bound = rows.T
+        field = TorusField.random_field(3, 256)
+        ref = np.array([deviation_norm(evolve(field, ti, 64)) for ti in t])
+        assert np.allclose(dev, ref, rtol=1e-10, atol=0.0)
+        assert np.allclose(bound, GT_CONSTANT * np.exp(-t / 2) * dev[0],
+                           rtol=1e-12, atol=0.0)
+
     def test_oracle_flag(self, capsys):
         code, _, err = run(capsys, ["gt", "sharp", "--points", "20",
                                     "--oracle"])
@@ -225,3 +240,16 @@ class TestGT:
         _, out1, err1 = run(capsys, ["gt", "random:11", "--points", "50"])
         _, out2, err2 = run(capsys, ["gt", "random:11", "--points", "50"])
         assert out1 == out2 and err1 == err2
+
+
+class TestFlags:
+    def test_flags_belong_to_one_subcommand(self, capsys, m52_file):
+        # --rates only on envelope, --tol only on gt
+        for argv, expect in (
+                (["analyze", m52_file, "--rates", "5"], 1),
+                (["analyze", m52_file, "--tol", "1e-9"], 1),
+                (["envelope", m52_file, "--tol", "1e-9"], 1),
+                (["gt", "steady", "--rates", "5"], 1),
+                (["envelope", m52_file, "--points", "5", "--rates", "8"], 0),
+                (["gt", "steady", "--points", "5", "--tol", "1e-9"], 0)):
+            assert run(capsys, argv)[0] == expect, argv

@@ -73,6 +73,13 @@ class TestRK4Oracle:
         with pytest.raises(ValueError):
             rk4_oracle(np.eye(2), [1.0, 0.0], [1.0, 0.5])
 
+    def test_requires_positive_step(self):
+        # a negative step would raise the step matrix to a negative power,
+        # integrating backwards instead of failing
+        for dt in (0.0, -1e-3):
+            with pytest.raises(ValueError):
+                rk4_oracle(np.eye(2), [1.0, 0.0], [0.5, 1.0], dt=dt)
+
     def test_lands_exactly_on_requested_times(self):
         # steps are shortened at the end, not rounded, so sample times that
         # are not multiples of dt still come out right

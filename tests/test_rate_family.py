@@ -3,6 +3,7 @@ import pytest
 
 from hypodecay import (
     RateOutOfRange,
+    canonical_2d_form,
     eigendecompose,
     envelope_curves,
     exact_solution,
@@ -101,3 +102,19 @@ class TestFamilyEnvelope:
         fam = family_envelope(form_real_distinct, ts, n_rates=16)
         assert fam.upper.shape == ts.shape == fam.lower.shape
         assert len(fam.upper_rates) == 16 == len(fam.lower_constants)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_overflow_warning_far_below_zero_mu_s(self):
+        # alpha 0.9, eigenvalues 1 and 1.01 + 200i: mu_s is about -205, so
+        # e^{-r t} overflows for the most negative rates, while the r = mu
+        # member keeps the minimum finite
+        alpha = 0.9
+        v = np.array([[1.0, alpha], [0.0, np.sqrt(1 - alpha ** 2)]], dtype=complex)
+        c = v @ np.diag([1.0, 1.01 + 200j]) @ np.linalg.inv(v)
+        form = canonical_2d_form(eigendecompose(c))
+        assert form.mu_s < -200
+        ts = np.linspace(0.0, 10.0, 400)
+        fam = family_envelope(form, ts)
+        at_mu = upper_bound_constant(form, form.mu).constant * np.exp(-form.mu * ts)
+        assert np.all(np.isfinite(fam.upper))
+        assert np.all(fam.upper <= at_mu * (1 + 1e-12))

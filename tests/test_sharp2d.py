@@ -61,6 +61,21 @@ class TestClassification:
             assert lo <= res.c_sharp * (1 + 1e-12)
             assert res.c_sharp <= hi * (1 + 1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_time_rescaling_invariance(self, scale, mat_complex_pair,
+                                       mat_real_distinct):
+        # C -> sC only rescales time: the case, the sharp constant and the
+        # envelopes at t/s must not move
+        ts = np.linspace(0.0, 8.0, 50)
+        for c in (mat_complex_pair, mat_real_distinct):
+            ref, scaled = _form(c), _form(scale * c)
+            res, res_s = (classify_and_sharp_constant(f) for f in (ref, scaled))
+            assert res_s.case is res.case
+            assert res_s.c_sharp == pytest.approx(res.c_sharp, rel=1e-12)
+            env, env_s = envelope_curves(ref, ts), envelope_curves(scaled, ts / scale)
+            assert np.allclose(env_s.h_plus, env.h_plus, rtol=1e-9, atol=0.0)
+            assert np.allclose(env_s.h_minus, env.h_minus, rtol=1e-9, atol=0.0)
+
     def test_unstable_rejected(self):
         from hypodecay import NotPositiveStable
 
@@ -177,7 +192,7 @@ class TestTrajectoryOracle:
         a, d, off = _gram_coefficients(data, ts)
         phi = rng.uniform(0.0, np.pi, size=7)
         theta = np.arange(8) * (2 * np.pi / 8) + 0.137
-        fast_max, fast_min = _grid_extrema(a, d, off, phi, theta)
+        fast_max, fast_min, _, _ = _grid_extrema(a, d, off, phi, theta)
         # literal double loop
         vals = (np.cos(phi)[:, None, None] ** 2 * a[None, None, :]
                 + np.sin(phi)[:, None, None] ** 2 * d[None, None, :]
@@ -185,6 +200,24 @@ class TestTrajectoryOracle:
                 * (off[None, None, :] * np.exp(1j * theta)[None, :, None]).real)
         assert np.allclose(fast_max, vals.max(axis=(0, 1)), atol=1e-14)
         assert np.allclose(fast_min, vals.min(axis=(0, 1)), atol=1e-14)
+
+    @pytest.mark.parametrize("n_theta", [8, 25])
+    def test_grid_arguments_attain_extrema(self, n_theta):
+        # the returned (phi, theta) evaluate to the returned extrema, on the
+        # even uniform route and on the literal one alike
+        rng = np.random.default_rng(8)
+        c, _, _ = make_2x2_with_overlap(rng)
+        ts = np.linspace(0.0, 4.0, 9)
+        a, d, off = _gram_coefficients(eigendecompose(c), ts)
+        phi = rng.uniform(0.0, np.pi, size=7)
+        theta = np.arange(n_theta) * (2 * np.pi / n_theta) + 0.137
+        vmax, vmin, arg_max, arg_min = _grid_extrema(a, d, off, phi, theta)
+        for v, arg in ((vmax, arg_max), (vmin, arg_min)):
+            assert np.isin(arg[:, 0], phi).all() and np.isin(arg[:, 1], theta).all()
+            cp, sp = np.cos(arg[:, 0]), np.sin(arg[:, 0])
+            at = (a * cp ** 2 + d * sp ** 2
+                  + 2 * sp * cp * (off * np.exp(1j * arg[:, 1])).real)
+            assert np.allclose(at, v, atol=1e-14)
 
     def test_oracle_brackets_envelopes(self, mat_complex_pair):
         form = _form(mat_complex_pair)
