@@ -86,7 +86,7 @@ def read_matrix_file(path: str) -> np.ndarray:
     if not isinstance(raw, dict) or "n" not in raw or "re" not in raw:
         raise MatrixFormatError('matrix file must be {"n": ..., "re": ...}')
     n = raw["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise MatrixFormatError(f'"n" must be a positive integer, got {n!r}')
     try:
         re = np.asarray(raw["re"], dtype=float)
@@ -166,7 +166,7 @@ def cmd_analyze(args) -> int:
             "rate": report.mu,
         })
     else:
-        opt = minimize_kappa_weights(data.left_vectors, seed=args.seed)
+        opt = minimize_kappa_weights(data.left_vectors)
         p = build_weighted_p(data, opt.weights)
         out.update({
             "kappa_equal": opt.kappa_equal,

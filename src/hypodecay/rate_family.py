@@ -82,8 +82,8 @@ def _kappa_min(alpha: float, beta_tilde: float) -> float:
 
 def _bound(form: Canonical2DForm, rate: float, lo: float, hi: float,
            direction: str) -> FamilyBound:
-    scale = max(1.0, float(np.abs(form.eigenvalues).max()))
-    slack = RANGE_RTOL * scale
+    # scaled by the spectral radius, so that the range is invariant under C -> sC
+    slack = RANGE_RTOL * float(np.abs(form.eigenvalues).max())
     if not lo - slack <= rate <= hi + slack:
         raise RateOutOfRange(
             f"rate {rate} outside [{lo}, {hi}] for the {direction} family")

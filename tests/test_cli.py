@@ -103,6 +103,12 @@ class TestAnalyzeErrors:
         code, _, _ = run(capsys, ["analyze", str(p)])
         assert code == 1
 
+    def test_bool_size(self, capsys, tmp_path):
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps({"n": True, "re": [[1.0]], "im": [[0.0]]}))
+        code, _, err = run(capsys, ["analyze", str(p)])
+        assert code == 1 and '"n" must be a positive integer' in err
+
     def test_oversized_matrix(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "big.json", np.eye(17))
         code, _, _ = run(capsys, ["analyze", path])

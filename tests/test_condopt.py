@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from hypodecay import condopt
 from hypodecay import (
     LyapunovMatrix,
+    NotAdmissible,
     build_weighted_p,
     canonical_2d_form,
     eigendecompose,
@@ -12,6 +14,11 @@ from hypodecay import (
     minimize_kappa_weights,
 )
 from .conftest import make_2x2_with_overlap
+
+
+def build_kappa(w, b):
+    ev = np.linalg.eigvalsh((w * b) @ w.conj().T)
+    return ev[-1] / ev[0]
 
 
 class TestMinimizeKappa2D:
@@ -45,12 +52,37 @@ class TestMinimizeKappaWeights:
         for _ in range(5):
             w = np.linalg.qr(rng.normal(size=(3, 3)))[0] + 0.3 * rng.normal(size=(3, 3))
             w /= np.linalg.norm(w, axis=0)
-            opt = minimize_kappa_weights(w, n_restarts=6, seed=1)
+            opt = minimize_kappa_weights(w)
             assert opt.kappa <= opt.kappa_equal * (1 + 1e-9)
+
+    def test_converged_on_triangular_three_dim(self, triangular_w):
+        opt = minimize_kappa_weights(triangular_w)
+        assert opt.converged
+        assert opt.nfev > 0
+
+    def test_local_optimality(self):
+        # no nearby weights, in any of several random directions, do better
+        rng = np.random.default_rng(31)
+        for n in (3, 4, 5, 6, 7, 8, 3, 5, 8, 6):
+            w = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+                 + 0.4 * rng.normal(size=(n, n)))
+            w /= np.linalg.norm(w, axis=0)
+            opt = minimize_kappa_weights(w)
+            for _ in range(5):
+                z = rng.normal(size=n)
+                for eps in (1e-3, 1e-1):
+                    b = opt.weights * np.exp(eps * z)
+                    assert build_kappa(w, b) >= opt.kappa * (1 - 1e-10)
+
+    def test_unfinished_stage_is_reported(self, triangular_w, monkeypatch):
+        monkeypatch.setattr(condopt, "STAGE_MAXITER", 1)
+        opt = minimize_kappa_weights(triangular_w)
+        assert not opt.converged
+        assert opt.kappa <= opt.kappa_equal
 
     def test_orthonormal_basis_gives_identity(self):
         q = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))[0]
-        opt = minimize_kappa_weights(q, n_restarts=4)
+        opt = minimize_kappa_weights(q)
         assert opt.kappa == pytest.approx(1.0, abs=1e-9)
         assert opt.kappa_equal == pytest.approx(1.0, abs=1e-12)
 
@@ -61,8 +93,7 @@ class TestMinimizeKappaAdmissible:
         # (1 + alpha)/(1 - alpha) = 3 for this system
         data = eigendecompose(mat_complex_pair)
         seed_p = build_weighted_p(data, [1.0, 1.0])
-        res = minimize_kappa_admissible(mat_complex_pair, 0.5, seed_p,
-                                        n_restarts=4, seed=0)
+        res = minimize_kappa_admissible(mat_complex_pair, 0.5, seed_p)
         assert res.residual >= -1e-10
         assert res.kappa <= 3.0 + 1e-5
 
@@ -70,7 +101,38 @@ class TestMinimizeKappaAdmissible:
         # optimizing from a feasible seed never returns an infeasible point
         c = np.diag([1.0, 2.0, 3.0])
         seed_p = LyapunovMatrix(np.diag([1.0, 2.0, 3.0]))
-        res = minimize_kappa_admissible(c, 1.0, seed_p, n_restarts=3, seed=0)
+        res = minimize_kappa_admissible(c, 1.0, seed_p)
         assert res.residual >= -1e-10
         assert res.kappa <= seed_p.kappa + 1e-12
         assert lyapunov_residual(c, res.P, 1.0) == pytest.approx(res.residual)
+
+    def test_triangular_reaches_exact_optimum(self, mat_triangular, triangular_w):
+        # the best P admissible at the spectral gap has kappa 3 + 2 sqrt(2),
+        # exactly admissible: no slack below zero beyond rounding
+        seed_p = LyapunovMatrix(triangular_w @ np.diag([2.0, 4.0, 3.0]) @ triangular_w.T)
+        res = minimize_kappa_admissible(mat_triangular, 1.0, seed_p)
+        assert abs(res.kappa - (3.0 + 2.0 * np.sqrt(2.0))) <= 1e-9
+        scale = np.linalg.norm(mat_triangular, 2) * res.P.lambda_max
+        assert res.residual >= -1e-12 * scale
+        assert res.converged
+
+    def test_complex_spectrum_beats_weighted_family(self):
+        # every weighted P is admissible at the spectral gap, so the search
+        # over all admissible P must end at or below the best weights
+        rng = np.random.default_rng(12)
+        for n in (3, 4, 5):
+            lam = np.sort(rng.uniform(0.2, 1.5, n)) + 1j * rng.uniform(-2.0, 2.0, n)
+            v = np.eye(n) + 0.5 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
+            c = (v * lam) @ np.linalg.inv(v)
+            data = eigendecompose(c)
+            weights = minimize_kappa_weights(data.left_vectors)
+            seed_p = build_weighted_p(data, np.ones(n))
+            res = minimize_kappa_admissible(c, data.spectral_gap, seed_p)
+            assert res.converged
+            assert res.kappa <= weights.kappa * (1 + 1e-9)
+            assert res.residual >= -1e-12 * np.linalg.norm(c, 2) * res.P.lambda_max
+
+    def test_rejects_inadmissible_seed(self):
+        c = np.diag([1.0, 2.0, 3.0])
+        with pytest.raises(NotAdmissible):
+            minimize_kappa_admissible(c, 1.5, LyapunovMatrix(np.eye(3)))

@@ -39,6 +39,17 @@ class TestUpperBoundConstant:
             upper_bound_constant(form_complex_pair, -0.05)
 
 
+class TestTimeRescaling:
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e6])
+    def test_range_scales_with_c(self, s, mat_complex_pair):
+        form = canonical_2d_form(eigendecompose(s * mat_complex_pair))
+        with pytest.raises(RateOutOfRange):
+            upper_bound_constant(form, 200.0 * form.mu)
+        assert upper_bound_constant(form, form.mu).constant == pytest.approx(
+            np.sqrt(3.0), rel=1e-9)
+        assert lower_bound_constant(form, form.nu).constant > 0.0
+
+
 class TestLowerBoundConstant:
     def test_endpoints(self, form_complex_pair):
         assert lower_bound_constant(form_complex_pair, 0.5).constant == \
