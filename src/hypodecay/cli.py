@@ -104,23 +104,12 @@ def read_matrix_file(path: str) -> np.ndarray:
     return re + 1j * im
 
 
-def _rk4_crosscheck(C: np.ndarray, data, seed: int) -> float:
-    """Worst relative gap between the eigen-propagator and RK4 on a few
-    random unit initial vectors."""
-    rng = np.random.default_rng(seed)
-    n = C.shape[0]
-    norm_c = float(np.linalg.norm(C, 2))
-    dt = 1e-3 / max(1.0, norm_c / 5.0)
-    times = np.linspace(0.0, 5.0 / max(1.0, norm_c / 5.0), 11)
-    worst = 0.0
-    for _ in range(3):
-        f0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        f0 /= np.linalg.norm(f0)
-        a = exact_solution(data, f0, times)
-        b = rk4_oracle(C, f0, times, dt=dt)
-        scale = np.maximum(np.linalg.norm(a, axis=1), 1e-300)
-        worst = max(worst, float(np.max(np.linalg.norm(a - b, axis=1) / scale)))
-    return worst
+def _rk4_gap(C: np.ndarray, f0s, closed, times: np.ndarray, dt: float) -> float:
+    """Worst relative gap between closed-form solutions and RK4; closed[i]
+    is the closed-form solution from f0s[i] at the times."""
+    return float(np.max([np.linalg.norm(a - rk4_oracle(C, f0, times, dt=dt), axis=1)
+                         / np.maximum(np.linalg.norm(a, axis=1), 1e-300)
+                         for f0, a in zip(f0s, closed)]))
 
 
 def cmd_analyze(args) -> int:
@@ -178,7 +167,13 @@ def cmd_analyze(args) -> int:
         })
 
     if args.oracle:
-        gap = _rk4_crosscheck(C, data, args.seed)
+        rng = np.random.default_rng(args.seed)
+        f0s = [rng.normal(size=data.n) + 1j * rng.normal(size=data.n) for _ in range(3)]
+        f0s = [f0 / np.linalg.norm(f0) for f0 in f0s]
+        scale = max(1.0, float(np.linalg.norm(C, 2)) / 5.0)
+        times = np.linspace(0.0, 5.0 / scale, 11)
+        gap = _rk4_gap(C, f0s, [exact_solution(data, f0, times) for f0 in f0s],
+                       times, 1e-3 / scale)
         out["oracle_gap"] = gap
         if gap > ORACLE_RTOL:
             print(json.dumps(out, indent=2, sort_keys=True))
@@ -276,10 +271,8 @@ def cmd_gt(args) -> int:
         check_ts = np.linspace(0.0, min(args.t_max, 5.0), 11)
         u0 = np.array([1.0 + 0.5j, -0.75j])
         for k in sorted({1, 2, max(1, args.modes)}):
-            a = rk4_oracle(mode_matrix(k), u0, check_ts, dt=1e-4)
-            b = _propagate(np.array([k]), u0[None, :], check_ts)[:, 0]
-            gap = float(np.max(np.linalg.norm(a - b, axis=1)
-                               / np.maximum(np.linalg.norm(b, axis=1), 1e-300)))
+            closed = _propagate(np.array([k]), u0[None, :], check_ts)[:, 0]
+            gap = _rk4_gap(mode_matrix(k), [u0], [closed], check_ts, 1e-4)
             if gap > ORACLE_RTOL:
                 _err(f"oracle cross-check failed on mode {k}: gap {gap:.3e}")
                 return 3

@@ -28,7 +28,7 @@ from scipy.optimize import minimize
 
 from .errors import SearchFailure
 from .lyapunov import LyapunovMatrix, certificate_from_p
-from .spectral import Canonical2DForm, as_complex_matrix
+from .spectral import Canonical2DForm, as_complex_matrix, coincidence_tol
 
 __all__ = [
     "WeightOptimum",
@@ -209,7 +209,7 @@ def _admissible_kernel(lam: np.ndarray, mu: float) -> np.ndarray:
     eigenvalues, where X is free; 0 elsewhere, where X must vanish.
     """
     shifted = lam - mu
-    tol = SLOW_RTOL * float(np.abs(lam).max())
+    tol = coincidence_tol(lam, SLOW_RTOL)
     slow = np.abs(shifted.real) <= tol
     fast_pair = ~slow[:, None] & ~slow[None, :]
     same_slow = slow[:, None] & slow[None, :] & (np.abs(lam[:, None] - lam[None, :]) <= tol)

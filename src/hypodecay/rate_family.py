@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateOutOfRange
-from .spectral import Canonical2DForm
+from .sharp2d import TIE_RTOL
+from .spectral import Canonical2DForm, coincidence_tol
 
 __all__ = [
     "FamilyBound",
@@ -62,47 +63,49 @@ class FamilyEnvelope:
     lower_constants: np.ndarray
 
 
-def _beta0(form: Canonical2DForm, rate: float) -> float:
+def _family(form: Canonical2DForm, rates, direction: str):
+    """(beta0, beta~, kappa, constant) of the direction's family, each an array
+    over rates; RateOutOfRange unless every rate lies in the family's range."""
+    lo, hi = (form.mu_s, form.mu) if direction == "upper" else (form.nu, form.nu_s)
     lam = form.eigenvalues
-    num = 4.0 * (lam[0].real - rate) * (lam[1].real - rate)
-    den = abs(lam[0] + np.conj(lam[1]) - 2.0 * rate) ** 2
-    if den < 1e-30:
-        return 1.0
-    return float(np.clip(np.sqrt(max(num, 0.0) / den), 0.0, 1.0))
-
-
-def _kappa_min(alpha: float, beta_tilde: float) -> float:
-    q = (1.0 - alpha * alpha) * (1.0 - beta_tilde * beta_tilde) \
-        / (1.0 + alpha * beta_tilde) ** 2
-    s = np.sqrt(max(1.0 - q, 0.0))
-    if s >= 1.0:
-        raise RateOutOfRange("condition number diverges at this rate")
-    return float((1.0 + s) / (1.0 - s))
-
-
-def _bound(form: Canonical2DForm, rate: float, lo: float, hi: float,
-           direction: str) -> FamilyBound:
-    # scaled by the spectral radius, so that the range is invariant under C -> sC
-    slack = RANGE_RTOL * float(np.abs(form.eigenvalues).max())
-    if not lo - slack <= rate <= hi + slack:
+    rates = np.asarray(rates, dtype=float)
+    slack = coincidence_tol(lam, RANGE_RTOL)
+    inside = (lo - slack <= rates) & (rates <= hi + slack)
+    if not inside.all():
         raise RateOutOfRange(
-            f"rate {rate} outside [{lo}, {hi}] for the {direction} family")
-    b0 = _beta0(form, float(np.clip(rate, lo, hi)))
-    bt = max(-form.alpha, -b0)
-    kappa = _kappa_min(form.alpha, bt)
-    c = np.sqrt(kappa) if direction == "upper" else 1.0 / np.sqrt(kappa)
-    return FamilyBound(rate=float(rate), constant=float(c), direction=direction,
-                       beta0=b0, beta_tilde=bt, kappa=kappa)
+            f"rate {rates[~inside][0]} outside [{lo}, {hi}] for the {direction} family")
+    r = np.clip(rates, lo, hi)
+    num = 4.0 * (lam[0].real - r) * (lam[1].real - r)
+    dist = np.abs(lam[0] + np.conj(lam[1]) - 2.0 * r)
+    # on both ranges dist >= |lam_2 - lam_1|: the 0/0 guard fires only where the
+    # sharp case split calls the eigenvalues equal (c_sharp = 1) and gives c = 1
+    tie = dist <= coincidence_tol(lam, TIE_RTOL)
+    beta0 = np.where(tie, 1.0, np.clip(
+        np.sqrt(np.maximum(num, 0.0) / np.where(tie, 1.0, dist) ** 2), 0.0, 1.0))
+    a = form.alpha
+    bt = np.maximum(-a, -beta0)
+    q = (1.0 - a * a) * (1.0 - bt * bt) / (1.0 + a * bt) ** 2
+    s = np.sqrt(np.maximum(1.0 - q, 0.0))
+    if np.any(s >= 1.0):
+        raise RateOutOfRange("condition number diverges at this rate")
+    kappa = (1.0 + s) / (1.0 - s)
+    return beta0, bt, kappa, np.sqrt(kappa) if direction == "upper" else 1.0 / np.sqrt(kappa)
+
+
+def _member(form: Canonical2DForm, rate: float, direction: str) -> FamilyBound:
+    beta0, bt, kappa, c = (float(x[0]) for x in _family(form, [rate], direction))
+    return FamilyBound(rate=float(rate), constant=c, direction=direction,
+                       beta0=beta0, beta_tilde=bt, kappa=kappa)
 
 
 def upper_bound_constant(form: Canonical2DForm, mu_tilde: float) -> FamilyBound:
     """Smallest certified constant for the rate mu_tilde in [mu_s, mu]."""
-    return _bound(form, mu_tilde, form.mu_s, form.mu, "upper")
+    return _member(form, mu_tilde, "upper")
 
 
 def lower_bound_constant(form: Canonical2DForm, nu_tilde: float) -> FamilyBound:
     """Largest certified constant for the rate nu_tilde in [nu, nu_s]."""
-    return _bound(form, nu_tilde, form.nu, form.nu_s, "lower")
+    return _member(form, nu_tilde, "lower")
 
 
 def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEnvelope:
@@ -116,8 +119,8 @@ def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEn
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     up_rates = np.linspace(form.mu_s, form.mu, n_rates)
     lo_rates = np.linspace(form.nu, form.nu_s, n_rates)
-    up_c = np.array([upper_bound_constant(form, r).constant for r in up_rates])
-    lo_c = np.array([lower_bound_constant(form, r).constant for r in lo_rates])
+    up_c = _family(form, up_rates, "upper")[3]
+    lo_c = _family(form, lo_rates, "lower")[3]
     # e^{-rt} overflows for rates far below 0; the r = mu member keeps the min finite
     with np.errstate(over="ignore"):
         upper = np.min(up_c[:, None] * np.exp(-np.outer(up_rates, ts)), axis=0)

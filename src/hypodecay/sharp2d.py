@@ -25,7 +25,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import Defective2D, NotPositiveStable
-from .spectral import Canonical2DForm, SpectralData, as_complex_matrix, eigendecompose
+from .spectral import (Canonical2DForm, SpectralData, as_complex_matrix, coincidence_tol,
+                       eigendecompose)
 
 __all__ = [
     "DecayCase",
@@ -42,6 +43,10 @@ __all__ = [
 
 #: eigenvalue coincidence tolerance, relative to the spectral radius
 TIE_RTOL = 1e-10
+
+#: sup_m_plus scans SCAN_POINTS times, then refines to REFINE_TOL (absolute, in time)
+SCAN_POINTS = 100_000
+REFINE_TOL = 1e-10
 
 #: alpha below which the eigenbasis counts as orthogonal and every constant is 1
 ALPHA_FLOOR = 1e-14
@@ -92,12 +97,6 @@ class SupOfEnvelope:
     tail_certified: bool
 
 
-def _tie_tol(lam: np.ndarray, rtol: float = TIE_RTOL) -> float:
-    """Absolute eigenvalue coincidence tolerance: rtol times the spectral
-    radius, so that the case split is invariant under time rescaling C -> sC."""
-    return rtol * float(np.abs(lam).max())
-
-
 def _m_plus_minus(alpha: float, gamma: float, delta: float, ts: np.ndarray):
     """Both envelope factors; m_- via the reciprocal form, which does not
     cancel catastrophically when A grows like e^{gamma t}."""
@@ -116,7 +115,7 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     lam = form.eigenvalues
-    tie = abs(lam[1] - lam[0]) <= _tie_tol(lam)
+    tie = abs(lam[1] - lam[0]) <= coincidence_tol(lam, TIE_RTOL)
     pre = np.exp(-2.0 * lam[0].real * ts)
     if tie or form.alpha < ALPHA_FLOOR:
         gamma = form.gamma
@@ -131,8 +130,7 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
                          alpha=form.alpha, gamma=form.gamma, delta=form.delta)
 
 
-def sup_m_plus(alpha: float, gamma: float, delta: float,
-               scan_points: int = 100_000, refine_tol: float = 1e-10) -> SupOfEnvelope:
+def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
     """sup over t >= 0 of the upper envelope factor m_+.
 
     Coarse scan on [0, T] followed by golden-section refinement of the best
@@ -152,14 +150,14 @@ def sup_m_plus(alpha: float, gamma: float, delta: float,
         raise ValueError("coincident eigenvalues have no envelope factor to maximize")
     T = 2.0 * np.pi / abs(delta) if gamma == 0.0 else 20.0 / gamma
 
-    ts = np.linspace(0.0, T, scan_points)
+    ts = np.linspace(0.0, T, SCAN_POINTS)
     vals = _m_plus_minus(alpha, gamma, delta, ts)[1]
     i = int(np.argmax(vals))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, len(ts) - 1)]
     res = minimize_scalar(lambda t: -_m_plus_minus(alpha, gamma, delta, np.array([t]))[1][0],
                           bounds=(lo, hi), method="bounded",
-                          options=dict(xatol=refine_tol))
+                          options=dict(xatol=REFINE_TOL))
     best_t = float(res.x)
     best = float(-res.fun)
 
@@ -176,7 +174,7 @@ def sup_m_plus(alpha: float, gamma: float, delta: float,
                          tail_certified=bool(tail_bound <= best * (1.0 + 1e-8)))
 
 
-def classify_and_sharp_constant(form: Canonical2DForm, tie_rtol: float = TIE_RTOL) -> SharpResult2D:
+def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
     """Eigenvalue-configuration case split with the sharp constant for each.
 
     Equal eigenvalues: the norm is a pure exponential, c = 1. Equal real
@@ -188,7 +186,7 @@ def classify_and_sharp_constant(form: Canonical2DForm, tie_rtol: float = TIE_RTO
     lam = form.eigenvalues
     if lam[0].real <= 0.0:
         raise NotPositiveStable(f"spectral gap is not positive: mu = {lam[0].real}")
-    tol = _tie_tol(lam, tie_rtol)
+    tol = coincidence_tol(lam, TIE_RTOL)
     a = form.alpha
     kmin = (1.0 + a) / (1.0 - a)
 

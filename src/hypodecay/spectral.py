@@ -31,8 +31,17 @@ __all__ = [
 #: treated as defective
 DEFECT_COND_LIMIT = 1e8
 
-#: relative gap below which two eigenvalues count as a cluster
+#: gap, relative to the spectral radius, below which eigenvalues form a cluster
 CLUSTER_GAP = 1e-6
+
+#: real parts within ORDER_RTOL of the spectral radius are ordered by imaginary part
+ORDER_RTOL = 1e-9
+
+
+def coincidence_tol(lam, rtol: float) -> float:
+    """rtol times the spectral radius of lam: the one scale on which eigenvalues
+    or their parts count as equal, so that C -> sC changes no such decision."""
+    return rtol * float(np.abs(lam).max())
 
 
 def as_complex_matrix(obj) -> np.ndarray:
@@ -79,22 +88,22 @@ class SpectralData:
         return float(self.eigenvalues[0].real)
 
 
-def _order_with_clustered_ties(lam: np.ndarray, tol: float) -> np.ndarray:
-    """Sort key (Re, Im) with real parts snapped together below tol.
+def _order_with_clustered_ties(lam: np.ndarray) -> np.ndarray:
+    """Sort key (Re, Im) with real parts snapped together below ORDER_RTOL.
 
     Raw float real parts of an equal-real-part pair differ by rounding noise,
     which would make the tie-break on the imaginary part unreliable.
     """
-    scale = max(1.0, float(np.abs(lam).max()))
+    tol = coincidence_tol(lam, ORDER_RTOL)
     snapped = lam.real.copy()
     idx = np.argsort(snapped, kind="stable")
     for i, j in zip(idx[:-1], idx[1:]):
-        if abs(snapped[j] - snapped[i]) <= tol * scale:
+        if abs(snapped[j] - snapped[i]) <= tol:
             snapped[j] = snapped[i]
     return np.lexsort((lam.imag, snapped))
 
 
-def eigendecompose(C, tie_tol: float = 1e-9) -> SpectralData:
+def eigendecompose(C) -> SpectralData:
     """Eigendecompose C, ordering eigenvalues by (Re, Im) increasing.
 
     Raises NonConvergence if the QR iteration fails. A defective matrix is
@@ -108,15 +117,14 @@ def eigendecompose(C, tie_tol: float = 1e-9) -> SpectralData:
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
 
-    order = _order_with_clustered_ties(lam, tie_tol)
+    order = _order_with_clustered_ties(lam)
     lam = lam[order]
     V = V[:, order]
 
     cond = float(np.linalg.cond(V))
-    scale = max(1.0, float(np.abs(lam).max()))
     gaps = np.abs(lam[:, None] - lam[None, :])
     np.fill_diagonal(gaps, np.inf)
-    clustered = bool(gaps.min() <= CLUSTER_GAP * scale) if len(lam) > 1 else False
+    clustered = bool(gaps.min() <= coincidence_tol(lam, CLUSTER_GAP))
     defective = clustered and cond > DEFECT_COND_LIMIT
 
     if defective:
@@ -203,6 +211,7 @@ class Canonical2DForm:
     The unitary U maps the adjoint eigenvectors to w1 = (1, 0) and
     w2 = (alpha, sqrt(1 - alpha^2)) with alpha in [0, 1); eigenvalues, Euclidean
     norms of solutions, and every constant computed downstream are unchanged.
+    mu_s and nu_s are the extreme eigenvalues of the Hermitian part of matrix.
     """
 
     alpha: float
@@ -211,6 +220,8 @@ class Canonical2DForm:
     w1: np.ndarray
     w2: np.ndarray
     matrix: np.ndarray
+    mu_s: float
+    nu_s: float
 
     @property
     def mu(self) -> float:
@@ -229,16 +240,6 @@ class Canonical2DForm:
     def delta(self) -> float:
         """Imaginary-part spread Im(lambda_2 - lambda_1)."""
         return float((self.eigenvalues[1] - self.eigenvalues[0]).imag)
-
-    @property
-    def mu_s(self) -> float:
-        C = self.matrix
-        return float(np.linalg.eigvalsh((C + C.conj().T) / 2.0)[0])
-
-    @property
-    def nu_s(self) -> float:
-        C = self.matrix
-        return float(np.linalg.eigvalsh((C + C.conj().T) / 2.0)[-1])
 
 
 def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
@@ -267,11 +268,15 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     e2 = r / rnorm
 
     U = np.vstack([e1.conj(), e2.conj()])
+    C = U @ data.matrix @ U.conj().T
+    herm = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
     return Canonical2DForm(
         alpha=float(alpha),
         unitary=U,
         eigenvalues=data.eigenvalues.copy(),
         w1=U @ w1,
         w2=U @ w2,
-        matrix=U @ data.matrix @ U.conj().T,
+        matrix=C,
+        mu_s=float(herm[0]),
+        nu_s=float(herm[-1]),
     )

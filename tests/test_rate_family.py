@@ -40,7 +40,7 @@ class TestUpperBoundConstant:
 
 
 class TestTimeRescaling:
-    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e6])
+    @pytest.mark.parametrize("s", [1e-16, 1e-12, 1.0, 1e6])
     def test_range_scales_with_c(self, s, mat_complex_pair):
         form = canonical_2d_form(eigendecompose(s * mat_complex_pair))
         with pytest.raises(RateOutOfRange):
@@ -94,6 +94,14 @@ class TestBoundsHold:
                 assert np.all(norms >= env * (1 - 1e-9))
 
 
+@pytest.fixture
+def form_far_below_zero():
+    """alpha 0.9, eigenvalues 1 and 1.01 + 200i: mu_s is about -205."""
+    alpha = 0.9
+    v = np.array([[1.0, alpha], [0.0, np.sqrt(1 - alpha ** 2)]], dtype=complex)
+    return canonical_2d_form(eigendecompose(v @ np.diag([1.0, 1.01 + 200j]) @ np.linalg.inv(v)))
+
+
 class TestFamilyEnvelope:
     def test_brackets_exact_envelopes(self, form_complex_pair):
         ts = np.linspace(0.0, 10.0, 101)
@@ -114,15 +122,22 @@ class TestFamilyEnvelope:
         assert fam.upper.shape == ts.shape == fam.lower.shape
         assert len(fam.upper_rates) == 16 == len(fam.lower_constants)
 
+    @pytest.mark.parametrize("fixture", ["form_complex_pair", "form_real_distinct",
+                                         "form_far_below_zero"])
+    def test_members_match_single_rate_calls(self, fixture, request):
+        # the envelope and the per-rate functions evaluate one family, bit for bit
+        form = request.getfixturevalue(fixture)
+        fam = family_envelope(form, np.linspace(0.0, 10.0, 11))
+        assert [upper_bound_constant(form, r).constant for r in fam.upper_rates] \
+            == fam.upper_constants.tolist()
+        assert [lower_bound_constant(form, r).constant for r in fam.lower_rates] \
+            == fam.lower_constants.tolist()
+
     @pytest.mark.filterwarnings("error")
-    def test_no_overflow_warning_far_below_zero_mu_s(self):
-        # alpha 0.9, eigenvalues 1 and 1.01 + 200i: mu_s is about -205, so
+    def test_no_overflow_warning_far_below_zero_mu_s(self, form_far_below_zero):
         # e^{-r t} overflows for the most negative rates, while the r = mu
         # member keeps the minimum finite
-        alpha = 0.9
-        v = np.array([[1.0, alpha], [0.0, np.sqrt(1 - alpha ** 2)]], dtype=complex)
-        c = v @ np.diag([1.0, 1.01 + 200j]) @ np.linalg.inv(v)
-        form = canonical_2d_form(eigendecompose(c))
+        form = form_far_below_zero
         assert form.mu_s < -200
         ts = np.linspace(0.0, 10.0, 400)
         fam = family_envelope(form, ts)

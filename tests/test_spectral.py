@@ -67,6 +67,13 @@ class TestEigendecompose:
         assert data.defective
         assert np.isnan(data.left_vectors).all()
 
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-7, 1.0, 1e6])
+    def test_time_rescaling(self, s):
+        # C -> sC: the order, the gap and the defect flag go with the spectral radius
+        data = eigendecompose(s * np.diag([2.0 - 1.0j, 1.0 + 1.0j]))
+        assert data.spectral_gap == pytest.approx(s, rel=1e-12)
+        assert not eigendecompose(s * np.array([[1.0, 1e9], [0.0, 2.0]])).defective
+
     def test_adjoint_eigenvectors(self, mat_real_distinct):
         data = eigendecompose(mat_real_distinct)
         for j in range(2):
