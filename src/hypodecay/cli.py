@@ -70,6 +70,20 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _entries(rows, n: int, key: str) -> np.ndarray:
+    """An n x n list of JSON numbers as a float array. The parsed values are
+    checked, not the array dtype: numpy turns "2" and true into numbers."""
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows)):
+        raise MatrixFormatError(f'"{key}" must be {n} rows of {n} entries')
+    if not all(type(x) in (int, float) for row in rows for x in row):
+        raise MatrixFormatError(f'"{key}" entries must be JSON numbers')
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError as exc:
+        raise MatrixFormatError("matrix entries must be finite") from exc
+
+
 def read_matrix_file(path: str) -> np.ndarray:
     """Load {"n": int, "re": [[...]], "im": [[...]]} into a complex matrix.
 
@@ -88,14 +102,8 @@ def read_matrix_file(path: str) -> np.ndarray:
     n = raw["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise MatrixFormatError(f'"n" must be a positive integer, got {n!r}')
-    try:
-        re = np.asarray(raw["re"], dtype=float)
-        im = np.asarray(raw.get("im", np.zeros((n, n))), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MatrixFormatError(f"matrix entries are not numeric: {exc}") from exc
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise MatrixFormatError(
-            f'"re"/"im" must be {n}x{n}, got {re.shape} and {im.shape}')
+    re = _entries(raw["re"], n, "re")
+    im = _entries(raw["im"], n, "im") if "im" in raw else np.zeros((n, n))
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise MatrixFormatError("matrix entries must be finite")
     if n > MAX_SIZE:

@@ -14,6 +14,13 @@ where gamma = Re(lambda_2 - lambda_1) >= 0, delta = Im(lambda_2 - lambda_1)
 and alpha is the eigenvector overlap. The sharp multiplicative constant in
 |f(t)| <= c e^{-mu t} |f0| is c = sqrt(sup_t m_+(t)); three eigenvalue
 configurations admit it in closed form and the fourth is resolved numerically.
+
+Lemma (0 < alpha < 1, gamma >= 0, delta != 0). With A_+ = (cosh(gamma t) +
+alpha^2)/(1 - alpha^2) >= A, m_+ <= M(t) = e^{-gamma t}(A_+ + sqrt(A_+^2 - 1)),
+with equality at t = (2j + 1) pi/|delta|. M is non-increasing, because
+(1 - alpha^2)^2 (A_+^2 - 1) - sinh^2(gamma t) = 2 alpha^2 (1 + cosh(gamma t)) >= 0.
+Hence sup_{t >= 0} m_+ = max of m_+ over [0, pi/|delta|], where m_+ rises and
+then falls (checked numerically), so one bounded search finds it.
 """
 
 from __future__ import annotations
@@ -44,8 +51,7 @@ __all__ = [
 #: eigenvalue coincidence tolerance, relative to the spectral radius
 TIE_RTOL = 1e-10
 
-#: sup_m_plus scans SCAN_POINTS times, then refines to REFINE_TOL (absolute, in time)
-SCAN_POINTS = 100_000
+#: sup_m_plus refines to REFINE_TOL in the dimensionless time s = |delta| t
 REFINE_TOL = 1e-10
 
 #: alpha below which the eigenbasis counts as orthogonal and every constant is 1
@@ -93,18 +99,21 @@ class EnvelopeCurve:
 class SupOfEnvelope:
     value: float
     t_at: float | None
-    asymptote: float | None
-    tail_certified: bool
 
 
 def _m_plus_minus(alpha: float, gamma: float, delta: float, ts: np.ndarray):
-    """Both envelope factors; m_- via the reciprocal form, which does not
-    cancel catastrophically when A grows like e^{gamma t}."""
+    """Both envelope factors from A~ = e A, e = e^{-gamma t}, which never
+    overflows: m_+ = A~ + sqrt((A~ - e)(A~ + e)) and m_- = e^2 / m_+, with
+    A~ - e = (1/2 (1 - e)^2 + 2 alpha^2 e sin^2(delta t/2)) / (1 - alpha^2)
+    formed without cancellation, so small alpha and small t keep their digits.
+    """
     one = 1.0 - alpha * alpha
-    A = (np.cosh(gamma * ts) - alpha * alpha * np.cos(delta * ts)) / one
-    root = np.sqrt(np.maximum(A * A - 1.0, 0.0))
-    damp = np.exp(-gamma * ts)
-    return damp / (A + root), damp * (A + root)
+    e = np.exp(-gamma * ts)
+    A = (0.5 * (1.0 + e * e) - alpha * alpha * e * np.cos(delta * ts)) / one
+    gap = (0.5 * np.expm1(-gamma * ts) ** 2
+           + 2.0 * alpha * alpha * e * np.sin(0.5 * delta * ts) ** 2) / one
+    m_hi = A + np.sqrt(gap * (A + e))
+    return e * e / m_hi, m_hi
 
 
 def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
@@ -118,14 +127,10 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
     tie = abs(lam[1] - lam[0]) <= coincidence_tol(lam, TIE_RTOL)
     pre = np.exp(-2.0 * lam[0].real * ts)
     if tie or form.alpha < ALPHA_FLOOR:
-        gamma = form.gamma
-        lo = pre * np.exp(-2.0 * gamma * ts)
-        hi = pre.copy()
-        if tie:
-            lo = pre.copy()
-        return EnvelopeCurve(times=ts, h_minus=lo, h_plus=hi, alpha=form.alpha,
-                             gamma=form.gamma, delta=form.delta)
-    m_lo, m_hi = _m_plus_minus(form.alpha, form.gamma, form.delta, ts)
+        m_hi = np.ones_like(ts)
+        m_lo = m_hi if tie else np.exp(-2.0 * form.gamma * ts)
+    else:
+        m_lo, m_hi = _m_plus_minus(form.alpha, form.gamma, form.delta, ts)
     return EnvelopeCurve(times=ts, h_minus=pre * m_lo, h_plus=pre * m_hi,
                          alpha=form.alpha, gamma=form.gamma, delta=form.delta)
 
@@ -133,45 +138,29 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
 def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
     """sup over t >= 0 of the upper envelope factor m_+.
 
-    Coarse scan on [0, T] followed by golden-section refinement of the best
-    bracket. For gamma > 0 the window is T = 20/gamma and the tail beyond it
-    is bounded by (1 + 2 alpha^2 e^{-gamma T} + e^{-2 gamma T})/(1 - alpha^2),
-    which also yields the asymptote 1/(1 - alpha^2); the returned value is
-    never below the asymptote. For gamma = 0 the factor is periodic and one
-    period suffices.
+    By the module's lemma, one bounded search over s = |delta| t in [0, pi]
+    (invariant under C -> sC) and the endpoint s = pi find it. t_at is None
+    when the value is within 1e-12 of the asymptote 1/(1 - alpha^2), which
+    is the sup for delta = 0.
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative (order the eigenvalues)")
     if alpha < ALPHA_FLOOR:
-        return SupOfEnvelope(value=1.0, t_at=0.0, asymptote=None, tail_certified=True)
-    one = 1.0 - alpha * alpha
-
+        return SupOfEnvelope(value=1.0, t_at=0.0)
     if gamma == 0.0 and delta == 0.0:
         raise ValueError("coincident eigenvalues have no envelope factor to maximize")
-    T = 2.0 * np.pi / abs(delta) if gamma == 0.0 else 20.0 / gamma
+    asymptote = 1.0 / (1.0 - alpha * alpha)
+    if delta == 0.0:
+        return SupOfEnvelope(value=asymptote, t_at=None)
 
-    ts = np.linspace(0.0, T, SCAN_POINTS)
-    vals = _m_plus_minus(alpha, gamma, delta, ts)[1]
-    i = int(np.argmax(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-    res = minimize_scalar(lambda t: -_m_plus_minus(alpha, gamma, delta, np.array([t]))[1][0],
-                          bounds=(lo, hi), method="bounded",
-                          options=dict(xatol=REFINE_TOL))
-    best_t = float(res.x)
-    best = float(-res.fun)
-
-    if gamma == 0.0:
-        return SupOfEnvelope(value=best, t_at=best_t, asymptote=None, tail_certified=True)
-
-    asymptote = 1.0 / one
-    e = np.exp(-gamma * T)
-    tail_bound = (1.0 + 2.0 * alpha * alpha * e + e * e) / one
-    if asymptote >= best:
-        return SupOfEnvelope(value=asymptote, t_at=None, asymptote=asymptote,
-                             tail_certified=bool(tail_bound <= asymptote * (1.0 + 1e-8)))
-    return SupOfEnvelope(value=best, t_at=best_t, asymptote=asymptote,
-                         tail_certified=bool(tail_bound <= best * (1.0 + 1e-8)))
+    g = gamma / abs(delta)
+    res = minimize_scalar(lambda s: -_m_plus_minus(alpha, g, 1.0, s)[1], bounds=(0.0, np.pi),
+                          method="bounded", options=dict(xatol=REFINE_TOL))
+    at_pi = float(_m_plus_minus(alpha, g, 1.0, np.pi)[1])
+    s, best = (float(res.x), float(-res.fun)) if -res.fun > at_pi else (np.pi, at_pi)
+    if best <= asymptote * (1.0 + 1e-12):
+        return SupOfEnvelope(value=max(best, asymptote), t_at=None)
+    return SupOfEnvelope(value=best, t_at=s / abs(delta))
 
 
 def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
@@ -213,14 +202,10 @@ def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
                              attained="asymptotic", attained_time=None)
 
     sup = sup_m_plus(a, form.gamma, form.delta)
-    c = float(np.sqrt(sup.value))
-    finite = sup.t_at is not None and (sup.asymptote is None
-                                       or sup.value > sup.asymptote * (1.0 + 1e-12))
     return SharpResult2D(
-        case=DecayCase.FULLY_DISTINCT, alpha=a, c_sharp=c, kappa_min=kmin,
-        bracket=(float(1.0 / np.sqrt(1.0 - a * a)), float(np.sqrt(kmin))),
-        attained="finite" if finite else "asymptotic",
-        attained_time=float(sup.t_at) if finite else None,
+        case=DecayCase.FULLY_DISTINCT, alpha=a, c_sharp=float(np.sqrt(sup.value)),
+        kappa_min=kmin, bracket=(float(1.0 / np.sqrt(1.0 - a * a)), float(np.sqrt(kmin))),
+        attained="asymptotic" if sup.t_at is None else "finite", attained_time=sup.t_at,
     )
 
 

@@ -109,6 +109,21 @@ class TestAnalyzeErrors:
         code, _, err = run(capsys, ["analyze", str(p)])
         assert code == 1 and '"n" must be a positive integer' in err
 
+    @pytest.mark.parametrize("payload", [
+        {"n": 2, "re": [[1, 0], [0, "2"]]},
+        {"n": 2, "re": [[True, 0], [0, 2]]},
+        {"n": 2, "re": [[1, 0], [0, 2]], "im": [[0, 0], [0, False]]},
+        {"n": 1, "re": [[10 ** 400]]},
+        {"n": 3_000_000, "re": [[1]]},
+    ], ids=["string", "bool", "bool-im", "huge-int", "huge-n"])
+    def test_entries_must_be_numbers(self, capsys, tmp_path, payload):
+        # numpy would coerce "2" and true; a huge "n" must fail on the shape
+        # of "re" before any n x n array is built
+        p = tmp_path / "entries.json"
+        p.write_text(json.dumps(payload))
+        code, _, err = run(capsys, ["analyze", str(p)])
+        assert code == 1 and err.startswith("error:")
+
     def test_oversized_matrix(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "big.json", np.eye(17))
         code, _, _ = run(capsys, ["analyze", path])
@@ -169,6 +184,17 @@ class TestEnvelope:
         code, _, err = run(capsys, ["envelope", m52_file, "--points", "25",
                                     "--oracle"])
         assert code == 0 and "error" not in err
+
+    def test_finite_far_out(self, capsys, tmp_path):
+        # gamma = 1: cosh(gamma t) overflows past t ~ 710, the envelopes must not
+        path = write_matrix(tmp_path / "far.json", [[1.0, 3.0], [0.0, 2.0]])
+        code, out, _ = run(capsys, ["envelope", path, "--t-max", "800",
+                                    "--points", "9"])
+        assert code == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in out.strip().splitlines()[1:]])
+        assert rows[-1, 0] == 800.0
+        assert np.isfinite(rows).all()
 
     def test_rejects_non_2x2(self, capsys, m3_file):
         code, _, _ = run(capsys, ["envelope", m3_file])

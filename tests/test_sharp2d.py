@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypodecay import (
     DecayCase,
@@ -13,7 +16,7 @@ from hypodecay import (
     trajectory_envelope_oracle,
     trajectory_sup_oracle,
 )
-from hypodecay.sharp2d import _grid_extrema, _gram_coefficients
+from hypodecay.sharp2d import _grid_extrema, _gram_coefficients, _m_plus_minus
 from .conftest import make_2x2_with_overlap
 
 
@@ -113,6 +116,17 @@ class TestEnvelopes:
         product = (env.h_plus / pre) * (env.h_minus / pre)
         assert np.allclose(product, np.exp(-2.0 * form.gamma * ts), rtol=1e-12)
 
+    def test_finite_far_out(self):
+        # gamma t from 800 to 2000, where cosh(gamma t) overflows: both
+        # envelopes stay finite and m_+ sits on its asymptote 1/(1 - alpha^2)
+        form = _form(np.array([[1.0, 3.0], [0.0, 2.0]]))
+        ts = np.linspace(800.0, 2000.0, 25)
+        env = envelope_curves(form, ts)
+        assert np.isfinite(env.h_plus).all() and np.isfinite(env.h_minus).all()
+        m_lo, m_hi = _m_plus_minus(form.alpha, form.gamma, 0.7, ts)
+        assert np.allclose(m_hi, 1.0 / (1.0 - form.alpha ** 2), rtol=1e-15, atol=0.0)
+        assert np.all(m_lo == 0.0)
+
     def test_equal_eigenvalue_degenerate(self):
         form = _form(np.eye(2) * (1.0 + 0.5j))
         ts = np.linspace(0.0, 3.0, 7)
@@ -127,14 +141,12 @@ class TestSupMPlus:
         res = sup_m_plus(alpha, 0.0, delta)
         assert res.value == pytest.approx((1 + alpha) / (1 - alpha), rel=1e-10)
         assert res.t_at == pytest.approx(np.pi / delta, rel=1e-6)
-        assert res.tail_certified
 
     def test_monotone_approach_closed_form(self):
         alpha, gamma = 0.6, 0.8
         res = sup_m_plus(alpha, gamma, 0.0)
         assert res.value == pytest.approx(1.0 / (1 - alpha ** 2), rel=1e-12)
         assert res.t_at is None
-        assert res.tail_certified
 
     def test_orthogonal_basis_is_flat(self):
         res = sup_m_plus(0.0, 0.3, 1.0)
@@ -148,7 +160,143 @@ class TestSupMPlus:
         a = (np.cosh(gamma * ts) - alpha ** 2 * np.cos(delta * ts)) / one
         m = np.exp(-gamma * ts) * (a + np.sqrt(np.maximum(a * a - 1, 0)))
         assert res.value >= m.max() * (1 - 1e-9)
-        assert res.tail_certified
+
+
+def _m_plus_mp(alpha, gamma, delta, t):
+    """m_+ in 40-digit arithmetic, from the cosh form of the definition."""
+    a, g, d, t = (mpmath.mpf(x) for x in (alpha, gamma, delta, t))
+    A = (mpmath.cosh(g * t) - a * a * mpmath.cos(d * t)) / (1 - a * a)
+    return mpmath.exp(-g * t) * (A + mpmath.sqrt(A * A - 1))
+
+
+def _sup_reference(alpha, gamma, delta, half_periods=4, grid=32, iters=80):
+    """Max of m_+ over the first two periods and the asymptote 1/(1 - alpha^2):
+    per half period, a grid maximum refined by golden-section search."""
+    with mpmath.workdps(40):
+        f = lambda t: _m_plus_mp(alpha, gamma, delta, t)  # noqa: E731
+        h = mpmath.pi / abs(mpmath.mpf(delta))
+        inv = (mpmath.sqrt(5) - 1) / 2
+        best = 1 / (1 - mpmath.mpf(alpha) ** 2)
+        for j in range(half_periods):
+            ts = [h * (j + mpmath.mpf(k) / grid) for k in range(grid + 1)]
+            vals = [f(t) for t in ts]
+            k = max(range(grid + 1), key=vals.__getitem__)
+            lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, grid)]
+            x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
+            f1, f2 = f(x1), f(x2)
+            for _ in range(iters):
+                if f1 > f2:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - inv * (hi - lo)
+                    f1 = f(x1)
+                else:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + inv * (hi - lo)
+                    f2 = f(x2)
+            best = max(best, vals[k], f1, f2)
+        return best
+
+
+#: (alpha, gamma, delta) where a 20/gamma scan with 1e5 points steps over
+#: the period 2 pi / |delta|
+ALIASED = [(0.5, 1e-4, 50.0), (0.5, 1e-3, 30.0), (0.9, 1e-2, 200.0)]
+
+
+class TestSupReference:
+    @pytest.mark.parametrize("alpha,gamma,delta", ALIASED + [
+        (a, g * abs(d), d) for a in (1e-6, 0.1, 0.5, 0.9, 0.99)
+        for g, d in ((0.0, 1.0), (1e-5, -7.0), (0.01, 1.0), (0.3, -1.0),
+                     (3.0, 7.0), (30.0, 1.0))])
+    def test_matches_mpmath(self, alpha, gamma, delta):
+        ref = _sup_reference(alpha, gamma, delta)
+        res = sup_m_plus(alpha, gamma, delta)
+        assert res.value == pytest.approx(float(ref), rel=1e-13)
+
+    def test_time_rescaling(self):
+        # (0.6, 0.3 s, 1.7 s) is the same problem in the time t / s
+        ref = float(_sup_reference(0.6, 0.3, 1.7))
+        base = sup_m_plus(0.6, 0.3, 1.7)
+        for s in 10.0 ** np.arange(-12, 11):
+            res = sup_m_plus(0.6, 0.3 * s, 1.7 * s)
+            assert res.value == pytest.approx(base.value, rel=1e-15, abs=0.0)
+            assert res.value == pytest.approx(ref, rel=1e-13)
+            # the maximum is flat, so its place is known to ~sqrt(eps) only
+            assert res.t_at * s == pytest.approx(base.t_at, rel=1e-7)
+
+
+class TestHalfPeriodLemma:
+    """The lemma of the sharp2d docstring, in the time s = |delta| t with
+    g = gamma/|delta|: M is non-increasing and bounds m_+, m_+ rises then
+    falls on [0, pi], and the sup there dominates m_+ everywhere."""
+
+    ALPHAS = (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6)
+
+    @pytest.mark.parametrize("g", [0.0, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 220.0])
+    def test_lemma(self, g):
+        for alpha in self.ALPHAS:
+            one = 1.0 - alpha * alpha
+            # the derivative of m_+ is F / sqrt(A~^2 - e^2), with
+            # F = A~' m_+ + g e^2; count the sign changes of F on (0, pi]
+            s = np.linspace(0.0, np.pi, 20_001)[1:]
+            e = np.exp(-g * s)
+            _, m = _m_plus_minus(alpha, g, 1.0, s)
+            dA = (alpha * alpha * e * (g * np.cos(s) + np.sin(s)) - g * e * e) / one
+            sign = np.sign(dA * m + g * e * e)
+            sign = sign[sign != 0.0]
+            flips = np.flatnonzero(np.diff(sign))
+            assert len(flips) <= 1 and sign[0] > 0, (alpha, g)
+
+            # M(s): m_+ with cos s = -1, non-increasing and above m_+
+            span = 100.0 * np.pi if g == 0.0 else max(100.0 * np.pi, 20.0 / g)
+            s = np.union1d(np.linspace(0.0, span, int(32 * span / (2 * np.pi))),
+                           np.arange(np.pi, span, 2.0 * np.pi))
+            e = np.exp(-g * s)
+            A_plus = (0.5 * (1.0 + e * e) + alpha * alpha * e) / one
+            gap = (0.5 * np.expm1(-g * s) ** 2 + 2.0 * alpha * alpha * e) / one
+            M = A_plus + np.sqrt(gap * (A_plus + e))
+            assert np.all(np.diff(M) <= 8e-16 * M[1:]), (alpha, g)
+            _, m = _m_plus_minus(alpha, g, 1.0, s)
+            assert np.all(m <= M * (1.0 + 4e-16)), (alpha, g)
+            assert sup_m_plus(alpha, g, 1.0).value >= m.max() * (1.0 - 4e-16), (alpha, g)
+
+
+def _system(alpha, lam, seed):
+    """C = V diag(lam) V^-1 with unit right eigenvectors of overlap alpha,
+    turned by a random unitary; V is returned with C."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    v = q @ np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]])
+    return v @ np.diag(lam) @ np.linalg.inv(v), v
+
+
+class TestSharpConstantProperties:
+    @given(alpha=st.floats(0.05, 0.95),
+           mu=st.floats(0.1, 2.0),
+           gamma=st.just(0.0) | st.floats(0.01, 5.0),
+           delta=st.just(0.0) | st.floats(0.01, 20.0) | st.floats(-20.0, -0.01),
+           log_s=st.floats(-12.0, 10.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_symmetries_and_sampled_lower_bound(self, alpha, mu, gamma, delta, log_s, seed):
+        lam = np.array([mu + 0.5j, mu + gamma + (0.5 + delta) * 1j])
+        c, v = _system(alpha, lam, seed)
+        res = classify_and_sharp_constant(_form(c))
+        rng = np.random.default_rng(seed + 1)
+        q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        for other in (10.0 ** log_s * c, q @ c @ q.conj().T):
+            res_o = classify_and_sharp_constant(_form(other))
+            assert res_o.case is res.case
+            assert res_o.c_sharp == pytest.approx(res.c_sharp, rel=1e-12)
+
+        # sigma_max(e^{-(C - mu) t})^2 from the construction, on a grid with
+        # 64 points a period over the first 50 periods (or out to 20/gamma)
+        tail = 20.0 / gamma if gamma > 0.0 else 100.0
+        dense = min(100.0 * np.pi / abs(delta), tail) if delta != 0.0 else tail
+        n_dense = int(64 * dense * abs(delta) / (2.0 * np.pi)) + 2001
+        ts = np.union1d(np.linspace(0.0, dense, n_dense), np.linspace(0.0, tail, 2001))
+        prop = np.einsum("ij,tj,jk->tik", v, np.exp(-np.outer(ts, lam - mu)), np.linalg.inv(v))
+        sampled = np.linalg.svd(prop, compute_uv=False)[:, 0] ** 2
+        assert res.c_sharp ** 2 >= sampled.max() * (1.0 - 1e-11)
 
 
 class TestSectorConstant:
