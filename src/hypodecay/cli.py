@@ -70,6 +70,28 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _entries(rows, n: int, key: str) -> np.ndarray:
     """An n x n list of JSON numbers as a float array. The parsed values are
     checked, not the array dtype: numpy turns "2" and true into numbers."""
@@ -315,11 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("envelope", parents=[common],
                         help="decay envelopes for a 2x2 matrix file (CSV)")
     pe.add_argument("matrix_file")
-    pe.add_argument("--t-max", type=float, default=10.0)
+    pe.add_argument("--t-max", type=_finite_float, default=10.0)
     pe.add_argument("--points", type=int, default=400)
     pe.add_argument("--trajectories", type=int, default=0, metavar="M",
                     help="append M random trajectory columns")
-    pe.add_argument("--rates", type=int, default=64, metavar="N",
+    pe.add_argument("--rates", type=_positive_int, default=64, metavar="N",
                     help="rate-family resolution (default 64)")
     pe.set_defaults(func=cmd_envelope)
 
@@ -327,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="transport-model decay check (CSV + verdict)")
     pg.add_argument("init_spec",
                     help="steady | harmonic:k | random:seed | sharp")
-    pg.add_argument("--t-max", type=float, default=20.0)
+    pg.add_argument("--t-max", type=_finite_float, default=20.0)
     pg.add_argument("--points", type=int, default=400)
     pg.add_argument("--modes", type=int, default=64, metavar="K",
                     help="Fourier cutoff (default 64)")
     pg.add_argument("--grid", type=int, default=256, metavar="N",
                     help="spatial grid size (default 256)")
-    pg.add_argument("--tol", type=float, default=1e-10,
+    pg.add_argument("--tol", type=_finite_float, default=1e-10,
                     help="relative slack on the sqrt(3) verdict (default 1e-10)")
     pg.set_defaults(func=cmd_gt)
     return parser

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import SearchFailure
 from .lyapunov import LyapunovMatrix, certificate_from_p
@@ -136,6 +135,9 @@ def _minimize_log_cond(evaluate, x0: np.ndarray) -> _Search:
     L-BFGS-B cannot step back from one and may report success where it
     stopped.
     """
+    # deferred: importing scipy.optimize costs more than most callers' work
+    from scipy.optimize import minimize
+
     best = _Search(x=x0, kappa=np.inf, nfev=0, converged=True)
 
     def fun(x, tau):

@@ -48,6 +48,13 @@ GT_CONSTANT = float(np.sqrt(3.0))
 MASS_RTOL = 1e-8
 
 
+def _grid(n: int) -> np.ndarray:
+    """Points x_j = 2 pi j / n, once n is checked to be even and at least 8."""
+    if n < 8 or n % 2:
+        raise ValueError(f"grid size must be even and at least 8, got {n}")
+    return np.arange(n) * (2.0 * np.pi / n)
+
+
 @dataclass
 class TorusField:
     """Velocity-pair densities sampled on the uniform grid x_j = 2 pi j / N."""
@@ -60,9 +67,7 @@ class TorusField:
         self.f_minus = np.asarray(self.f_minus, dtype=float)
         if self.f_plus.ndim != 1 or self.f_plus.shape != self.f_minus.shape:
             raise ValueError("f_plus and f_minus must be 1-D arrays of equal length")
-        n = len(self.f_plus)
-        if n < 8 or n % 2:
-            raise ValueError(f"grid size must be even and at least 8, got {n}")
+        _grid(len(self.f_plus))
         if not (np.isfinite(self.f_plus).all() and np.isfinite(self.f_minus).all()):
             raise ValueError("densities contain non-finite entries")
 
@@ -72,7 +77,7 @@ class TorusField:
 
     @property
     def x(self) -> np.ndarray:
-        return np.arange(self.n) * (2.0 * np.pi / self.n)
+        return _grid(self.n)
 
     @property
     def mass(self) -> float:
@@ -80,15 +85,15 @@ class TorusField:
 
     @staticmethod
     def steady(n: int = 256) -> "TorusField":
-        half = np.full(n, 0.5)
+        half = np.full_like(_grid(n), 0.5)
         return TorusField(half, half.copy())
 
     @staticmethod
     def harmonic(k: int, n: int = 256, amplitude: float = 0.2) -> "TorusField":
         """Single even perturbation 1/2 + amplitude cos(kx) in both velocities."""
+        x = _grid(n)
         if not 1 <= k <= n // 2 - 1:
             raise ValueError(f"harmonic index must lie in [1, {n // 2 - 1}]")
-        x = np.arange(n) * (2.0 * np.pi / n)
         bump = 0.5 + amplitude * np.cos(k * x)
         return TorusField(bump, bump.copy())
 
@@ -101,9 +106,9 @@ class TorusField:
         1/k, plus a random constant component in q (which carries no mass);
         the perturbation is rescaled to the requested sup-norm amplitude.
         """
+        x = _grid(n)
         rng = np.random.default_rng(seed)
         m = min(n_modes, n // 2 - 1)
-        x = np.arange(n) * (2.0 * np.pi / n)
         ks = np.arange(1, m + 1)
         damp = 1.0 / ks
 
@@ -123,7 +128,7 @@ class TorusField:
     def sharp(n: int = 256, amplitude: float = 0.25) -> "TorusField":
         """Worst-case datum: the |k| = 1 mode combination whose deviation
         touches the sqrt(3) e^{-t/2} envelope (at t = pi / sqrt(3))."""
-        x = np.arange(n) * (2.0 * np.pi / n)
+        x = _grid(n)
         return TorusField(0.5 + amplitude * (np.sin(x) + np.cos(x)),
                           0.5 + amplitude * (np.sin(x) - np.cos(x)))
 

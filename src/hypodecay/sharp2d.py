@@ -29,7 +29,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import Defective2D, NotPositiveStable
 from .spectral import (Canonical2DForm, SpectralData, as_complex_matrix, coincidence_tol,
@@ -152,6 +151,8 @@ def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
     asymptote = 1.0 / (1.0 - alpha * alpha)
     if delta == 0.0:
         return SupOfEnvelope(value=asymptote, t_at=None)
+    # deferred: importing scipy.optimize costs more than every closed-form case
+    from scipy.optimize import minimize_scalar
 
     g = gamma / abs(delta)
     res = minimize_scalar(lambda s: -_m_plus_minus(alpha, g, 1.0, s)[1], bounds=(0.0, np.pi),
@@ -218,33 +219,33 @@ def _g_rayleigh(alpha: float, b: float, z) -> np.ndarray:
     return (1.0 - alpha * alpha) * (1.0 / b + b * z * z) / (1.0 - 2.0 * alpha * z + z * z)
 
 
-def sector_constant(alpha: float, b: float, gamma_sector: float) -> float:
+def sector_constant(alpha: float, b, gamma_sector):
     """Best constant over initial data confined to one spectral sector.
 
     Equals g(gamma) / inf {g(z) : z between 0 and gamma} for the rational
     function g(z) = (1 - alpha^2)(1/b + b z^2) / (1 - 2 alpha z + z^2); the
     infimum is taken over the closed interval and located through the
-    stationary points of g, which are available in closed form.
+    stationary points of g, which are available in closed form. b and
+    gamma_sector broadcast against each other; scalars give a float.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    if b <= 0.0:
+    b, g = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(gamma_sector, dtype=float))
+    if np.any(b <= 0.0):
         raise ValueError("b must be positive")
-    g = gamma_sector
-    if g == 0.0:
-        return 1.0
-    candidates = [0.0, g]
     if alpha < ALPHA_FLOOR:
-        crit = np.array([0.0])
+        crit = np.zeros((1,) + b.shape)
     else:
         # z_+- = (b - 1/b +- sqrt((b - 1/b)^2 + 4 alpha^2)) / (2 alpha b)
         d = b - 1.0 / b
         root = np.sqrt(d * d + 4.0 * alpha * alpha)
-        crit = np.array([d - root, d + root]) / (2.0 * alpha * b)
-    lo, hi = min(0.0, g), max(0.0, g)
-    candidates += [z for z in crit if lo <= z <= hi]
-    inf_g = min(float(_g_rayleigh(alpha, b, z)) for z in candidates)
-    return float(_g_rayleigh(alpha, b, g)) / inf_g
+        crit = np.stack([d - root, d + root]) / (2.0 * alpha * b)
+    inside = (np.minimum(0.0, g) <= crit) & (crit <= np.maximum(0.0, g))
+    g_end = _g_rayleigh(alpha, b, g)
+    inf_g = np.minimum(np.minimum(_g_rayleigh(alpha, b, 0.0), g_end),
+                       np.where(inside, _g_rayleigh(alpha, b, crit), np.inf).min(axis=0))
+    out = g_end / inf_g
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

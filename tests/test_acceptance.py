@@ -172,18 +172,16 @@ def test_criterion_06_equal_weights_optimal_brute_force():
 
 
 def _inf_sup_sector(alpha: float) -> float:
-    best = np.inf
+    # rows: b; columns: the fixed sectors, then z_+, z_-, 0.999 z_+, 1.001 z_+
+    b = np.logspace(-4.0, 1.0, 400)[:, None]
+    d = b - 1.0 / b
+    r = np.sqrt(d * d + 4.0 * alpha * alpha)
+    zp = (d + r) / (2.0 * alpha * b)
+    zm = (d - r) / (2.0 * alpha * b)
     gammas_base = np.concatenate([np.linspace(-3.0, 3.0, 61), [-1e6, 1e6]])
-    for b in np.logspace(-4.0, 1.0, 400):
-        d = b - 1.0 / b
-        r = np.sqrt(d * d + 4.0 * alpha * alpha)
-        zp = (d + r) / (2.0 * alpha * b)
-        zm = (d - r) / (2.0 * alpha * b)
-        cands = np.concatenate([gammas_base,
-                                [zp, zm, 0.999 * zp, 1.001 * zp]])
-        sup = max(sector_constant(alpha, b, g) for g in cands)
-        best = min(best, sup)
-    return best
+    cands = np.hstack([np.broadcast_to(gammas_base, (len(b), len(gammas_base))),
+                       zp, zm, 0.999 * zp, 1.001 * zp])
+    return float(sector_constant(alpha, b, cands).max(axis=1).min())
 
 
 def test_criterion_07_sector_inf_sup_and_oracle():

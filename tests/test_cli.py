@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +248,12 @@ class TestGT:
         code, _, _ = run(capsys, ["gt", "harmonic:200", "--grid", "64"])
         assert code == 1
 
+    @pytest.mark.parametrize("spec", ["sharp", "harmonic:3", "random:2", "steady"])
+    def test_degenerate_grid(self, capsys, spec):
+        code, out, err = run(capsys, ["gt", spec, "--grid", "0"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "grid size" in err
+
     def test_cutoff_too_large(self, capsys):
         code, _, _ = run(capsys, ["gt", "steady", "--grid", "64",
                                   "--modes", "40"])
@@ -285,3 +295,49 @@ class TestFlags:
                 (["envelope", m52_file, "--points", "5", "--rates", "8"], 0),
                 (["gt", "steady", "--points", "5", "--tol", "1e-9"], 0)):
             assert run(capsys, argv)[0] == expect, argv
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["envelope", "M", "--t-max", "nan"], "--t-max"),
+        (["envelope", "M", "--t-max", "-inf"], "--t-max"),
+        (["envelope", "M", "--t-max", "1e400"], "--t-max"),
+        (["envelope", "M", "--t-max", "ten"], "--t-max"),
+        (["envelope", "M", "--rates", "0"], "--rates"),
+        (["envelope", "M", "--rates", "-3"], "--rates"),
+        (["envelope", "M", "--rates", "2.5"], "--rates"),
+        (["gt", "sharp", "--t-max", "inf"], "--t-max"),
+        (["gt", "sharp", "--t-max", "nan"], "--t-max"),
+        (["gt", "sharp", "--tol", "nan"], "--tol"),
+        (["gt", "sharp", "--tol", "inf"], "--tol")])
+    def test_out_of_range_values_are_malformed(self, capsys, m52_file, argv, flag):
+        argv = [m52_file if a == "M" else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert f"argument {flag}:" in err
+
+
+class TestImportCost:
+    def test_paths_without_a_search_load_no_scipy(self, tmp_path, mat_complex_pair):
+        # scipy.optimize costs more to import than these paths take to run,
+        # so only the kappa searches and the FullyDistinct sup import it.
+        # pytest has scipy loaded already: check in a fresh interpreter.
+        m = write_matrix(tmp_path / "m.json", mat_complex_pair)
+        script = f"""
+import contextlib, io, sys
+import hypodecay
+from hypodecay.cli import main
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+print(scipy_modules())
+for argv in (["gt", "sharp"], ["envelope", {m!r}], ["analyze", {m!r}]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+    print(scipy_modules())
+"""
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"] * 4

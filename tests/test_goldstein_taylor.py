@@ -39,6 +39,14 @@ class TestTorusField:
         with pytest.raises(ValueError):
             TorusField(np.ones(8), np.ones(10))
 
+    @pytest.mark.parametrize("make", [TorusField.steady, TorusField.sharp,
+                                      lambda n: TorusField.harmonic(3, n),
+                                      lambda n: TorusField.random_field(2, n)])
+    @pytest.mark.parametrize("n", [0, -2, 3, 6])
+    def test_constructors_check_grid_before_dividing(self, make, n):
+        with pytest.raises(ValueError, match="grid size"):
+            make(n)
+
     def test_harmonic_index_validation(self):
         with pytest.raises(ValueError):
             TorusField.harmonic(0, 32)

@@ -16,7 +16,7 @@ from hypodecay import (
     trajectory_envelope_oracle,
     trajectory_sup_oracle,
 )
-from hypodecay.sharp2d import _grid_extrema, _gram_coefficients, _m_plus_minus
+from hypodecay.sharp2d import ALPHA_FLOOR, _grid_extrema, _gram_coefficients, _m_plus_minus
 from .conftest import make_2x2_with_overlap
 
 
@@ -324,9 +324,22 @@ class TestSectorConstant:
             gg = one * (1.0 / b + b * g ** 2) / (1.0 - 2 * alpha * g + g ** 2)
             assert sector_constant(alpha, b, g) == pytest.approx(gg / gz.min(), rel=1e-8)
 
+    def test_array_matches_scalar_calls(self):
+        # gamma = 0, negative gamma and alpha below ALPHA_FLOOR included
+        b = np.logspace(-3.0, 2.0, 23)[:, None]
+        g = np.concatenate([np.linspace(-4.0, 4.0, 17), [-1e6, 1e6]])
+        for alpha in (0.0, 0.5 * ALPHA_FLOOR, 0.3, 0.95):
+            arr = sector_constant(alpha, b, g)
+            assert arr.shape == (len(b), len(g))
+            ref = np.array([[sector_constant(alpha, bi, gi) for gi in g] for bi in b[:, 0]])
+            assert np.array_equal(arr, ref)
+        assert type(sector_constant(0.3, 2.0, 1.5)) is float
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             sector_constant(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            sector_constant(0.5, np.array([1.0, 0.0]), 1.0)
         with pytest.raises(ValueError):
             sector_constant(0.5, -1.0, 1.0)
 
