@@ -81,15 +81,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+def _nonnegative_float(text: str) -> float:
+    """argparse type: a finite float of at least 0."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _entries(rows, n: int, key: str) -> np.ndarray:
@@ -300,7 +310,7 @@ def cmd_gt(args) -> int:
     if args.oracle:
         check_ts = np.linspace(0.0, min(args.t_max, 5.0), 11)
         u0 = np.array([1.0 + 0.5j, -0.75j])
-        for k in sorted({1, 2, max(1, args.modes)}):
+        for k in sorted({1, 2, args.modes}):
             closed = _propagate(np.array([k]), u0[None, :], check_ts)[:, 0]
             gap = _rk4_gap(mode_matrix(k), [u0], [closed], check_ts, 1e-4)
             if gap > ORACLE_RTOL:
@@ -337,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("envelope", parents=[common],
                         help="decay envelopes for a 2x2 matrix file (CSV)")
     pe.add_argument("matrix_file")
-    pe.add_argument("--t-max", type=_finite_float, default=10.0)
-    pe.add_argument("--points", type=int, default=400)
-    pe.add_argument("--trajectories", type=int, default=0, metavar="M",
+    pe.add_argument("--t-max", type=_nonnegative_float, default=10.0)
+    pe.add_argument("--points", type=_int_at_least(1), default=400)
+    pe.add_argument("--trajectories", type=_int_at_least(0), default=0, metavar="M",
                     help="append M random trajectory columns")
-    pe.add_argument("--rates", type=_positive_int, default=64, metavar="N",
+    pe.add_argument("--rates", type=_int_at_least(1), default=64, metavar="N",
                     help="rate-family resolution (default 64)")
     pe.set_defaults(func=cmd_envelope)
 
@@ -349,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="transport-model decay check (CSV + verdict)")
     pg.add_argument("init_spec",
                     help="steady | harmonic:k | random:seed | sharp")
-    pg.add_argument("--t-max", type=_finite_float, default=20.0)
-    pg.add_argument("--points", type=int, default=400)
-    pg.add_argument("--modes", type=int, default=64, metavar="K",
+    pg.add_argument("--t-max", type=_nonnegative_float, default=20.0)
+    pg.add_argument("--points", type=_int_at_least(1), default=400)
+    pg.add_argument("--modes", type=_int_at_least(1), default=64, metavar="K",
                     help="Fourier cutoff (default 64)")
     pg.add_argument("--grid", type=int, default=256, metavar="N",
                     help="spatial grid size (default 256)")

@@ -12,15 +12,17 @@ Three searches of increasing generality:
 Both numerical searches share one core, `_minimize_log_cond`. It minimizes
 log lambda_max(P) - log lambda_min(P), smoothed by log-sum-exp at a
 temperature tau, with analytic gradients d lambda_i = u_i* dP u_i from one
-`eigh` per evaluation (Lewis & Overton, Acta Numerica 1996). L-BFGS-B runs
-once per temperature, warm-started down the continuation TAUS, and the point
-with the smallest exact kappa wins. kappa is quasiconvex on both families
+`eigh` per evaluation (Lewis & Overton, Acta Numerica 1996). A small numpy
+L-BFGS (`_lbfgs`: two-loop recursion, strong-Wolfe line search) runs once
+per temperature, warm-started down the continuation TAUS, and the point with
+the smallest exact kappa wins. kappa is quasiconvex on both families
 (lambda_max is convex, lambda_min concave; Braatz & Morari 1994), so one
-start suffices.
+start suffices. The module needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +43,27 @@ __all__ = [
 #: log kappa by at most 2 tau log n
 TAUS = 10.0 ** -np.arange(1.0, 11.0)
 
-#: a stage stops once the projected gradient is below GTOL_SCALE sqrt(eps/tau):
+#: a stage converges once the gradient is below GTOL_SCALE sqrt(eps/tau):
 #: with curvature up to 1/tau, a smaller gradient promises a decrease that the
 #: rounding of log kappa hides from the line search
 GTOL_SCALE = 0.5
 
-#: L-BFGS-B iterations allowed per continuation stage
+#: L-BFGS iterations allowed per continuation stage
 STAGE_MAXITER = 1000
+
+#: L-BFGS memory: curvature pairs kept for the inverse-Hessian estimate
+LBFGS_MEMORY = 10
+
+#: strong-Wolfe constants: sufficient decrease and curvature
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+
+#: evaluations one line search may spend before it gives up
+LINESEARCH_MAXEV = 20
+
+_EPS = np.finfo(float).eps
+#: mask of the upper triangle, for the matrix form of the two-loop recursion
+_UPPER = np.triu(np.ones((LBFGS_MEMORY, LBFGS_MEMORY)))
 
 #: eigenvalues with |Re lam - mu| within SLOW_RTOL of the spectral radius are
 #: slow: the admissibility residual vanishes on their eigenvectors
@@ -56,8 +72,9 @@ SLOW_RTOL = 1e-9
 
 @dataclass
 class WeightOptimum:
-    """Best weights; converged is False if any search stage ended without
-    L-BFGS-B success, nfev sums the evaluations over the stages."""
+    """Best weights; converged is False if any search stage ended with its
+    gradient above tolerance (no acceptable line-search step, or
+    STAGE_MAXITER reached), nfev sums the evaluations over the stages."""
 
     weights: np.ndarray
     kappa: float
@@ -112,8 +129,9 @@ def _smoothed_log_cond(P: np.ndarray, tau: float):
     ell = np.log(lam)
     hi = np.exp((ell - ell[-1]) / tau)
     lo = np.exp((ell[0] - ell) / tau)
-    value = ell[-1] - ell[0] + tau * (np.log(hi.sum()) + np.log(lo.sum()))
-    g = (hi / hi.sum() - lo / lo.sum()) / lam
+    hi_sum, lo_sum = hi.sum(), lo.sum()
+    value = ell[-1] - ell[0] + tau * (math.log(hi_sum) + math.log(lo_sum))
+    g = (hi / hi_sum - lo / lo_sum) / lam
     return value, U, g, float(lam[-1] / lam[0])
 
 
@@ -125,37 +143,159 @@ class _Search:
     converged: bool
 
 
+def _cubic_min(a, fa, da, b, fb, db):
+    """Minimizer of the cubic through (a, fa) and (b, fb) with slopes da and
+    db (Nocedal & Wright, eq. 3.59); nan if the cubic has none."""
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    if not disc >= 0.0:
+        return math.nan
+    d2 = math.copysign(math.sqrt(disc), b - a)
+    return b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
+
+
+def _wolfe_step(fun, x, f0, g0, d, step):
+    """A step along the descent direction d meeting the strong Wolfe
+    conditions, or None if LINESEARCH_MAXEV evaluations find none.
+
+    Bracketing then zooming (Nocedal & Wright, Algorithms 3.5 and 3.6) in one
+    loop: lo is the best trial with sufficient decrease, hi the end of the
+    bracket once one is known. Each trial is the minimizer of the cubic
+    through the two ends, kept inside the bracket; bisection only when the
+    cubic has no minimizer, hi is infinite, or the bracket failed to shrink
+    to 2/3 over two trials (the safeguard of Moré & Thuente, ACM TOMS 1994).
+    The search also fails once the bracket is narrower than the rounding of
+    the largest entry of x. Returns (x, f, g) at the step.
+    """
+    slope0 = float(g0 @ d)
+    lo = prev = (0.0, f0, slope0)
+    hi = floor = None
+    widths = [math.inf, math.inf]
+    for _ in range(LINESEARCH_MAXEV):
+        xt = x + step * d
+        f, g = fun(xt)
+        slope = float(g @ d)
+        if not (f <= f0 + WOLFE_C1 * step * slope0 and f < lo[1]):
+            hi = (step, f, slope)
+        elif abs(slope) <= -WOLFE_C2 * slope0:
+            return xt, f, g
+        else:
+            if slope * ((hi[0] if hi else math.inf) - step) >= 0.0:
+                hi = lo
+            prev, lo = lo, (step, f, slope)
+        if hi is None:
+            # still descending: extrapolate, 1.1 to 4 times the last advance
+            grow = lo[0] - prev[0]
+            trial = _cubic_min(*prev, *lo)
+            step = lo[0] + 4.0 * grow if not math.isfinite(trial) \
+                else min(max(trial, lo[0] + 1.1 * grow), lo[0] + 4.0 * grow)
+            continue
+        if floor is None:
+            floor = _EPS * np.abs(x).max() / np.abs(d).max()
+        width = abs(hi[0] - lo[0])
+        if width <= floor:
+            return None
+        step = _cubic_min(*lo, *hi) if math.isfinite(hi[1]) else math.nan
+        if not min(lo[0], hi[0]) < step < max(lo[0], hi[0]) or width > 0.66 * widths[0]:
+            step = 0.5 * (lo[0] + hi[0])
+        widths = [widths[1], width]
+    return None
+
+
+def _two_loop(S: list, Y: list, g: np.ndarray) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H of the pairs (S[i], Y[i]),
+    oldest first, with H0 = (s.y / y.y) I from the newest pair.
+
+    The two-loop recursion (Nocedal & Wright, Algorithm 7.4) in matrix form:
+    its first loop is the back substitution alpha = R^-1 S g, with R the upper
+    triangle of S Y^T, and its second the forward substitution
+    beta = R^-T (gamma Y q + (R^T - D) alpha), D = diag(S Y^T) (Byrd, Nocedal
+    & Schnabel, Math. Program. 63, 1994). A dozen small array operations
+    replace the 4k vector updates of the loops.
+    """
+    k = len(S)
+    P = np.array(S + Y)
+    G = P @ P.T
+    pg = P @ g
+    SY = G[:k, k:]
+    R = SY * _UPPER[:k, :k]
+    Rinv = np.linalg.inv(R)
+    D = SY.diagonal()
+    alpha = Rinv @ pg[:k]
+    gamma = D[-1] / G[-1, -1]
+    Yq = pg[k:] - G[k:, k:] @ alpha
+    beta = Rinv.T @ (gamma * Yq + R.T @ alpha - D * alpha)
+    r = np.concatenate([alpha - beta, -gamma * alpha]) @ P
+    r += gamma * g
+    return -r
+
+
+def _lbfgs(fun, x, gtol: float, maxiter: int):
+    """Minimize fun(x) -> (value, gradient) by L-BFGS: the two-loop
+    recursion over the last LBFGS_MEMORY curvature pairs and a strong-Wolfe
+    line search whose first trial is 1, or min(1, 1/|g|) on the
+    steepest-descent start.
+
+    Returns (x, evaluations, converged). converged means |g|_inf <= gtol;
+    a line search that finds no step, or maxiter iterations, ends the run
+    without it.
+    """
+    nfev = 0
+
+    def counted(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(x)
+
+    f, g = counted(x)
+    S: list = []
+    Y: list = []
+    for _ in range(maxiter):
+        if np.abs(g).max() <= gtol:
+            return x, nfev, True
+        if S:
+            d, step = _two_loop(S, Y, g), 1.0
+        else:
+            d, step = -g, min(1.0, 1.0 / np.linalg.norm(g))
+        found = _wolfe_step(counted, x, f, g, d, step)
+        if found is None:
+            return x, nfev, False
+        x_new, f, g_new = found
+        s, y = x_new - x, g_new - g
+        if s @ y > 0.0:
+            S.append(s)
+            Y.append(y)
+            del S[:-LBFGS_MEMORY], Y[:-LBFGS_MEMORY]
+        x, g = x_new, g_new
+    return x, nfev, bool(np.abs(g).max() <= gtol)
+
+
 def _minimize_log_cond(evaluate, x0: np.ndarray) -> _Search:
-    """Run L-BFGS-B once per temperature in TAUS, each from the last result.
+    """Run L-BFGS once per temperature in TAUS, each from the last result.
 
     evaluate(x, tau) returns (smoothed objective, gradient, exact kappa), the
     objective and kappa infinite outside the domain. The result is the
     evaluated point with the smallest exact kappa. A stage that ends without
-    L-BFGS-B success clears converged, and so does any infinite objective:
-    L-BFGS-B cannot step back from one and may report success where it
-    stopped.
+    reaching its gradient tolerance clears converged, and so does any
+    infinite objective: the search met the edge of the domain, where the
+    smoothed objective no longer describes kappa.
     """
-    # deferred: importing scipy.optimize costs more than most callers' work
-    from scipy.optimize import minimize
-
     best = _Search(x=x0, kappa=np.inf, nfev=0, converged=True)
 
     def fun(x, tau):
         value, grad, kappa = evaluate(x, tau)
         if kappa < best.kappa:
             best.x, best.kappa = x.copy(), kappa
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             best.converged = False
         return value, grad
 
     x = x0
     for tau in TAUS:
-        res = minimize(fun, x, args=(tau,), jac=True, method="L-BFGS-B",
-                       options=dict(gtol=GTOL_SCALE * np.sqrt(np.finfo(float).eps / tau),
-                                    ftol=0.0, maxiter=STAGE_MAXITER))
-        best.nfev += int(res.nfev)
-        best.converged &= bool(res.success)
-        x = res.x
+        x, nfev, converged = _lbfgs(lambda x: fun(x, tau), x,
+                                    GTOL_SCALE * math.sqrt(_EPS / tau), STAGE_MAXITER)
+        best.nfev += nfev
+        best.converged &= converged
     return best
 
 
@@ -174,13 +314,15 @@ def minimize_kappa_weights(W) -> WeightOptimum:
         return WeightOptimum(weights=np.ones(1), kappa=equal, kappa_equal=equal,
                              converged=True, nfev=0)
 
+    Wh = W.conj().T
+
     def evaluate(x, tau):
         b = np.concatenate([[1.0], np.exp(x)])
-        value, U, g, kappa = _smoothed_log_cond((W * b) @ W.conj().T, tau)
+        value, U, g, kappa = _smoothed_log_cond((W * b) @ Wh, tau)
         if g is None:
             return value, np.zeros_like(x), kappa
-        # dP/dx_j = b_j w_j w_j*, so the derivative is b_j sum_i g_i |u_i* w_j|^2
-        grad = b * (g @ np.abs(U.conj().T @ W) ** 2)
+        # dP/dx_j = b_j w_j w_j*, so the derivative is b_j sum_i |w_j* u_i|^2 g_i
+        grad = b * (np.abs(Wh @ U) ** 2 @ g)
         return value, grad[1:], kappa
 
     found = _minimize_log_cond(evaluate, np.zeros(n - 1))
@@ -237,7 +379,9 @@ def minimize_kappa_admissible(C, mu: float, seed_P) -> AdmissibleOptimum:
 
     lam, V = np.linalg.eig(C)
     W = np.linalg.inv(V).conj().T
+    Wh = W.conj().T
     kinv = _admissible_kernel(lam, mu)
+    kinv_t = kinv.T
     # the seed's factor: seed = W (Z o Kinv) W*, Z = (V* seed V) / Kinv on the support
     Z = V.conj().T @ seed.matrix @ V
     Z = np.divide(Z, kinv, out=np.zeros_like(Z), where=kinv != 0.0)
@@ -248,7 +392,7 @@ def minimize_kappa_admissible(C, mu: float, seed_P) -> AdmissibleOptimum:
         return x[:n * n].reshape(n, n) + 1j * x[n * n:].reshape(n, n)
 
     def P_of(G):
-        return W @ ((G @ G.conj().T) * kinv) @ W.conj().T
+        return W @ ((G @ G.conj().T) * kinv) @ Wh
 
     def evaluate(x, tau):
         G = unpack(x)
@@ -256,8 +400,8 @@ def minimize_kappa_admissible(C, mu: float, seed_P) -> AdmissibleOptimum:
         if g is None:
             return value, np.zeros_like(x), kappa
         # d value = Re tr(B dX) with B = W* U diag(g) U* W and dX = (dG G* + G dG*) o Kinv
-        B = W.conj().T @ ((U * g) @ U.conj().T) @ W
-        D = 2.0 * (B * kinv.T) @ G
+        B = Wh @ ((U * g) @ U.conj().T) @ W
+        D = 2.0 * (B * kinv_t) @ G
         return value, np.concatenate([D.real.ravel(), D.imag.ravel()]), kappa
 
     found = _minimize_log_cond(evaluate, np.concatenate([G0.real.ravel(), G0.imag.ravel()]))

@@ -136,3 +136,76 @@ class TestMinimizeKappaAdmissible:
         c = np.diag([1.0, 2.0, 3.0])
         with pytest.raises(NotAdmissible):
             minimize_kappa_admissible(c, 1.5, LyapunovMatrix(np.eye(3)))
+
+
+def _lbfgsb_stage(fun, x, gtol, maxiter):
+    """One continuation stage run by SciPy's L-BFGS-B: the reference for the
+    package's own L-BFGS core, same signature as condopt._lbfgs."""
+    from scipy.optimize import minimize
+
+    res = minimize(fun, x, jac=True, method="L-BFGS-B",
+                   options=dict(gtol=gtol, ftol=0.0, maxiter=maxiter))
+    return res.x, int(res.nfev), bool(res.success)
+
+
+def _seeded_weights(rng, n):
+    """Unit adjoint eigenvectors of a basis V = Q (I + 0.6 N / |N|), cond <= 16."""
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    w = np.linalg.inv(q @ (np.eye(n) + 0.6 * noise / np.linalg.norm(noise, 2))).conj().T
+    return w / np.linalg.norm(w, axis=0)
+
+
+class TestLbfgsCore:
+    def test_weight_searches_match_lbfgsb(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        for n in range(3, 17):
+            w = _seeded_weights(rng, n)
+            ours = minimize_kappa_weights(w)
+            with monkeypatch.context() as m:
+                m.setattr(condopt, "_lbfgs", _lbfgsb_stage)
+                ref = minimize_kappa_weights(w)
+            assert ours.converged, n
+            assert ours.kappa == pytest.approx(ref.kappa, rel=1e-10), n
+
+    def test_admissible_search_matches_lbfgsb(self, monkeypatch, mat_triangular, triangular_w):
+        seed_p = LyapunovMatrix(triangular_w @ np.diag([2.0, 4.0, 3.0]) @ triangular_w.T)
+        ours = minimize_kappa_admissible(mat_triangular, 1.0, seed_p)
+        monkeypatch.setattr(condopt, "_lbfgs", _lbfgsb_stage)
+        ref = minimize_kappa_admissible(mat_triangular, 1.0, seed_p)
+        assert ours.converged
+        assert ours.kappa == pytest.approx(ref.kappa, rel=1e-10)
+
+    def test_two_loop_matches_vector_recursion(self):
+        # Nocedal & Wright, Algorithm 7.4, one vector update at a time
+        rng = np.random.default_rng(4)
+        dim = 12
+        a = rng.normal(size=(dim, dim))
+        a = a @ a.T + np.eye(dim)
+        S = [rng.normal(size=dim) for _ in range(condopt.LBFGS_MEMORY)]
+        Y = [a @ s for s in S]
+        g = rng.normal(size=dim)
+        for k in (1, 4, len(S)):
+            q, alphas = g.copy(), []
+            for s, y in zip(S[-k:][::-1], Y[-k:][::-1]):
+                alphas.append((s @ q) / (s @ y))
+                q -= alphas[-1] * y
+            q *= (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])
+            for s, y, alpha in zip(S[-k:], Y[-k:], alphas[::-1]):
+                q += (alpha - (y @ q) / (s @ y)) * s
+            assert np.allclose(condopt._two_loop(S[-k:], Y[-k:], g), -q, rtol=1e-12, atol=0.0)
+
+    def test_failed_line_search_ends_the_stage_unconverged(self):
+        # the gradient contradicts the objective: every step along -g climbs
+        def fun(x):
+            return float(x @ x), -2.0 * x
+
+        x0 = np.array([1.0, -2.0, 0.5])
+        x, nfev, converged = condopt._lbfgs(fun, x0, 1e-8, 100)
+        assert not converged
+        assert np.array_equal(x, x0)
+        assert 1 < nfev <= 1 + condopt.LINESEARCH_MAXEV
+
+        found = condopt._minimize_log_cond(lambda x, tau: (*fun(x), 2.0), x0)
+        assert not found.converged
+        assert found.kappa == 2.0
