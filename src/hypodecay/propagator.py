@@ -119,7 +119,7 @@ def verify_bounds(times, norms, bounds, norm0: float | None = None,
     for i, b in enumerate(bounds):
         env = b.constant * np.exp(-b.rate * times) * ref
         if b.direction == "upper":
-            rel = (norms - env) / env
+            rel = (norms - env) / np.maximum(env, 1e-300)
         elif b.direction == "lower":
             rel = (env - norms) / np.maximum(norms, 1e-300)
         else:

@@ -108,6 +108,32 @@ def lower_bound_constant(form: Canonical2DForm, nu_tilde: float) -> FamilyBound:
     return _member(form, nu_tilde, "lower")
 
 
+def _lower_envelope(rates: np.ndarray, logc: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Index of the member minimizing logc_i - rates_i t, for each time in ts.
+
+    The members on that envelope are the vertices of the lower convex hull of
+    the points (rates_i, logc_i), built by one monotone-chain pass over them
+    sorted by rate (of equal rates only the smaller logc is kept). The hull's
+    edge slopes increase, and vertex k wins for t between the slopes of its
+    two edges, so one searchsorted on the slopes finds each time's winner.
+    """
+    r, ell = rates.tolist(), logc.tolist()
+    order = np.lexsort((logc, rates)).tolist()
+    hull, slopes = [order[0]], []
+    for i in order[1:]:
+        if r[i] == r[hull[-1]]:
+            continue
+        while True:
+            s = (ell[i] - ell[hull[-1]]) / (r[i] - r[hull[-1]])
+            if not slopes or s > slopes[-1]:
+                break
+            hull.pop()
+            slopes.pop()
+        hull.append(i)
+        slopes.append(s)
+    return np.array(hull)[np.searchsorted(slopes, ts)]
+
+
 def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEnvelope:
     """Pointwise-best bound over rate families sampled across both ranges.
 
@@ -115,16 +141,25 @@ def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEn
     both on the norm scale for unit initial data. With several rates the
     envelopes hug the trajectory tighter than any single member: the slower
     rates win early and the extreme ones win late.
+
+    In logarithms the minimum is min_i (log c_i - r_i t), a discrete Legendre
+    transform whose winners are the vertices of the lower convex hull of the
+    points (r_i, log c_i). Each time looks up its winner on that hull and
+    evaluates only that member, c_i e^{-r_i t}, so time and memory grow with
+    rates plus times, not their product. Where two members tie within
+    rounding the value may exceed the dense minimum by a few ulp. The lower
+    envelope is the same construction on (-r_i, -log c_i).
     """
+    if n_rates < 1:
+        raise ValueError("n_rates must be at least 1")
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     up_rates = np.linspace(form.mu_s, form.mu, n_rates)
     lo_rates = np.linspace(form.nu, form.nu_s, n_rates)
     up_c = _family(form, up_rates, "upper")[3]
     lo_c = _family(form, lo_rates, "lower")[3]
-    # e^{-rt} overflows for rates far below 0; the r = mu member keeps the min finite
-    with np.errstate(over="ignore"):
-        upper = np.min(up_c[:, None] * np.exp(-np.outer(up_rates, ts)), axis=0)
-    lower = np.max(lo_c[:, None] * np.exp(-np.outer(lo_rates, ts)), axis=0)
-    return FamilyEnvelope(times=ts, upper=upper, lower=lower,
+    up = _lower_envelope(up_rates, np.log(up_c), ts)
+    lo = _lower_envelope(-lo_rates, -np.log(lo_c), ts)
+    return FamilyEnvelope(times=ts, upper=up_c[up] * np.exp(-up_rates[up] * ts),
+                          lower=lo_c[lo] * np.exp(-lo_rates[lo] * ts),
                           upper_rates=up_rates, lower_rates=lo_rates,
                           upper_constants=up_c, lower_constants=lo_c)

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from hypodecay import (
+    canonical_2d_form,
     eigendecompose,
     exact_solution,
     propagator_matrix,
@@ -10,7 +11,7 @@ from hypodecay import (
     time_grid,
     verify_bounds,
 )
-from hypodecay.rate_family import FamilyBound
+from hypodecay.rate_family import FamilyBound, upper_bound_constant
 from .conftest import make_stable_system
 
 
@@ -115,6 +116,18 @@ class TestVerifyBounds:
         fb = FamilyBound(rate=0.3, constant=1.0, direction="upper",
                          beta0=0.0, beta_tilde=0.0, kappa=1.0)
         assert verify_bounds(ts, norms, [fb], norm0=5.0).passed
+
+    @pytest.mark.filterwarnings("error")
+    def test_upper_bound_holds_where_norm_and_bound_underflow(self):
+        # e^{-1.5 t} underflows to 0 long before t = 1000, on both sides
+        data = eigendecompose(np.array([[1.0, 3.0], [-1.0, 2.0]]))
+        form = canonical_2d_form(data)
+        ts = np.linspace(0.0, 1000.0, 50)
+        norms = np.linalg.norm(exact_solution(data, [1.0, 0.0], ts), axis=1)
+        assert norms[-1] == 0.0
+        check = verify_bounds(ts, norms, [upper_bound_constant(form, form.mu)])
+        assert check.passed
+        assert np.all(np.isfinite(check.violations))
 
 
 class TestTimeGrid:

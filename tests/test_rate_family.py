@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypodecay import (
     RateOutOfRange,
@@ -11,6 +15,7 @@ from hypodecay import (
     lower_bound_constant,
     upper_bound_constant,
 )
+from hypodecay.rate_family import _lower_envelope
 
 
 class TestUpperBoundConstant:
@@ -94,12 +99,45 @@ class TestBoundsHold:
                 assert np.all(norms >= env * (1 - 1e-9))
 
 
+def _form(alpha, lam):
+    """Canonical form of the 2x2 with eigenvalues lam and eigenvector overlap alpha."""
+    v = np.array([[1.0, alpha], [0.0, np.sqrt(1 - alpha ** 2)]], dtype=complex)
+    return canonical_2d_form(eigendecompose(v @ np.diag(lam) @ np.linalg.inv(v)))
+
+
 @pytest.fixture
 def form_far_below_zero():
     """alpha 0.9, eigenvalues 1 and 1.01 + 200i: mu_s is about -205."""
-    alpha = 0.9
-    v = np.array([[1.0, alpha], [0.0, np.sqrt(1 - alpha ** 2)]], dtype=complex)
-    return canonical_2d_form(eigendecompose(v @ np.diag([1.0, 1.01 + 200j]) @ np.linalg.inv(v)))
+    return _form(0.9, [1.0, 1.01 + 200j])
+
+
+def _assert_dense_envelopes(form, ts, n_rates):
+    """family_envelope against the dense min/max over every member, within 4 ulp."""
+    # with mu_s far below zero a lone member e^{-mu_s t} overflows on its own
+    with np.errstate(over="ignore"):
+        fam = family_envelope(form, ts, n_rates=n_rates)
+        upper = np.min(fam.upper_constants[:, None]
+                       * np.exp(-np.outer(fam.upper_rates, ts)), axis=0)
+        lower = np.max(fam.lower_constants[:, None]
+                       * np.exp(-np.outer(fam.lower_rates, ts)), axis=0)
+    eps = np.finfo(float).eps
+    assert np.all(np.isclose(fam.upper, upper, rtol=4 * eps, atol=0.0, equal_nan=True))
+    assert np.all(np.isclose(fam.lower, lower, rtol=4 * eps, atol=0.0, equal_nan=True))
+
+
+class TestLowerEnvelope:
+    @given(lines=st.lists(st.tuples(st.integers(-10, 10), st.integers(-20, 20)),
+                          min_size=1, max_size=40),
+           eighths=st.lists(st.integers(-80, 80), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_picks_the_lowest_line(self, lines, eighths):
+        # integer rates and offsets and times in eighths keep every product,
+        # difference and comparison exact, so the winner must attain the minimum
+        rates, offsets = np.array(lines, dtype=float).T
+        ts = np.array(eighths) / 8.0
+        win = _lower_envelope(rates, offsets, ts)
+        assert np.array_equal(offsets[win] - rates[win] * ts,
+                              np.min(offsets[:, None] - np.outer(rates, ts), axis=0))
 
 
 class TestFamilyEnvelope:
@@ -121,6 +159,45 @@ class TestFamilyEnvelope:
         fam = family_envelope(form_real_distinct, ts, n_rates=16)
         assert fam.upper.shape == ts.shape == fam.lower.shape
         assert len(fam.upper_rates) == 16 == len(fam.lower_constants)
+
+    @given(alpha=st.floats(0.0, 0.95),
+           re=st.tuples(st.floats(0.01, 3.0), st.floats(0.01, 3.0)),
+           im=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           n_rates=st.sampled_from([1, 2, 3, 64, 2048]),
+           ts=st.lists(st.floats(-5.0, 5.0) | st.just(np.nan), min_size=1, max_size=50))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, alpha, re, im, n_rates, ts):
+        lam = [re[0] + 1j * im[0], re[1] + 1j * im[1]]
+        _assert_dense_envelopes(_form(alpha, lam), np.array(ts), n_rates)
+
+    @pytest.mark.parametrize("alpha, lam", [(0.0, [0.5 + 1j, 2.0 - 1j]),
+                                            (0.7, [0.5 + 1j, 0.5 + 1j])],
+                             ids=["normal", "equal-eigenvalues"])
+    def test_matches_dense_oracle_on_a_point_range(self, alpha, lam):
+        # a normal C has mu_s = mu and nu = nu_s: every member shares one rate
+        form = _form(alpha, lam)
+        assert form.mu_s == pytest.approx(form.mu, abs=1e-12)
+        assert form.nu_s == pytest.approx(form.nu, abs=1e-12)
+        _assert_dense_envelopes(form, np.array([-1.0, 3.0, np.nan, 0.0]), 64)
+
+    @pytest.mark.parametrize("n_rates", [1, 2, 3, 64, 2048])
+    def test_matches_dense_oracle_far_below_zero(self, form_far_below_zero, n_rates):
+        ts = np.random.default_rng(n_rates).permutation(np.linspace(0.0, 10.0, 400))
+        _assert_dense_envelopes(form_far_below_zero, ts, n_rates)
+
+    def test_memory_linear_in_rates_plus_times(self, form_complex_pair):
+        # a rates x times product would need 640 MB here
+        tracemalloc.start()
+        try:
+            family_envelope(form_complex_pair, np.linspace(0.0, 10.0, 400), n_rates=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+    def test_rejects_no_rates(self, form_complex_pair):
+        with pytest.raises(ValueError, match="n_rates must be at least 1"):
+            family_envelope(form_complex_pair, [0.0, 1.0], n_rates=0)
 
     @pytest.mark.parametrize("fixture", ["form_complex_pair", "form_real_distinct",
                                          "form_far_below_zero"])
