@@ -83,13 +83,14 @@ def lyapunov_residual(C, P, rate: float) -> float:
 
     Non-negative means P certifies decay at `rate` in the P-weighted norm.
     When `rate` equals the spectral gap the best possible value is zero: the
-    slowest spectral direction always saturates the inequality.
+    slowest spectral direction always saturates the inequality. NaN on overflow.
     """
     C = as_complex_matrix(C)
     Pm = P.matrix if isinstance(P, LyapunovMatrix) else as_complex_matrix(P)
-    S = C.conj().T @ Pm + Pm @ C - 2.0 * rate * Pm
-    S = (S + S.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(S)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = C.conj().T @ Pm + Pm @ C - 2.0 * rate * Pm
+        S = (S + S.conj().T) / 2.0
+    return float(np.linalg.eigvalsh(S)[0]) if np.isfinite(S).all() else float("nan")
 
 
 @dataclass
@@ -109,14 +110,16 @@ def certificate_from_p(C, P, rate: float, rtol: float = RESIDUAL_RTOL) -> Lyapun
     """Certify P at the requested rate and package the resulting estimate.
 
     The admissibility check allows a small negative residual proportional to
-    |C| |P|, which is the rounding floor of the eigenvalue computation.
+    |C| |P|, the rounding floor of eigvalsh, and rejects a NaN residual.
     """
+    if not np.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate!r}")
     C = as_complex_matrix(C)
     if not isinstance(P, LyapunovMatrix):
         P = LyapunovMatrix(matrix=P)
     res = lyapunov_residual(C, P, rate)
     scale = np.linalg.norm(C, 2) * P.lambda_max
-    if res < -rtol * max(scale, 1e-300):
+    if not res >= -rtol * max(scale, 1e-300):
         raise NotAdmissible(
             f"P is not admissible at rate {rate}: residual {res:.3e} "
             f"below -{rtol:.1e} * |C| |P| = {-rtol * scale:.3e}",

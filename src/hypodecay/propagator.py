@@ -64,6 +64,8 @@ def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
     C = as_complex_matrix(C)
     f0 = np.asarray(f0, dtype=complex).ravel()
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size == 0:
+        raise ValueError("need at least one non-negative time")
     if np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times must be non-decreasing and non-negative")
     if not dt > 0:

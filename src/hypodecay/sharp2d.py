@@ -20,7 +20,9 @@ alpha^2)/(1 - alpha^2) >= A, m_+ <= M(t) = e^{-gamma t}(A_+ + sqrt(A_+^2 - 1)),
 with equality at t = (2j + 1) pi/|delta|. M is non-increasing, because
 (1 - alpha^2)^2 (A_+^2 - 1) - sinh^2(gamma t) = 2 alpha^2 (1 + cosh(gamma t)) >= 0.
 Hence sup_{t >= 0} m_+ = max of m_+ over [0, pi/|delta|], where m_+ rises and
-then falls (checked numerically), so one bounded search finds it.
+then falls (checked numerically), so golden-section search brackets it. In
+s = |delta| t, with g = gamma/|delta| and e = e^{-g pi}, the slope of m_+ at s = pi
+is g e (e - (alpha^2 + e) m_+/(1 - alpha^2)), < 0 for gamma > 0 (m_+ > 1), 0 for gamma = 0.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ __all__ = [
 
 #: eigenvalue coincidence tolerance, relative to the spectral radius
 TIE_RTOL = 1e-10
-
-#: sup_m_plus refines to REFINE_TOL in the dimensionless time s = |delta| t
-REFINE_TOL = 1e-10
 
 #: alpha below which the eigenbasis counts as orthogonal and every constant is 1
 ALPHA_FLOOR = 1e-14
@@ -137,13 +136,14 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
 def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
     """sup over t >= 0 of the upper envelope factor m_+.
 
-    By the module's lemma, one bounded search over s = |delta| t in [0, pi]
-    (invariant under C -> sC) and the endpoint s = pi find it. t_at is None
-    when the value is within 1e-12 of the asymptote 1/(1 - alpha^2), which
-    is the sup for delta = 0.
+    By the module's lemma, golden-section search over s = |delta| t in [0, pi]
+    (invariant under C -> sC) finds it, down to a bracket sqrt(eps) times its
+    right end; the slope of m_+ at s = pi is < 0 (0 for gamma = 0), so that end
+    needs no evaluation of its own. t_at is None within 1e-12 of the asymptote
+    1/(1 - alpha^2), which is the sup for delta = 0.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative (order the eigenvalues)")
+    if not (0.0 <= alpha < 1.0 and 0.0 <= gamma < np.inf and abs(delta) < np.inf):
+        raise ValueError("need alpha in [0, 1) and finite gamma >= 0 and delta")
     if alpha < ALPHA_FLOOR:
         return SupOfEnvelope(value=1.0, t_at=0.0)
     if gamma == 0.0 and delta == 0.0:
@@ -151,14 +151,19 @@ def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
     asymptote = 1.0 / (1.0 - alpha * alpha)
     if delta == 0.0:
         return SupOfEnvelope(value=asymptote, t_at=None)
-    # deferred: importing scipy.optimize costs more than every closed-form case
-    from scipy.optimize import minimize_scalar
-
     g = gamma / abs(delta)
-    res = minimize_scalar(lambda s: -_m_plus_minus(alpha, g, 1.0, s)[1], bounds=(0.0, np.pi),
-                          method="bounded", options=dict(xatol=REFINE_TOL))
-    at_pi = float(_m_plus_minus(alpha, g, 1.0, np.pi)[1])
-    s, best = (float(res.x), float(-res.fun)) if -res.fun > at_pi else (np.pi, at_pi)
+    m = lambda s: float(_m_plus_minus(alpha, g, 1.0, s)[1])  # noqa: E731
+    inv = (5.0 ** 0.5 - 1.0) / 2.0
+    lo, hi, s1, s2 = 0.0, np.pi, np.pi - inv * np.pi, inv * np.pi
+    m1, m2 = m(s1), m(s2)
+    while hi - lo >= np.finfo(float).eps ** 0.5 * hi:
+        if m1 > m2:
+            hi, s2, m2, s1 = s2, s1, m1, s2 - inv * (s2 - lo)
+            m1 = m(s1)
+        else:
+            lo, s1, m1, s2 = s1, s2, m2, s1 + inv * (hi - s1)
+            m2 = m(s2)
+    s, best = (s1, m1) if m1 > m2 else (s2, m2)
     if best <= asymptote * (1.0 + 1e-12):
         return SupOfEnvelope(value=max(best, asymptote), t_at=None)
     return SupOfEnvelope(value=best, t_at=s / abs(delta))

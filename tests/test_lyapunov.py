@@ -119,3 +119,14 @@ class TestCertificateFromP:
         cert = certificate_from_p(np.diag([1.0, 2.0]), np.eye(2), 1.0)
         assert cert.kappa == pytest.approx(1.0)
         assert cert.constant == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rate(self, mat_complex_pair, rate):
+        with pytest.raises(ValueError, match="rate must be finite"):
+            certificate_from_p(mat_complex_pair, np.eye(2), rate)
+
+    def test_overflowing_residual_is_not_admissible(self, mat_complex_pair):
+        # 2 rate P overflows: the residual is NaN, which certifies nothing
+        assert np.isnan(lyapunov_residual(mat_complex_pair, np.eye(2), 1e308))
+        with pytest.raises(NotAdmissible):
+            certificate_from_p(mat_complex_pair, np.eye(2), 1e308)

@@ -74,6 +74,10 @@ class TestRK4Oracle:
         with pytest.raises(ValueError):
             rk4_oracle(np.eye(2), [1.0, 0.0], [1.0, 0.5])
 
+    def test_requires_a_time(self):
+        with pytest.raises(ValueError, match="need at least one non-negative time"):
+            rk4_oracle(np.eye(2), [1.0, 0.0], [])
+
     def test_requires_positive_step(self):
         # a negative step would raise the step matrix to a negative power,
         # integrating backwards instead of failing

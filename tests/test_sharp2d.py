@@ -152,6 +152,14 @@ class TestSupMPlus:
         res = sup_m_plus(0.0, 0.3, 1.0)
         assert res.value == 1.0
 
+    @pytest.mark.parametrize("alpha,gamma,delta", [
+        (1.0, 0.3, 1.0), (1.5, 0.3, 1.0), (-0.1, 0.3, 1.0), (np.nan, 0.3, 1.0),
+        (0.5, np.nan, 1.0), (0.5, np.inf, 1.0), (0.5, -0.3, 1.0),
+        (0.5, 0.3, np.nan), (0.5, 0.3, -np.inf)])
+    def test_rejects_inputs_outside_domain(self, alpha, gamma, delta):
+        with pytest.raises(ValueError):
+            sup_m_plus(alpha, gamma, delta)
+
     def test_value_dominates_samples(self):
         alpha, gamma, delta = 0.7, 0.25, 1.3
         res = sup_m_plus(alpha, gamma, delta)
