@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SearchFailure
+from .errors import DefectiveInput, SearchFailure
 from .lyapunov import LyapunovMatrix, certificate_from_p
-from .spectral import Canonical2DForm, as_complex_matrix, coincidence_tol
+from .spectral import Canonical2DForm, as_complex_matrix, coincidence_tol, eigendecompose
 
 __all__ = [
     "WeightOptimum",
@@ -64,10 +64,6 @@ LINESEARCH_MAXEV = 20
 _EPS = np.finfo(float).eps
 #: mask of the upper triangle, for the matrix form of the two-loop recursion
 _UPPER = np.triu(np.ones((LBFGS_MEMORY, LBFGS_MEMORY)))
-
-#: eigenvalues with |Re lam - mu| within SLOW_RTOL of the spectral radius are
-#: slow: the admissibility residual vanishes on their eigenvectors
-SLOW_RTOL = 1e-9
 
 
 @dataclass
@@ -342,6 +338,11 @@ def _nice_rescale(b: np.ndarray, rtol: float = 1e-3, max_factor: int = 12) -> np
     return b
 
 
+def _slow(lam: np.ndarray, mu: float) -> np.ndarray:
+    """Mask of the eigenvalues whose real part coincides with mu."""
+    return np.abs(lam.real - mu) <= coincidence_tol(lam)
+
+
 def _admissible_kernel(lam: np.ndarray, mu: float) -> np.ndarray:
     """Kinv with P = W ((G G*) o Kinv) W* spanning the admissible P at rate mu.
 
@@ -353,8 +354,8 @@ def _admissible_kernel(lam: np.ndarray, mu: float) -> np.ndarray:
     eigenvalues, where X is free; 0 elsewhere, where X must vanish.
     """
     shifted = lam - mu
-    tol = coincidence_tol(lam, SLOW_RTOL)
-    slow = np.abs(shifted.real) <= tol
+    tol = coincidence_tol(lam)
+    slow = _slow(lam, mu)
     fast_pair = ~slow[:, None] & ~slow[None, :]
     same_slow = slow[:, None] & slow[None, :] & (np.abs(lam[:, None] - lam[None, :]) <= tol)
     K = shifted.conj()[:, None] + shifted[None, :]
@@ -364,21 +365,22 @@ def _admissible_kernel(lam: np.ndarray, mu: float) -> np.ndarray:
 def minimize_kappa_admissible(C, mu: float, seed_P) -> AdmissibleOptimum:
     """Minimize kappa(P) over all Hermitian P admissible at rate mu.
 
-    Facial reduction in the eigenbasis C = V diag(lam) V^-1, W = V^-*: every
-    admissible P is P(G) = W ((G G*) o Kinv) W* for some complex n x n G, and
-    every G gives an admissible P (see _admissible_kernel). At mu equal to
-    the spectral gap this pins the residual to zero on the slow eigenvectors
-    exactly, so the search runs over unconstrained G from the factor of
-    seed_P. The returned P is trace-normalized to n. Raises NotAdmissible
-    unless seed_P is admissible at mu.
+    Facial reduction in the eigenbasis C = V diag(lam) W* of eigendecompose:
+    every admissible P is P(G) = W ((G G*) o Kinv) W* for some complex n x n
+    G, and every G gives an admissible P (see _admissible_kernel). At mu equal
+    to the spectral gap this pins the residual to zero on the slow
+    eigenvectors exactly, so the search runs over unconstrained G from the
+    factor of seed_P. The returned P is trace-normalized to n. Raises
+    DefectiveInput, or NotAdmissible unless seed_P is admissible at mu.
     """
-    C = as_complex_matrix(C)
-    n = C.shape[0]
+    data = eigendecompose(C)
+    if data.defective:
+        raise DefectiveInput("the admissible search needs a full eigenbasis")
+    C, n = data.matrix, data.n
     seed = seed_P if isinstance(seed_P, LyapunovMatrix) else LyapunovMatrix(matrix=seed_P)
     certificate_from_p(C, seed, mu)
 
-    lam, V = np.linalg.eig(C)
-    W = np.linalg.inv(V).conj().T
+    lam, V, W = data.eigenvalues, data.right_vectors, data.left_vectors
     Wh = W.conj().T
     kinv = _admissible_kernel(lam, mu)
     kinv_t = kinv.T

@@ -106,7 +106,7 @@ class LyapunovCertificate:
     direction: str = "upper"
 
 
-def certificate_from_p(C, P, rate: float, rtol: float = RESIDUAL_RTOL) -> LyapunovCertificate:
+def certificate_from_p(C, P, rate: float) -> LyapunovCertificate:
     """Certify P at the requested rate and package the resulting estimate.
 
     The admissibility check allows a small negative residual proportional to
@@ -119,10 +119,10 @@ def certificate_from_p(C, P, rate: float, rtol: float = RESIDUAL_RTOL) -> Lyapun
         P = LyapunovMatrix(matrix=P)
     res = lyapunov_residual(C, P, rate)
     scale = np.linalg.norm(C, 2) * P.lambda_max
-    if not res >= -rtol * max(scale, 1e-300):
+    if not res >= -RESIDUAL_RTOL * max(scale, 1e-300):
         raise NotAdmissible(
             f"P is not admissible at rate {rate}: residual {res:.3e} "
-            f"below -{rtol:.1e} * |C| |P| = {-rtol * scale:.3e}",
+            f"below -{RESIDUAL_RTOL:.1e} * |C| |P| = {-RESIDUAL_RTOL * scale:.3e}",
             residual=res,
         )
     return LyapunovCertificate(

@@ -59,15 +59,15 @@ def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
     polynomial R(-hC) = I - hC + (hC)^2/2 - (hC)^3/6 + (hC)^4/24, so each
     interval between requested times is a matrix power of the full step
     followed by one shortened step that lands exactly on the time.
-    `times` must be non-decreasing and start at >= 0, and dt must be positive.
+    `times` must be finite, non-decreasing and >= 0, and dt must be positive.
     """
     C = as_complex_matrix(C)
     f0 = np.asarray(f0, dtype=complex).ravel()
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("need at least one non-negative time")
-    if np.any(np.diff(times) < 0) or times[0] < 0:
-        raise ValueError("times must be non-decreasing and non-negative")
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) >= 0) and times[0] >= 0):
+        raise ValueError("times must be finite, non-decreasing and non-negative")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
 
@@ -116,6 +116,8 @@ def verify_bounds(times, norms, bounds, norm0: float | None = None,
     """
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
+    if norms.size == 0:
+        raise ValueError("need at least one sampled norm")
     ref = float(norms[0]) if norm0 is None else float(norm0)
     violations = np.empty(len(bounds))
     for i, b in enumerate(bounds):
@@ -138,8 +140,8 @@ def time_grid(t_max: float, n: int = 400, insert=()) -> np.ndarray:
     half the budget goes to a geometric refinement near zero. Any times in
     `insert` (for instance a known extremum) are added exactly.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     n_lin = max(n // 2, 2)
     n_geo = max(n - n_lin, 2)
     lin = np.linspace(0.0, t_max, n_lin)

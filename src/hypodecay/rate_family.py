@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateOutOfRange
-from .sharp2d import TIE_RTOL
 from .spectral import Canonical2DForm, coincidence_tol
 
 __all__ = [
@@ -31,9 +30,6 @@ __all__ = [
     "lower_bound_constant",
     "family_envelope",
 ]
-
-#: slack, relative to the spectral radius, accepted beyond the exact rate range
-RANGE_RTOL = 1e-9
 
 
 @dataclass
@@ -69,8 +65,8 @@ def _family(form: Canonical2DForm, rates, direction: str):
     lo, hi = (form.mu_s, form.mu) if direction == "upper" else (form.nu, form.nu_s)
     lam = form.eigenvalues
     rates = np.asarray(rates, dtype=float)
-    slack = coincidence_tol(lam, RANGE_RTOL)
-    inside = (lo - slack <= rates) & (rates <= hi + slack)
+    tol = coincidence_tol(lam)
+    inside = (lo - tol <= rates) & (rates <= hi + tol)
     if not inside.all():
         raise RateOutOfRange(
             f"rate {rates[~inside][0]} outside [{lo}, {hi}] for the {direction} family")
@@ -79,7 +75,7 @@ def _family(form: Canonical2DForm, rates, direction: str):
     dist = np.abs(lam[0] + np.conj(lam[1]) - 2.0 * r)
     # on both ranges dist >= |lam_2 - lam_1|: the 0/0 guard fires only where the
     # sharp case split calls the eigenvalues equal (c_sharp = 1) and gives c = 1
-    tie = dist <= coincidence_tol(lam, TIE_RTOL)
+    tie = dist <= tol
     beta0 = np.where(tie, 1.0, np.clip(
         np.sqrt(np.maximum(num, 0.0) / np.where(tie, 1.0, dist) ** 2), 0.0, 1.0))
     a = form.alpha

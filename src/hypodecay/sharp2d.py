@@ -49,9 +49,6 @@ __all__ = [
     "trajectory_envelope_oracle",
 ]
 
-#: eigenvalue coincidence tolerance, relative to the spectral radius
-TIE_RTOL = 1e-10
-
 #: alpha below which the eigenbasis counts as orthogonal and every constant is 1
 ALPHA_FLOOR = 1e-14
 
@@ -122,7 +119,7 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     lam = form.eigenvalues
-    tie = abs(lam[1] - lam[0]) <= coincidence_tol(lam, TIE_RTOL)
+    tie = abs(lam[1] - lam[0]) <= coincidence_tol(lam)
     pre = np.exp(-2.0 * lam[0].real * ts)
     if tie or form.alpha < ALPHA_FLOOR:
         m_hi = np.ones_like(ts)
@@ -176,12 +173,13 @@ def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
     parts: c = sqrt((1 + alpha)/(1 - alpha)), reached at the first half-turn
     of the phase difference. Equal imaginary parts: c = 1/sqrt(1 - alpha^2),
     approached as t -> inf. Otherwise c comes from the numerical sup of m_+,
-    bracketed strictly between those two closed forms.
+    bracketed strictly between those two closed forms; so does c for
+    imaginary parts that coincide with delta != 0 where that sup is attained.
     """
     lam = form.eigenvalues
-    if lam[0].real <= 0.0:
-        raise NotPositiveStable(f"spectral gap is not positive: mu = {lam[0].real}")
-    tol = coincidence_tol(lam, TIE_RTOL)
+    if form.mu <= 0.0:
+        raise NotPositiveStable(f"spectral gap is not positive: mu = {form.mu}")
+    tol = coincidence_tol(lam)
     a = form.alpha
     kmin = (1.0 + a) / (1.0 - a)
 
@@ -201,16 +199,18 @@ def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
         return SharpResult2D(case=DecayCase.EQUAL_REAL_PARTS, alpha=a, c_sharp=c,
                              kappa_min=kmin, bracket=(c, c),
                              attained="finite", attained_time=float(np.pi / abs(form.delta)))
-    if abs(form.delta) <= tol:
-        c = float(1.0 / np.sqrt(1.0 - a * a))
+    lo = float(1.0 / np.sqrt(1.0 - a * a))
+    sup = None if form.delta == 0.0 else sup_m_plus(a, form.gamma, form.delta)
+    if abs(form.delta) <= tol and (sup is None or sup.t_at is None):
+        # the sup is the delta = 0 limit, approached as t -> inf
+        c = lo if sup is None else max(lo, float(np.sqrt(sup.value)))
         return SharpResult2D(case=DecayCase.EQUAL_IMAGINARY_PARTS, alpha=a, c_sharp=c,
                              kappa_min=kmin, bracket=(c, c),
                              attained="asymptotic", attained_time=None)
-
-    sup = sup_m_plus(a, form.gamma, form.delta)
     return SharpResult2D(
-        case=DecayCase.FULLY_DISTINCT, alpha=a, c_sharp=float(np.sqrt(sup.value)),
-        kappa_min=kmin, bracket=(float(1.0 / np.sqrt(1.0 - a * a)), float(np.sqrt(kmin))),
+        case=DecayCase.EQUAL_IMAGINARY_PARTS if abs(form.delta) <= tol
+        else DecayCase.FULLY_DISTINCT, alpha=a, c_sharp=float(np.sqrt(sup.value)),
+        kappa_min=kmin, bracket=(lo, float(np.sqrt(kmin))),
         attained="asymptotic" if sup.t_at is None else "finite", attained_time=sup.t_at,
     )
 

@@ -34,11 +34,12 @@ DEFECT_COND_LIMIT = 1e8
 #: gap, relative to the spectral radius, below which eigenvalues form a cluster
 CLUSTER_GAP = 1e-6
 
-#: real parts within ORDER_RTOL of the spectral radius are ordered by imaginary part
-ORDER_RTOL = 1e-9
+#: eigenvalues, or their real or imaginary parts, within COINCIDENCE_RTOL of the
+#: spectral radius coincide; every such decision in the package asks this
+COINCIDENCE_RTOL = 1e-10
 
 
-def coincidence_tol(lam, rtol: float) -> float:
+def coincidence_tol(lam, rtol: float = COINCIDENCE_RTOL) -> float:
     """rtol times the spectral radius of lam: the one scale on which eigenvalues
     or their parts count as equal, so that C -> sC changes no such decision."""
     return rtol * float(np.abs(lam).max())
@@ -63,7 +64,7 @@ class SpectralData:
     Attributes
     ----------
     matrix : original matrix C
-    eigenvalues : sorted by (Re, Im), increasing
+    eigenvalues : sorted by (Re, Im), increasing, coinciding real parts as equal
     right_vectors : columns v_j, C v_j = lambda_j v_j, scaled so <w_j, v_j> = 1
     left_vectors : columns w_j, C* w_j = conj(lambda_j) w_j, unit norm
     defective : True when no reliable eigenbasis exists
@@ -85,16 +86,16 @@ class SpectralData:
     @property
     def spectral_gap(self) -> float:
         """mu, the smallest real part of the spectrum."""
-        return float(self.eigenvalues[0].real)
+        return float(self.eigenvalues.real.min())
 
 
 def _order_with_clustered_ties(lam: np.ndarray) -> np.ndarray:
-    """Sort key (Re, Im) with real parts snapped together below ORDER_RTOL.
+    """Sort key (Re, Im) with coinciding real parts snapped together.
 
     Raw float real parts of an equal-real-part pair differ by rounding noise,
     which would make the tie-break on the imaginary part unreliable.
     """
-    tol = coincidence_tol(lam, ORDER_RTOL)
+    tol = coincidence_tol(lam)
     snapped = lam.real.copy()
     idx = np.argsort(snapped, kind="stable")
     for i, j in zip(idx[:-1], idx[1:]):
@@ -177,7 +178,7 @@ def classify_stability(data: SpectralData) -> StabilityReport:
     C = data.matrix
     herm = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
     return StabilityReport(
-        mu=float(data.eigenvalues[0].real),
+        mu=data.spectral_gap,
         nu=float(data.eigenvalues[-1].real),
         mu_s=float(herm[0]),
         nu_s=float(herm[-1]),
@@ -225,7 +226,7 @@ class Canonical2DForm:
 
     @property
     def mu(self) -> float:
-        return float(self.eigenvalues[0].real)
+        return float(self.eigenvalues.real.min())
 
     @property
     def nu(self) -> float:
@@ -233,7 +234,8 @@ class Canonical2DForm:
 
     @property
     def gamma(self) -> float:
-        """Real-part spread Re(lambda_2 - lambda_1) >= 0."""
+        """Real-part spread Re(lambda_2 - lambda_1), >= 0 only up to the
+        coincidence tolerance: -1.1e-16 on [[1, -1], [1, 0]]."""
         return float((self.eigenvalues[1] - self.eigenvalues[0]).real)
 
     @property

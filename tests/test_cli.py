@@ -72,6 +72,17 @@ class TestAnalyze:
         assert doc["rate"] == pytest.approx(1.0, abs=1e-10)
         assert doc["residual"] >= -1e-10
 
+    def test_near_tie_of_real_parts(self, capsys, tmp_path):
+        # real parts 5e-10 apart: just beyond the coincidence tolerance, so
+        # every module sees distinct real parts and mu is the smaller one
+        c = np.array([[1.0 + 2.0j, 3.75e-10 - 3.0j], [0.0, 1.0000000005 - 2.0j]])
+        path = write_matrix(tmp_path / "near.json", c, with_imag=True)
+        code, out, _ = run(capsys, ["analyze", path])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["mu"] == np.linalg.eigvals(c).real.min() == 1.0
+        assert doc["case"] == "FullyDistinct"
+
     def test_complex_matrix_roundtrip(self, capsys, tmp_path):
         c = np.array([[1.0 + 0.2j, -0.4j], [0.1, 2.0 - 0.2j]])
         path = write_matrix(tmp_path / "cx.json", c, with_imag=True)

@@ -3,6 +3,7 @@ import pytest
 
 from hypodecay import condopt
 from hypodecay import (
+    DefectiveInput,
     LyapunovMatrix,
     NotAdmissible,
     build_weighted_p,
@@ -131,6 +132,12 @@ class TestMinimizeKappaAdmissible:
             assert res.converged
             assert res.kappa <= weights.kappa * (1 + 1e-9)
             assert res.residual >= -1e-12 * np.linalg.norm(c, 2) * res.P.lambda_max
+
+    def test_rejects_defective_matrix(self):
+        # I is admissible at rate 1/2, but a Jordan block has no eigenbasis
+        with pytest.raises(DefectiveInput):
+            minimize_kappa_admissible(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5,
+                                      LyapunovMatrix(np.eye(2)))
 
     def test_rejects_inadmissible_seed(self):
         c = np.diag([1.0, 2.0, 3.0])

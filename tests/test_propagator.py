@@ -78,6 +78,11 @@ class TestRK4Oracle:
         with pytest.raises(ValueError, match="need at least one non-negative time"):
             rk4_oracle(np.eye(2), [1.0, 0.0], [])
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.inf]])
+    def test_requires_finite_times(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            rk4_oracle(np.eye(2), [1.0, 0.0], times)
+
     def test_requires_positive_step(self):
         # a negative step would raise the step matrix to a negative power,
         # integrating backwards instead of failing
@@ -121,6 +126,10 @@ class TestVerifyBounds:
                          beta0=0.0, beta_tilde=0.0, kappa=1.0)
         assert verify_bounds(ts, norms, [fb], norm0=5.0).passed
 
+    def test_rejects_empty_samples(self):
+        with pytest.raises(ValueError, match="at least one sampled norm"):
+            verify_bounds([], [], [])
+
     @pytest.mark.filterwarnings("error")
     def test_upper_bound_holds_where_norm_and_bound_underflow(self):
         # e^{-1.5 t} underflows to 0 long before t = 1000, on both sides
@@ -145,3 +154,9 @@ class TestTimeGrid:
     def test_resolves_early_times(self):
         ts = time_grid(100.0, n=400)
         assert ts[ts > 0].min() < 1e-3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t_max", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_t_max_outside_positive_reals(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            time_grid(t_max, 5)

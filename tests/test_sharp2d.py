@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from hypodecay import (
     DecayCase,
@@ -45,6 +46,23 @@ class TestClassification:
         assert res.case is DecayCase.EQUAL_IMAGINARY_PARTS
         assert res.c_sharp == pytest.approx(1.25, rel=1e-12)
         assert res.attained == "asymptotic" and res.attained_time is None
+
+    def test_coinciding_imaginary_parts_bend_the_envelope(self):
+        # delta = 1e-10 is within the tolerance, yet not 0: the delta = 0 limit
+        # 1/sqrt(1 - alpha^2) = 1.25 lies below the sup that the phase reaches
+        v = np.array([[1.0, 0.6], [0.0, 0.8]])
+        c = v @ np.diag([1.0, 1.0 + 3e-10 + 1e-10j]) @ np.linalg.inv(v)
+        form = _form(c)
+        res = classify_and_sharp_constant(form)
+        assert res.case is DecayCase.EQUAL_IMAGINARY_PARTS
+        assert form.delta != 0.0
+        sup = sup_m_plus(form.alpha, abs(form.gamma), form.delta)
+        assert res.c_sharp >= np.sqrt(sup.value)
+        shifted = c - form.mu * np.eye(2)
+        sampled = max(np.linalg.norm(expm(-t * shifted), 2)
+                      for t in np.linspace(1e10, 3e10, 201))
+        assert sampled > 1.2504
+        assert res.c_sharp >= sampled * (1.0 - 1e-12)
 
     def test_normal_matrix_all_constants_one(self):
         res = classify_and_sharp_constant(_form(np.diag([1.0, 2.0 + 1.0j])))

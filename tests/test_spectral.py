@@ -4,15 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypodecay import (
+    DecayCase,
     Defective2D,
     MatrixFormatError,
     ZeroVector,
     alpha_overlap,
     as_complex_matrix,
     canonical_2d_form,
+    classify_and_sharp_constant,
     classify_stability,
     eigendecompose,
 )
+from hypodecay import condopt
+from hypodecay.spectral import COINCIDENCE_RTOL
 from .conftest import make_2x2_with_overlap
 
 
@@ -181,3 +185,27 @@ class TestCanonical2DForm:
         assert form.nu_s == pytest.approx(19 / 20, abs=1e-12)
         assert form.gamma == pytest.approx(16 / 20, abs=1e-12)
         assert form.delta == pytest.approx(0.0, abs=1e-12)
+
+
+class TestCoincidence:
+    """spectral's one rule decides whether two real parts coincide; the
+    eigenvalue ordering, the 2x2 case split and the slow set of the
+    admissible search all follow it, at every scale."""
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e6])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_decisions_agree_on_a_real_part_gap(self, s, factor):
+        # the gap is factor times the tolerance, relative to |1 + 2i| = sqrt(5)
+        lam = s * np.array([1.0 + 2.0j, 1.0 + factor * COINCIDENCE_RTOL * np.sqrt(5.0) - 2.0j])
+        v = np.array([[1.0, 0.6], [0.0, 0.8]])
+        data = eigendecompose(v @ np.diag(lam) @ np.linalg.inv(v))
+        tie = factor < 1.0
+        # tied real parts are ordered by imaginary part, distinct ones by size
+        assert (data.eigenvalues[0].imag < 0.0) == tie
+        form = canonical_2d_form(data)
+        case = classify_and_sharp_constant(form).case
+        assert case is (DecayCase.EQUAL_REAL_PARTS if tie else DecayCase.FULLY_DISTINCT)
+        assert condopt._slow(data.eigenvalues, data.spectral_gap).all() == tie
+        # whichever comes first, mu is the smallest real part
+        mu = data.eigenvalues.real.min()
+        assert data.spectral_gap == classify_stability(data).mu == form.mu == mu
