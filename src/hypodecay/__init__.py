@@ -8,8 +8,8 @@ two-sided exponential estimates
 through weighted Lyapunov matrices P with minimal condition number, computes
 the sharp constants and attainment structure for 2x2 systems, and applies the
 machinery mode by mode to the two-velocity transport-relaxation model on the
-torus. A brute-force trajectory oracle and a Runge-Kutta integrator provide
-independent cross-checks throughout.
+torus. A Runge-Kutta integrator, independent of the eigendecomposition,
+cross-checks the propagators and the envelopes.
 """
 
 from .condopt import (
@@ -79,8 +79,6 @@ from .sharp2d import (
     envelope_curves,
     sector_constant,
     sup_m_plus,
-    trajectory_envelope_oracle,
-    trajectory_sup_oracle,
 )
 from .spectral import (
     Canonical2DForm,
@@ -110,7 +108,7 @@ __all__ = [
     # sharp 2x2 constants and envelopes
     "DecayCase", "SharpResult2D", "EnvelopeCurve", "SupOfEnvelope",
     "classify_and_sharp_constant", "envelope_curves", "sup_m_plus",
-    "sector_constant", "trajectory_sup_oracle", "trajectory_envelope_oracle",
+    "sector_constant",
     # rate families
     "FamilyBound", "FamilyEnvelope",
     "upper_bound_constant", "lower_bound_constant", "family_envelope",

@@ -59,10 +59,15 @@ def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
     polynomial R(-hC) = I - hC + (hC)^2/2 - (hC)^3/6 + (hC)^4/24, so each
     interval between requested times is a matrix power of the full step
     followed by one shortened step that lands exactly on the time.
-    `times` must be finite, non-decreasing and >= 0, and dt must be positive.
+    f0 is one initial vector, shape (n,), or k of them as columns, shape
+    (n, k); the result has shape (len(times),) + f0.shape, so f0 = I gives
+    the RK4 propagator itself. `times` must be finite, non-decreasing and
+    >= 0, and dt must be positive.
     """
     C = as_complex_matrix(C)
-    f0 = np.asarray(f0, dtype=complex).ravel()
+    f0 = np.asarray(f0, dtype=complex)
+    if f0.ndim not in (1, 2) or f0.shape[0] != len(C):
+        raise ValueError(f"f0 must have shape ({len(C)},) or ({len(C)}, k), got {f0.shape}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("need at least one non-negative time")
@@ -78,7 +83,7 @@ def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
         return eye + z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
 
     full = step(dt)
-    out = np.empty((len(times), len(f0)), dtype=complex)
+    out = np.empty((len(times),) + f0.shape, dtype=complex)
     x = f0
     for i, gap in enumerate(np.diff(times, prepend=0.0)):
         m, rem = divmod(float(gap), dt)
@@ -112,7 +117,9 @@ def verify_bounds(times, norms, bounds, norm0: float | None = None,
 
     Each bound must expose .rate, .constant and .direction ("upper"/"lower").
     An upper bound claims |f(t)| <= c e^{-rate t} |f0|, a lower bound the
-    reverse inequality; the reference |f0| defaults to norms[0].
+    reverse inequality; the reference |f0| defaults to norms[0]. A sampled
+    norm of 0 has underflowed (e^{-Ct} is invertible, so no f0 != 0 reaches
+    0): it refutes no lower bound and adds a gap of 0.
     """
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
@@ -125,7 +132,8 @@ def verify_bounds(times, norms, bounds, norm0: float | None = None,
         if b.direction == "upper":
             rel = (norms - env) / np.maximum(env, 1e-300)
         elif b.direction == "lower":
-            rel = (env - norms) / np.maximum(norms, 1e-300)
+            rel = np.divide(env - norms, np.maximum(norms, 1e-300),
+                            out=np.zeros_like(norms), where=norms > 0.0)
         else:
             raise ValueError(f"unknown bound direction {b.direction!r}")
         violations[i] = rel.max()

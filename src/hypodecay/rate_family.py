@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateOutOfRange
-from .spectral import Canonical2DForm, coincidence_tol
+from .spectral import ROUNDING_RTOL, Canonical2DForm, coincidence_tol
 
 __all__ = [
     "FamilyBound",
@@ -74,8 +74,8 @@ def _family(form: Canonical2DForm, rates, direction: str):
     num = 4.0 * (lam[0].real - r) * (lam[1].real - r)
     dist = np.abs(lam[0] + np.conj(lam[1]) - 2.0 * r)
     # on both ranges dist >= |lam_2 - lam_1|: the 0/0 guard fires only where the
-    # sharp case split calls the eigenvalues equal (c_sharp = 1) and gives c = 1
-    tie = dist <= tol
+    # eigenvalues agree up to rounding (scalar C, c_sharp = 1) and gives c = 1
+    tie = dist <= coincidence_tol(lam, ROUNDING_RTOL)
     beta0 = np.where(tie, 1.0, np.clip(
         np.sqrt(np.maximum(num, 0.0) / np.where(tie, 1.0, dist) ** 2), 0.0, 1.0))
     a = form.alpha

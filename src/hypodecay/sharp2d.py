@@ -11,9 +11,11 @@ with h_+-(t) = e^{-2 Re(lambda_1) t} m_+-(t) and
     A(t)    = (cosh(gamma t) - alpha^2 cos(delta t)) / (1 - alpha^2),
 
 where gamma = Re(lambda_2 - lambda_1) >= 0, delta = Im(lambda_2 - lambda_1)
-and alpha is the eigenvector overlap. The sharp multiplicative constant in
-|f(t)| <= c e^{-mu t} |f0| is c = sqrt(sup_t m_+(t)); three eigenvalue
-configurations admit it in closed form and the fourth is resolved numerically.
+and alpha is the eigenvector overlap. h_+ and h_- are the squared extreme
+singular values of e^{-Ct}; `envelope --oracle` checks them against those of
+the RK4 propagator. The sharp multiplicative constant in |f(t)| <= c e^{-mu t} |f0|
+is c = sqrt(sup_t m_+(t)): 1 for a scalar C, closed-form for equal real or
+imaginary parts, numerical otherwise.
 
 Lemma (0 < alpha < 1, gamma >= 0, delta != 0). With A_+ = (cosh(gamma t) +
 alpha^2)/(1 - alpha^2) >= A, m_+ <= M(t) = e^{-gamma t}(A_+ + sqrt(A_+^2 - 1)),
@@ -32,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Defective2D, NotPositiveStable
-from .spectral import (Canonical2DForm, SpectralData, as_complex_matrix, coincidence_tol,
-                       eigendecompose)
+from .errors import NotPositiveStable
+from .spectral import ROUNDING_RTOL, Canonical2DForm, coincidence_tol
 
 __all__ = [
     "DecayCase",
@@ -45,8 +46,6 @@ __all__ = [
     "envelope_curves",
     "sup_m_plus",
     "sector_constant",
-    "trajectory_sup_oracle",
-    "trajectory_envelope_oracle",
 ]
 
 #: alpha below which the eigenbasis counts as orthogonal and every constant is 1
@@ -114,12 +113,12 @@ def _m_plus_minus(alpha: float, gamma: float, delta: float, ts: np.ndarray):
 def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
     """Evaluate h_- and h_+ on a time grid.
 
-    Degenerates to the single exact exponential when the eigenvalues
-    coincide (the solution norm then has no transient at all).
+    Degenerates to the single exact exponential when the eigenvalues agree up
+    to rounding (C is then scalar and the solution norm has no transient).
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     lam = form.eigenvalues
-    tie = abs(lam[1] - lam[0]) <= coincidence_tol(lam)
+    tie = abs(lam[1] - lam[0]) <= coincidence_tol(lam, ROUNDING_RTOL)
     pre = np.exp(-2.0 * lam[0].real * ts)
     if tie or form.alpha < ALPHA_FLOOR:
         m_hi = np.ones_like(ts)
@@ -169,7 +168,9 @@ def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
 def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
     """Eigenvalue-configuration case split with the sharp constant for each.
 
-    Equal eigenvalues: the norm is a pure exponential, c = 1. Equal real
+    Equal eigenvalues: c = 1 when they agree up to rounding, as C is then
+    scalar; a larger split within the coincidence tolerance keeps the label
+    but takes c from the sup of m_+, reached far out in time. Equal real
     parts: c = sqrt((1 + alpha)/(1 - alpha)), reached at the first half-turn
     of the phase difference. Equal imaginary parts: c = 1/sqrt(1 - alpha^2),
     approached as t -> inf. Otherwise c comes from the numerical sup of m_+,
@@ -183,10 +184,14 @@ def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
     a = form.alpha
     kmin = (1.0 + a) / (1.0 - a)
 
-    if abs(lam[1] - lam[0]) <= tol:
-        return SharpResult2D(case=DecayCase.EQUAL_EIGENVALUES, alpha=a, c_sharp=1.0,
-                             kappa_min=kmin, bracket=(1.0, 1.0),
-                             attained="finite", attained_time=0.0)
+    gap = abs(lam[1] - lam[0])
+    if gap <= tol:
+        sup = (SupOfEnvelope(value=1.0, t_at=0.0) if gap <= coincidence_tol(lam, ROUNDING_RTOL)
+               else sup_m_plus(a, abs(form.gamma), form.delta))
+        c = float(np.sqrt(sup.value))
+        return SharpResult2D(case=DecayCase.EQUAL_EIGENVALUES, alpha=a, c_sharp=c,
+                             kappa_min=kmin, bracket=(c, c), attained_time=sup.t_at,
+                             attained="asymptotic" if sup.t_at is None else "finite")
     if a < ALPHA_FLOOR:
         # orthogonal eigenbasis: pure exponentials in every configuration
         case = (DecayCase.EQUAL_REAL_PARTS if abs(form.gamma) <= tol
@@ -251,173 +256,3 @@ def sector_constant(alpha: float, b, gamma_sector):
                        np.where(inside, _g_rayleigh(alpha, b, crit), np.inf).min(axis=0))
     out = g_end / inf_g
     return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# trajectory oracle
-# ---------------------------------------------------------------------------
-
-def _gram_coefficients(data: SpectralData, times: np.ndarray):
-    """Per-time Gram matrix M(t) = e^{-Ct}* e^{-Ct} as (a, d, off) with
-    a = M_00, d = M_11 real and off = M_01 complex. |f(t)|^2 for unit initial
-    data (cos phi, sin phi e^{i theta}) is then
-    a cos^2 + d sin^2 + 2 sin cos Re(off e^{i theta})."""
-    E = np.exp(-np.outer(times, data.eigenvalues))
-    G = np.einsum("ij,tj,kj->tik", data.right_vectors, E,
-                  data.left_vectors.conj())
-    M = np.einsum("tji,tjk->tik", G.conj(), G)
-    return M[:, 0, 0].real, M[:, 1, 1].real, M[:, 0, 1]
-
-
-def _is_even_uniform_circle(grid: np.ndarray) -> bool:
-    """Uniform circular grid with an even point count. Evenness matters: the
-    half-turn then maps the grid onto itself, so one nearest-point distance
-    serves the maximizing and the minimizing phase alike."""
-    n = len(grid)
-    if n < 2 or n % 2:
-        return False
-    ref = np.arange(n) * (2.0 * np.pi / n) + grid[0]
-    return bool(np.allclose(grid, ref, rtol=0.0, atol=1e-12))
-
-
-def _theta_gain(off, theta_grid):
-    """max over the grid of Re(off e^{i theta}), exactly, per time."""
-    step = 2.0 * np.pi / len(theta_grid)
-    target = -np.angle(off) - theta_grid[0]
-    dist = np.abs((target + step / 2.0) % step - step / 2.0)
-    return np.abs(off) * np.cos(dist)
-
-
-def _nearest_theta(target, theta_grid):
-    n = len(theta_grid)
-    step = 2.0 * np.pi / n
-    idx = np.rint((target - theta_grid[0]) / step).astype(int) % n
-    return theta_grid[idx]
-
-
-def _grid_extrema(a, d, off, phi_grid, theta_grid):
-    """Exact per-time extrema of the quadratic form over the product grid,
-    with their grid arguments (phi, theta), shape (len(a), 2) each, which
-    seed the refinement.
-
-    For an even uniform theta grid the inner theta maximum collapses to a
-    nearest-phase cosine, which reproduces the literal double loop exactly at
-    a fraction of the cost; other grids take the literal per-time route.
-    """
-    nt = len(a)
-    c = np.cos(phi_grid)
-    s = np.sin(phi_grid)
-    cross = s * c
-    core = np.outer(a, c * c) + np.outer(d, s * s)
-    arg_max = np.empty((nt, 2))
-    arg_min = np.empty((nt, 2))
-    if _is_even_uniform_circle(theta_grid):
-        mix = 2.0 * np.abs(cross)[None, :] * _theta_gain(off, theta_grid)[:, None]
-        hi = core + mix
-        lo = core - mix
-        imax = np.argmax(hi, axis=1)
-        imin = np.argmin(lo, axis=1)
-        rows = np.arange(nt)
-        psi = np.angle(off)
-        # the best theta sits nearest -psi when the phi cross-term is
-        # positive and gets a half-turn otherwise; flipped for the minimum
-        flip_max = cross[imax] < 0.0
-        flip_min = cross[imin] >= 0.0
-        arg_max[:, 0] = phi_grid[imax]
-        arg_max[:, 1] = _nearest_theta(-psi + np.where(flip_max, np.pi, 0.0),
-                                       theta_grid)
-        arg_min[:, 0] = phi_grid[imin]
-        arg_min[:, 1] = _nearest_theta(-psi + np.where(flip_min, np.pi, 0.0),
-                                       theta_grid)
-        return hi[rows, imax], lo[rows, imin], arg_max, arg_min
-    vmax = np.empty(nt)
-    vmin = np.empty(nt)
-    phase = np.exp(1j * theta_grid)
-    for i in range(nt):
-        vals = core[i][:, None] + 2.0 * np.outer(cross, (off[i] * phase).real)
-        kmax = np.unravel_index(np.argmax(vals), vals.shape)
-        kmin = np.unravel_index(np.argmin(vals), vals.shape)
-        vmax[i] = vals[kmax]
-        vmin[i] = vals[kmin]
-        arg_max[i] = phi_grid[kmax[0]], theta_grid[kmax[1]]
-        arg_min[i] = phi_grid[kmin[0]], theta_grid[kmin[1]]
-    return vmax, vmin, arg_max, arg_min
-
-
-def _compass_refine(a, d, off, phi0, theta0, sign: float, step0: float,
-                    n_iter: int = 80):
-    """Per-time local search in (phi, theta), all times advanced in lockstep.
-
-    Pure function evaluations of the trajectory norm; no eigenvalue shortcut,
-    so this stays an independent check of the closed-form envelopes.
-    """
-    def value(phi, th):
-        c = np.cos(phi)
-        s = np.sin(phi)
-        return a * c * c + d * s * s + 2.0 * s * c * (off * np.exp(1j * th)).real
-
-    phi = phi0.astype(float).copy()
-    th = theta0.astype(float).copy()
-    f = value(phi, th)
-    step = np.full_like(phi, step0)
-    for _ in range(n_iter):
-        improved = np.zeros(phi.shape, dtype=bool)
-        for dphi, dth in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            cand_phi = phi + dphi * step
-            cand_th = th + dth * step
-            fc = value(cand_phi, cand_th)
-            better = sign * (fc - f) > 0.0
-            phi = np.where(better, cand_phi, phi)
-            th = np.where(better, cand_th, th)
-            f = np.where(better, fc, f)
-            improved |= better
-        step = np.where(improved, step, 0.5 * step)
-        if np.all(step < 1e-12):
-            break
-    return f
-
-
-def trajectory_envelope_oracle(C, phi_grid, theta_grid, times,
-                               refine: bool = True):
-    """Per-time max and min of |f(t)|^2 over unit initial data.
-
-    Sweeps the (phi, theta) parameterization (cos phi, sin phi e^{i theta}) of
-    the unit sphere on the given grids; with refine=True the grid extrema seed
-    a compass search that removes the grid discretization error, which
-    otherwise dominates any comparison tighter than about 1e-4.
-    """
-    data = eigendecompose(as_complex_matrix(C))
-    if data.n != 2:
-        raise ValueError("the trajectory oracle is for 2x2 systems")
-    if data.defective:
-        raise Defective2D("defective matrix")
-    phi_grid = np.asarray(phi_grid, dtype=float)
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    a, d, off = _gram_coefficients(data, times)
-    vmax, vmin, arg_max, arg_min = _grid_extrema(a, d, off, phi_grid, theta_grid)
-    if not refine:
-        return vmax, vmin
-    step0 = max(float(np.pi / len(phi_grid)), float(np.pi / len(theta_grid)))
-    fmax = _compass_refine(a, d, off, arg_max[:, 0], arg_max[:, 1], +1.0, step0)
-    fmin = _compass_refine(a, d, off, arg_min[:, 0], arg_min[:, 1], -1.0, step0)
-    return np.maximum(vmax, fmax), np.minimum(vmin, fmin)
-
-
-def trajectory_sup_oracle(C, phi_grid, theta_grid, times,
-                          mu_tilde: float | None = None,
-                          refine: bool = True) -> float:
-    """sup over (phi, theta, t) of e^{2 mu t} |f(t)|^2 for unit initial data.
-
-    Brute-force dual route to the sharp constant: with mu_tilde at the
-    spectral gap (the default) the result converges to c_sharp^2.
-    """
-    C = as_complex_matrix(C)
-    if mu_tilde is None:
-        data = eigendecompose(C)
-        if not data.positive_stable:
-            raise NotPositiveStable("oracle default rate needs a positive stable matrix")
-        mu_tilde = data.spectral_gap
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    vmax, _ = trajectory_envelope_oracle(C, phi_grid, theta_grid, times, refine=refine)
-    return float(np.max(np.exp(2.0 * mu_tilde * times) * vmax))

@@ -38,6 +38,11 @@ CLUSTER_GAP = 1e-6
 #: spectral radius coincide; every such decision in the package asks this
 COINCIDENCE_RTOL = 1e-10
 
+#: eigenvalues within ROUNDING_RTOL of the spectral radius agree up to rounding:
+#: lambda I rebuilt through a basis of overlap up to 0.999, or turned by a
+#: unitary, splits by up to 21 ulps (measured). Only such a tie makes C scalar
+ROUNDING_RTOL = 32 * np.finfo(float).eps
+
 
 def coincidence_tol(lam, rtol: float = COINCIDENCE_RTOL) -> float:
     """rtol times the spectral radius of lam: the one scale on which eigenvalues

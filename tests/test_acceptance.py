@@ -28,12 +28,11 @@ from hypodecay import (
     rk4_oracle,
     sector_constant,
     time_grid,
-    trajectory_envelope_oracle,
-    trajectory_sup_oracle,
     upper_bound_constant,
     verify_bounds,
     verify_gt_bound,
 )
+from .sweep import trajectory_envelope_oracle, trajectory_sup_oracle
 
 W3 = np.array([[1.0, 1.0, 1.0],
                [0.0, 1.0, 1.0],

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypodecay import GT_CONSTANT, TorusField, deviation_norm, evolve
+from hypodecay import GT_CONSTANT, TorusField, deviation_norm, envelope_curves, evolve
 from hypodecay.cli import main
 
 
@@ -199,6 +199,33 @@ class TestEnvelope:
         code, _, err = run(capsys, ["envelope", m52_file, "--points", "25",
                                     "--oracle"])
         assert code == 0 and "error" not in err
+
+    @pytest.mark.parametrize("mat, t_max", [
+        ([[1.0, 2.0], [0.0, 3.0]], "10"),
+        ([[1.0 + 1.0j, 2.0], [0.5, 3.0 - 2.0j]], "10"),
+        ([[1.0 + 1.0j, 1.0], [0.0, 2.0 - 0.5j]], "50"),
+        ([[1.0, -1.0], [1.0, 0.0]], "800"),
+    ], ids=["real-distinct", "complex", "fully-distinct-t50", "equal-real-parts-t800"])
+    @pytest.mark.filterwarnings("error")
+    def test_oracle_agrees_with_rk4_singular_values(self, capsys, tmp_path, mat, t_max):
+        # h_+ = sigma_max^2 and h_- = sigma_min^2 of e^{-Ct}, out to where
+        # both underflow; a sweep over the unit sphere lost h_- here to cancellation
+        path = write_matrix(tmp_path / "m.json", mat, with_imag=True)
+        code, _, err = run(capsys, ["envelope", path, "--oracle", "--t-max", t_max])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("column", ["h_plus", "h_minus"])
+    def test_oracle_catches_a_planted_disagreement(self, capsys, monkeypatch, m52_file, column):
+        import hypodecay.cli as cli
+
+        def planted(form, times):
+            env = envelope_curves(form, times)
+            setattr(env, column, getattr(env, column) * (1.0 + 1e-6))
+            return env
+
+        monkeypatch.setattr(cli, "envelope_curves", planted)
+        code, _, err = run(capsys, ["envelope", m52_file, "--oracle"])
+        assert code == 3 and "RK4 disagrees with the envelopes" in err
 
     def test_finite_far_out(self, capsys, tmp_path):
         # gamma = 1: cosh(gamma t) overflows past t ~ 710, the envelopes must not

@@ -11,7 +11,7 @@ from hypodecay import (
     time_grid,
     verify_bounds,
 )
-from hypodecay.rate_family import FamilyBound, upper_bound_constant
+from hypodecay.rate_family import FamilyBound, lower_bound_constant, upper_bound_constant
 from .conftest import make_stable_system
 
 
@@ -69,6 +69,28 @@ class TestRK4Oracle:
             b = rk4_oracle(c, f0, ts, dt=1e-3)
             rel = np.linalg.norm(a - b, axis=1) / np.linalg.norm(a, axis=1)
             assert rel.max() < 1e-9
+
+    def test_columns_match_single_vector_calls(self):
+        rng = np.random.default_rng(31)
+        c = make_stable_system(rng, 3)
+        f0s = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        ts = np.linspace(0.0, 3.0, 7)
+        out = rk4_oracle(c, f0s, ts, dt=1e-3)
+        assert out.shape == (7, 3, 4)
+        for j in range(4):
+            assert np.allclose(out[:, :, j], rk4_oracle(c, f0s[:, j], ts, dt=1e-3),
+                               rtol=1e-14, atol=0.0)
+
+    def test_identity_columns_give_the_propagator(self):
+        c = np.array([[1.0, -1.0], [1.0, 0.0]])
+        out = rk4_oracle(c, np.eye(2), [0.0, 0.7, 2.0], dt=1e-3)
+        for t, p in zip([0.0, 0.7, 2.0], out):
+            assert np.allclose(p, expm(-t * c), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("f0", [[1.0, 0.0, 0.0], np.ones((2, 2, 2))])
+    def test_rejects_mismatched_initial_data(self, f0):
+        with pytest.raises(ValueError, match="f0 must have shape"):
+            rk4_oracle(np.eye(2), f0, [1.0])
 
     def test_requires_sorted_times(self):
         with pytest.raises(ValueError):
@@ -139,6 +161,20 @@ class TestVerifyBounds:
         norms = np.linalg.norm(exact_solution(data, [1.0, 0.0], ts), axis=1)
         assert norms[-1] == 0.0
         check = verify_bounds(ts, norms, [upper_bound_constant(form, form.mu)])
+        assert check.passed
+        assert np.all(np.isfinite(check.violations))
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_lower_bound_holds_where_only_the_norm_underflows(self):
+        # |f(t)| ~ 1e-162 at t = 248.5 is representable, but np.linalg.norm
+        # squares the entries and returns 0; the bound 0.53 e^{-1.5 t} is not 0
+        data = eigendecompose(np.array([[1.0, 3.0], [-1.0, 2.0]]))
+        form = canonical_2d_form(data)
+        ts = np.linspace(0.0, 500.0, 2001)
+        norms = np.linalg.norm(exact_solution(data, [1.0, 0.0], ts), axis=1)
+        assert norms[ts == 248.5] == 0.0
+        check = verify_bounds(ts, norms, [lower_bound_constant(form, form.nu)])
         assert check.passed
         assert np.all(np.isfinite(check.violations))
 

@@ -37,6 +37,16 @@ class TestUpperBoundConstant:
         assert consts[0] == pytest.approx(1.0, abs=1e-6)
         assert consts[-1] == pytest.approx(2.0, abs=1e-9)
 
+    def test_near_tie_of_equal_eigenvalues(self):
+        # eigenvalues 1 and 1 + 5e-11i: at the gap the distance is 5e-11, far
+        # above rounding, so beta0 = 0 and c = sqrt((1 + alpha)/(1 - alpha)) = 2
+        v = np.array([[1.0, 0.6], [0.0, 0.8]])
+        c = v @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(v)
+        form = canonical_2d_form(eigendecompose(c))
+        fb = upper_bound_constant(form, form.mu)
+        assert fb.beta0 == 0.0
+        assert fb.constant == pytest.approx(2.0, rel=1e-11)
+
     def test_out_of_range(self, form_complex_pair):
         with pytest.raises(RateOutOfRange):
             upper_bound_constant(form_complex_pair, 0.6)

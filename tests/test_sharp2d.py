@@ -14,11 +14,11 @@ from hypodecay import (
     exact_solution,
     sector_constant,
     sup_m_plus,
-    trajectory_envelope_oracle,
-    trajectory_sup_oracle,
 )
-from hypodecay.sharp2d import ALPHA_FLOOR, _grid_extrema, _gram_coefficients, _m_plus_minus
+from hypodecay.sharp2d import ALPHA_FLOOR, _m_plus_minus
 from .conftest import make_2x2_with_overlap
+from .sweep import (_grid_extrema, _gram_coefficients, trajectory_envelope_oracle,
+                    trajectory_sup_oracle)
 
 
 def _form(c):
@@ -62,6 +62,20 @@ class TestClassification:
         sampled = max(np.linalg.norm(expm(-t * shifted), 2)
                       for t in np.linspace(1e10, 3e10, 201))
         assert sampled > 1.2504
+        assert res.c_sharp >= sampled * (1.0 - 1e-12)
+
+    def test_near_tie_of_equal_eigenvalues_is_not_scalar(self):
+        # eigenvalues 1 and 1 + 5e-11i lie within the coincidence tolerance
+        # but 2.3e5 ulps apart, far above rounding: C is not scalar, and
+        # |e^{-(C - mu)t}| reaches 2 at t = pi/5e-11
+        v = np.array([[1.0, 0.6], [0.0, 0.8]])
+        c = v @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(v)
+        res = classify_and_sharp_constant(_form(c))
+        assert res.case is DecayCase.EQUAL_EIGENVALUES
+        assert res.c_sharp == pytest.approx(2.0, rel=1e-11)
+        sampled = max(np.linalg.norm(expm(-t * (c - np.eye(2))), 2)
+                      for t in np.pi / 5e-11 * np.linspace(0.999, 1.001, 21))
+        assert sampled > 1.99
         assert res.c_sharp >= sampled * (1.0 - 1e-12)
 
     def test_normal_matrix_all_constants_one(self):
@@ -144,6 +158,19 @@ class TestEnvelopes:
         m_lo, m_hi = _m_plus_minus(form.alpha, form.gamma, 0.7, ts)
         assert np.allclose(m_hi, 1.0 / (1.0 - form.alpha ** 2), rtol=1e-15, atol=0.0)
         assert np.all(m_lo == 0.0)
+
+    def test_near_tie_of_equal_eigenvalues_bends_the_envelope(self):
+        # split 5e-11i within the coincidence tolerance: the envelopes are the
+        # extreme singular values of e^{-(C - mu)t}, not the pure exponential
+        v = np.array([[1.0, 0.6], [0.0, 0.8]])
+        lam = np.array([1.0, 1.0 + 5e-11j])
+        form = _form(v @ np.diag(lam) @ np.linalg.inv(v))
+        ts = np.array([1.0, 10.0, 100.0])
+        env = envelope_curves(form, ts)
+        prop = np.einsum("ij,tj,jk->tik", v, np.exp(-np.outer(ts, lam - 1.0)), np.linalg.inv(v))
+        sv = np.linalg.svd(prop, compute_uv=False) ** 2
+        assert np.allclose(env.h_plus * np.exp(2.0 * ts), sv[:, 0], rtol=1e-12, atol=0.0)
+        assert np.allclose(env.h_minus * np.exp(2.0 * ts), sv[:, 1], rtol=1e-12, atol=0.0)
 
     def test_equal_eigenvalue_degenerate(self):
         form = _form(np.eye(2) * (1.0 + 0.5j))
