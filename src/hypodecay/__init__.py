@@ -58,7 +58,6 @@ from .lyapunov import (
 from .propagator import (
     BoundCheck,
     exact_solution,
-    propagator_matrix,
     rk4_oracle,
     time_grid,
     verify_bounds,
@@ -113,7 +112,7 @@ __all__ = [
     "FamilyBound", "FamilyEnvelope",
     "upper_bound_constant", "lower_bound_constant", "family_envelope",
     # propagation and verification
-    "BoundCheck", "exact_solution", "propagator_matrix", "rk4_oracle",
+    "BoundCheck", "exact_solution", "rk4_oracle",
     "verify_bounds", "time_grid",
     # transport model
     "TorusField", "GTModeCertificate", "GTBoundReport",

@@ -141,18 +141,22 @@ def read_matrix_file(path: str) -> np.ndarray:
     return re + 1j * im
 
 
-def _rk4_gap(C: np.ndarray, f0s, closed, times: np.ndarray, dt: float) -> float:
-    """Worst relative gap between closed-form solutions and RK4; f0s holds the
-    initial vectors as columns and closed[:, :, i] is the closed-form solution
-    from column i at the times."""
-    gap = np.linalg.norm(closed - rk4_oracle(C, f0s, times, dt=dt), axis=1)
-    return float(np.max(gap / np.maximum(np.linalg.norm(closed, axis=1), 1e-300)))
-
-
 def _time_scale(C: np.ndarray) -> float:
-    """|C|_2 / 5, at least 1: the RK4 checks step by a multiple of 1/scale,
-    which bounds h|C| whatever the size of C."""
+    """|C|_2 / 5, at least 1: the RK4 step and analyze's oracle horizon are
+    multiples of 1/scale, which bounds h|C| whatever the size of C."""
     return max(1.0, float(np.linalg.norm(C, 2)) / 5.0)
+
+
+def _rk4_propagator(C: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """RK4 propagator at the one step every --oracle uses. Its phase error grows
+    with |C| t: twice this step fails [[1, -40], [40, 2]] at t = 800."""
+    return rk4_oracle(C, np.eye(len(C)), times, dt=5e-4 / _time_scale(C))
+
+
+def _rk4_gap(C: np.ndarray, closed: np.ndarray, times: np.ndarray) -> float:
+    """Worst relative column gap between closed[i] = e^{-C t_i} and the RK4 propagator."""
+    gap = np.linalg.norm(closed - _rk4_propagator(C, times), axis=1)
+    return float(np.max(gap / np.maximum(np.linalg.norm(closed, axis=1), 1e-300)))
 
 
 def cmd_analyze(args) -> int:
@@ -210,19 +214,12 @@ def cmd_analyze(args) -> int:
         })
 
     if args.oracle:
-        rng = np.random.default_rng(args.seed)
-        f0s = [rng.normal(size=data.n) + 1j * rng.normal(size=data.n) for _ in range(3)]
-        f0s = np.stack([f0 / np.linalg.norm(f0) for f0 in f0s], axis=1)
-        scale = _time_scale(C)
-        times = np.linspace(0.0, 5.0 / scale, 11)
-        closed = np.stack([exact_solution(data, f0, times) for f0 in f0s.T], axis=-1)
-        gap = _rk4_gap(C, f0s, closed, times, 1e-3 / scale)
-        out["oracle_gap"] = gap
-        if gap > ORACLE_RTOL:
-            print(json.dumps(out, indent=2, sort_keys=True))
-            _err(f"oracle cross-check failed: relative gap {gap:.3e}")
-            return 3
+        times = np.linspace(0.0, 5.0 / _time_scale(C), 11)
+        out["oracle_gap"] = _rk4_gap(C, exact_solution(data, np.eye(data.n), times), times)
     print(json.dumps(out, indent=2, sort_keys=True))
+    if out.get("oracle_gap", 0.0) > ORACLE_RTOL:
+        _err(f"oracle cross-check failed: relative gap {out['oracle_gap']:.3e}")
+        return 3
     return 0
 
 
@@ -260,10 +257,8 @@ def cmd_envelope(args) -> int:
     if args.oracle:
         # h_+ = sigma_max(P)^2 for the RK4 propagator P(t). By Liouville
         # sigma_max sigma_min = |det P| = e^{-Re(tr C) t}, so h_- needs no
-        # sigma_min of its own, which loses the digits h_- keeps. RK4's phase
-        # error grows with |C| t, and t_max lies far past analyze's horizon:
-        # half its step takes [[1, -40], [40, 2]] at t_max 800 from 1.7e-8 to 8.5e-10.
-        P = rk4_oracle(C, np.eye(2), times, dt=5e-4 / _time_scale(C))
+        # sigma_min of its own, which loses the digits h_- keeps.
+        P = _rk4_propagator(C, times)
         top = np.linalg.norm(P, 2, axis=(1, 2))
         bottom = np.divide(np.exp(-np.trace(C).real * times), top,
                            out=np.zeros_like(top), where=top > 0.0)
@@ -316,10 +311,9 @@ def cmd_gt(args) -> int:
 
     if args.oracle:
         check_ts = np.linspace(0.0, min(args.t_max, 5.0), 11)
-        u0 = np.array([1.0 + 0.5j, -0.75j])
         for k in sorted({1, 2, args.modes}):
-            closed = _propagate(np.array([k]), u0[None, :], check_ts)[:, 0, :, None]
-            gap = _rk4_gap(mode_matrix(k), u0[:, None], closed, check_ts, 1e-4)
+            closed = _propagate(np.array([k, k]), np.eye(2), check_ts).swapaxes(1, 2)
+            gap = _rk4_gap(mode_matrix(k), closed, check_ts)
             if gap > ORACLE_RTOL:
                 _err(f"oracle cross-check failed on mode {k}: gap {gap:.3e}")
                 return 3
@@ -338,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hypodecay",
         description="decay certificates for linear ODE systems and the "
                     "two-velocity transport model")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized steps (default 0)")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--oracle", action="store_true",
                         help="cross-check results against a Runge-Kutta integrator")
 
@@ -351,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("matrix_file")
     pa.set_defaults(func=cmd_analyze)
 
-    pe = sub.add_parser("envelope", parents=[common],
+    pe = sub.add_parser("envelope", parents=[seeded, common],
                         help="decay envelopes for a 2x2 matrix file (CSV)")
     pe.add_argument("matrix_file")
     pe.add_argument("--t-max", type=_nonnegative_float, default=10.0)
@@ -362,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rate-family resolution (default 64)")
     pe.set_defaults(func=cmd_envelope)
 
-    pg = sub.add_parser("gt", parents=[common],
+    pg = sub.add_parser("gt", parents=[seeded, common],
                         help="transport-model decay check (CSV + verdict)")
     pg.add_argument("init_spec",
                     help="steady | harmonic:k | random:seed | sharp")

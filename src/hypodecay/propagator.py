@@ -16,7 +16,6 @@ from .spectral import SpectralData, as_complex_matrix
 
 __all__ = [
     "exact_solution",
-    "propagator_matrix",
     "rk4_oracle",
     "verify_bounds",
     "time_grid",
@@ -24,31 +23,30 @@ __all__ = [
 ]
 
 
-def _require_basis(data: SpectralData):
-    if data.defective:
-        raise DefectiveInput("propagation via eigenbasis needs a non-defective matrix")
+def _initial_data(f0, n: int) -> np.ndarray:
+    f0 = np.asarray(f0, dtype=complex)
+    if f0.ndim not in (1, 2) or f0.shape[0] != n:
+        raise ValueError(f"f0 must have shape ({n},) or ({n}, k), got {f0.shape}")
+    return f0
 
 
 def exact_solution(data: SpectralData, f0, times) -> np.ndarray:
-    """Solution of x' = -Cx at the requested times, shape (len(times), n).
+    """Solution of x' = -Cx at the requested times.
 
     Expands f0 in the eigenbasis, decays each coefficient with its own
     e^{-lambda_j t}, and recombines. Exact up to the accuracy of the
-    eigendecomposition.
+    eigendecomposition. f0 is one initial vector, shape (n,), or k of them
+    as columns, shape (n, k); the result has shape (len(times),) + f0.shape,
+    so f0 = I gives the propagator e^{-Ct} itself.
     """
-    _require_basis(data)
-    f0 = np.asarray(f0, dtype=complex).ravel()
+    if data.defective:
+        raise DefectiveInput("propagation via eigenbasis needs a non-defective matrix")
+    f0 = _initial_data(f0, data.n)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    coeff = data.left_vectors.conj().T @ f0
+    coeff = data.left_vectors.conj().T @ f0.reshape(data.n, -1)
     decay = np.exp(-np.outer(times, data.eigenvalues))
-    return (decay * coeff) @ data.right_vectors.T
-
-
-def propagator_matrix(data: SpectralData, t: float) -> np.ndarray:
-    """e^{-Ct} assembled from the eigendecomposition."""
-    _require_basis(data)
-    E = np.exp(-data.eigenvalues * t)
-    return (data.right_vectors * E) @ data.left_vectors.conj().T
+    rows = (decay[:, None, :] * coeff.T).reshape(-1, data.n) @ data.right_vectors.T
+    return rows.reshape(len(times), -1, data.n).swapaxes(1, 2).reshape((len(times),) + f0.shape)
 
 
 def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
@@ -59,15 +57,12 @@ def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
     polynomial R(-hC) = I - hC + (hC)^2/2 - (hC)^3/6 + (hC)^4/24, so each
     interval between requested times is a matrix power of the full step
     followed by one shortened step that lands exactly on the time.
-    f0 is one initial vector, shape (n,), or k of them as columns, shape
-    (n, k); the result has shape (len(times),) + f0.shape, so f0 = I gives
+    f0 and the result have the shapes of exact_solution's, so f0 = I gives
     the RK4 propagator itself. `times` must be finite, non-decreasing and
     >= 0, and dt must be positive.
     """
     C = as_complex_matrix(C)
-    f0 = np.asarray(f0, dtype=complex)
-    if f0.ndim not in (1, 2) or f0.shape[0] != len(C):
-        raise ValueError(f"f0 must have shape ({len(C)},) or ({len(C)}, k), got {f0.shape}")
+    f0 = _initial_data(f0, len(C))
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("need at least one non-negative time")
@@ -78,18 +73,29 @@ def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
 
     eye = np.eye(len(f0), dtype=complex)
 
-    def step(h):
+    def increment(h):
+        """R(-hC) - I; stored as I + D, a small step loses D's trailing digits."""
         z = -h * C
-        return eye + z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
+        return z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
 
-    full = step(dt)
+    def power(D, m):
+        """(I + D)^m - I, squared in the same form: (I + A)(I + B) - I = A + B + AB."""
+        P = D * (m & 1)
+        while m > 1:
+            m >>= 1
+            D = 2.0 * D + D @ D
+            if m & 1:
+                P = P + D + P @ D
+        return P
+
+    full = increment(dt)
     out = np.empty((len(times),) + f0.shape, dtype=complex)
     x = f0
     for i, gap in enumerate(np.diff(times, prepend=0.0)):
         m, rem = divmod(float(gap), dt)
-        x = np.linalg.matrix_power(full, int(m)) @ x
+        x = x + power(full, int(m)) @ x
         if rem > 1e-15:
-            x = step(rem) @ x
+            x = x + increment(rem) @ x
         out[i] = x
     return out
 

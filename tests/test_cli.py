@@ -95,6 +95,16 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["oracle_gap"] < 1e-8
 
+    def test_oracle_catches_a_planted_disagreement(self, capsys, monkeypatch, m3_file):
+        import hypodecay.cli as cli
+        from hypodecay import exact_solution
+
+        monkeypatch.setattr(cli, "exact_solution",
+                            lambda *a: exact_solution(*a) * (1.0 + 1e-6))
+        code, out, err = run(capsys, ["analyze", m3_file, "--oracle"])
+        assert code == 3 and "oracle cross-check failed" in err
+        assert json.loads(out)["oracle_gap"] > 1e-8
+
     def test_deterministic_output(self, capsys, m3_file):
         _, out1, _ = run(capsys, ["analyze", m3_file])
         _, out2, _ = run(capsys, ["analyze", m3_file])
@@ -205,7 +215,14 @@ class TestEnvelope:
         ([[1.0 + 1.0j, 2.0], [0.5, 3.0 - 2.0j]], "10"),
         ([[1.0 + 1.0j, 1.0], [0.0, 2.0 - 0.5j]], "50"),
         ([[1.0, -1.0], [1.0, 0.0]], "800"),
-    ], ids=["real-distinct", "complex", "fully-distinct-t50", "equal-real-parts-t800"])
+        # |C|_2 = 421 at t = 100 takes 1.7e7 RK4 steps; powering the stored
+        # step I + D compounds its rounding to a gap of 1.7e-8
+        (np.array([[-26.838502418306835, 251.33952017881853],
+                   [36.129105300856814, 32.058498448102945]])
+         + 1j * np.array([[161.44061368537604, -230.8187495202469],
+                          [71.32776941107899, -164.05986787346987]]), "100"),
+    ], ids=["real-distinct", "complex", "fully-distinct-t50", "equal-real-parts-t800",
+            "large-norm-t100"])
     @pytest.mark.filterwarnings("error")
     def test_oracle_agrees_with_rk4_singular_values(self, capsys, tmp_path, mat, t_max):
         # h_+ = sigma_max^2 and h_- = sigma_min^2 of e^{-Ct}, out to where
@@ -316,6 +333,21 @@ class TestGT:
                                     "--oracle"])
         assert code == 0 and err.startswith("PASS")
 
+    @pytest.mark.parametrize("modes", ["80", "127"])
+    def test_oracle_at_large_cutoffs(self, capsys, modes):
+        # the RK4 step scales with |C_k|, so the top mode on the default grid checks too
+        code, _, err = run(capsys, ["gt", "harmonic:3", "--points", "20", "--modes", modes,
+                                    "--oracle"])
+        assert code == 0 and err.startswith("PASS"), err
+
+    def test_oracle_catches_a_planted_disagreement(self, capsys, monkeypatch):
+        import hypodecay.cli as cli
+        from hypodecay.goldstein_taylor import _propagate
+
+        monkeypatch.setattr(cli, "_propagate", lambda *a: _propagate(*a) * (1.0 + 1e-6))
+        code, _, err = run(capsys, ["gt", "harmonic:3", "--points", "20", "--oracle"])
+        assert code == 3 and "oracle cross-check failed on mode 1" in err
+
     def test_deterministic(self, capsys):
         _, out1, err1 = run(capsys, ["gt", "random:11", "--points", "50"])
         _, out2, err2 = run(capsys, ["gt", "random:11", "--points", "50"])
@@ -324,9 +356,11 @@ class TestGT:
 
 class TestFlags:
     def test_flags_belong_to_one_subcommand(self, capsys, m52_file):
-        # --rates only on envelope, --tol only on gt
+        # --rates only on envelope, --tol only on gt, --seed only where
+        # something is drawn at random
         for argv, expect in (
                 (["analyze", m52_file, "--rates", "5"], 1),
+                (["analyze", m52_file, "--seed", "1"], 1),
                 (["analyze", m52_file, "--tol", "1e-9"], 1),
                 (["envelope", m52_file, "--tol", "1e-9"], 1),
                 (["gt", "steady", "--rates", "5"], 1),

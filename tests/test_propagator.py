@@ -6,7 +6,6 @@ from hypodecay import (
     canonical_2d_form,
     eigendecompose,
     exact_solution,
-    propagator_matrix,
     rk4_oracle,
     time_grid,
     verify_bounds,
@@ -38,6 +37,30 @@ class TestExactSolution:
         deriv = (sol[2] - sol[0]) / (2 * h)
         assert np.allclose(deriv, -mat_complex_pair @ sol[1], atol=1e-8)
 
+    def test_columns_match_single_vector_calls(self):
+        rng = np.random.default_rng(31)
+        data = eigendecompose(make_stable_system(rng, 3))
+        f0s = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        ts = np.linspace(0.0, 3.0, 7)
+        out = exact_solution(data, f0s, ts)
+        assert out.shape == (7, 3, 4)
+        for j in range(4):
+            assert np.allclose(out[:, :, j], exact_solution(data, f0s[:, j], ts),
+                               rtol=1e-14, atol=0.0)
+
+    def test_one_vector_is_one_column(self):
+        rng = np.random.default_rng(32)
+        data = eigendecompose(make_stable_system(rng, 3))
+        f0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        ts = np.linspace(0.0, 3.0, 7)
+        assert np.array_equal(exact_solution(data, f0, ts),
+                              exact_solution(data, f0[:, None], ts)[:, :, 0])
+
+
+def _propagator(data, t):
+    """e^{-Ct} from exact_solution with the identity as initial columns."""
+    return exact_solution(data, np.eye(data.n), [t])[0]
+
 
 class TestPropagatorMatrix:
     def test_matches_matrix_exponential(self):
@@ -46,14 +69,14 @@ class TestPropagatorMatrix:
             c = make_stable_system(rng, 3)
             data = eigendecompose(c)
             for t in (0.0, 0.3, 2.0):
-                assert np.allclose(propagator_matrix(data, t), expm(-t * c),
+                assert np.allclose(_propagator(data, t), expm(-t * c),
                                    atol=1e-11)
 
     def test_semigroup(self, mat_real_distinct):
         data = eigendecompose(mat_real_distinct)
-        g1 = propagator_matrix(data, 0.7)
-        g2 = propagator_matrix(data, 1.1)
-        assert np.allclose(g1 @ g2, propagator_matrix(data, 1.8), atol=1e-13)
+        g1 = _propagator(data, 0.7)
+        g2 = _propagator(data, 1.1)
+        assert np.allclose(g1 @ g2, _propagator(data, 1.8), atol=1e-13)
 
 
 class TestRK4Oracle:
@@ -87,10 +110,14 @@ class TestRK4Oracle:
         for t, p in zip([0.0, 0.7, 2.0], out):
             assert np.allclose(p, expm(-t * c), rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("f0", [[1.0, 0.0, 0.0], np.ones((2, 2, 2))])
+    @pytest.mark.parametrize("f0", [[1.0, 0.0, 0.0], np.ones((2, 2, 2)), np.ones((2, 2))])
     def test_rejects_mismatched_initial_data(self, f0):
+        # both routes share one shape contract; (2, 2) has n = 4 entries
+        # but is neither (4,) nor (4, k)
         with pytest.raises(ValueError, match="f0 must have shape"):
-            rk4_oracle(np.eye(2), f0, [1.0])
+            rk4_oracle(np.eye(4), f0, [1.0])
+        with pytest.raises(ValueError, match="f0 must have shape"):
+            exact_solution(eigendecompose(np.eye(4)), f0, [1.0])
 
     def test_requires_sorted_times(self):
         with pytest.raises(ValueError):
