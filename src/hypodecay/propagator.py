@@ -44,9 +44,9 @@ def exact_solution(data: SpectralData, f0, times) -> np.ndarray:
     f0 = _initial_data(f0, data.n)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     coeff = data.left_vectors.conj().T @ f0.reshape(data.n, -1)
-    decay = np.exp(-np.outer(times, data.eigenvalues))
-    rows = (decay[:, None, :] * coeff.T).reshape(-1, data.n) @ data.right_vectors.T
-    return rows.reshape(len(times), -1, data.n).swapaxes(1, 2).reshape((len(times),) + f0.shape)
+    terms = np.exp(-np.outer(times, data.eigenvalues))[:, None, :] * coeff.T
+    rows = (terms.reshape(-1, data.n) @ data.right_vectors.T).reshape(terms.shape)
+    return rows.swapaxes(1, 2).reshape((len(times),) + f0.shape)
 
 
 def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:

@@ -56,6 +56,13 @@ class TestExactSolution:
         assert np.array_equal(exact_solution(data, f0, ts),
                               exact_solution(data, f0[:, None], ts)[:, :, 0])
 
+    @pytest.mark.parametrize("f0, ts", [(np.ones(3), []), (np.eye(3), []),
+                                        (np.ones((3, 0)), [0.0, 1.0])],
+                             ids=["vector-no-times", "columns-no-times", "no-columns"])
+    def test_empty_times_or_columns_keep_the_shape(self, f0, ts):
+        data = eigendecompose(np.diag([1.0, 2.0, 3.0]))
+        assert exact_solution(data, f0, ts).shape == (len(ts),) + f0.shape
+
 
 def _propagator(data, t):
     """e^{-Ct} from exact_solution with the identity as initial columns."""
