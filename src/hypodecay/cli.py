@@ -67,21 +67,13 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither nan nor infinite."""
+def _nonnegative_float(text: str) -> float:
+    """argparse type: a finite float of at least 0."""
     try:
         value = float(text)
     except ValueError:
         value = np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    """argparse type: a finite float of at least 0."""
-    value = _finite_float(text)
-    if value < 0.0:
+    if not (np.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
@@ -367,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Fourier cutoff (default 64)")
     pg.add_argument("--grid", type=int, default=256, metavar="N",
                     help="spatial grid size (default 256)")
-    pg.add_argument("--tol", type=_finite_float, default=1e-10,
+    pg.add_argument("--tol", type=_nonnegative_float, default=1e-10,
                     help="relative slack on the sqrt(3) verdict (default 1e-10)")
     pg.set_defaults(func=cmd_gt)
     return parser

@@ -13,11 +13,15 @@ Both numerical searches share one core, `_minimize_log_cond`. It minimizes
 log lambda_max(P) - log lambda_min(P), smoothed by log-sum-exp at a
 temperature tau, with analytic gradients d lambda_i = u_i* dP u_i from one
 `eigh` per evaluation (Lewis & Overton, Acta Numerica 1996). A small numpy
-L-BFGS (`_lbfgs`: two-loop recursion, strong-Wolfe line search) runs once
-per temperature, warm-started down the continuation TAUS, and the point with
-the smallest exact kappa wins. kappa is quasiconvex on both families
-(lambda_max is convex, lambda_min concave; Braatz & Morari 1994), so one
-start suffices. The module needs numpy only.
+BFGS (`_bfgs`: dense inverse Hessian H, strong-Wolfe line search; Nocedal &
+Wright, Numerical Optimization, ch. 6) runs once per temperature down the
+continuation TAUS. Each stage starts from the point and the H the last one
+ended with; a line search that fails along -H g drops H and retries once
+along -g. The point with the smallest exact kappa wins. The O(d^2) update is
+cheap next to an evaluation for the n - 1 weights, and outweighs one for the
+2 n^2 factor entries of the admissible search above n of about 12. kappa is
+quasiconvex on both families (lambda_max is convex, lambda_min concave;
+Braatz & Morari 1994), so one start suffices. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -48,11 +52,9 @@ TAUS = 10.0 ** -np.arange(1.0, 11.0)
 #: rounding of log kappa hides from the line search
 GTOL_SCALE = 0.5
 
-#: L-BFGS iterations allowed per continuation stage
+#: BFGS iterations allowed per continuation stage; each iteration is one
+#: strong-Wolfe line search, so a stage may spend more evaluations than this
 STAGE_MAXITER = 1000
-
-#: L-BFGS memory: curvature pairs kept for the inverse-Hessian estimate
-LBFGS_MEMORY = 10
 
 #: strong-Wolfe constants: sufficient decrease and curvature
 WOLFE_C1 = 1e-4
@@ -62,15 +64,14 @@ WOLFE_C2 = 0.9
 LINESEARCH_MAXEV = 20
 
 _EPS = np.finfo(float).eps
-#: mask of the upper triangle, for the matrix form of the two-loop recursion
-_UPPER = np.triu(np.ones((LBFGS_MEMORY, LBFGS_MEMORY)))
 
 
 @dataclass
 class WeightOptimum:
     """Best weights; converged is False if any search stage ended with its
-    gradient above tolerance (no acceptable line-search step, or
-    STAGE_MAXITER reached), nfev sums the evaluations over the stages."""
+    gradient above tolerance (no acceptable line-search step along -g, after
+    one along -H g failed, or STAGE_MAXITER reached), nfev sums the
+    evaluations over the stages."""
 
     weights: np.ndarray
     kappa: float
@@ -198,42 +199,16 @@ def _wolfe_step(fun, x, f0, g0, d, step):
     return None
 
 
-def _two_loop(S: list, Y: list, g: np.ndarray) -> np.ndarray:
-    """-H g for the L-BFGS inverse Hessian H of the pairs (S[i], Y[i]),
-    oldest first, with H0 = (s.y / y.y) I from the newest pair.
+def _bfgs(fun, x, gtol: float, maxiter: int, H):
+    """Minimize fun(x) -> (value, gradient) by BFGS with the dense inverse
+    Hessian H (None: no curvature known yet), updated in place.
 
-    The two-loop recursion (Nocedal & Wright, Algorithm 7.4) in matrix form:
-    its first loop is the back substitution alpha = R^-1 S g, with R the upper
-    triangle of S Y^T, and its second the forward substitution
-    beta = R^-T (gamma Y q + (R^T - D) alpha), D = diag(S Y^T) (Byrd, Nocedal
-    & Schnabel, Math. Program. 63, 1994). A dozen small array operations
-    replace the 4k vector updates of the loops.
-    """
-    k = len(S)
-    P = np.array(S + Y)
-    G = P @ P.T
-    pg = P @ g
-    SY = G[:k, k:]
-    R = SY * _UPPER[:k, :k]
-    Rinv = np.linalg.inv(R)
-    D = SY.diagonal()
-    alpha = Rinv @ pg[:k]
-    gamma = D[-1] / G[-1, -1]
-    Yq = pg[k:] - G[k:, k:] @ alpha
-    beta = Rinv.T @ (gamma * Yq + R.T @ alpha - D * alpha)
-    r = np.concatenate([alpha - beta, -gamma * alpha]) @ P
-    r += gamma * g
-    return -r
-
-
-def _lbfgs(fun, x, gtol: float, maxiter: int):
-    """Minimize fun(x) -> (value, gradient) by L-BFGS: the two-loop
-    recursion over the last LBFGS_MEMORY curvature pairs and a strong-Wolfe
-    line search whose first trial is 1, or min(1, 1/|g|) on the
-    steepest-descent start.
-
-    Returns (x, evaluations, converged). converged means |g|_inf <= gtol;
-    a line search that finds no step, or maxiter iterations, ends the run
+    Each iteration line-searches along -H g from step 1; H starts at
+    (s.y / y.y) I on the first pair with s.y > 0 (Nocedal & Wright, eq. 6.20)
+    and takes the rank-2 update [s, Hy] M [s, Hy]^T of eq. 6.17. A line search
+    that finds no step along -H g drops H and retries once along -g, from
+    step min(1, 1/|g|). Returns (x, evaluations, converged, H). converged means
+    |g|_inf <= gtol; no step along -g, or maxiter iterations, ends the run
     without it.
     """
     nfev = 0
@@ -244,30 +219,33 @@ def _lbfgs(fun, x, gtol: float, maxiter: int):
         return fun(x)
 
     f, g = counted(x)
-    S: list = []
-    Y: list = []
     for _ in range(maxiter):
         if np.abs(g).max() <= gtol:
-            return x, nfev, True
-        if S:
-            d, step = _two_loop(S, Y, g), 1.0
-        else:
-            d, step = -g, min(1.0, 1.0 / np.linalg.norm(g))
-        found = _wolfe_step(counted, x, f, g, d, step)
+            return x, nfev, True, H
+        found = None if H is None else _wolfe_step(counted, x, f, g, -(H @ g), 1.0)
         if found is None:
-            return x, nfev, False
+            H = None
+            found = _wolfe_step(counted, x, f, g, -g, min(1.0, 1.0 / np.linalg.norm(g)))
+            if found is None:
+                return x, nfev, False, H
         x_new, f, g_new = found
         s, y = x_new - x, g_new - g
-        if s @ y > 0.0:
-            S.append(s)
-            Y.append(y)
-            del S[:-LBFGS_MEMORY], Y[:-LBFGS_MEMORY]
+        sy = float(s @ y)
+        if sy > 0.0:
+            if H is None:
+                H = (sy / float(y @ y)) * np.eye(len(x))
+            Hy = H @ y
+            rho = 1.0 / sy
+            B = np.stack([s, Hy])
+            H += B.T @ (np.array([[rho + rho * rho * float(y @ Hy), -rho], [-rho, 0.0]]) @ B)
         x, g = x_new, g_new
-    return x, nfev, bool(np.abs(g).max() <= gtol)
+    return x, nfev, bool(np.abs(g).max() <= gtol), H
 
 
 def _minimize_log_cond(evaluate, x0: np.ndarray) -> _Search:
-    """Run L-BFGS once per temperature in TAUS, each from the last result.
+    """Run BFGS once per temperature in TAUS, each stage from the point and
+    the inverse Hessian the last one ended with (none at the first stage, or
+    after a stage whose search along -H g failed and dropped it).
 
     evaluate(x, tau) returns (smoothed objective, gradient, exact kappa), the
     objective and kappa infinite outside the domain. The result is the
@@ -286,10 +264,10 @@ def _minimize_log_cond(evaluate, x0: np.ndarray) -> _Search:
             best.converged = False
         return value, grad
 
-    x = x0
+    x, H = x0, None
     for tau in TAUS:
-        x, nfev, converged = _lbfgs(lambda x: fun(x, tau), x,
-                                    GTOL_SCALE * math.sqrt(_EPS / tau), STAGE_MAXITER)
+        x, nfev, converged, H = _bfgs(lambda x: fun(x, tau), x,
+                                      GTOL_SCALE * math.sqrt(_EPS / tau), STAGE_MAXITER, H)
         best.nfev += nfev
         best.converged &= converged
     return best

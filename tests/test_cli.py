@@ -385,7 +385,8 @@ class TestFlags:
         (["envelope", "M", "--trajectories", "-2"], "--trajectories"),
         (["gt", "sharp", "--t-max", "-3"], "--t-max"),
         (["gt", "sharp", "--modes", "0"], "--modes"),
-        (["gt", "sharp", "--points", "0"], "--points")])
+        (["gt", "sharp", "--points", "0"], "--points"),
+        (["gt", "sharp", "--tol", "-1"], "--tol")])
     def test_out_of_range_values_are_malformed(self, capsys, m52_file, argv, flag):
         argv = [m52_file if a == "M" else a for a in argv]
         code, out, err = run(capsys, argv)
