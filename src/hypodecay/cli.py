@@ -33,6 +33,7 @@ from .errors import (
 from .goldstein_taylor import (
     GT_CONSTANT,
     GT_RATE,
+    GT_TOL,
     TorusField,
     _propagate,
     mode_matrix,
@@ -232,7 +233,8 @@ def cmd_envelope(args) -> int:
     fam = family_envelope(form, times, n_rates=args.rates)
 
     header = ["t", "h_minus", "h_plus", "family_upper", "family_lower"]
-    columns = [times, env.h_minus, env.h_plus, fam.upper ** 2, fam.lower ** 2]
+    with np.errstate(over="ignore"):  # a family member above the float range is inf
+        columns = [times, env.h_minus, env.h_plus, fam.upper ** 2, fam.lower ** 2]
     if args.trajectories > 0:
         rng = np.random.default_rng(args.seed)
         for i in range(args.trajectories):
@@ -359,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Fourier cutoff (default 64)")
     pg.add_argument("--grid", type=int, default=256, metavar="N",
                     help="spatial grid size (default 256)")
-    pg.add_argument("--tol", type=_nonnegative_float, default=1e-10,
-                    help="relative slack on the sqrt(3) verdict (default 1e-10)")
+    pg.add_argument("--tol", type=_nonnegative_float, default=GT_TOL,
+                    help=f"relative slack on the sqrt(3) verdict (default {GT_TOL:g})")
     pg.set_defaults(func=cmd_gt)
     return parser
 

@@ -13,15 +13,16 @@ Both numerical searches share one core, `_minimize_log_cond`. It minimizes
 log lambda_max(P) - log lambda_min(P), smoothed by log-sum-exp at a
 temperature tau, with analytic gradients d lambda_i = u_i* dP u_i from one
 `eigh` per evaluation (Lewis & Overton, Acta Numerica 1996). A small numpy
-BFGS (`_bfgs`: dense inverse Hessian H, strong-Wolfe line search; Nocedal &
-Wright, Numerical Optimization, ch. 6) runs once per temperature down the
-continuation TAUS. Each stage starts from the point and the H the last one
-ended with; a line search that fails along -H g drops H and retries once
-along -g. The point with the smallest exact kappa wins. The O(d^2) update is
-cheap next to an evaluation for the n - 1 weights, and outweighs one for the
-2 n^2 factor entries of the admissible search above n of about 12. kappa is
-quasiconvex on both families (lambda_max is convex, lambda_min concave;
-Braatz & Morari 1994), so one start suffices. The module needs numpy only.
+BFGS (`_bfgs`: dense inverse Hessian H, backtracking Armijo line search;
+Nocedal & Wright, Numerical Optimization, ch. 3 and 6) runs once per
+temperature down the continuation TAUS, each stage from the point and the H
+the last one ended with; a line search that fails along -H g drops H and
+retries once along -g. The point with the smallest exact kappa wins. The
+O(d^2) update is cheap next to an evaluation for the n - 1 weights, and
+outweighs one for the 2 n^2 factor entries of the admissible search above n
+of about 12. kappa is quasiconvex on both families (lambda_max is convex,
+lambda_min concave; Braatz & Morari 1994), so one start suffices. The
+module needs numpy only.
 """
 
 from __future__ import annotations
@@ -53,12 +54,11 @@ TAUS = 10.0 ** -np.arange(1.0, 11.0)
 GTOL_SCALE = 0.5
 
 #: BFGS iterations allowed per continuation stage; each iteration is one
-#: strong-Wolfe line search, so a stage may spend more evaluations than this
+#: backtracking line search, so a stage may spend more evaluations than this
 STAGE_MAXITER = 1000
 
-#: strong-Wolfe constants: sufficient decrease and curvature
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
+#: sufficient-decrease (Armijo) constant of the line search
+ARMIJO_C1 = 1e-4
 
 #: evaluations one line search may spend before it gives up
 LINESEARCH_MAXEV = 20
@@ -151,51 +151,26 @@ def _cubic_min(a, fa, da, b, fb, db):
     return b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
 
 
-def _wolfe_step(fun, x, f0, g0, d, step):
-    """A step along the descent direction d meeting the strong Wolfe
-    conditions, or None if LINESEARCH_MAXEV evaluations find none.
+def _backtrack(fun, x, f0, g0, d, step):
+    """A step along the descent direction d with sufficient decrease,
+    f <= f0 + ARMIJO_C1 step g0.d: (x, f, g) at the step, or None once
+    LINESEARCH_MAXEV trials fail or the step falls below the rounding of x.
 
-    Bracketing then zooming (Nocedal & Wright, Algorithms 3.5 and 3.6) in one
-    loop: lo is the best trial with sufficient decrease, hi the end of the
-    bracket once one is known. Each trial is the minimizer of the cubic
-    through the two ends, kept inside the bracket; bisection only when the
-    cubic has no minimizer, hi is infinite, or the bracket failed to shrink
-    to 2/3 over two trials (the safeguard of Moré & Thuente, ACM TOMS 1994).
-    The search also fails once the bracket is narrower than the rounding of
-    the largest entry of x. Returns (x, f, g) at the step.
+    After a rejection the next step is the minimizer of the cubic through the
+    values and slopes at 0 and at the trial, clipped to [0.1, 0.5] of the
+    trial step, or half the step if the cubic has none or the value is
+    infinite (Nocedal & Wright, section 3.5).
     """
     slope0 = float(g0 @ d)
-    lo = prev = (0.0, f0, slope0)
-    hi = floor = None
-    widths = [math.inf, math.inf]
     for _ in range(LINESEARCH_MAXEV):
         xt = x + step * d
         f, g = fun(xt)
-        slope = float(g @ d)
-        if not (f <= f0 + WOLFE_C1 * step * slope0 and f < lo[1]):
-            hi = (step, f, slope)
-        elif abs(slope) <= -WOLFE_C2 * slope0:
+        if f <= f0 + ARMIJO_C1 * step * slope0:
             return xt, f, g
-        else:
-            if slope * ((hi[0] if hi else math.inf) - step) >= 0.0:
-                hi = lo
-            prev, lo = lo, (step, f, slope)
-        if hi is None:
-            # still descending: extrapolate, 1.1 to 4 times the last advance
-            grow = lo[0] - prev[0]
-            trial = _cubic_min(*prev, *lo)
-            step = lo[0] + 4.0 * grow if not math.isfinite(trial) \
-                else min(max(trial, lo[0] + 1.1 * grow), lo[0] + 4.0 * grow)
-            continue
-        if floor is None:
-            floor = _EPS * np.abs(x).max() / np.abs(d).max()
-        width = abs(hi[0] - lo[0])
-        if width <= floor:
+        trial = _cubic_min(0.0, f0, slope0, step, f, float(g @ d)) if f < math.inf else math.nan
+        step = min(max(trial, 0.1 * step), 0.5 * step) if math.isfinite(trial) else 0.5 * step
+        if step <= _EPS * np.abs(x).max() / np.abs(d).max():
             return None
-        step = _cubic_min(*lo, *hi) if math.isfinite(hi[1]) else math.nan
-        if not min(lo[0], hi[0]) < step < max(lo[0], hi[0]) or width > 0.66 * widths[0]:
-            step = 0.5 * (lo[0] + hi[0])
-        widths = [widths[1], width]
     return None
 
 
@@ -205,11 +180,11 @@ def _bfgs(fun, x, gtol: float, maxiter: int, H):
 
     Each iteration line-searches along -H g from step 1; H starts at
     (s.y / y.y) I on the first pair with s.y > 0 (Nocedal & Wright, eq. 6.20)
-    and takes the rank-2 update [s, Hy] M [s, Hy]^T of eq. 6.17. A line search
-    that finds no step along -H g drops H and retries once along -g, from
-    step min(1, 1/|g|). Returns (x, evaluations, converged, H). converged means
-    |g|_inf <= gtol; no step along -g, or maxiter iterations, ends the run
-    without it.
+    and takes the rank-2 update [s, Hy] M [s, Hy]^T of eq. 6.17. The search
+    does not enforce s.y > 0; a pair without it skips the update, so H stays
+    positive definite. No step along -H g drops H and retries once along -g,
+    from step min(1, 1/|g|). Returns (x, evaluations, converged, H): converged
+    means |g|_inf <= gtol, which no step along -g, or maxiter, leaves unmet.
     """
     nfev = 0
 
@@ -222,10 +197,10 @@ def _bfgs(fun, x, gtol: float, maxiter: int, H):
     for _ in range(maxiter):
         if np.abs(g).max() <= gtol:
             return x, nfev, True, H
-        found = None if H is None else _wolfe_step(counted, x, f, g, -(H @ g), 1.0)
+        found = None if H is None else _backtrack(counted, x, f, g, -(H @ g), 1.0)
         if found is None:
             H = None
-            found = _wolfe_step(counted, x, f, g, -g, min(1.0, 1.0 / np.linalg.norm(g)))
+            found = _backtrack(counted, x, f, g, -g, min(1.0, 1.0 / np.linalg.norm(g)))
             if found is None:
                 return x, nfev, False, H
         x_new, f, g_new = found

@@ -29,6 +29,7 @@ __all__ = [
     "GTBoundReport",
     "GT_RATE",
     "GT_CONSTANT",
+    "GT_TOL",
     "mode_matrix",
     "mode_certificate",
     "decompose",
@@ -43,6 +44,9 @@ GT_RATE = 0.5
 
 #: uniform decay constant, sharp on the |k| = 1 modes
 GT_CONSTANT = float(np.sqrt(3.0))
+
+#: default relative slack of the sqrt(3) verdict, for the library and `gt --tol`
+GT_TOL = 1e-10
 
 #: relative slack allowed on the mass normalization int (f_plus + f_minus) = 2 pi
 MASS_RTOL = 1e-8
@@ -257,7 +261,7 @@ def deviation_norm(field: TorusField) -> float:
 
 
 def verify_gt_bound(field: TorusField, times, cutoff: int,
-                    tol: float = 1e-9) -> GTBoundReport:
+                    tol: float = GT_TOL) -> GTBoundReport:
     """Check |f(t) - f_inf| <= sqrt(3) e^{-t/2} |f0 - f_inf| along times.
 
     The deviation is evolved mode-wise in closed form and summed by

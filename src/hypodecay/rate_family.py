@@ -155,7 +155,9 @@ def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEn
     lo_c = _family(form, lo_rates, "lower")[3]
     up = _lower_envelope(up_rates, np.log(up_c), ts)
     lo = _lower_envelope(-lo_rates, -np.log(lo_c), ts)
-    return FamilyEnvelope(times=ts, upper=up_c[up] * np.exp(-up_rates[up] * ts),
-                          lower=lo_c[lo] * np.exp(-lo_rates[lo] * ts),
+    with np.errstate(over="ignore"):  # a negative rate may grow past the float range: inf
+        upper = up_c[up] * np.exp(-up_rates[up] * ts)
+        lower = lo_c[lo] * np.exp(-lo_rates[lo] * ts)
+    return FamilyEnvelope(times=ts, upper=upper, lower=lower,
                           upper_rates=up_rates, lower_rates=lo_rates,
                           upper_constants=up_c, lower_constants=lo_c)

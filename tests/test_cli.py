@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,18 @@ class TestEnvelope:
                          for line in out.strip().splitlines()[1:]])
         assert rows[-1, 0] == 800.0
         assert np.isfinite(rows).all()
+
+    def test_overflow_to_inf_is_silent(self, capsys, tmp_path):
+        # mu_s < 0: the one family member passes the float range before t = 100
+        path = write_matrix(tmp_path / "grow.json", [[1.0, 40.0], [0.0, 2.0]])
+        argv = ["envelope", path, "--rates", "1", "--t-max", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, expected, _ = run(capsys, argv)
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert (out, err) == (expected, "")
+        assert out.strip().splitlines()[-1].split(",")[3] == "inf"
 
     def test_rejects_non_2x2(self, capsys, m3_file):
         code, _, _ = run(capsys, ["envelope", m3_file])

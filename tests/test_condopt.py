@@ -75,6 +75,21 @@ class TestMinimizeKappaWeights:
                     b = opt.weights * np.exp(eps * z)
                     assert build_kappa(w, b) >= opt.kappa * (1 - 1e-10)
 
+    def test_seeded_three_dim_converges(self):
+        # perfbench's seeded_nd(default_rng(1000), 3, 0), built inline: a line
+        # search that also demands a curvature condition fails here at the
+        # rounding floor and leaves a stage unconverged
+        rng = np.random.default_rng(1000)
+        lam = np.sort(rng.uniform(0.2, 1.5, size=3)) + 1j * rng.uniform(-2.0, 2.0, size=3)
+        noise = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        v = q @ (np.eye(3) + 0.6 * noise / np.linalg.norm(noise, 2))
+        v /= np.linalg.norm(v, axis=0)
+        opt = minimize_kappa_weights(eigendecompose((v * lam) @ np.linalg.inv(v)).left_vectors)
+        assert opt.converged
+        assert opt.kappa == pytest.approx(3.42784217441905, rel=1e-10)
+
     def test_unfinished_stage_is_reported(self, triangular_w, monkeypatch):
         monkeypatch.setattr(condopt, "STAGE_MAXITER", 1)
         opt = minimize_kappa_weights(triangular_w)
@@ -210,6 +225,46 @@ class TestLbfgsCore:
             assert np.allclose(h1 @ y, s, rtol=0.0, atol=1e-12 * np.abs(s).max())
             assert np.allclose(h1, h1.T, rtol=0.0, atol=1e-15 * np.abs(h1).max())
             assert np.linalg.eigvalsh(h1)[0] > 0.0
+
+    @staticmethod
+    def _trials(fun, x0, step):
+        """The steps _backtrack tries along -g from x0, and its result."""
+        f0, g0 = fun(x0)
+        d = -g0
+        steps = []
+
+        def traced(x):
+            steps.append(float((x - x0)[0] / d[0]))
+            return fun(x)
+
+        return steps, condopt._backtrack(traced, x0, f0, g0, d, step)
+
+    def test_quadratic_second_trial_is_the_minimizer(self):
+        # the cubic through a quadratic's data is the quadratic itself
+        def fun(x):
+            return float(x @ x), 2.0 * x
+
+        steps, found = self._trials(fun, np.array([1.0, -2.0, 0.5]), 3.0)
+        assert len(steps) == 2
+        assert steps[1] == pytest.approx(0.5, rel=1e-14)
+        assert np.abs(found[0]).max() <= 1e-15
+
+    def test_small_cubic_minimizer_is_clipped(self):
+        # from step 20 the cubic's minimizer is 0.5, below 0.1 of the step
+        def fun(x):
+            return float(x @ x), 2.0 * x
+
+        steps, found = self._trials(fun, np.array([1.0]), 20.0)
+        assert steps[:2] == [20.0, 2.0]
+        assert found is not None
+
+    def test_infinite_trial_halves_the_step(self):
+        def fun(x):
+            return (float(x @ x), 2.0 * x) if np.abs(x).max() < 5.0 else (np.inf, np.zeros_like(x))
+
+        steps, found = self._trials(fun, np.array([1.0]), 20.0)
+        assert steps[:3] == [20.0, 10.0, 5.0]
+        assert found is not None
 
     def test_failed_search_along_h_retries_along_gradient(self):
         # a planted H = -I points uphill; the stage drops it and goes on along -g
