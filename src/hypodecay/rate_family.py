@@ -11,11 +11,27 @@ c2(nu_s) = 1. Both constants come from the same minimal condition number
     s = sqrt(1 - (1 - alpha^2)(1 - beta~^2)/(1 + alpha beta~)^2),
 
 where beta~ = max(-alpha, -beta0) and beta0 is the admissibility threshold of
-the off-diagonal weight at the requested rate.
+the off-diagonal weight at the requested rate. The radicand is a square,
+
+    1 - (1 - alpha^2)(1 - beta~^2)/(1 + alpha beta~)^2 = s^2,
+    s = (alpha + beta~)/(1 + alpha beta~)  in [0, alpha],
+
+so kappa_min = (1 + alpha)(1 + beta~)/((1 - alpha)(1 - beta~)), finite since
+s <= alpha < 1. Near mu_s and nu_s the ratio under the root is close to 1,
+and forming 1 - ratio first left s with half the digits: constants came out
+up to 1.8e-8 low, optimistic for an upper bound. kappa_min is evaluated from
+the product instead, with 1 + beta~ = 1 - beta0 = (1 - beta0^2)/(1 + beta0)
+when beta0 < alpha and
+
+    1 - beta0^2 = |lambda_2 - lambda_1|^2 / |lambda_1 + conj(lambda_2) - 2r|^2,
+
+so no factor cancels, not even as beta0 -> 1. At the gap (beta0 = 0)
+kappa_min is (1 + alpha)/(1 - alpha) to the last bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,38 +75,52 @@ class FamilyEnvelope:
     lower_constants: np.ndarray
 
 
+#: sqrt, maximum, minimum, where on Python floats and on arrays: the same IEEE
+#: operations, so a float rate gets the bits its entry of an array would
+_FLOAT_OPS = (math.sqrt, max, min, lambda cond, x, y: x if cond else y)
+_ARRAY_OPS = (np.sqrt, np.maximum, np.minimum, np.where)
+
+
 def _family(form: Canonical2DForm, rates, direction: str):
-    """(beta0, beta~, kappa, constant) of the direction's family, each an array
-    over rates; RateOutOfRange unless every rate lies in the family's range."""
+    """(beta0, beta~, kappa, constant) of the direction's family at rates, a
+    float or a float array: Python floats for a float, arrays for an array.
+    RateOutOfRange unless every rate lies in the family's range."""
+    scalar = isinstance(rates, float)
+    sqrt, maximum, minimum, where = _FLOAT_OPS if scalar else _ARRAY_OPS
     lo, hi = (form.mu_s, form.mu) if direction == "upper" else (form.nu, form.nu_s)
     lam = form.eigenvalues
-    rates = np.asarray(rates, dtype=float)
     tol = coincidence_tol(lam)
-    inside = (lo - tol <= rates) & (rates <= hi + tol)
-    if not inside.all():
-        raise RateOutOfRange(
-            f"rate {rates[~inside][0]} outside [{lo}, {hi}] for the {direction} family")
-    r = np.clip(rates, lo, hi)
-    num = 4.0 * (lam[0].real - r) * (lam[1].real - r)
-    dist = np.abs(lam[0] + np.conj(lam[1]) - 2.0 * r)
-    # on both ranges dist >= |lam_2 - lam_1|: the 0/0 guard fires only where the
-    # eigenvalues agree up to rounding (scalar C, c_sharp = 1) and gives c = 1
-    tie = dist <= coincidence_tol(lam, ROUNDING_RTOL)
-    beta0 = np.where(tie, 1.0, np.clip(
-        np.sqrt(np.maximum(num, 0.0) / np.where(tie, 1.0, dist) ** 2), 0.0, 1.0))
+    inside = (lo - tol <= rates) & (rates <= hi + tol)  # False for NaN
+    if not (inside if scalar else inside.all()):
+        bad = rates if scalar else rates[~inside][0]
+        raise RateOutOfRange(f"rate {bad} outside [{lo}, {hi}] for the {direction} family")
+    r = minimum(maximum(rates, lo), hi)
+    (re0, im0), (re1, im1) = ((z.real, z.imag) for z in lam.tolist())
     a = form.alpha
-    bt = np.maximum(-a, -beta0)
-    q = (1.0 - a * a) * (1.0 - bt * bt) / (1.0 + a * bt) ** 2
-    s = np.sqrt(np.maximum(1.0 - q, 0.0))
-    if np.any(s >= 1.0):
-        raise RateOutOfRange("condition number diverges at this rate")
-    kappa = (1.0 + s) / (1.0 - s)
-    return beta0, bt, kappa, np.sqrt(kappa) if direction == "upper" else 1.0 / np.sqrt(kappa)
+    dim2 = (im1 - im0) * (im1 - im0)
+    gap2 = (re1 - re0) * (re1 - re0) + dim2
+    tie_tol = coincidence_tol(lam, ROUNDING_RTOL)
+    if gap2 <= tie_tol * tie_tol:
+        # the eigenvalues agree up to rounding: C is scalar, beta0 = 1 and c = 1
+        one = 1.0 if scalar else np.ones_like(r)
+        return one, -a * one, one, one
+    d0, d1 = re0 - r, re1 - r
+    # |lam_1 + conj(lam_2) - 2r|^2 >= gap2 > 0; on both ranges d0 and d1 share
+    # a sign, so d0 + d1 does not cancel
+    dist2 = (d0 + d1) * (d0 + d1) + dim2
+    beta0 = minimum(sqrt(maximum(4.0 * d0 * d1, 0.0) / dist2), 1.0)
+    bt = maximum(-a, -beta0)
+    # where beta~ = -beta0: 1 + beta~ = (1 - beta0^2)/(1 - beta~), 1 - beta0^2 = gap2/dist2
+    kappa = where(bt > -a, (1.0 + a) * (gap2 / dist2) / ((1.0 - a) * (1.0 - bt) * (1.0 - bt)),
+                  1.0)
+    root = sqrt(kappa)
+    return beta0, bt, kappa, root if direction == "upper" else 1.0 / root
 
 
 def _member(form: Canonical2DForm, rate: float, direction: str) -> FamilyBound:
-    beta0, bt, kappa, c = (float(x[0]) for x in _family(form, [rate], direction))
-    return FamilyBound(rate=float(rate), constant=c, direction=direction,
+    rate = float(rate)
+    beta0, bt, kappa, c = _family(form, rate, direction)
+    return FamilyBound(rate=rate, constant=c, direction=direction,
                        beta0=beta0, beta_tilde=bt, kappa=kappa)
 
 

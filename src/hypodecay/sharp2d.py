@@ -30,6 +30,7 @@ is g e (e - (alpha^2 + e) m_+/(1 - alpha^2)), < 0 for gamma > 0 (m_+ > 1), 0 for
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ __all__ = [
 
 #: alpha below which the eigenbasis counts as orthogonal and every constant is 1
 ALPHA_FLOOR = 1e-14
+
+#: relative width at which the golden-section search in sup_m_plus stops
+_SEARCH_RTOL = np.finfo(float).eps ** 0.5
 
 
 class DecayCase(str, enum.Enum):
@@ -95,18 +99,21 @@ class SupOfEnvelope:
     t_at: float | None
 
 
-def _m_plus_minus(alpha: float, gamma: float, delta: float, ts: np.ndarray):
+def _m_plus_minus(alpha: float, gamma: float, delta: float, ts):
     """Both envelope factors from A~ = e A, e = e^{-gamma t}, which never
     overflows: m_+ = A~ + sqrt((A~ - e)(A~ + e)) and m_- = e^2 / m_+, with
     A~ - e = (1/2 (1 - e)^2 + 2 alpha^2 e sin^2(delta t/2)) / (1 - alpha^2)
     formed without cancellation, so small alpha and small t keep their digits.
+    A float time is evaluated in Python floats through math, an array of
+    times through numpy.
     """
+    xp = math if isinstance(ts, float) else np
     one = 1.0 - alpha * alpha
-    e = np.exp(-gamma * ts)
-    A = (0.5 * (1.0 + e * e) - alpha * alpha * e * np.cos(delta * ts)) / one
-    gap = (0.5 * np.expm1(-gamma * ts) ** 2
-           + 2.0 * alpha * alpha * e * np.sin(0.5 * delta * ts) ** 2) / one
-    m_hi = A + np.sqrt(gap * (A + e))
+    e = xp.exp(-gamma * ts)
+    A = (0.5 * (1.0 + e * e) - alpha * alpha * e * xp.cos(delta * ts)) / one
+    em, sn = xp.expm1(-gamma * ts), xp.sin(0.5 * delta * ts)
+    gap = (0.5 * (em * em) + 2.0 * alpha * alpha * e * (sn * sn)) / one
+    m_hi = A + xp.sqrt(gap * (A + e))
     return e * e / m_hi, m_hi
 
 
@@ -135,10 +142,13 @@ def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
     By the module's lemma, golden-section search over s = |delta| t in [0, pi]
     (invariant under C -> sC) finds it, down to a bracket sqrt(eps) times its
     right end; the slope of m_+ at s = pi is < 0 (0 for gamma = 0), so that end
-    needs no evaluation of its own. t_at is None within 1e-12 of the asymptote
-    1/(1 - alpha^2), which is the sup for delta = 0.
+    needs no evaluation of its own. The search runs in Python floats: each m_+
+    is a handful of math calls, not numpy calls on one-element values. t_at
+    is None within 1e-12 of the asymptote 1/(1 - alpha^2), which is the sup
+    for delta = 0.
     """
-    if not (0.0 <= alpha < 1.0 and 0.0 <= gamma < np.inf and abs(delta) < np.inf):
+    alpha, gamma, delta = float(alpha), float(gamma), float(delta)
+    if not (0.0 <= alpha < 1.0 and 0.0 <= gamma < math.inf and abs(delta) < math.inf):
         raise ValueError("need alpha in [0, 1) and finite gamma >= 0 and delta")
     if alpha < ALPHA_FLOOR:
         return SupOfEnvelope(value=1.0, t_at=0.0)
@@ -148,11 +158,11 @@ def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
     if delta == 0.0:
         return SupOfEnvelope(value=asymptote, t_at=None)
     g = gamma / abs(delta)
-    m = lambda s: float(_m_plus_minus(alpha, g, 1.0, s)[1])  # noqa: E731
+    m = lambda s: _m_plus_minus(alpha, g, 1.0, s)[1]  # noqa: E731
     inv = (5.0 ** 0.5 - 1.0) / 2.0
-    lo, hi, s1, s2 = 0.0, np.pi, np.pi - inv * np.pi, inv * np.pi
+    lo, hi, s1, s2 = 0.0, math.pi, math.pi - inv * math.pi, inv * math.pi
     m1, m2 = m(s1), m(s2)
-    while hi - lo >= np.finfo(float).eps ** 0.5 * hi:
+    while hi - lo >= _SEARCH_RTOL * hi:
         if m1 > m2:
             hi, s2, m2, s1 = s2, s1, m1, s2 - inv * (s2 - lo)
             m1 = m(s1)
@@ -188,7 +198,7 @@ def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
     if gap <= tol:
         sup = (SupOfEnvelope(value=1.0, t_at=0.0) if gap <= coincidence_tol(lam, ROUNDING_RTOL)
                else sup_m_plus(a, abs(form.gamma), form.delta))
-        c = float(np.sqrt(sup.value))
+        c = math.sqrt(sup.value)
         return SharpResult2D(case=DecayCase.EQUAL_EIGENVALUES, alpha=a, c_sharp=c,
                              kappa_min=kmin, bracket=(c, c), attained_time=sup.t_at,
                              attained="asymptotic" if sup.t_at is None else "finite")
@@ -200,22 +210,22 @@ def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
         return SharpResult2D(case=case, alpha=a, c_sharp=1.0, kappa_min=kmin,
                              bracket=(1.0, 1.0), attained="finite", attained_time=0.0)
     if abs(form.gamma) <= tol:
-        c = float(np.sqrt(kmin))
+        c = math.sqrt(kmin)
         return SharpResult2D(case=DecayCase.EQUAL_REAL_PARTS, alpha=a, c_sharp=c,
                              kappa_min=kmin, bracket=(c, c),
-                             attained="finite", attained_time=float(np.pi / abs(form.delta)))
-    lo = float(1.0 / np.sqrt(1.0 - a * a))
+                             attained="finite", attained_time=math.pi / abs(form.delta))
+    lo = 1.0 / math.sqrt(1.0 - a * a)
     sup = None if form.delta == 0.0 else sup_m_plus(a, form.gamma, form.delta)
     if abs(form.delta) <= tol and (sup is None or sup.t_at is None):
         # the sup is the delta = 0 limit, approached as t -> inf
-        c = lo if sup is None else max(lo, float(np.sqrt(sup.value)))
+        c = lo if sup is None else max(lo, math.sqrt(sup.value))
         return SharpResult2D(case=DecayCase.EQUAL_IMAGINARY_PARTS, alpha=a, c_sharp=c,
                              kappa_min=kmin, bracket=(c, c),
                              attained="asymptotic", attained_time=None)
     return SharpResult2D(
         case=DecayCase.EQUAL_IMAGINARY_PARTS if abs(form.delta) <= tol
-        else DecayCase.FULLY_DISTINCT, alpha=a, c_sharp=float(np.sqrt(sup.value)),
-        kappa_min=kmin, bracket=(lo, float(np.sqrt(kmin))),
+        else DecayCase.FULLY_DISTINCT, alpha=a, c_sharp=math.sqrt(sup.value),
+        kappa_min=kmin, bracket=(lo, math.sqrt(kmin)),
         attained="asymptotic" if sup.t_at is None else "finite", attained_time=sup.t_at,
     )
 

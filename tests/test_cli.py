@@ -89,7 +89,11 @@ class TestAnalyze:
         path = write_matrix(tmp_path / "cx.json", c, with_imag=True)
         code, out, _ = run(capsys, ["analyze", path])
         assert code == 0
-        assert json.loads(out)["n"] == 2
+        doc = json.loads(out)
+        assert doc["n"] == 2
+        # c1 at the gap is sqrt(kappa_min), the bracket's upper end, to the bit
+        assert doc["case"] == "FullyDistinct"
+        assert doc["c1_at_mu"] == doc["bracket"][1]
 
     def test_oracle_flag(self, capsys, m52_file):
         code, out, _ = run(capsys, ["analyze", m52_file, "--oracle"])

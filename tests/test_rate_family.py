@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from hypodecay import (
 )
 from hypodecay.rate_family import _lower_envelope
 
+from .conftest import make_2x2_with_overlap
+
 
 class TestUpperBoundConstant:
     def test_endpoint_at_spectral_gap(self, form_complex_pair):
@@ -27,14 +30,14 @@ class TestUpperBoundConstant:
 
     def test_endpoint_at_symmetric_rate(self, form_complex_pair):
         fb = upper_bound_constant(form_complex_pair, 0.0)
-        assert fb.constant == pytest.approx(1.0, abs=1e-7)
+        assert fb.constant == pytest.approx(1.0, abs=1e-14)
 
     def test_monotone_in_rate(self, form_real_distinct):
         form = form_real_distinct
         rates = np.linspace(form.mu_s, form.mu, 32)
         consts = [upper_bound_constant(form, r).constant for r in rates]
         assert all(a <= b + 1e-12 for a, b in zip(consts, consts[1:]))
-        assert consts[0] == pytest.approx(1.0, abs=1e-6)
+        assert consts[0] == pytest.approx(1.0, abs=1e-14)
         assert consts[-1] == pytest.approx(2.0, abs=1e-9)
 
     def test_near_tie_of_equal_eigenvalues(self):
@@ -70,17 +73,80 @@ class TestLowerBoundConstant:
         assert lower_bound_constant(form_complex_pair, 0.5).constant == \
             pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
         assert lower_bound_constant(form_complex_pair, 1.0).constant == \
-            pytest.approx(1.0, abs=1e-7)
+            pytest.approx(1.0, abs=1e-14)
 
     def test_endpoints_real_spectrum(self, form_real_distinct):
         assert lower_bound_constant(form_real_distinct, 17 / 20).constant == \
             pytest.approx(0.5, abs=1e-9)
         assert lower_bound_constant(form_real_distinct, 19 / 20).constant == \
-            pytest.approx(1.0, abs=1e-6)
+            pytest.approx(1.0, abs=1e-14)
+        form = form_real_distinct
+        assert lower_bound_constant(form, form.nu_s).constant == pytest.approx(1.0, abs=1e-14)
 
     def test_out_of_range(self, form_real_distinct):
         with pytest.raises(RateOutOfRange):
             lower_bound_constant(form_real_distinct, 0.5)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("member", [upper_bound_constant, lower_bound_constant])
+def test_non_finite_rate_is_out_of_range(member, rate, form_complex_pair):
+    with pytest.raises(RateOutOfRange):
+        member(form_complex_pair, rate)
+
+
+def _mp_constant(form, rate, direction):
+    """The family's closed form at a float rate, in 50 digits from the form's
+    float eigenvalues and alpha."""
+    with mpmath.workdps(50):
+        lo, hi = (form.mu_s, form.mu) if direction == "upper" else (form.nu, form.nu_s)
+        r = min(max(mpmath.mpf(rate), lo), hi)
+        l1, l2 = (mpmath.mpc(complex(z)) for z in form.eigenvalues)
+        a = mpmath.mpf(form.alpha)
+        beta0 = min(1, mpmath.sqrt(max(0, 4 * (l1.real - r) * (l2.real - r))
+                                   / abs(l1 + mpmath.conj(l2) - 2 * r) ** 2))
+        bt = max(-a, -beta0)
+        kappa = (1 + a) * (1 + bt) / ((1 - a) * (1 - bt))
+        return float(mpmath.sqrt(kappa) if direction == "upper" else 1 / mpmath.sqrt(kappa))
+
+
+class TestAgainstMpmath:
+    """Upper constants are never more than 4 ulp below the 50-digit value of
+    the closed form, lower constants never more than 4 ulp above it."""
+
+    @staticmethod
+    def _assert_never_optimistic(form, up_rates, lo_rates):
+        for r in up_rates:
+            exact = _mp_constant(form, r, "upper")
+            assert upper_bound_constant(form, r).constant >= exact - 4 * np.spacing(exact), r
+        for r in lo_rates:
+            exact = _mp_constant(form, r, "lower")
+            assert lower_bound_constant(form, r).constant <= exact + 4 * np.spacing(exact), r
+
+    def test_near_the_symmetric_bounds(self):
+        # 1 - (1 - alpha^2)(1 - beta~^2)/(1 + alpha beta~)^2 cancels here
+        form = canonical_2d_form(eigendecompose(np.array([[1.0, 3.0], [-1.0, 2.0]])))
+        w = 1e-6 * (form.mu - form.mu_s)
+        up = np.append(form.mu_s + np.linspace(0.0, w, 64), 0.38196601180912243)
+        self._assert_never_optimistic(form, up, form.nu_s - np.linspace(0.0, w, 64))
+
+    @pytest.mark.parametrize("fixture", ["form_complex_pair", "form_real_distinct"])
+    def test_rate_grids(self, fixture, request):
+        form = request.getfixturevalue(fixture)
+        self._assert_never_optimistic(form, np.linspace(form.mu_s, form.mu, 64),
+                                      np.linspace(form.nu, form.nu_s, 64))
+
+
+def test_gap_members_are_the_closed_form_kappa_min():
+    # beta0 = 0 at mu and at nu: c1 = sqrt((1 + alpha)/(1 - alpha)) and c2 its
+    # reciprocal to the last bit, as the bracket of classify_and_sharp_constant
+    rng = np.random.default_rng(15)
+    for k in range(48):
+        c, _, _ = make_2x2_with_overlap(rng, equal_real=k % 3 == 1, real_spectrum=k % 3 == 2)
+        form = canonical_2d_form(eigendecompose(c))
+        edge = float(np.sqrt((1.0 + form.alpha) / (1.0 - form.alpha)))
+        assert upper_bound_constant(form, form.mu).constant == edge
+        assert lower_bound_constant(form, form.nu).constant == 1.0 / edge
 
 
 class TestBoundsHold:
@@ -219,6 +285,14 @@ class TestFamilyEnvelope:
             == fam.upper_constants.tolist()
         assert [lower_bound_constant(form, r).constant for r in fam.lower_rates] \
             == fam.lower_constants.tolist()
+
+    def test_equal_eigenvalues_give_one(self):
+        # C is scalar up to rounding: every member of both families is exactly 1
+        form = _form(0.7, [0.5 + 1j, 0.5 + 1j])
+        fam = family_envelope(form, [0.0, 1.0], n_rates=8)
+        assert fam.upper_constants.tolist() == fam.lower_constants.tolist() == [1.0] * 8
+        assert upper_bound_constant(form, form.mu).constant == 1.0
+        assert lower_bound_constant(form, form.nu).constant == 1.0
 
     @pytest.mark.filterwarnings("error")
     def test_no_overflow_warning_far_below_zero_mu_s(self, form_far_below_zero):
