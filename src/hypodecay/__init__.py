@@ -70,7 +70,6 @@ from .rate_family import (
     upper_bound_constant,
 )
 from .sharp2d import (
-    DecayCase,
     EnvelopeCurve,
     SharpResult2D,
     SupOfEnvelope,
@@ -81,6 +80,7 @@ from .sharp2d import (
 )
 from .spectral import (
     Canonical2DForm,
+    DecayCase,
     SpectralData,
     StabilityReport,
     alpha_overlap,
@@ -95,7 +95,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # spectral analysis
-    "SpectralData", "StabilityReport", "Canonical2DForm",
+    "SpectralData", "StabilityReport", "Canonical2DForm", "DecayCase",
     "as_complex_matrix", "eigendecompose", "classify_stability",
     "alpha_overlap", "canonical_2d_form",
     # Lyapunov certificates
@@ -105,7 +105,7 @@ __all__ = [
     "WeightOptimum", "AdmissibleOptimum",
     "minimize_kappa_2d", "minimize_kappa_weights", "minimize_kappa_admissible",
     # sharp 2x2 constants and envelopes
-    "DecayCase", "SharpResult2D", "EnvelopeCurve", "SupOfEnvelope",
+    "SharpResult2D", "EnvelopeCurve", "SupOfEnvelope",
     "classify_and_sharp_constant", "envelope_curves", "sup_m_plus",
     "sector_constant",
     # rate families

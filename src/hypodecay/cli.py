@@ -43,7 +43,7 @@ from .lyapunov import build_weighted_p, lyapunov_residual
 from .propagator import exact_solution, rk4_oracle
 from .rate_family import family_envelope, upper_bound_constant
 from .sharp2d import classify_and_sharp_constant, envelope_curves
-from .spectral import canonical_2d_form, classify_stability, eigendecompose
+from .spectral import SpectralData, canonical_2d_form, classify_stability, eigendecompose
 
 __all__ = ["main"]
 
@@ -152,14 +152,20 @@ def _rk4_gap(C: np.ndarray, closed: np.ndarray, times: np.ndarray) -> float:
     return float(np.max(gap / np.maximum(np.linalg.norm(closed, axis=1), 1e-300)))
 
 
-def cmd_analyze(args) -> int:
-    C = read_matrix_file(args.matrix_file)
+def _certifiable(C: np.ndarray) -> SpectralData:
+    """eigendecompose(C), unless C is defective or not positive stable."""
     data = eigendecompose(C)
     if data.defective:
         raise DefectiveInput("matrix is defective; certificates need a full eigenbasis")
+    if not data.positive_stable:
+        raise NotPositiveStable(f"spectral gap is {data.spectral_gap}; no decay to certify")
+    return data
+
+
+def cmd_analyze(args) -> int:
+    C = read_matrix_file(args.matrix_file)
+    data = _certifiable(C)
     report = classify_stability(data)
-    if not report.positive_stable:
-        raise NotPositiveStable(f"spectral gap is {report.mu}; no decay to certify")
 
     out: dict = {
         "schema": SCHEMA,
@@ -220,12 +226,7 @@ def cmd_envelope(args) -> int:
     C = read_matrix_file(args.matrix_file)
     if C.shape[0] != 2:
         raise UnsupportedMatrix("envelopes are defined for 2x2 matrices only")
-    data = eigendecompose(C)
-    if data.defective:
-        raise DefectiveInput("matrix is defective")
-    report = classify_stability(data)
-    if not report.positive_stable:
-        raise NotPositiveStable(f"spectral gap is {report.mu}; no decay to certify")
+    data = _certifiable(C)
     form = canonical_2d_form(data)
 
     times = np.linspace(0.0, args.t_max, args.points)

@@ -96,11 +96,10 @@ def minimize_kappa_2d(form: Canonical2DForm) -> WeightOptimum:
     fixed at 1 - alpha^2, so the minimum sits at b = 1 with
     kappa = (1 + alpha) / (1 - alpha).
     """
-    a = form.alpha
     return WeightOptimum(
         weights=np.array([1.0, 1.0]),
-        kappa=(1.0 + a) / (1.0 - a),
-        kappa_equal=(1.0 + a) / (1.0 - a),
+        kappa=form.kappa_min,
+        kappa_equal=form.kappa_min,
         converged=True,
         nfev=0,
     )

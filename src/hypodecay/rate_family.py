@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateOutOfRange
-from .spectral import ROUNDING_RTOL, Canonical2DForm, coincidence_tol
+from .spectral import Canonical2DForm
 
 __all__ = [
     "FamilyBound",
@@ -84,26 +84,28 @@ _ARRAY_OPS = (np.sqrt, np.maximum, np.minimum, np.where)
 def _family(form: Canonical2DForm, rates, direction: str):
     """(beta0, beta~, kappa, constant) of the direction's family at rates, a
     float or a float array: Python floats for a float, arrays for an array.
-    RateOutOfRange unless every rate lies in the family's range."""
+    RateOutOfRange unless every rate lies in the family's range widened by
+    form.rounding_tol, by which mu_s and mu (nu and nu_s) of a normal C cross."""
     scalar = isinstance(rates, float)
     sqrt, maximum, minimum, where = _FLOAT_OPS if scalar else _ARRAY_OPS
     lo, hi = (form.mu_s, form.mu) if direction == "upper" else (form.nu, form.nu_s)
-    lam = form.eigenvalues
-    tol = coincidence_tol(lam)
+    tol = form.rounding_tol
     inside = (lo - tol <= rates) & (rates <= hi + tol)  # False for NaN
     if not (inside if scalar else inside.all()):
         bad = rates if scalar else rates[~inside][0]
         raise RateOutOfRange(f"rate {bad} outside [{lo}, {hi}] for the {direction} family")
     r = minimum(maximum(rates, lo), hi)
-    (re0, im0), (re1, im1) = ((z.real, z.imag) for z in lam.tolist())
     a = form.alpha
-    dim2 = (im1 - im0) * (im1 - im0)
-    gap2 = (re1 - re0) * (re1 - re0) + dim2
-    tie_tol = coincidence_tol(lam, ROUNDING_RTOL)
-    if gap2 <= tie_tol * tie_tol:
-        # the eigenvalues agree up to rounding: C is scalar, beta0 = 1 and c = 1
+    if form.scalar:  # beta0 = 1 and c = 1
         one = 1.0 if scalar else np.ones_like(r)
         return one, -a * one, one, one
+    # beta0 and kappa have degree 0 in (lambda, r): a power of two takes both to
+    # unit scale exactly, so no square below under- or overflows
+    parts = form.eigenvalues.view(float).tolist()
+    scale = 2.0 ** min(-math.frexp(max(map(abs, parts)))[1], 1000)
+    (re0, im0, re1, im1), r = (x * scale for x in parts), r * scale
+    dim2 = (im1 - im0) * (im1 - im0)
+    gap2 = (re1 - re0) * (re1 - re0) + dim2
     d0, d1 = re0 - r, re1 - r
     # |lam_1 + conj(lam_2) - 2r|^2 >= gap2 > 0; on both ranges d0 and d1 share
     # a sign, so d0 + d1 does not cancel

@@ -29,14 +29,13 @@ is g e (e - (alpha^2 + e) m_+/(1 - alpha^2)), < 0 for gamma > 0 (m_+ > 1), 0 for
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPositiveStable
-from .spectral import ROUNDING_RTOL, Canonical2DForm, coincidence_tol
+from .spectral import Canonical2DForm, DecayCase
 
 __all__ = [
     "DecayCase",
@@ -54,15 +53,6 @@ ALPHA_FLOOR = 1e-14
 
 #: relative width at which the golden-section search in sup_m_plus stops
 _SEARCH_RTOL = np.finfo(float).eps ** 0.5
-
-
-class DecayCase(str, enum.Enum):
-    """Eigenvalue configuration of a diagonalizable 2x2 system."""
-
-    EQUAL_EIGENVALUES = "EqualEigenvalues"
-    EQUAL_REAL_PARTS = "EqualRealParts"
-    EQUAL_IMAGINARY_PARTS = "EqualImaginaryParts"
-    FULLY_DISTINCT = "FullyDistinct"
 
 
 @dataclass
@@ -120,16 +110,13 @@ def _m_plus_minus(alpha: float, gamma: float, delta: float, ts):
 def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
     """Evaluate h_- and h_+ on a time grid.
 
-    Degenerates to the single exact exponential when the eigenvalues agree up
-    to rounding (C is then scalar and the solution norm has no transient).
+    Degenerates to the exact exponential for a scalar C, which has no transient.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    lam = form.eigenvalues
-    tie = abs(lam[1] - lam[0]) <= coincidence_tol(lam, ROUNDING_RTOL)
-    pre = np.exp(-2.0 * lam[0].real * ts)
-    if tie or form.alpha < ALPHA_FLOOR:
+    pre = np.exp(-2.0 * form.eigenvalues[0].real * ts)
+    if form.scalar or form.alpha < ALPHA_FLOOR:
         m_hi = np.ones_like(ts)
-        m_lo = m_hi if tie else np.exp(-2.0 * form.gamma * ts)
+        m_lo = m_hi if form.scalar else np.exp(-2.0 * form.gamma * ts)
     else:
         m_lo, m_hi = _m_plus_minus(form.alpha, form.gamma, form.delta, ts)
     return EnvelopeCurve(times=ts, h_minus=pre * m_lo, h_plus=pre * m_hi,
@@ -176,58 +163,37 @@ def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
 
 
 def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
-    """Eigenvalue-configuration case split with the sharp constant for each.
+    """The sharp constant c = sqrt(sup_t m_+) for the case the form carries.
 
-    Equal eigenvalues: c = 1 when they agree up to rounding, as C is then
-    scalar; a larger split within the coincidence tolerance keeps the label
-    but takes c from the sup of m_+, reached far out in time. Equal real
-    parts: c = sqrt((1 + alpha)/(1 - alpha)), reached at the first half-turn
-    of the phase difference. Equal imaginary parts: c = 1/sqrt(1 - alpha^2),
-    approached as t -> inf. Otherwise c comes from the numerical sup of m_+,
-    bracketed strictly between those two closed forms; so does c for
-    imaginary parts that coincide with delta != 0 where that sup is attained.
+    c = 1 for a scalar C or an orthogonal eigenbasis (alpha < ALPHA_FLOOR).
+    Equal real parts: c = sqrt(kappa_min), reached at the first half-turn of the
+    phase difference. Equal imaginary parts: c = 1/sqrt(1 - alpha^2), approached
+    as t -> inf. Equal eigenvalues that are not a rounding tie: the sup of m_+,
+    reached far out in time. Otherwise c is the numerical sup of m_+, bracketed
+    strictly between the two closed forms; so is c for coinciding imaginary
+    parts with delta != 0 where that sup is attained.
     """
-    lam = form.eigenvalues
     if form.mu <= 0.0:
         raise NotPositiveStable(f"spectral gap is not positive: mu = {form.mu}")
-    tol = coincidence_tol(lam)
-    a = form.alpha
-    kmin = (1.0 + a) / (1.0 - a)
-
-    gap = abs(lam[1] - lam[0])
-    if gap <= tol:
-        sup = (SupOfEnvelope(value=1.0, t_at=0.0) if gap <= coincidence_tol(lam, ROUNDING_RTOL)
-               else sup_m_plus(a, abs(form.gamma), form.delta))
-        c = math.sqrt(sup.value)
-        return SharpResult2D(case=DecayCase.EQUAL_EIGENVALUES, alpha=a, c_sharp=c,
-                             kappa_min=kmin, bracket=(c, c), attained_time=sup.t_at,
-                             attained="asymptotic" if sup.t_at is None else "finite")
-    if a < ALPHA_FLOOR:
-        # orthogonal eigenbasis: pure exponentials in every configuration
-        case = (DecayCase.EQUAL_REAL_PARTS if abs(form.gamma) <= tol
-                else DecayCase.EQUAL_IMAGINARY_PARTS if abs(form.delta) <= tol
-                else DecayCase.FULLY_DISTINCT)
-        return SharpResult2D(case=case, alpha=a, c_sharp=1.0, kappa_min=kmin,
-                             bracket=(1.0, 1.0), attained="finite", attained_time=0.0)
-    if abs(form.gamma) <= tol:
-        c = math.sqrt(kmin)
-        return SharpResult2D(case=DecayCase.EQUAL_REAL_PARTS, alpha=a, c_sharp=c,
-                             kappa_min=kmin, bracket=(c, c),
-                             attained="finite", attained_time=math.pi / abs(form.delta))
+    a, kmin = form.alpha, form.kappa_min
     lo = 1.0 / math.sqrt(1.0 - a * a)
-    sup = None if form.delta == 0.0 else sup_m_plus(a, form.gamma, form.delta)
-    if abs(form.delta) <= tol and (sup is None or sup.t_at is None):
+    sup, bracket = None, None  # a bracket other than (c, c) only around a numerical sup
+    if form.scalar or a < ALPHA_FLOOR:
+        sup = SupOfEnvelope(value=1.0, t_at=0.0)
+    elif form.case is DecayCase.EQUAL_REAL_PARTS:
+        sup = SupOfEnvelope(value=kmin, t_at=math.pi / abs(form.delta))
+    elif form.case is DecayCase.EQUAL_EIGENVALUES:
+        sup = sup_m_plus(a, abs(form.gamma), form.delta)
+    elif form.delta != 0.0:
+        sup, bracket = sup_m_plus(a, form.gamma, form.delta), (lo, math.sqrt(kmin))
+    c = lo if sup is None else math.sqrt(sup.value)
+    t_at = None if sup is None else sup.t_at
+    if form.case is DecayCase.EQUAL_IMAGINARY_PARTS and t_at is None:
         # the sup is the delta = 0 limit, approached as t -> inf
-        c = lo if sup is None else max(lo, math.sqrt(sup.value))
-        return SharpResult2D(case=DecayCase.EQUAL_IMAGINARY_PARTS, alpha=a, c_sharp=c,
-                             kappa_min=kmin, bracket=(c, c),
-                             attained="asymptotic", attained_time=None)
-    return SharpResult2D(
-        case=DecayCase.EQUAL_IMAGINARY_PARTS if abs(form.delta) <= tol
-        else DecayCase.FULLY_DISTINCT, alpha=a, c_sharp=math.sqrt(sup.value),
-        kappa_min=kmin, bracket=(lo, math.sqrt(kmin)),
-        attained="asymptotic" if sup.t_at is None else "finite", attained_time=sup.t_at,
-    )
+        c, bracket = max(lo, c), None
+    return SharpResult2D(case=form.case, alpha=a, c_sharp=c, kappa_min=kmin,
+                         bracket=bracket or (c, c), attained_time=t_at,
+                         attained="asymptotic" if t_at is None else "finite")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ the inverse of the right-eigenvector matrix is exactly W*.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "SpectralData",
     "StabilityReport",
     "Canonical2DForm",
+    "DecayCase",
     "as_complex_matrix",
     "eigendecompose",
     "classify_stability",
@@ -210,6 +212,15 @@ def alpha_overlap(v1, v2) -> float:
     return float(min(a, 1.0))
 
 
+class DecayCase(str, enum.Enum):
+    """Eigenvalue configuration of a diagonalizable 2x2 system."""
+
+    EQUAL_EIGENVALUES = "EqualEigenvalues"
+    EQUAL_REAL_PARTS = "EqualRealParts"
+    EQUAL_IMAGINARY_PARTS = "EqualImaginaryParts"
+    FULLY_DISTINCT = "FullyDistinct"
+
+
 @dataclass
 class Canonical2DForm:
     """Unitarily transformed 2x2 system with a normalized eigenbasis of C*.
@@ -218,6 +229,8 @@ class Canonical2DForm:
     w2 = (alpha, sqrt(1 - alpha^2)) with alpha in [0, 1); eigenvalues, Euclidean
     norms of solutions, and every constant computed downstream are unchanged.
     mu_s and nu_s are the extreme eigenvalues of the Hermitian part of matrix.
+    The form carries the one regime decision: case, rounding_tol (ROUNDING_RTOL
+    times the spectral radius) and scalar (the eigenvalues agree within it).
     """
 
     alpha: float
@@ -228,6 +241,9 @@ class Canonical2DForm:
     matrix: np.ndarray
     mu_s: float
     nu_s: float
+    case: DecayCase
+    scalar: bool
+    rounding_tol: float
 
     @property
     def mu(self) -> float:
@@ -247,6 +263,11 @@ class Canonical2DForm:
     def delta(self) -> float:
         """Imaginary-part spread Im(lambda_2 - lambda_1)."""
         return float((self.eigenvalues[1] - self.eigenvalues[0]).imag)
+
+    @property
+    def kappa_min(self) -> float:
+        """(1 + alpha)/(1 - alpha): the least kappa of a Lyapunov matrix."""
+        return (1.0 + self.alpha) / (1.0 - self.alpha)
 
 
 def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
@@ -277,6 +298,14 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     U = np.vstack([e1.conj(), e2.conj()])
     C = U @ data.matrix @ U.conj().T
     herm = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
+    radius = float(np.abs(data.eigenvalues).max())
+    tol, rounding_tol = COINCIDENCE_RTOL * radius, ROUNDING_RTOL * radius
+    spread = data.eigenvalues[1] - data.eigenvalues[0]
+    gap = abs(spread)
+    case = (DecayCase.EQUAL_EIGENVALUES if gap <= tol
+            else DecayCase.EQUAL_REAL_PARTS if abs(spread.real) <= tol
+            else DecayCase.EQUAL_IMAGINARY_PARTS if abs(spread.imag) <= tol
+            else DecayCase.FULLY_DISTINCT)
     return Canonical2DForm(
         alpha=float(alpha),
         unitary=U,
@@ -286,4 +315,7 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
         matrix=C,
         mu_s=float(herm[0]),
         nu_s=float(herm[-1]),
+        case=case,
+        scalar=bool(gap <= rounding_tol),
+        rounding_tol=rounding_tol,
     )

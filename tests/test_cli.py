@@ -276,6 +276,14 @@ class TestEnvelope:
         code, _, _ = run(capsys, ["envelope", m3_file])
         assert code == 2
 
+    @pytest.mark.parametrize("mat", [[[1.0, 1.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]])
+    def test_rejects_what_analyze_rejects(self, capsys, tmp_path, mat):
+        # a defective or unstable C gets the same exit code and message from both
+        path = write_matrix(tmp_path / "m.json", mat)
+        code, _, err = run(capsys, ["envelope", path])
+        assert code == 2 and err.startswith("error:")
+        assert (code, err) == run(capsys, ["analyze", path])[::2]
+
     def test_deterministic(self, capsys, m52_file):
         _, out1, _ = run(capsys, ["envelope", m52_file, "--points", "30",
                                   "--trajectories", "2", "--seed", "7"])

@@ -58,7 +58,8 @@ class TestUpperBoundConstant:
 
 
 class TestTimeRescaling:
-    @pytest.mark.parametrize("s", [1e-16, 1e-12, 1.0, 1e6])
+    # squares of the eigenvalues under- and overflow at 1e-170 and 1e160
+    @pytest.mark.parametrize("s", [1e-170, 1e-16, 1e-12, 1.0, 1e6, 1e160])
     def test_range_scales_with_c(self, s, mat_complex_pair):
         form = canonical_2d_form(eigendecompose(s * mat_complex_pair))
         with pytest.raises(RateOutOfRange):
@@ -86,6 +87,36 @@ class TestLowerBoundConstant:
     def test_out_of_range(self, form_real_distinct):
         with pytest.raises(RateOutOfRange):
             lower_bound_constant(form_real_distinct, 0.5)
+
+
+class TestRangeSlack:
+    """A rate is accepted within rounding of its family's range and no further:
+    a member beyond the range end would keep the constant of the end."""
+
+    def test_just_beyond_the_range_is_out(self, form_complex_pair):
+        form = form_complex_pair
+        rho = float(np.abs(form.eigenvalues).max())
+        with pytest.raises(RateOutOfRange):
+            upper_bound_constant(form, form.mu + 1e-12 * rho)
+        with pytest.raises(RateOutOfRange):
+            lower_bound_constant(form, form.nu - 1e-12 * rho)
+
+    def test_normal_matrices_keep_their_families(self):
+        # mu_s and mu (nu and nu_s) of a normal C agree, but come from two
+        # routes and cross by rounding
+        rng = np.random.default_rng(1)
+        crossed = 0
+        for _ in range(20):
+            lam = rng.uniform(0.1, 2.0, 2) + 1j * rng.uniform(-2.0, 2.0, 2)
+            q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            form = canonical_2d_form(eigendecompose(q @ np.diag(lam) @ q.conj().T))
+            crossed += form.mu_s > form.mu or form.nu > form.nu_s
+            fam = family_envelope(form, [0.0, 1.0], n_rates=8)
+            assert np.allclose(fam.upper_constants, 1.0, rtol=0.0, atol=1e-12)
+            assert np.allclose(fam.lower_constants, 1.0, rtol=0.0, atol=1e-12)
+            assert upper_bound_constant(form, form.mu).constant == pytest.approx(1.0, abs=1e-12)
+            assert lower_bound_constant(form, form.nu).constant == pytest.approx(1.0, abs=1e-12)
+        assert crossed > 0
 
 
 @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])

@@ -209,3 +209,51 @@ class TestCoincidence:
         # whichever comes first, mu is the smallest real part
         mu = data.eigenvalues.real.min()
         assert data.spectral_gap == classify_stability(data).mu == form.mu == mu
+
+
+def _unitary(rng):
+    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+
+
+#: (case, scalar) -> lambda_2 - lambda_1 in units of |lambda_1|, from a size d
+#: and an angle phi off both axes
+_SPLITS = {
+    (DecayCase.EQUAL_EIGENVALUES, True): lambda d, phi: 0.0,
+    (DecayCase.EQUAL_EIGENVALUES, False): lambda d, phi: 1e-12 * np.exp(1j * phi),
+    (DecayCase.EQUAL_REAL_PARTS, False): lambda d, phi: 1j * d,
+    (DecayCase.EQUAL_IMAGINARY_PARTS, False): lambda d, phi: d,
+    (DecayCase.FULLY_DISTINCT, False): lambda d, phi: d * np.exp(1j * phi),
+}
+
+
+class TestRegimeDecision:
+    """canonical_2d_form decides the regime once: the case and the scalar tie
+    do not move under C -> sC or unitary similarity, and the sharp constant is
+    taken for the case the form carries."""
+
+    def test_case_enum_has_one_home(self):
+        from hypodecay import sharp2d, spectral
+
+        assert sharp2d.DecayCase is spectral.DecayCase is DecayCase
+
+    @given(regime=st.sampled_from(list(_SPLITS)),
+           alpha=st.floats(0.0, 0.95),
+           re=st.floats(0.1, 2.0),
+           im=st.floats(-2.0, 2.0),
+           d=st.floats(1e-3, 3.0),
+           phi=st.floats(0.1, np.pi / 2 - 0.1),
+           log_s=st.floats(-12.0, 6.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_under_rescaling_and_unitary_similarity(
+            self, regime, alpha, re, im, d, phi, log_s, seed):
+        lam0 = re + 1j * im
+        lam = np.array([lam0, lam0 + abs(lam0) * _SPLITS[regime](d, phi)])
+        rng = np.random.default_rng(seed)
+        v = _unitary(rng) @ np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]])
+        c = v @ np.diag(lam) @ np.linalg.inv(v)
+        q = _unitary(rng)
+        for other in (c, 1e-12 * c, 10.0 ** log_s * c, 1e6 * c, q @ c @ q.conj().T):
+            form = canonical_2d_form(eigendecompose(other))
+            assert (form.case, form.scalar) == regime
+            assert classify_and_sharp_constant(form).case is form.case
