@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -101,10 +102,10 @@ class TestAnalyze:
         assert json.loads(out)["oracle_gap"] < 1e-8
 
     def test_oracle_catches_a_planted_disagreement(self, capsys, monkeypatch, m3_file):
-        import hypodecay.cli as cli
+        import hypodecay.propagator
         from hypodecay import exact_solution
 
-        monkeypatch.setattr(cli, "exact_solution",
+        monkeypatch.setattr(hypodecay.propagator, "exact_solution",
                             lambda *a: exact_solution(*a) * (1.0 + 1e-6))
         code, out, err = run(capsys, ["analyze", m3_file, "--oracle"])
         assert code == 3 and "oracle cross-check failed" in err
@@ -168,6 +169,14 @@ class TestAnalyzeErrors:
         path = write_matrix(tmp_path / "uns.json", np.diag([-1.0, 1.0]))
         code, _, _ = run(capsys, ["analyze", path])
         assert code == 2
+
+    def test_certificate_beyond_the_float_range(self, capsys, tmp_path):
+        # at subnormal scale the attainment time pi/|delta| overflows to inf,
+        # which strict JSON cannot carry
+        path = write_matrix(tmp_path / "sub.json", 1e-310 * np.array([[1.0, -1.0], [1.0, 0.0]]))
+        code, out, err = run(capsys, ["analyze", path])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "float range" in err
 
     def test_usage_error(self, capsys):
         assert main([]) == 1
@@ -238,14 +247,14 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("column", ["h_plus", "h_minus"])
     def test_oracle_catches_a_planted_disagreement(self, capsys, monkeypatch, m52_file, column):
-        import hypodecay.cli as cli
+        import hypodecay.sharp2d
 
         def planted(form, times):
             env = envelope_curves(form, times)
             setattr(env, column, getattr(env, column) * (1.0 + 1e-6))
             return env
 
-        monkeypatch.setattr(cli, "envelope_curves", planted)
+        monkeypatch.setattr(hypodecay.sharp2d, "envelope_curves", planted)
         code, _, err = run(capsys, ["envelope", m52_file, "--oracle"])
         assert code == 3 and "RK4 disagrees with the envelopes" in err
 
@@ -366,12 +375,32 @@ class TestGT:
         assert code == 0 and err.startswith("PASS"), err
 
     def test_oracle_catches_a_planted_disagreement(self, capsys, monkeypatch):
-        import hypodecay.cli as cli
+        import hypodecay.goldstein_taylor
         from hypodecay.goldstein_taylor import _propagate
 
-        monkeypatch.setattr(cli, "_propagate", lambda *a: _propagate(*a) * (1.0 + 1e-6))
+        monkeypatch.setattr(hypodecay.goldstein_taylor, "_propagate",
+                            lambda *a: _propagate(*a) * (1.0 + 1e-6))
         code, _, err = run(capsys, ["gt", "harmonic:3", "--points", "20", "--oracle"])
         assert code == 3 and "oracle cross-check failed on mode 1" in err
+
+    def test_oracle_catches_a_planted_deviation_form_error(self, capsys, monkeypatch):
+        # the verdict's own sum of squares, not only the propagator, meets RK4
+        import hypodecay.goldstein_taylor
+        from hypodecay.goldstein_taylor import _propagated_norm_sq
+
+        monkeypatch.setattr(hypodecay.goldstein_taylor, "_propagated_norm_sq",
+                            lambda *a: _propagated_norm_sq(*a) * (1.0 + 1e-6))
+        code, _, err = run(capsys, ["gt", "harmonic:3", "--points", "20", "--oracle"])
+        assert code == 3 and "oracle cross-check failed on mode 1" in err
+        gaps = dict(re.findall(r"(propagator|deviation form) gap (\S+?),?\s", err))
+        assert float(gaps["deviation form"]) == pytest.approx(1e-6, rel=1e-3)
+        assert float(gaps["propagator"]) < 1e-8
+
+    def test_help_states_the_default_slack(self, capsys):
+        from hypodecay.goldstein_taylor import GT_TOL
+
+        assert main(["gt", "--help"]) == 0
+        assert f"(default {GT_TOL:g})" in " ".join(capsys.readouterr().out.split())
 
     def test_deterministic(self, capsys):
         _, out1, err1 = run(capsys, ["gt", "random:11", "--points", "50"])
@@ -460,3 +489,33 @@ print("done")
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["blocked", "done"]
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["gt", "sharp"], {"condopt", "sharp2d", "rate_family", "propagator",
+                           "lyapunov", "spectral"}),
+        (["gt", "harmonic:3", "--oracle"], {"condopt", "sharp2d", "rate_family"}),
+        (["analyze", "M3"], {"goldstein_taylor", "sharp2d", "rate_family", "propagator"}),
+        (["envelope", "M2"], {"goldstein_taylor", "condopt", "lyapunov", "propagator"}),
+    ], ids=["gt", "gt-oracle", "analyze-3x3", "envelope"])
+    def test_a_command_loads_only_its_modules(self, tmp_path, mat_complex_pair,
+                                              mat_triangular, argv, absent):
+        files = {"M2": write_matrix(tmp_path / "m2.json", mat_complex_pair),
+                 "M3": write_matrix(tmp_path / "m3.json", mat_triangular)}
+        argv = [files.get(a, a) for a in argv]
+        script = f"""
+import contextlib, io, json, sys
+import hypodecay
+assert "numpy" not in sys.modules
+from hypodecay import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main({argv!r}) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {m.removeprefix("hypodecay.") for m in json.loads(proc.stdout)
+                  if m.startswith("hypodecay.")}
+        assert "cli" in loaded and not loaded & absent, sorted(loaded)

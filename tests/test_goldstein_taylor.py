@@ -20,6 +20,7 @@ from hypodecay import (
     rk4_oracle,
     verify_gt_bound,
 )
+from hypodecay.goldstein_taylor import _propagate, _propagated_norm_sq
 
 
 class TestTorusField:
@@ -158,6 +159,21 @@ class TestEvolve:
         d1 = deviation_norm(evolve(field, 1.0, 63))
         d2 = deviation_norm(evolve(field, 1.0 + period, 63))
         assert d2 / d1 == pytest.approx(np.exp(-period / 2), rel=1e-11)
+
+
+class TestDeviationForm:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 127), st.booleans(),
+           st.lists(st.floats(0.0, 200.0), min_size=1, max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_parseval_sum_of_propagated_modes(self, seed, cutoff, q_only, times):
+        ks, u = decompose(TorusField.random_field(seed, 256, n_modes=127), cutoff)
+        d = np.zeros_like(u)
+        d[ks == 0, 1] = u[ks == 0, 1]
+        if not q_only:
+            d[ks != 0] = u[ks != 0]
+        ts = np.array(times)
+        parseval = (np.abs(_propagate(ks, d, ts)) ** 2).sum(axis=(1, 2))
+        assert np.allclose(_propagated_norm_sq(ks, d, ts), parseval, rtol=1e-14, atol=0.0)
 
 
 class TestVerifyGTBound:
