@@ -6,9 +6,10 @@ Three subcommands cover the workflow end to end:
     hypodecay envelope MATRIX.json       decay envelopes as CSV (2x2 only)
     hypodecay gt INIT_SPEC               transport-model decay check as CSV
 
-Exit codes: 0 success, 1 malformed input, 2 unsupported matrix (defective,
-not positive stable, larger than 16x16, or with a certificate outside the
-float range), 3 verification failure.
+Exit codes: 0 success, 1 malformed input, 2 unsupported matrix (defective
+or, for a 2x2, within rounding of a Jordan block, not positive stable, larger
+than 16x16, or with a certificate outside the float range), 3 verification
+failure.
 All output is deterministic for fixed inputs and seed.
 
 Each command imports the library modules it uses when it runs, so a process

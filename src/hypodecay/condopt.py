@@ -12,7 +12,7 @@ Three searches of increasing generality:
 Both numerical searches share one core, `_minimize_log_cond`. It minimizes
 log lambda_max(P) - log lambda_min(P), smoothed by log-sum-exp at a
 temperature tau, with analytic gradients d lambda_i = u_i* dP u_i from one
-`eigh` per evaluation (Lewis & Overton, Acta Numerica 1996). A small numpy
+`eigh` per evaluated point (Lewis & Overton, Acta Numerica 1996). A small numpy
 BFGS (`_bfgs`: dense inverse Hessian H, backtracking Armijo line search;
 Nocedal & Wright, Numerical Optimization, ch. 3 and 6) runs once per
 temperature down the continuation TAUS, each stage from the point and the H
@@ -112,23 +112,31 @@ def _kappa_of_weights(W: np.ndarray, b: np.ndarray) -> float:
     return float(ev[-1] / ev[0])
 
 
-def _smoothed_log_cond(P: np.ndarray, tau: float):
-    """(value, U, g, kappa): the tau-smoothed log kappa of Hermitian P, its
-    gradient U diag(g) U* with respect to P, and the exact kappa.
+def _smoothed_log_cond(P: np.ndarray, x: np.ndarray, gradient):
+    """tau -> (value, grad, kappa) at the point x, from one eigh of its
+    Hermitian P: the tau-smoothed log kappa of P, its gradient in x and the
+    exact kappa.
 
-    Log-sum-exp of the log-eigenvalues from above and from below; value is
-    infinite (and g None) unless P is positive definite.
+    Log-sum-exp of the log-eigenvalues from above and from below, whose
+    gradient with respect to P is U diag(g) U*. gradient(U) returns the map
+    from g to the gradient in x, so its part free of tau runs once for every
+    temperature. The value is infinite and the gradient zero unless P is
+    positive definite.
     """
     lam, U = np.linalg.eigh(P)
     if lam[0] <= 0.0:
-        return np.inf, None, None, np.inf
+        return lambda tau: (np.inf, np.zeros_like(x), np.inf)
     ell = np.log(lam)
-    hi = np.exp((ell - ell[-1]) / tau)
-    lo = np.exp((ell[0] - ell) / tau)
-    hi_sum, lo_sum = hi.sum(), lo.sum()
-    value = ell[-1] - ell[0] + tau * (math.log(hi_sum) + math.log(lo_sum))
-    g = (hi / hi_sum - lo / lo_sum) / lam
-    return value, U, g, float(lam[-1] / lam[0])
+    kappa = float(lam[-1] / lam[0])
+    to_x = gradient(U)
+
+    def at(tau):
+        hi = np.exp((ell - ell[-1]) / tau)
+        lo = np.exp((ell[0] - ell) / tau)
+        hi_sum, lo_sum = hi.sum(), lo.sum()
+        value = ell[-1] - ell[0] + tau * (math.log(hi_sum) + math.log(lo_sum))
+        return value, to_x((hi / hi_sum - lo / lo_sum) / lam), kappa
+    return at
 
 
 @dataclass
@@ -221,17 +229,28 @@ def _minimize_log_cond(evaluate, x0: np.ndarray) -> _Search:
     the inverse Hessian the last one ended with (none at the first stage, or
     after a stage whose search along -H g failed and dropped it).
 
-    evaluate(x, tau) returns (smoothed objective, gradient, exact kappa), the
-    objective and kappa infinite outside the domain. The result is the
-    evaluated point with the smallest exact kappa. A stage that ends without
-    reaching its gradient tolerance clears converged, and so does any
-    infinite objective: the search met the edge of the domain, where the
-    smoothed objective no longer describes kappa.
+    evaluate(x) returns the point's objective as a function of tau, which
+    returns (smoothed objective, gradient, exact kappa), the objective and
+    kappa infinite outside the domain. Each stage starts where the last one
+    ended, at a point evaluated already when that stage ended on its last
+    evaluation; the function of the last evaluated point is kept, so such a
+    start re-smooths it at the new tau and runs no second eigh. It still
+    counts as an evaluation. The result is the evaluated point with the
+    smallest exact kappa. A stage that ends without reaching its gradient
+    tolerance clears converged, and so does any infinite objective: the
+    search met the edge of the domain, where the smoothed objective no
+    longer describes kappa.
     """
     best = _Search(x=x0, kappa=np.inf, nfev=0, converged=True)
+    last = None  # (x, its objective) of the last evaluated point
 
     def fun(x, tau):
-        value, grad, kappa = evaluate(x, tau)
+        nonlocal last
+        # a stage returns the very array it evaluated, and no x is written in
+        # place, so the same object is the same point
+        if last is None or x is not last[0]:
+            last = x, evaluate(x)
+        value, grad, kappa = last[1](tau)
         if kappa < best.kappa:
             best.x, best.kappa = x.copy(), kappa
         if not math.isfinite(value):
@@ -264,14 +283,14 @@ def minimize_kappa_weights(W) -> WeightOptimum:
 
     Wh = W.conj().T
 
-    def evaluate(x, tau):
+    def evaluate(x):
         b = np.concatenate([[1.0], np.exp(x)])
-        value, U, g, kappa = _smoothed_log_cond((W * b) @ Wh, tau)
-        if g is None:
-            return value, np.zeros_like(x), kappa
-        # dP/dx_j = b_j w_j w_j*, so the derivative is b_j sum_i |w_j* u_i|^2 g_i
-        grad = b * (np.abs(Wh @ U) ** 2 @ g)
-        return value, grad[1:], kappa
+
+        def gradient(U):
+            # dP/dx_j = b_j w_j w_j*, so the derivative is b_j sum_i |w_j* u_i|^2 g_i
+            overlaps = np.abs(Wh @ U) ** 2
+            return lambda g: (b * (overlaps @ g))[1:]
+        return _smoothed_log_cond((W * b) @ Wh, x, gradient)
 
     found = _minimize_log_cond(evaluate, np.zeros(n - 1))
     if not np.isfinite(found.kappa) or found.kappa > equal * (1.0 + 1e-9):
@@ -342,23 +361,25 @@ def minimize_kappa_admissible(C, mu: float, seed_P) -> AdmissibleOptimum:
     ez, uz = np.linalg.eigh((Z + Z.conj().T) / 2.0)
     G0 = uz * np.sqrt(np.maximum(ez, 0.0))
 
+    def pack(G):
+        return np.concatenate([G.real.ravel(), G.imag.ravel()])
+
     def unpack(x):
         return x[:n * n].reshape(n, n) + 1j * x[n * n:].reshape(n, n)
 
     def P_of(G):
         return W @ ((G @ G.conj().T) * kinv) @ Wh
 
-    def evaluate(x, tau):
+    def evaluate(x):
         G = unpack(x)
-        value, U, g, kappa = _smoothed_log_cond(P_of(G), tau)
-        if g is None:
-            return value, np.zeros_like(x), kappa
-        # d value = Re tr(B dX) with B = W* U diag(g) U* W and dX = (dG G* + G dG*) o Kinv
-        B = Wh @ ((U * g) @ U.conj().T) @ W
-        D = 2.0 * (B * kinv_t) @ G
-        return value, np.concatenate([D.real.ravel(), D.imag.ravel()]), kappa
 
-    found = _minimize_log_cond(evaluate, np.concatenate([G0.real.ravel(), G0.imag.ravel()]))
+        def gradient(U):
+            Uh = U.conj().T
+            # d value = Re tr(B dX) with B = W* U diag(g) U* W and dX = (dG G* + G dG*) o Kinv
+            return lambda g: pack(2.0 * ((Wh @ ((U * g) @ Uh) @ W) * kinv_t) @ G)
+        return _smoothed_log_cond(P_of(G), x, gradient)
+
+    found = _minimize_log_cond(evaluate, pack(G0))
     P = P_of(unpack(found.x))
     P = (P + P.conj().T) * (n / (2.0 * np.trace(P).real))
     best = LyapunovMatrix(matrix=P)

@@ -71,7 +71,7 @@ def build_weighted_p(data: SpectralData, weights) -> LyapunovMatrix:
     b = np.asarray(weights, dtype=float).ravel()
     if len(b) != data.n:
         raise ValueError(f"expected {data.n} weights, got {len(b)}")
-    if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
+    if (b <= 0.0).any() or not np.isfinite(b).all():
         raise ValueError("weights must be positive and finite")
     W = data.left_vectors
     P = (W * b) @ W.conj().T
@@ -110,7 +110,8 @@ def certificate_from_p(C, P, rate: float) -> LyapunovCertificate:
     """Certify P at the requested rate and package the resulting estimate.
 
     The admissibility check allows a small negative residual proportional to
-    |C| |P|, the rounding floor of eigvalsh, and rejects a NaN residual.
+    |C| |P|, the rounding floor of eigvalsh, and rejects a NaN residual. |C|
+    is needed only for a residual that is not already >= 0.
     """
     if not np.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate!r}")
@@ -118,13 +119,14 @@ def certificate_from_p(C, P, rate: float) -> LyapunovCertificate:
     if not isinstance(P, LyapunovMatrix):
         P = LyapunovMatrix(matrix=P)
     res = lyapunov_residual(C, P, rate)
-    scale = np.linalg.norm(C, 2) * P.lambda_max
-    if not res >= -RESIDUAL_RTOL * max(scale, 1e-300):
-        raise NotAdmissible(
-            f"P is not admissible at rate {rate}: residual {res:.3e} "
-            f"below -{RESIDUAL_RTOL:.1e} * |C| |P| = {-RESIDUAL_RTOL * scale:.3e}",
-            residual=res,
-        )
+    if not res >= 0.0:
+        scale = float(np.linalg.svd(C, compute_uv=False)[0]) * P.lambda_max
+        if not res >= -RESIDUAL_RTOL * max(scale, 1e-300):
+            raise NotAdmissible(
+                f"P is not admissible at rate {rate}: residual {res:.3e} "
+                f"below -{RESIDUAL_RTOL:.1e} * |C| |P| = {-RESIDUAL_RTOL * scale:.3e}",
+                residual=res,
+            )
     return LyapunovCertificate(
         rate=float(rate),
         constant=float(np.sqrt(P.kappa)),

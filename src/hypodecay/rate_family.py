@@ -80,20 +80,37 @@ class FamilyEnvelope:
 _FLOAT_OPS = (math.sqrt, max, min, lambda cond, x, y: x if cond else y)
 _ARRAY_OPS = (np.sqrt, np.maximum, np.minimum, np.where)
 
+#: the two families, in the row order of family_envelope's rates
+_DIRECTIONS = ("upper", "lower")
 
-def _family(form: Canonical2DForm, rates, direction: str):
-    """(beta0, beta~, kappa, constant) of the direction's family at rates, a
-    float or a float array: Python floats for a float, arrays for an array.
-    RateOutOfRange unless every rate lies in the family's range widened by
-    form.rounding_tol, by which mu_s and mu (nu and nu_s) of a normal C cross."""
-    scalar = isinstance(rates, float)
+
+def _ends(form: Canonical2DForm):
+    """((mu_s, mu), (nu, nu_s)): the rate range of each family."""
+    return (form.mu_s, form.mu), (form.nu, form.nu_s)
+
+
+def _family(form: Canonical2DForm, rates, direction: str | None = None):
+    """(beta0, beta~, kappa, constant) at rates: at a float for the named
+    direction, on Python floats; or, with direction None, on an array of shape
+    (2, n) whose row 0 holds rates of the upper family and row 1 rates of the
+    lower one. RateOutOfRange unless every rate lies in its family's range
+    widened by form.rounding_tol, by which mu_s and mu (nu and nu_s) of a
+    normal C cross."""
+    scalar = direction is not None
     sqrt, maximum, minimum, where = _FLOAT_OPS if scalar else _ARRAY_OPS
-    lo, hi = (form.mu_s, form.mu) if direction == "upper" else (form.nu, form.nu_s)
+    if scalar:
+        upper = direction == "upper"
+        lo, hi = (form.mu_s, form.mu) if upper else (form.nu, form.nu_s)
+    else:
+        upper = np.array([[True], [False]])
+        lo, hi = np.array(_ends(form)).T[:, :, None]  # (2, 1) columns
     tol = form.rounding_tol
     inside = (lo - tol <= rates) & (rates <= hi + tol)  # False for NaN
     if not (inside if scalar else inside.all()):
-        bad = rates if scalar else rates[~inside][0]
-        raise RateOutOfRange(f"rate {bad} outside [{lo}, {hi}] for the {direction} family")
+        if not scalar:
+            row, col = np.argwhere(~inside)[0]
+            direction, rates, lo, hi = _DIRECTIONS[row], rates[row, col], lo[row, 0], hi[row, 0]
+        raise RateOutOfRange(f"rate {rates} outside [{lo}, {hi}] for the {direction} family")
     r = minimum(maximum(rates, lo), hi)
     a = form.alpha
     if form.scalar:  # beta0 = 1 and c = 1
@@ -109,14 +126,15 @@ def _family(form: Canonical2DForm, rates, direction: str):
     d0, d1 = re0 - r, re1 - r
     # |lam_1 + conj(lam_2) - 2r|^2 >= gap2 > 0; on both ranges d0 and d1 share
     # a sign, so d0 + d1 does not cancel
-    dist2 = (d0 + d1) * (d0 + d1) + dim2
+    d01 = d0 + d1
+    dist2 = d01 * d01 + dim2
     beta0 = minimum(sqrt(maximum(4.0 * d0 * d1, 0.0) / dist2), 1.0)
     bt = maximum(-a, -beta0)
     # where beta~ = -beta0: 1 + beta~ = (1 - beta0^2)/(1 - beta~), 1 - beta0^2 = gap2/dist2
-    kappa = where(bt > -a, (1.0 + a) * (gap2 / dist2) / ((1.0 - a) * (1.0 - bt) * (1.0 - bt)),
-                  1.0)
+    one_bt = 1.0 - bt
+    kappa = where(bt > -a, (1.0 + a) * (gap2 / dist2) / ((1.0 - a) * one_bt * one_bt), 1.0)
     root = sqrt(kappa)
-    return beta0, bt, kappa, root if direction == "upper" else 1.0 / root
+    return beta0, bt, kappa, where(upper, root, 1.0 / root)
 
 
 def _member(form: Canonical2DForm, rate: float, direction: str) -> FamilyBound:
@@ -140,26 +158,56 @@ def _lower_envelope(rates: np.ndarray, logc: np.ndarray, ts: np.ndarray) -> np.n
     """Index of the member minimizing logc_i - rates_i t, for each time in ts.
 
     The members on that envelope are the vertices of the lower convex hull of
-    the points (rates_i, logc_i), built by one monotone-chain pass over them
-    sorted by rate (of equal rates only the smaller logc is kept). The hull's
-    edge slopes increase, and vertex k wins for t between the slopes of its
-    two edges, so one searchsorted on the slopes finds each time's winner.
+    the points (rates_i, logc_i). Sorted by rate, with only the smallest logc
+    of equal rates kept, the points form a chain; each round drops every
+    vertex whose two edge slopes do not increase, that is every vertex on or
+    above the chord of its neighbours, until the slopes strictly increase.
+    A dropped vertex lies on or above a segment between two points of the
+    set, so it is no vertex of the hull. A chain whose drops expose new
+    non-convex vertices takes one round per exposure; the points of a rate
+    family took at most three rounds on every form tried, normal, nearly
+    normal and at scales 1e-300 to 1e300, up to 20000 rates. Vertex k wins for t
+    between the slopes of its two edges, so one searchsorted on the slopes
+    finds each time's winner. A slope beyond the float range is inf, with
+    numpy's overflow warning unless the caller ignores it.
     """
-    r, ell = rates.tolist(), logc.tolist()
-    order = np.lexsort((logc, rates)).tolist()
-    hull, slopes = [order[0]], []
-    for i in order[1:]:
-        if r[i] == r[hull[-1]]:
-            continue
-        while True:
-            s = (ell[i] - ell[hull[-1]]) / (r[i] - r[hull[-1]])
-            if not slopes or s > slopes[-1]:
-                break
-            hull.pop()
-            slopes.pop()
-        hull.append(i)
-        slopes.append(s)
-    return np.array(hull)[np.searchsorted(slopes, ts)]
+    order = np.lexsort((logc, rates))
+    r = rates[order]
+    first = np.empty(len(r), dtype=bool)
+    first[0] = True
+    np.not_equal(r[1:], r[:-1], out=first[1:])
+    hull = order[first]
+    r, ell = r[first], logc[hull]
+    while True:
+        slopes = (ell[1:] - ell[:-1]) / (r[1:] - r[:-1])
+        convex = slopes[1:] > slopes[:-1]
+        if convex.all():
+            return hull[np.searchsorted(slopes, ts)]
+        keep = np.concatenate(([True], convex, [True]))
+        hull, r, ell = hull[keep], r[keep], ell[keep]
+
+
+def _rate_grid(form: Canonical2DForm, n_rates: int) -> np.ndarray:
+    """Rates of shape (2, n_rates): row 0 spans the upper family's range and
+    row 1 the lower family's, each bit for bit np.linspace of its ends.
+
+    Each row follows np.linspace's own rule: i * step, or (i / div) * delta
+    where the step underflows to zero. np.linspace over the stacked ends
+    would take the second form on both rows once either step is zero.
+    """
+    grid = np.empty((2, n_rates))
+    i = np.arange(n_rates, dtype=float)
+    div = max(n_rates - 1, 1)
+    for row, (lo, hi) in zip(grid, _ends(form)):
+        step = (hi - lo) / div
+        if step == 0.0:
+            np.multiply(i / div, hi - lo, out=row)
+        else:
+            np.multiply(i, step, out=row)
+        row += lo
+        if n_rates > 1:
+            row[-1] = hi
+    return grid
 
 
 def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEnvelope:
@@ -176,20 +224,22 @@ def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEn
     evaluates only that member, c_i e^{-r_i t}, so time and memory grow with
     rates plus times, not their product. Where two members tie within
     rounding the value may exceed the dense minimum by a few ulp. The lower
-    envelope is the same construction on (-r_i, -log c_i).
+    envelope is the same construction on (-r_i, -log c_i). Both families are
+    evaluated in one call on their stacked rates.
     """
     if n_rates < 1:
         raise ValueError("n_rates must be at least 1")
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    up_rates = np.linspace(form.mu_s, form.mu, n_rates)
-    lo_rates = np.linspace(form.nu, form.nu_s, n_rates)
-    up_c = _family(form, up_rates, "upper")[3]
-    lo_c = _family(form, lo_rates, "lower")[3]
-    up = _lower_envelope(up_rates, np.log(up_c), ts)
-    lo = _lower_envelope(-lo_rates, -np.log(lo_c), ts)
-    with np.errstate(over="ignore"):  # a negative rate may grow past the float range: inf
-        upper = up_c[up] * np.exp(-up_rates[up] * ts)
-        lower = lo_c[lo] * np.exp(-lo_rates[lo] * ts)
+    rates = _rate_grid(form, n_rates)
+    consts = _family(form, rates)[3]
+    logc = np.log(consts)
+    # a slope between rates of subnormal spacing, and e^{-r t} at a negative
+    # rate, may grow past the float range: inf
+    with np.errstate(over="ignore"):
+        # winners as indices into the flattened (2, n_rates) arrays, one row per family
+        wins = np.concatenate((_lower_envelope(rates[0], logc[0], ts),
+                               _lower_envelope(-rates[1], -logc[1], ts) + n_rates)).reshape(2, -1)
+        upper, lower = consts.take(wins) * np.exp(-rates.take(wins) * ts)
     return FamilyEnvelope(times=ts, upper=upper, lower=lower,
-                          upper_rates=up_rates, lower_rates=lo_rates,
-                          upper_constants=up_c, lower_constants=lo_c)
+                          upper_rates=rates[0], lower_rates=rates[1],
+                          upper_constants=consts[0], lower_constants=consts[1])

@@ -11,6 +11,7 @@ the inverse of the right-eigenvector matrix is exactly W*.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ def as_complex_matrix(obj) -> np.ndarray:
         raise MatrixFormatError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] < 1:
         raise MatrixFormatError("matrix is empty")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise MatrixFormatError("matrix has non-finite entries")
     return A
 
@@ -129,7 +130,10 @@ def eigendecompose(C) -> SpectralData:
     lam = lam[order]
     V = V[:, order]
 
-    cond = float(np.linalg.cond(V))
+    # np.linalg.cond(V) without its wrapper: the ratio of the extreme singular
+    # values, inf for a singular V
+    s = np.linalg.svd(V, compute_uv=False).tolist()
+    cond = s[0] / s[-1] if s[-1] != 0.0 else math.inf
     gaps = np.abs(lam[:, None] - lam[None, :])
     np.fill_diagonal(gaps, np.inf)
     clustered = bool(gaps.min() <= coincidence_tol(lam, CLUSTER_GAP))
@@ -145,7 +149,7 @@ def eigendecompose(C) -> SpectralData:
         W = W / norms
         V = V / np.einsum("jk,jk->k", W.conj(), V)
 
-    positive_stable = bool(np.all(lam.real > 0.0))
+    positive_stable = bool((lam.real > 0.0).all())
     return SpectralData(
         matrix=C,
         eigenvalues=lam,
@@ -275,11 +279,25 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
 
     Fixes the phase of w2 so the overlap <w1, w2> is the real number
     alpha >= 0, then Gram-Schmidts {w1, w2} into the new coordinate frame.
+
+    Raises Defective2D when C lies within rounding of a Jordan block: C is
+    not scalar and |lambda_2 - lambda_1| sqrt(1 - alpha^2), of the order of
+    the distance to the nearest defective matrix (Wilkinson), is at most
+    rounding_tol. Rounding splits the double eigenvalue of a Jordan block by
+    about sqrt(eps) |C| and can keep the eigenvector condition below
+    DEFECT_COND_LIMIT; the alpha of that split would certify a finite
+    constant where |e^{-(C - mu)t}| grows like t.
     """
     if data.n != 2:
         raise MatrixFormatError(f"canonical form needs a 2x2 matrix, got n={data.n}")
     if data.defective:
         raise Defective2D("matrix is numerically defective, eigenbasis is unreliable")
+
+    radius = float(np.abs(data.eigenvalues).max())
+    tol, rounding_tol = COINCIDENCE_RTOL * radius, ROUNDING_RTOL * radius
+    spread = data.eigenvalues[1] - data.eigenvalues[0]
+    gap = abs(spread)
+    scalar = bool(gap <= rounding_tol)
 
     w1 = data.left_vectors[:, 0].copy()
     w2 = data.left_vectors[:, 1].copy()
@@ -290,18 +308,18 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
 
     e1 = w1
     r = w2 - np.vdot(e1, w2) * e1
-    rnorm = np.linalg.norm(r)
+    rnorm = float(np.linalg.norm(r))  # sqrt(1 - alpha^2), without cancellation
     if rnorm < 1e-15:
         raise Defective2D("adjoint eigenvectors are numerically parallel")
+    if not scalar and gap * rnorm <= rounding_tol:
+        raise Defective2D(f"matrix is within rounding of a Jordan block: eigenvalue split "
+                          f"{gap:.2e} times sqrt(1 - alpha^2) {rnorm:.2e} is "
+                          f"{gap * rnorm:.2e}, at most {rounding_tol:.2e}")
     e2 = r / rnorm
 
     U = np.vstack([e1.conj(), e2.conj()])
     C = U @ data.matrix @ U.conj().T
     herm = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
-    radius = float(np.abs(data.eigenvalues).max())
-    tol, rounding_tol = COINCIDENCE_RTOL * radius, ROUNDING_RTOL * radius
-    spread = data.eigenvalues[1] - data.eigenvalues[0]
-    gap = abs(spread)
     case = (DecayCase.EQUAL_EIGENVALUES if gap <= tol
             else DecayCase.EQUAL_REAL_PARTS if abs(spread.real) <= tol
             else DecayCase.EQUAL_IMAGINARY_PARTS if abs(spread.imag) <= tol
@@ -316,6 +334,6 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
         mu_s=float(herm[0]),
         nu_s=float(herm[-1]),
         case=case,
-        scalar=bool(gap <= rounding_tol),
+        scalar=scalar,
         rounding_tol=rounding_tol,
     )

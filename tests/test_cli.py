@@ -165,6 +165,15 @@ class TestAnalyzeErrors:
         code, _, _ = run(capsys, ["analyze", path])
         assert code == 2
 
+    def test_within_rounding_of_a_jordan_block(self, capsys, tmp_path):
+        # |e^{-(C - 2)t}| = 4t: no finite constant exists at the rate mu = 2
+        path = tmp_path / "jordan.json"
+        path.write_text('{"n": 2, "re": [[0, 0], [0, 4]], "im": [[0, 2], [2, 0]]}')
+        for command in ("analyze", "envelope"):
+            code, out, err = run(capsys, [command, str(path)])
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "Jordan block" in err
+
     def test_unstable_matrix(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "uns.json", np.diag([-1.0, 1.0]))
         code, _, _ = run(capsys, ["analyze", path])

@@ -197,6 +197,21 @@ class TestLbfgsCore:
             assert ours.kappa <= ref.kappa * (1 + 1e-10), n
             assert polished.kappa >= ours.kappa * (1 - 1e-10), n
 
+    def test_a_stage_start_reuses_the_last_eigh(self, monkeypatch, mat_triangular, triangular_w):
+        # every later stage starts on the last evaluation of the one before
+        # (no stage here ends on a failed line search): the start re-smooths
+        # that point's eigh at the new tau, and still counts as an evaluation
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(condopt.np.linalg, "eigh", lambda P: calls.append(P) or eigh(P))
+        seed_p = LyapunovMatrix(triangular_w @ np.diag([2.0, 4.0, 3.0]) @ triangular_w.T)
+        # the admissible search factors its seed with one eigh of its own
+        for search, own in ((lambda: minimize_kappa_weights(triangular_w), 0),
+                            (lambda: minimize_kappa_admissible(mat_triangular, 1.0, seed_p), 1)):
+            calls.clear()
+            found = search()
+            assert found.converged
+            assert len(calls) == found.nfev - (len(condopt.TAUS) - 1) + own
+
     def test_admissible_search_matches_lbfgsb(self, monkeypatch, mat_triangular, triangular_w):
         seed_p = LyapunovMatrix(triangular_w @ np.diag([2.0, 4.0, 3.0]) @ triangular_w.T)
         ours = minimize_kappa_admissible(mat_triangular, 1.0, seed_p)
@@ -290,6 +305,6 @@ class TestLbfgsCore:
         assert np.array_equal(x, x0)
         assert 1 < nfev <= 1 + condopt.LINESEARCH_MAXEV
 
-        found = condopt._minimize_log_cond(lambda x, tau: (*fun(x), 2.0), x0)
+        found = condopt._minimize_log_cond(lambda x: lambda tau: (*fun(x), 2.0), x0)
         assert not found.converged
         assert found.kappa == 2.0

@@ -11,6 +11,8 @@ from hypodecay import (
     eigendecompose,
     lyapunov_residual,
 )
+from hypodecay import lyapunov
+from hypodecay.lyapunov import RESIDUAL_RTOL
 
 
 class TestLyapunovMatrix:
@@ -130,3 +132,45 @@ class TestCertificateFromP:
         assert np.isnan(lyapunov_residual(mat_complex_pair, np.eye(2), 1e308))
         with pytest.raises(NotAdmissible):
             certificate_from_p(mat_complex_pair, np.eye(2), 1e308)
+
+
+class TestResidualSlack:
+    """certificate_from_p reads |C| only for a residual below zero, and
+    accepts down to -RESIDUAL_RTOL |C| |P|. For C = diag(1, 2) and P = I the
+    residual is 2 - 2 rate exactly and |C| |P| = 2, so the slack ends at
+    rate 1 + RESIDUAL_RTOL."""
+
+    C = np.diag([1.0, 2.0])
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+        monkeypatch.setattr(lyapunov.np.linalg, "svd", counted)
+        return calls
+
+    @pytest.mark.parametrize("inside, admissible", [(1e-4, True), (-1e-4, False)])
+    def test_slack_edge(self, inside, admissible, svd_calls):
+        rate = 1.0 + RESIDUAL_RTOL * (1.0 - inside)
+        res = lyapunov_residual(self.C, np.eye(2), rate)
+        assert res == 2.0 - 2.0 * rate
+        if admissible:
+            assert certificate_from_p(self.C, np.eye(2), rate).residual == res
+        else:
+            with pytest.raises(NotAdmissible, match=r"\* \|C\| \|P\| = -2\.000e-10"):
+                certificate_from_p(self.C, np.eye(2), rate)
+        assert len(svd_calls) == 1
+
+    def test_nonnegative_residual_reads_no_norm(self, svd_calls):
+        assert certificate_from_p(self.C, np.eye(2), 1.0).residual == 0.0
+        assert svd_calls == []
+
+    def test_nan_residual_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(lyapunov, "lyapunov_residual", lambda C, P, rate: float("nan"))
+        with pytest.raises(NotAdmissible) as exc:
+            certificate_from_p(self.C, np.eye(2), 0.5)
+        assert np.isnan(exc.value.residual)

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -16,7 +17,7 @@ from hypodecay import (
     lower_bound_constant,
     upper_bound_constant,
 )
-from hypodecay.rate_family import _lower_envelope
+from hypodecay.rate_family import _lower_envelope, _rate_grid
 
 from .conftest import make_2x2_with_overlap
 
@@ -232,6 +233,41 @@ def _assert_dense_envelopes(form, ts, n_rates):
     assert np.all(np.isclose(fam.lower, lower, rtol=4 * eps, atol=0.0, equal_nan=True))
 
 
+def _monotone_chain_envelope(rates, logc, ts):
+    """Reference for _lower_envelope: the lower hull of (rates_i, logc_i) by
+    one monotone-chain pass in Python over the points sorted by rate (of
+    equal rates only the smaller logc is kept), popping the last vertex while
+    the new edge's slope does not exceed the last edge's."""
+    r, ell = rates.tolist(), logc.tolist()
+    order = np.lexsort((logc, rates)).tolist()
+    hull, slopes = [order[0]], []
+    for i in order[1:]:
+        if r[i] == r[hull[-1]]:
+            continue
+        while True:
+            s = (ell[i] - ell[hull[-1]]) / (r[i] - r[hull[-1]])
+            if not slopes or s > slopes[-1]:
+                break
+            hull.pop()
+            slopes.pop()
+        hull.append(i)
+        slopes.append(s)
+    return np.array(hull)[np.searchsorted(slopes, ts)]
+
+
+_FLOATS = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def _float_points(draw):
+    """Up to 40 points whose rates come from a pool of at most 8 floats, so
+    rates repeat, and whose logc are arbitrary, so the chain is not convex."""
+    pool = draw(st.lists(_FLOATS, min_size=1, max_size=8))
+    n = draw(st.integers(1, 40))
+    rates = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(rates), np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)))
+
+
 class TestLowerEnvelope:
     @given(lines=st.lists(st.tuples(st.integers(-10, 10), st.integers(-20, 20)),
                           min_size=1, max_size=40),
@@ -245,6 +281,29 @@ class TestLowerEnvelope:
         win = _lower_envelope(rates, offsets, ts)
         assert np.array_equal(offsets[win] - rates[win] * ts,
                               np.min(offsets[:, None] - np.outer(rates, ts), axis=0))
+        assert np.array_equal(win, _monotone_chain_envelope(rates, offsets, ts))
+
+    @given(points=_float_points(),
+           ts=st.lists(_FLOATS | st.just(np.nan), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_monotone_chain_on_floats(self, points, ts):
+        rates, logc = points
+        ts = np.array(ts)
+        with np.errstate(over="ignore"):  # rates 1e-306 apart: a slope of inf
+            win = _lower_envelope(rates, logc, ts)
+        assert np.array_equal(win, _monotone_chain_envelope(rates, logc, ts))
+
+    @pytest.mark.parametrize("fixture", ["form_complex_pair", "form_real_distinct",
+                                         "form_far_below_zero"])
+    def test_matches_the_monotone_chain_on_the_families(self, fixture, request):
+        form = request.getfixturevalue(fixture)
+        ts = np.linspace(-10.0, 10.0, 401)
+        for n_rates in (2, 64, 4096):
+            fam = family_envelope(form, ts, n_rates=n_rates)
+            for rates, logc in ((fam.upper_rates, np.log(fam.upper_constants)),
+                                (-fam.lower_rates, -np.log(fam.lower_constants))):
+                assert np.array_equal(_lower_envelope(rates, logc, ts),
+                                      _monotone_chain_envelope(rates, logc, ts))
 
 
 class TestFamilyEnvelope:
@@ -316,6 +375,21 @@ class TestFamilyEnvelope:
             == fam.upper_constants.tolist()
         assert [lower_bound_constant(form, r).constant for r in fam.lower_rates] \
             == fam.lower_constants.tolist()
+
+    @pytest.mark.parametrize("ends", [
+        ((-0.3, 0.5), (1.0, 1.7)),
+        ((1.0, 1.0), (1.0, 1.0 + 2.0 ** -52)),  # one zero step
+        ((1.0 + 2.0 ** -52, 1.0), (2.0, 2.0)),  # a crossed range and a zero step
+        ((0.0, 5e-323), (1.0, 2.0)),  # a step that underflows to zero
+        ((-1e-310, 2e-310), (3e-310, 3e-310)),
+    ])
+    @pytest.mark.parametrize("n_rates", [1, 2, 3, 64])
+    def test_rates_are_linspace_of_each_range(self, ends, n_rates):
+        (mu_s, mu), (nu, nu_s) = ends
+        form = SimpleNamespace(mu_s=mu_s, mu=mu, nu=nu, nu_s=nu_s)
+        grid = _rate_grid(form, n_rates)
+        for row, (lo, hi) in zip(grid, ends):
+            assert row.tobytes() == np.linspace(lo, hi, n_rates).tobytes()
 
     def test_equal_eigenvalues_give_one(self):
         # C is scalar up to rounding: every member of both families is exactly 1

@@ -16,8 +16,12 @@ from hypodecay import (
     eigendecompose,
 )
 from hypodecay import condopt
-from hypodecay.spectral import COINCIDENCE_RTOL
+from hypodecay.spectral import COINCIDENCE_RTOL, _order_with_clustered_ties
 from .conftest import make_2x2_with_overlap
+
+#: eigenbases of overlap 0.6 and 0.9
+_V06 = np.array([[1.0, 0.6], [0.0, 0.8]])
+_V09 = np.array([[1.0, 0.9], [0.0, np.sqrt(1.0 - 0.81)]])
 
 
 class TestAsComplexMatrix:
@@ -77,6 +81,21 @@ class TestEigendecompose:
         data = eigendecompose(s * np.diag([2.0 - 1.0j, 1.0 + 1.0j]))
         assert data.spectral_gap == pytest.approx(s, rel=1e-12)
         assert not eigendecompose(s * np.array([[1.0, 1e9], [0.0, 2.0]])).defective
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [
+        [[1.0, 1.0], [0.0, 1.0]],
+        [[0.0, 0.0], [1.0, 0.0]],  # eig returns an exactly singular V
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+        [[0.0, 2.0j], [2.0j, 4.0]],
+        _V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06),
+    ], ids=["jordan", "singular-V", "nilpotent-3", "complex-symmetric-jordan", "near-tie"])
+    def test_eigenvector_cond_is_np_cond(self, c):
+        # the ratio of extreme singular values of the ordered V that eig returns,
+        # inf without a RuntimeWarning where V is singular
+        lam, v = np.linalg.eig(np.asarray(c, dtype=complex))
+        expected = float(np.linalg.cond(v[:, _order_with_clustered_ties(lam)]))
+        assert eigendecompose(c).eigenvector_cond == expected
 
     def test_adjoint_eigenvectors(self, mat_real_distinct):
         data = eigendecompose(mat_real_distinct)
@@ -172,6 +191,25 @@ class TestCanonical2DForm:
     def test_defective_rejected(self):
         with pytest.raises(Defective2D):
             canonical_2d_form(eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]])))
+
+    @pytest.mark.parametrize("s", [1e-12, 0.7, 1.0, 1e6])
+    def test_within_rounding_of_a_jordan_block_rejected(self, s):
+        # [[0, 2i], [2i, 4]] is a Jordan block with eigenvalue 2: |e^{-(C - 2)t}| = 4t.
+        # At s = 1 rounding splits the eigenvalues by 1.2e-7 and keeps the
+        # eigenvector condition below DEFECT_COND_LIMIT; only the split times
+        # sqrt(1 - alpha^2), 3.6e-15 against 1.4e-14, tells it from a 2x2 with
+        # a finite constant. At other scales the condition may exceed the limit
+        with pytest.raises(Defective2D):
+            canonical_2d_form(eigendecompose(s * np.array([[0.0, 2.0j], [2.0j, 4.0]])))
+
+    @pytest.mark.parametrize("c, scalar", [
+        # eigenvalues 1 and 1 + 5e-11i, alpha 0.6: split times sqrt(1 - alpha^2) is 4e-11
+        (_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06), False),
+        (np.array([[2.0, 0.0], [0.0, 2.0]]), True),
+        (_V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09), True),
+    ], ids=["near-tie", "scalar", "scalar-up-to-rounding"])
+    def test_near_ties_keep_their_form(self, c, scalar):
+        assert canonical_2d_form(eigendecompose(c)).scalar == scalar
 
     def test_wrong_size_rejected(self):
         with pytest.raises(MatrixFormatError):
