@@ -47,7 +47,7 @@ _HOMES = {
         "BoundCheck", "exact_solution", "rk4_oracle", "verify_bounds", "time_grid",
     ),
     "goldstein_taylor": (
-        "TorusField", "GTModeCertificate", "GTBoundReport", "GT_RATE", "GT_CONSTANT",
+        "TorusField", "GTBoundReport", "GT_RATE", "GT_CONSTANT",
         "mode_matrix", "mode_certificate", "decompose", "reconstruct",
         "evolve", "deviation_norm", "verify_gt_bound",
     ),

@@ -17,14 +17,17 @@ pair and by nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CutoffTooLarge, NotNormalized, ZeroMode
 
+if TYPE_CHECKING:
+    from .lyapunov import LyapunovCertificate
+
 __all__ = [
     "TorusField",
-    "GTModeCertificate",
     "GTBoundReport",
     "GT_RATE",
     "GT_CONSTANT",
@@ -137,16 +140,6 @@ class TorusField:
 
 
 @dataclass
-class GTModeCertificate:
-    k: int
-    rate: float
-    kappa: float
-    constant: float
-    matrix: np.ndarray
-    residual: float
-
-
-@dataclass
 class GTBoundReport:
     """Deviations |f(t) - f_inf| along times, by Parseval, and their ratios
     to e^{-t/2} |f0 - f_inf| (initial_deviation)."""
@@ -166,25 +159,22 @@ def mode_matrix(k: int) -> np.ndarray:
     return np.array([[0.0, 1j * k], [1j * k, 1.0]], dtype=complex)
 
 
-def mode_certificate(k: int) -> GTModeCertificate:
+def mode_certificate(k: int) -> LyapunovCertificate:
     """Lyapunov certificate of mode k at the uniform rate 1/2.
 
     P_k = [[1, -i/(2k)], [i/(2k), 1]] satisfies the rate inequality with
     residual exactly zero and condition number (2|k| + 1)/(2|k| - 1), so the
-    per-mode constant decreases toward 1 as |k| grows.
+    per-mode constant decreases toward 1 as |k| grows. P_k is written by
+    hand, independently of the eigenvector route of the 2x2 machinery.
     """
     # imported here, its one use, so that verify_gt_bound and `hypodecay gt`
     # load neither lyapunov nor spectral
-    from .lyapunov import LyapunovMatrix, lyapunov_residual
+    from .lyapunov import certificate_from_p
 
     if k == 0:
         raise ZeroMode("the conserved mode admits no uniform-rate certificate")
     p = np.array([[1.0, -0.5j / k], [0.5j / k, 1.0]], dtype=complex)
-    lm = LyapunovMatrix(p)
-    res = lyapunov_residual(mode_matrix(k), lm, GT_RATE)
-    return GTModeCertificate(k=k, rate=GT_RATE, kappa=lm.kappa,
-                             constant=float(np.sqrt(lm.kappa)),
-                             matrix=lm.matrix, residual=res)
+    return certificate_from_p(mode_matrix(k), p, GT_RATE)
 
 
 def decompose(field: TorusField, cutoff: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,13 @@
 """Spectral decomposition and stability classification for x' = -Cx.
 
 Everything downstream (Lyapunov matrices, sharp constants, envelopes) is built
-from one eigendecomposition of the system matrix C: the eigenvalues ordered by
-increasing real part, the right eigenvectors v_j of C, and the right
-eigenvectors w_j of the adjoint C*. The two families are kept biorthonormal,
-<w_j, v_k> = delta_jk, with the w_j at unit Euclidean norm; under this scaling
-the inverse of the right-eigenvector matrix is exactly W*.
+from one spectral record of the system matrix C, computed once: the eigenvalues
+ordered by increasing real part, the right eigenvectors v_j of C, the right
+eigenvectors w_j of the adjoint C*, and the extreme eigenvalues mu_s, nu_s of
+the Hermitian part (C + C*)/2. The two eigenvector families are kept
+biorthonormal, <w_j, v_k> = delta_jk, with the w_j at unit Euclidean norm;
+under this scaling the inverse of the right-eigenvector matrix is exactly W*.
+The stability report and the 2x2 canonical form only read this record.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ COINCIDENCE_RTOL = 1e-10
 
 #: eigenvalues within ROUNDING_RTOL of the spectral radius agree up to rounding:
 #: lambda I rebuilt through a basis of overlap up to 0.999, or turned by a
-#: unitary, splits by up to 21 ulps (measured). Only such a tie makes C scalar
+#: unitary, splits by up to 21 ulps (measured). Only such a tie makes C scalar.
+#: Times |C|_2 it is the rounding distance of a 2x2 to a Jordan block
 ROUNDING_RTOL = 32 * np.finfo(float).eps
 
 
@@ -77,6 +80,7 @@ class SpectralData:
     left_vectors : columns w_j, C* w_j = conj(lambda_j) w_j, unit norm
     defective : True when no reliable eigenbasis exists
     positive_stable : True when every eigenvalue has positive real part
+    mu_s, nu_s : smallest and largest eigenvalue of (C + C*)/2
     """
 
     matrix: np.ndarray
@@ -85,6 +89,8 @@ class SpectralData:
     left_vectors: np.ndarray
     defective: bool
     positive_stable: bool
+    mu_s: float
+    nu_s: float
     eigenvector_cond: float = field(default=np.nan, repr=False)
 
     @property
@@ -150,6 +156,7 @@ def eigendecompose(C) -> SpectralData:
         V = V / np.einsum("jk,jk->k", W.conj(), V)
 
     positive_stable = bool((lam.real > 0.0).all())
+    herm = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
     return SpectralData(
         matrix=C,
         eigenvalues=lam,
@@ -157,6 +164,8 @@ def eigendecompose(C) -> SpectralData:
         left_vectors=W,
         defective=defective,
         positive_stable=positive_stable,
+        mu_s=float(herm[0]),
+        nu_s=float(herm[-1]),
         eigenvector_cond=cond,
     )
 
@@ -185,16 +194,14 @@ class StabilityReport:
 
 
 def classify_stability(data: SpectralData) -> StabilityReport:
-    """Extract (mu, nu, mu_s, nu_s) and the stability flags from C."""
-    C = data.matrix
-    herm = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
+    """Read (mu, nu, mu_s, nu_s) and the stability flags off the spectral record."""
     return StabilityReport(
         mu=data.spectral_gap,
         nu=float(data.eigenvalues[-1].real),
-        mu_s=float(herm[0]),
-        nu_s=float(herm[-1]),
+        mu_s=data.mu_s,
+        nu_s=data.nu_s,
         positive_stable=data.positive_stable,
-        coercive=bool(herm[0] > 0.0),
+        coercive=data.mu_s > 0.0,
         defective=data.defective,
     )
 
@@ -227,22 +234,18 @@ class DecayCase(str, enum.Enum):
 
 @dataclass
 class Canonical2DForm:
-    """Unitarily transformed 2x2 system with a normalized eigenbasis of C*.
+    """A diagonalizable 2x2 system up to unitary similarity.
 
-    The unitary U maps the adjoint eigenvectors to w1 = (1, 0) and
-    w2 = (alpha, sqrt(1 - alpha^2)) with alpha in [0, 1); eigenvalues, Euclidean
-    norms of solutions, and every constant computed downstream are unchanged.
-    mu_s and nu_s are the extreme eigenvalues of the Hermitian part of matrix.
+    Up to a unitary change of basis, which keeps the Euclidean norm of every
+    solution and so every constant computed downstream, C is fixed by its
+    eigenvalues lambda_1, lambda_2 and the overlap alpha in [0, 1) of its unit
+    adjoint eigenvectors. mu_s and nu_s are copied from the spectral record.
     The form carries the one regime decision: case, rounding_tol (ROUNDING_RTOL
     times the spectral radius) and scalar (the eigenvalues agree within it).
     """
 
     alpha: float
-    unitary: np.ndarray
     eigenvalues: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    matrix: np.ndarray
     mu_s: float
     nu_s: float
     case: DecayCase
@@ -275,18 +278,20 @@ class Canonical2DForm:
 
 
 def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
-    """Rotate a 2x2 system so the adjoint eigenbasis takes the standard shape.
+    """Reduce a 2x2 system to (alpha, lambda_1, lambda_2) and its regime.
 
-    Fixes the phase of w2 so the overlap <w1, w2> is the real number
-    alpha >= 0, then Gram-Schmidts {w1, w2} into the new coordinate frame.
+    alpha = |<w1, w2>| of the unit adjoint eigenvectors; sqrt(1 - alpha^2) is
+    read without cancellation as |w2 - <w1, w2> w1|.
 
     Raises Defective2D when C lies within rounding of a Jordan block: C is
     not scalar and |lambda_2 - lambda_1| sqrt(1 - alpha^2), of the order of
     the distance to the nearest defective matrix (Wilkinson), is at most
-    rounding_tol. Rounding splits the double eigenvalue of a Jordan block by
-    about sqrt(eps) |C| and can keep the eigenvector condition below
-    DEFECT_COND_LIMIT; the alpha of that split would certify a finite
-    constant where |e^{-(C - mu)t}| grows like t.
+    ROUNDING_RTOL |C|_2. Rounding splits the double eigenvalue of a Jordan
+    block by about sqrt(eps) |C|_2 and can keep the eigenvector condition
+    below DEFECT_COND_LIMIT; the split times sqrt(1 - alpha^2) is then of the
+    order of eps |C|_2, which for a strongly non-normal block is far above
+    eps times the spectral radius. The alpha of that split would certify a
+    finite constant where |e^{-(C - mu)t}| grows like t.
     """
     if data.n != 2:
         raise MatrixFormatError(f"canonical form needs a 2x2 matrix, got n={data.n}")
@@ -299,40 +304,27 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     gap = abs(spread)
     scalar = bool(gap <= rounding_tol)
 
-    w1 = data.left_vectors[:, 0].copy()
-    w2 = data.left_vectors[:, 1].copy()
+    w1, w2 = data.left_vectors[:, 0], data.left_vectors[:, 1]
     overlap = np.vdot(w1, w2)
-    if abs(overlap) > 1e-15:
-        w2 = w2 * np.exp(-1j * np.angle(overlap))
     alpha = min(abs(overlap), 1.0 - 1e-16)
-
-    e1 = w1
-    r = w2 - np.vdot(e1, w2) * e1
-    rnorm = float(np.linalg.norm(r))  # sqrt(1 - alpha^2), without cancellation
+    rnorm = float(np.linalg.norm(w2 - overlap * w1))  # sqrt(1 - alpha^2)
     if rnorm < 1e-15:
         raise Defective2D("adjoint eigenvectors are numerically parallel")
-    if not scalar and gap * rnorm <= rounding_tol:
-        raise Defective2D(f"matrix is within rounding of a Jordan block: eigenvalue split "
-                          f"{gap:.2e} times sqrt(1 - alpha^2) {rnorm:.2e} is "
-                          f"{gap * rnorm:.2e}, at most {rounding_tol:.2e}")
-    e2 = r / rnorm
-
-    U = np.vstack([e1.conj(), e2.conj()])
-    C = U @ data.matrix @ U.conj().T
-    herm = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
+    if not scalar:
+        jordan_tol = ROUNDING_RTOL * float(np.linalg.svd(data.matrix, compute_uv=False)[0])
+        if gap * rnorm <= jordan_tol:
+            raise Defective2D(f"matrix is within rounding of a Jordan block: eigenvalue split "
+                              f"{gap:.2e} times sqrt(1 - alpha^2) {rnorm:.2e} is "
+                              f"{gap * rnorm:.2e}, at most 32 eps |C|_2 = {jordan_tol:.2e}")
     case = (DecayCase.EQUAL_EIGENVALUES if gap <= tol
             else DecayCase.EQUAL_REAL_PARTS if abs(spread.real) <= tol
             else DecayCase.EQUAL_IMAGINARY_PARTS if abs(spread.imag) <= tol
             else DecayCase.FULLY_DISTINCT)
     return Canonical2DForm(
         alpha=float(alpha),
-        unitary=U,
         eigenvalues=data.eigenvalues.copy(),
-        w1=U @ w1,
-        w2=U @ w2,
-        matrix=C,
-        mu_s=float(herm[0]),
-        nu_s=float(herm[-1]),
+        mu_s=data.mu_s,
+        nu_s=data.nu_s,
         case=case,
         scalar=scalar,
         rounding_tol=rounding_tol,

@@ -7,6 +7,7 @@ from hypodecay import (
     GT_CONSTANT,
     GT_RATE,
     CutoffTooLarge,
+    LyapunovCertificate,
     NotNormalized,
     TorusField,
     ZeroMode,
@@ -109,6 +110,12 @@ class TestModeCertificates:
     def test_residual_is_zero(self):
         for k in (1, 2, 8):
             assert abs(mode_certificate(k).residual) < 1e-13
+
+    def test_is_a_lyapunov_certificate(self):
+        cert = mode_certificate(3)
+        assert isinstance(cert, LyapunovCertificate)
+        assert cert.direction == "upper" and cert.weights is None
+        assert np.array_equal(cert.matrix, [[1.0, -1j / 6], [1j / 6, 1.0]])
 
     def test_conserved_mode_rejected(self):
         with pytest.raises(ZeroMode):

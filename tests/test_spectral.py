@@ -152,24 +152,29 @@ class TestCanonical2DForm:
         form = canonical_2d_form(eigendecompose(mat_real_distinct))
         assert form.alpha == pytest.approx(0.6, abs=1e-12)
 
-    def test_unitary_and_similarity(self, mat_complex_pair):
-        form = canonical_2d_form(eigendecompose(mat_complex_pair))
-        u = form.unitary
-        assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-        # Sort by imaginary part: the real parts of this conjugate pair agree
-        # only to rounding, which makes lexicographic complex sort unstable.
-        got = np.linalg.eigvals(form.matrix)
-        want = form.eigenvalues
-        assert np.allclose(got[np.argsort(got.imag)],
-                           want[np.argsort(want.imag)], atol=1e-12)
+    def test_hermitian_extremes_are_one_record(self):
+        # the mu_s and nu_s that analyze prints are the ones the rate family
+        # ranges over, to the bit, in every regime
+        rng = np.random.default_rng(7)
+        for kw in ({}, {"equal_real": True}, {"real_spectrum": True}) * 20:
+            data = eigendecompose(make_2x2_with_overlap(rng, **kw)[0])
+            rep, form = classify_stability(data), canonical_2d_form(data)
+            assert (rep.mu_s, rep.nu_s) == (form.mu_s, form.nu_s) == (data.mu_s, data.nu_s)
+            assert rep.coercive == (data.mu_s > 0.0)
 
-    def test_adjoint_eigenvectors_in_standard_position(self, mat_real_distinct):
-        form = canonical_2d_form(eigendecompose(mat_real_distinct))
-        assert np.allclose(form.w1, [1.0, 0.0], atol=1e-12)
-        assert form.w2[0] == pytest.approx(form.alpha, abs=1e-12)
-        assert form.w2[1].real == pytest.approx(
-            np.sqrt(1 - form.alpha ** 2), abs=1e-12)
-        assert abs(form.w2[0].imag) < 1e-12
+    def test_one_hermitian_eigensolve(self, monkeypatch, mat_real_distinct):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        data = eigendecompose(mat_real_distinct)
+        classify_stability(data)
+        canonical_2d_form(data)
+        assert len(calls) == 1
 
     def test_overlap_same_for_both_eigenvector_families(self):
         # in dimension two the right and adjoint eigenvector overlaps agree
@@ -201,6 +206,25 @@ class TestCanonical2DForm:
         # a finite constant. At other scales the condition may exceed the limit
         with pytest.raises(Defective2D):
             canonical_2d_form(eigendecompose(s * np.array([[0.0, 2.0j], [2.0j, 4.0]])))
+
+    @pytest.mark.parametrize("c", [
+        [[49.0, 64.0], [-36.0, -47.0]],  # I + 100 N with N nilpotent
+        [[481.0, 640.0], [-360.0, -479.0]],  # I + 800 N
+    ], ids=["I+100N", "I+800N"])
+    def test_strongly_non_normal_jordan_block_rejected(self, c):
+        # the rounding split times sqrt(1 - alpha^2) is of the order of
+        # eps |C|_2, far above eps times the spectral radius 1
+        with pytest.raises(Defective2D, match=r"32 eps \|C\|_2"):
+            canonical_2d_form(eigendecompose(c))
+
+    def test_random_non_normal_jordan_blocks_rejected(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            lam = rng.uniform(0.2, 1.5) + 1j * rng.uniform(-1.5, 1.5)
+            q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            c = q @ np.array([[lam, 100.0 * abs(lam)], [0.0, lam]]) @ q.conj().T
+            with pytest.raises(Defective2D):
+                canonical_2d_form(eigendecompose(c))
 
     @pytest.mark.parametrize("c, scalar", [
         # eigenvalues 1 and 1 + 5e-11i, alpha 0.6: split times sqrt(1 - alpha^2) is 4e-11
@@ -291,7 +315,12 @@ class TestRegimeDecision:
         v = _unitary(rng) @ np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]])
         c = v @ np.diag(lam) @ np.linalg.inv(v)
         q = _unitary(rng)
-        for other in (c, 1e-12 * c, 10.0 ** log_s * c, 1e6 * c, q @ c @ q.conj().T):
+        ref = canonical_2d_form(eigendecompose(c))
+        tol = 1e-13 * np.linalg.norm(c, 2)
+        for f, other in ((1.0, c), (1e-12, 1e-12 * c), (10.0 ** log_s, 10.0 ** log_s * c),
+                         (1e6, 1e6 * c), (1.0, q @ c @ q.conj().T)):
             form = canonical_2d_form(eigendecompose(other))
             assert (form.case, form.scalar) == regime
             assert classify_and_sharp_constant(form).case is form.case
+            assert abs(form.mu_s - f * ref.mu_s) <= f * tol
+            assert abs(form.nu_s - f * ref.nu_s) <= f * tol
