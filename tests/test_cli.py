@@ -165,15 +165,23 @@ class TestAnalyzeErrors:
         code, _, _ = run(capsys, ["analyze", path])
         assert code == 2
 
-    @pytest.mark.parametrize("text", [
+    def test_within_rounding_of_a_jordan_block(self, capsys, tmp_path):
         # |e^{-(C - 2)t}| = 4t: no finite constant exists at the rate mu = 2
-        '{"n": 2, "re": [[0, 0], [0, 4]], "im": [[0, 2], [2, 0]]}',
+        path = tmp_path / "jordan.json"
+        path.write_text('{"n": 2, "re": [[0, 0], [0, 4]], "im": [[0, 2], [2, 0]]}')
+        for command in ("analyze", "envelope"):
+            code, out, err = run(capsys, [command, str(path)])
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "Jordan block" in err
+            assert "at most 32 eps |C|_2 =" in err
+
+    @pytest.mark.parametrize("text", [
         # I + 100 N with N nilpotent: was certified with c_sharp = 67108864
         '{"n": 2, "re": [[49, 64], [-36, -47]]}',
         # I + 800 N: was exit 1, "matrix is not positive definite"
         '{"n": 2, "re": [[481, 640], [-360, -479]]}',
-    ], ids=["complex-symmetric", "I+100N", "I+800N"])
-    def test_within_rounding_of_a_jordan_block(self, capsys, tmp_path, text):
+    ], ids=["I+100N", "I+800N"])
+    def test_integer_jordan_block_rounded_apart(self, capsys, tmp_path, text):
         path = tmp_path / "jordan.json"
         path.write_text(text)
         for command in ("analyze", "envelope"):
