@@ -54,7 +54,7 @@ _HOMES = {
     "errors": (
         "HypodecayError", "MatrixFormatError", "NonConvergence",
         "NotPositiveStable", "DefectiveInput", "Defective2D", "ZeroVector",
-        "NotAdmissible", "SearchFailure", "RateOutOfRange", "ZeroMode",
+        "NotAdmissible", "RateOutOfRange", "ZeroMode",
         "CutoffTooLarge", "NotNormalized",
     ),
 }

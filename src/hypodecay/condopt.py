@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefectiveInput, SearchFailure
+from .errors import DefectiveInput
 from .lyapunov import LyapunovMatrix, certificate_from_p
 from .spectral import Canonical2DForm, as_complex_matrix, coincidence_tol, eigendecompose
 
@@ -105,13 +105,6 @@ def minimize_kappa_2d(form: Canonical2DForm) -> WeightOptimum:
     )
 
 
-def _kappa_of_weights(W: np.ndarray, b: np.ndarray) -> float:
-    ev = np.linalg.eigvalsh((W * b) @ W.conj().T)
-    if ev[0] <= 0.0:
-        return np.inf
-    return float(ev[-1] / ev[0])
-
-
 def _smoothed_log_cond(P: np.ndarray, x: np.ndarray, gradient):
     """tau -> (value, grad, kappa) at the point x, from one eigh of its
     Hermitian P: the tau-smoothed log kappa of P, its gradient in x and the
@@ -143,6 +136,7 @@ def _smoothed_log_cond(P: np.ndarray, x: np.ndarray, gradient):
 class _Search:
     x: np.ndarray
     kappa: float
+    kappa_start: float
     nfev: int
     converged: bool
 
@@ -236,19 +230,21 @@ def _minimize_log_cond(evaluate, x0: np.ndarray) -> _Search:
     evaluation; the function of the last evaluated point is kept, so such a
     start re-smooths it at the new tau and runs no second eigh. It still
     counts as an evaluation. The result is the evaluated point with the
-    smallest exact kappa. A stage that ends without reaching its gradient
-    tolerance clears converged, and so does any infinite objective: the
-    search met the edge of the domain, where the smoothed objective no
-    longer describes kappa.
+    smallest exact kappa, and kappa_start is the exact kappa at x0. A stage
+    that ends without reaching its gradient tolerance clears converged, and
+    so does any infinite objective: the search met the edge of the domain,
+    where the smoothed objective no longer describes kappa.
     """
-    best = _Search(x=x0, kappa=np.inf, nfev=0, converged=True)
-    last = None  # (x, its objective) of the last evaluated point
+    # (x, its objective) of the last evaluated point; the first stage starts at x0
+    last = x0, evaluate(x0)
+    kappa0 = last[1](TAUS[0])[2]
+    best = _Search(x=x0, kappa=kappa0, kappa_start=kappa0, nfev=0, converged=True)
 
     def fun(x, tau):
         nonlocal last
         # a stage returns the very array it evaluated, and no x is written in
         # place, so the same object is the same point
-        if last is None or x is not last[0]:
+        if x is not last[0]:
             last = x, evaluate(x)
         value, grad, kappa = last[1](tau)
         if kappa < best.kappa:
@@ -270,15 +266,15 @@ def minimize_kappa_weights(W) -> WeightOptimum:
     """Minimize kappa(W diag(b) W*) over positive weights b, b[0] fixed at 1.
 
     One search in log-weights x = log b[1:] from equal weights (kappa is
-    scale invariant, so one weight can be pinned). Weights are rescaled
-    afterwards to the smallest-denominator presentation when they sit within
-    1e-3 of one.
+    scale invariant, so one weight can be pinned); kappa_equal is the kappa
+    of its first point. Weights are rescaled afterwards to the
+    smallest-denominator presentation when they sit within 1e-3 of one.
+    Raises DefectiveInput if no evaluated P is positive definite.
     """
     W = as_complex_matrix(W)
     n = W.shape[0]
-    equal = _kappa_of_weights(W, np.ones(n))
     if n == 1:
-        return WeightOptimum(weights=np.ones(1), kappa=equal, kappa_equal=equal,
+        return WeightOptimum(weights=np.ones(1), kappa=1.0, kappa_equal=1.0,
                              converged=True, nfev=0)
 
     Wh = W.conj().T
@@ -293,11 +289,12 @@ def minimize_kappa_weights(W) -> WeightOptimum:
         return _smoothed_log_cond((W * b) @ Wh, x, gradient)
 
     found = _minimize_log_cond(evaluate, np.zeros(n - 1))
-    if not np.isfinite(found.kappa) or found.kappa > equal * (1.0 + 1e-9):
-        raise SearchFailure(f"weight search did not reach the equal-weight value {equal}")
+    if not np.isfinite(found.kappa):
+        raise DefectiveInput("the adjoint eigenvectors are numerically dependent")
     weights = np.concatenate([[1.0], np.exp(found.x)])
     return WeightOptimum(weights=_nice_rescale(weights), kappa=found.kappa,
-                         kappa_equal=equal, converged=found.converged, nfev=found.nfev)
+                         kappa_equal=found.kappa_start, converged=found.converged,
+                         nfev=found.nfev)
 
 
 def _nice_rescale(b: np.ndarray, rtol: float = 1e-3, max_factor: int = 12) -> np.ndarray:

@@ -37,10 +37,6 @@ class NotAdmissible(HypodecayError):
         self.residual = residual
 
 
-class SearchFailure(HypodecayError):
-    """A numerical search returned no usable optimum."""
-
-
 class RateOutOfRange(HypodecayError):
     """Requested decay rate lies outside the valid interval."""
 

@@ -47,7 +47,7 @@ GT_RATE = 0.5
 #: uniform decay constant, sharp on the |k| = 1 modes
 GT_CONSTANT = float(np.sqrt(3.0))
 
-#: default relative slack of the sqrt(3) verdict, for the library and `gt --tol`
+#: relative slack of the sqrt(3) verdict
 GT_TOL = 1e-10
 
 #: relative slack allowed on the mass normalization int (f_plus + f_minus) = 2 pi
@@ -287,14 +287,13 @@ def deviation_norm(field: TorusField) -> float:
                          * (np.sum(dp * dp) + np.sum(dm * dm))))
 
 
-def verify_gt_bound(field: TorusField, times, cutoff: int,
-                    tol: float = GT_TOL) -> GTBoundReport:
+def verify_gt_bound(field: TorusField, times, cutoff: int) -> GTBoundReport:
     """Check |f(t) - f_inf| <= sqrt(3) e^{-t/2} |f0 - f_inf| along times.
 
     The squared deviation is summed by Parseval from the closed form of
     each mode (_propagated_norm_sq), so the reported ratios carry no
-    time-stepping error. Requires
-    the mass normalization int (f_plus + f_minus) dx = 2 pi.
+    time-stepping error. passed allows the ratio a relative GT_TOL above
+    sqrt(3). Requires the mass normalization int (f_plus + f_minus) dx = 2 pi.
     """
     two_pi = 2.0 * np.pi
     if abs(field.mass - two_pi) > MASS_RTOL * two_pi:
@@ -318,4 +317,4 @@ def verify_gt_bound(field: TorusField, times, cutoff: int,
                          ratios=ratios, max_ratio=float(ratios[i]),
                          t_at_max=float(ts[i]), rate=GT_RATE,
                          constant=GT_CONSTANT,
-                         passed=bool(ratios[i] <= GT_CONSTANT * (1.0 + tol)))
+                         passed=bool(ratios[i] <= GT_CONSTANT * (1.0 + GT_TOL)))

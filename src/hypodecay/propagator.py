@@ -94,7 +94,7 @@ def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
     for i, gap in enumerate(np.diff(times, prepend=0.0)):
         m, rem = divmod(float(gap), dt)
         x = x + power(full, int(m)) @ x
-        if rem > 1e-15:
+        if rem > 0.0:
             x = x + increment(rem) @ x
         out[i] = x
     return out

@@ -54,7 +54,8 @@ class TestMinimizeKappaWeights:
             w = np.linalg.qr(rng.normal(size=(3, 3)))[0] + 0.3 * rng.normal(size=(3, 3))
             w /= np.linalg.norm(w, axis=0)
             opt = minimize_kappa_weights(w)
-            assert opt.kappa <= opt.kappa_equal * (1 + 1e-9)
+            # kappa_equal is the search's first point, and the search keeps its best
+            assert opt.kappa <= opt.kappa_equal
 
     def test_converged_on_triangular_three_dim(self, triangular_w):
         opt = minimize_kappa_weights(triangular_w)
@@ -95,6 +96,16 @@ class TestMinimizeKappaWeights:
         opt = minimize_kappa_weights(triangular_w)
         assert not opt.converged
         assert opt.kappa <= opt.kappa_equal
+
+    def test_dependent_vectors_are_defective(self):
+        # no weights make W diag(b) W* positive definite
+        w = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(DefectiveInput, match="numerically dependent"):
+            minimize_kappa_weights(w)
+
+    def test_one_dimension(self):
+        opt = minimize_kappa_weights([[2.0 + 1.0j]])
+        assert (opt.kappa, opt.kappa_equal, opt.weights.tolist()) == (1.0, 1.0, [1.0])
 
     def test_orthonormal_basis_gives_identity(self):
         q = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))[0]
