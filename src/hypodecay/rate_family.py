@@ -91,26 +91,30 @@ def _ends(form: Canonical2DForm):
 
 def _family(form: Canonical2DForm, rates, direction: str | None = None):
     """(beta0, beta~, kappa, constant) at rates: at a float for the named
-    direction, on Python floats; or, with direction None, on an array of shape
-    (2, n) whose row 0 holds rates of the upper family and row 1 rates of the
-    lower one. RateOutOfRange unless every rate lies in its family's range
-    widened by form.rounding_tol, by which mu_s and mu (nu and nu_s) of a
-    normal C cross."""
+    direction, on Python floats; or, with direction None, on the (2, n) array
+    of _rate_grid, whose row 0 holds rates of the upper family and row 1 rates
+    of the lower one. RateOutOfRange unless every rate lies in its family's
+    range widened by form.rounding_tol, by which mu_s and mu (nu and nu_s) of
+    a normal C cross. Each row of the grid runs from one end of its range to
+    the other, so only the row's first and last rates are checked, on Python
+    floats: a row with a rate outside, or a NaN, has its first rate outside."""
     scalar = direction is not None
     sqrt, maximum, minimum, where = _FLOAT_OPS if scalar else _ARRAY_OPS
     if scalar:
         upper = direction == "upper"
         lo, hi = (form.mu_s, form.mu) if upper else (form.nu, form.nu_s)
+        checks = [(direction, rates, lo, hi)]
     else:
         upper = np.array([[True], [False]])
-        lo, hi = np.array(_ends(form)).T[:, :, None]  # (2, 1) columns
+        ends = _ends(form)
+        lo, hi = np.array(ends).T[:, :, None]  # (2, 1) columns
+        checks = [(name, rate, *range_)
+                  for name, range_, row in zip(_DIRECTIONS, ends, rates[:, [0, -1]].tolist())
+                  for rate in row]
     tol = form.rounding_tol
-    inside = (lo - tol <= rates) & (rates <= hi + tol)  # False for NaN
-    if not (inside if scalar else inside.all()):
-        if not scalar:
-            row, col = np.argwhere(~inside)[0]
-            direction, rates, lo, hi = _DIRECTIONS[row], rates[row, col], lo[row, 0], hi[row, 0]
-        raise RateOutOfRange(f"rate {rates} outside [{lo}, {hi}] for the {direction} family")
+    for name, rate, low, high in checks:
+        if not low - tol <= rate <= high + tol:  # False for NaN
+            raise RateOutOfRange(f"rate {rate} outside [{low}, {high}] for the {name} family")
     r = minimum(maximum(rates, lo), hi)
     a = form.alpha
     if form.scalar:  # beta0 = 1 and c = 1

@@ -22,7 +22,9 @@ alpha^2)/(1 - alpha^2) >= A, m_+ <= M(t) = e^{-gamma t}(A_+ + sqrt(A_+^2 - 1)),
 with equality at t = (2j + 1) pi/|delta|. M is non-increasing, because
 (1 - alpha^2)^2 (A_+^2 - 1) - sinh^2(gamma t) = 2 alpha^2 (1 + cosh(gamma t)) >= 0.
 Hence sup_{t >= 0} m_+ = max of m_+ over [0, pi/|delta|], where m_+ rises and
-then falls (checked numerically), so golden-section search brackets it. In
+then falls (checked numerically), so golden-section search brackets it and
+successive parabolic interpolation (Brent, Algorithms for Minimization without
+Derivatives, 1973, ch. 5) then closes in on the smooth maximum. In
 s = |delta| t, with g = gamma/|delta| and e = e^{-g pi}, the slope of m_+ at s = pi
 is g e (e - (alpha^2 + e) m_+/(1 - alpha^2)), < 0 for gamma > 0 (m_+ > 1), 0 for gamma = 0.
 """
@@ -51,7 +53,11 @@ __all__ = [
 #: alpha below which the eigenbasis counts as orthogonal and every constant is 1
 ALPHA_FLOOR = 1e-14
 
-#: relative width at which the golden-section search in sup_m_plus stops
+#: bracket width, in s = |delta| t, at which sup_m_plus turns from golden
+#: section to parabolic steps
+_GOLDEN_WIDTH = 1e-3 * math.pi
+
+#: relative step below which the parabolic steps of sup_m_plus stop
 _SEARCH_RTOL = np.finfo(float).eps ** 0.5
 
 
@@ -99,12 +105,14 @@ def _m_plus_minus(alpha: float, gamma: float, delta: float, ts):
     """
     xp = math if isinstance(ts, float) else np
     one = 1.0 - alpha * alpha
-    e = xp.exp(-gamma * ts)
-    A = (0.5 * (1.0 + e * e) - alpha * alpha * e * xp.cos(delta * ts)) / one
-    em, sn = xp.expm1(-gamma * ts), xp.sin(0.5 * delta * ts)
+    mgt = -gamma * ts
+    e = xp.exp(mgt)
+    e2 = e * e
+    A = (0.5 * (1.0 + e2) - alpha * alpha * e * xp.cos(delta * ts)) / one
+    em, sn = xp.expm1(mgt), xp.sin(0.5 * delta * ts)
     gap = (0.5 * (em * em) + 2.0 * alpha * alpha * e * (sn * sn)) / one
     m_hi = A + xp.sqrt(gap * (A + e))
-    return e * e / m_hi, m_hi
+    return e2 / m_hi, m_hi
 
 
 def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
@@ -126,13 +134,17 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
 def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
     """sup over t >= 0 of the upper envelope factor m_+.
 
-    By the module's lemma, golden-section search over s = |delta| t in [0, pi]
-    (invariant under C -> sC) finds it, down to a bracket sqrt(eps) times its
-    right end; the slope of m_+ at s = pi is < 0 (0 for gamma = 0), so that end
-    needs no evaluation of its own. The search runs in Python floats: each m_+
-    is a handful of math calls, not numpy calls on one-element values. t_at
-    is None within 1e-12 of the asymptote 1/(1 - alpha^2), which is the sup
-    for delta = 0.
+    By the module's lemma the sup lies in s = |delta| t in [0, pi] (invariant
+    under C -> sC). Golden-section search narrows that bracket to _GOLDEN_WIDTH;
+    the slope of m_+ at s = pi is < 0 (0 for gamma = 0), so that end needs no
+    evaluation of its own, and m_+(0) = 1. Then each step evaluates the vertex
+    of the parabola through the three best samples, kept inside the bracket,
+    until a step moves less than _SEARCH_RTOL relative, the samples no longer
+    bend down (they agree to rounding) or the vertex is no better than all
+    three. The value is the largest sampled m_+, a lower bound on the sup.
+    The search runs in Python floats: each m_+ is a handful of math calls, not
+    numpy calls on one-element values. t_at is None within 1e-12 of the
+    asymptote 1/(1 - alpha^2), which is the sup for delta = 0.
     """
     alpha, gamma, delta = float(alpha), float(gamma), float(delta)
     if not (0.0 <= alpha < 1.0 and 0.0 <= gamma < math.inf and abs(delta) < math.inf):
@@ -148,18 +160,34 @@ def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
     m = lambda s: _m_plus_minus(alpha, g, 1.0, s)[1]  # noqa: E731
     inv = (5.0 ** 0.5 - 1.0) / 2.0
     lo, hi, s1, s2 = 0.0, math.pi, math.pi - inv * math.pi, inv * math.pi
-    m1, m2 = m(s1), m(s2)
-    while hi - lo >= _SEARCH_RTOL * hi:
+    m_lo, m1, m2, m_hi = 1.0, m(s1), m(s2), -math.inf  # m_+(0) = 1; pi is not sampled
+    while hi - lo >= _GOLDEN_WIDTH:
         if m1 > m2:
-            hi, s2, m2, s1 = s2, s1, m1, s2 - inv * (s2 - lo)
+            hi, m_hi, s2, m2, s1 = s2, m2, s1, m1, s2 - inv * (s2 - lo)
             m1 = m(s1)
         else:
-            lo, s1, m1, s2 = s1, s2, m2, s1 + inv * (hi - s1)
+            lo, m_lo, s1, m1, s2 = s1, m1, s2, m2, s1 + inv * (hi - s1)
             m2 = m(s2)
-    s, best = (s1, m1) if m1 > m2 else (s2, m2)
-    if best <= asymptote * (1.0 + 1e-12):
-        return SupOfEnvelope(value=max(best, asymptote), t_at=None)
-    return SupOfEnvelope(value=best, t_at=s / abs(delta))
+    # m_+ falls away from its maximum, so the best samples lie in [lo, hi]
+    (mb, b), (ma, a), (mc, c) = sorted([(m_lo, lo), (m1, s1), (m2, s2), (m_hi, hi)],
+                                       reverse=True)[:3]
+    while True:
+        # the parabola mb + k (s - b) + curv (s - b)^2 through the three samples,
+        # from the slopes of the chords from b to a and to c
+        ka, kc = (ma - mb) / (a - b), (mc - mb) / (c - b)
+        curv = (ka - kc) / (a - c)
+        if not curv < 0.0:
+            break
+        u = min(max(b - (ka - curv * (a - b)) / (2.0 * curv), lo), hi)
+        if abs(u - b) < _SEARCH_RTOL * b or u == a or u == c:
+            break
+        m_u = m(u)
+        if m_u <= mc:
+            break
+        (mb, b), (ma, a), (mc, c) = sorted([(mb, b), (ma, a), (m_u, u)], reverse=True)
+    if mb <= asymptote * (1.0 + 1e-12):
+        return SupOfEnvelope(value=max(mb, asymptote), t_at=None)
+    return SupOfEnvelope(value=mb, t_at=b / abs(delta))
 
 
 def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,8 @@ class SpectralData:
     defective : True when no reliable eigenbasis exists
     positive_stable : True when every eigenvalue has positive real part
     mu_s, nu_s : smallest and largest eigenvalue of (C + C*)/2
+    eigenvector_cond : condition number of the unit-norm eigenvector matrix,
+        computed on first read
     """
 
     matrix: np.ndarray
@@ -91,11 +94,17 @@ class SpectralData:
     positive_stable: bool
     mu_s: float
     nu_s: float
-    eigenvector_cond: float = field(default=np.nan, repr=False)
+    #: the spectral radius, and the ordered unit-norm V that eig returns
+    _radius: float = field(repr=False)
+    _unit_vectors: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigenvector_cond(self) -> float:
+        return _cond(self._unit_vectors)
 
     @property
     def spectral_gap(self) -> float:
@@ -103,19 +112,26 @@ class SpectralData:
         return float(self.eigenvalues.real.min())
 
 
-def _order_with_clustered_ties(lam: np.ndarray) -> np.ndarray:
-    """Sort key (Re, Im) with coinciding real parts snapped together.
+def _order_with_clustered_ties(lam: np.ndarray, tol: float) -> np.ndarray:
+    """Sort key (Re, Im) with real parts within tol, coincidence_tol(lam),
+    snapped together.
 
     Raw float real parts of an equal-real-part pair differ by rounding noise,
     which would make the tie-break on the imaginary part unreliable.
     """
-    tol = coincidence_tol(lam)
     snapped = lam.real.copy()
     idx = np.argsort(snapped, kind="stable")
     for i, j in zip(idx[:-1], idx[1:]):
         if abs(snapped[j] - snapped[i]) <= tol:
             snapped[j] = snapped[i]
     return np.lexsort((lam.imag, snapped))
+
+
+def _cond(V: np.ndarray) -> float:
+    """np.linalg.cond(V) without its wrapper: the ratio of the extreme singular
+    values, inf for a singular V."""
+    s = np.linalg.svd(V, compute_uv=False).tolist()
+    return s[0] / s[-1] if s[-1] != 0.0 else math.inf
 
 
 def eigendecompose(C) -> SpectralData:
@@ -125,6 +141,8 @@ def eigendecompose(C) -> SpectralData:
     detected numerically (clustered eigenvalues plus eigenvector-matrix
     condition number above DEFECT_COND_LIMIT) and flagged, not raised; the
     operations that genuinely need an eigenbasis check the flag themselves.
+    Only a clustered spectrum computes the condition number here; otherwise
+    eigenvector_cond computes it on first read, from the same V.
     """
     C = as_complex_matrix(C)
     try:
@@ -132,18 +150,15 @@ def eigendecompose(C) -> SpectralData:
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
 
-    order = _order_with_clustered_ties(lam)
+    radius = float(np.abs(lam).max())
+    order = _order_with_clustered_ties(lam, COINCIDENCE_RTOL * radius)
     lam = lam[order]
-    V = V[:, order]
+    V = unit_V = V[:, order]
 
-    # np.linalg.cond(V) without its wrapper: the ratio of the extreme singular
-    # values, inf for a singular V
-    s = np.linalg.svd(V, compute_uv=False).tolist()
-    cond = s[0] / s[-1] if s[-1] != 0.0 else math.inf
     gaps = np.abs(lam[:, None] - lam[None, :])
     np.fill_diagonal(gaps, np.inf)
-    clustered = bool(gaps.min() <= coincidence_tol(lam, CLUSTER_GAP))
-    defective = clustered and cond > DEFECT_COND_LIMIT
+    clustered = bool(gaps.min() <= CLUSTER_GAP * radius)
+    defective = clustered and _cond(V) > DEFECT_COND_LIMIT
 
     if defective:
         W = np.full_like(V, np.nan)
@@ -166,7 +181,8 @@ def eigendecompose(C) -> SpectralData:
         positive_stable=positive_stable,
         mu_s=float(herm[0]),
         nu_s=float(herm[-1]),
-        eigenvector_cond=cond,
+        _radius=radius,
+        _unit_vectors=unit_V,
     )
 
 
@@ -242,6 +258,12 @@ class Canonical2DForm:
     adjoint eigenvectors. mu_s and nu_s are copied from the spectral record.
     The form carries the one regime decision: case, rounding_tol (ROUNDING_RTOL
     times the spectral radius) and scalar (the eigenvalues agree within it).
+
+    mu and nu are the real parts of lambda_1 and lambda_2. gamma, the
+    real-part spread Re(lambda_2 - lambda_1), is >= 0 only up to the
+    coincidence tolerance: -1.1e-16 on [[1, -1], [1, 0]]. delta is the
+    imaginary-part spread Im(lambda_2 - lambda_1). All four are read off the
+    eigenvalues once, as Python floats.
     """
 
     alpha: float
@@ -251,25 +273,17 @@ class Canonical2DForm:
     case: DecayCase
     scalar: bool
     rounding_tol: float
+    mu: float = field(init=False)
+    nu: float = field(init=False)
+    gamma: float = field(init=False)
+    delta: float = field(init=False)
 
-    @property
-    def mu(self) -> float:
-        return float(self.eigenvalues.real.min())
-
-    @property
-    def nu(self) -> float:
-        return float(self.eigenvalues[1].real)
-
-    @property
-    def gamma(self) -> float:
-        """Real-part spread Re(lambda_2 - lambda_1), >= 0 only up to the
-        coincidence tolerance: -1.1e-16 on [[1, -1], [1, 0]]."""
-        return float((self.eigenvalues[1] - self.eigenvalues[0]).real)
-
-    @property
-    def delta(self) -> float:
-        """Imaginary-part spread Im(lambda_2 - lambda_1)."""
-        return float((self.eigenvalues[1] - self.eigenvalues[0]).imag)
+    def __post_init__(self):
+        lam = self.eigenvalues
+        self.mu = float(lam.real.min())
+        self.nu = float(lam[1].real)
+        spread = lam[1] - lam[0]
+        self.gamma, self.delta = float(spread.real), float(spread.imag)
 
     @property
     def kappa_min(self) -> float:
@@ -298,7 +312,7 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     if data.defective:
         raise Defective2D("matrix is numerically defective, eigenbasis is unreliable")
 
-    radius = float(np.abs(data.eigenvalues).max())
+    radius = data._radius
     tol, rounding_tol = COINCIDENCE_RTOL * radius, ROUNDING_RTOL * radius
     spread = data.eigenvalues[1] - data.eigenvalues[0]
     gap = abs(spread)
@@ -310,7 +324,11 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     rnorm = float(np.linalg.norm(w2 - overlap * w1))  # sqrt(1 - alpha^2)
     if rnorm < 1e-15:
         raise Defective2D("adjoint eigenvectors are numerically parallel")
-    if not scalar:
+    # |C|_2 <= |C|_F, so only a product below the Frobenius screen can be at
+    # most ROUNDING_RTOL |C|_2; the screen is doubled against the rounding of
+    # both norms, and math.hypot forms |C|_F without overflow
+    if not scalar and gap * rnorm <= 2.0 * ROUNDING_RTOL * math.hypot(
+            *map(abs, data.matrix.ravel().tolist())):
         jordan_tol = ROUNDING_RTOL * float(np.linalg.svd(data.matrix, compute_uv=False)[0])
         if gap * rnorm <= jordan_tol:
             raise Defective2D(f"matrix is within rounding of a Jordan block: eigenvalue split "

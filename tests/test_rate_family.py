@@ -4,10 +4,11 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from hypodecay import (
+    Defective2D,
     RateOutOfRange,
     canonical_2d_form,
     eigendecompose,
@@ -207,10 +208,15 @@ class TestBoundsHold:
                 assert np.all(norms >= env * (1 - 1e-9))
 
 
+def _matrix(alpha, lam):
+    """The 2x2 with eigenvalues lam and eigenvector overlap alpha."""
+    v = np.array([[1.0, alpha], [0.0, np.sqrt(1 - alpha ** 2)]], dtype=complex)
+    return v @ np.diag(lam) @ np.linalg.inv(v)
+
+
 def _form(alpha, lam):
     """Canonical form of the 2x2 with eigenvalues lam and eigenvector overlap alpha."""
-    v = np.array([[1.0, alpha], [0.0, np.sqrt(1 - alpha ** 2)]], dtype=complex)
-    return canonical_2d_form(eigendecompose(v @ np.diag(lam) @ np.linalg.inv(v)))
+    return canonical_2d_form(eigendecompose(_matrix(alpha, lam)))
 
 
 @pytest.fixture
@@ -231,6 +237,20 @@ def _assert_dense_envelopes(form, ts, n_rates):
     eps = np.finfo(float).eps
     assert np.all(np.isclose(fam.upper, upper, rtol=4 * eps, atol=0.0, equal_nan=True))
     assert np.all(np.isclose(fam.lower, lower, rtol=4 * eps, atol=0.0, equal_nan=True))
+
+
+def _assert_jordan_refusal(alpha, lam):
+    """The matrix _form refuses is within rounding of a Jordan block, as
+    canonical_2d_form documents: its eigenvalue split times sqrt(1 - alpha^2)
+    is at most 32 eps |C|_2, recomputed here with numpy, up to a rounding
+    slack of 1e-12 relative."""
+    c = _matrix(alpha, lam)
+    ev, v = np.linalg.eig(c)
+    w = np.linalg.inv(v).conj().T
+    w /= np.linalg.norm(w, axis=0)
+    overlap = abs(np.vdot(w[:, 0], w[:, 1]))
+    split = abs(ev[1] - ev[0]) * np.sqrt(1.0 - overlap * overlap)
+    assert split <= 32 * np.finfo(float).eps * np.linalg.norm(c, 2) * (1.0 + 1e-12)
 
 
 def _monotone_chain_envelope(rates, logc, ts):
@@ -331,10 +351,19 @@ class TestFamilyEnvelope:
            im=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
            n_rates=st.sampled_from([1, 2, 3, 64, 2048]),
            ts=st.lists(st.floats(-5.0, 5.0) | st.just(np.nan), min_size=1, max_size=50))
+    # eigenvalues split by 2.2207e-16, just above the scalar tie 32 eps * radius
+    # = 2.2204e-16: canonical_2d_form refuses the matrix as a Jordan block
+    @example(alpha=0.875, re=(0.03125, 0.03125), im=(0.0, 2.220446049250313e-16),
+             n_rates=1, ts=[np.nan])
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_oracle(self, alpha, re, im, n_rates, ts):
         lam = [re[0] + 1j * im[0], re[1] + 1j * im[1]]
-        _assert_dense_envelopes(_form(alpha, lam), np.array(ts), n_rates)
+        try:
+            form = _form(alpha, lam)
+        except Defective2D:
+            _assert_jordan_refusal(alpha, lam)
+            reject()
+        _assert_dense_envelopes(form, np.array(ts), n_rates)
 
     @pytest.mark.parametrize("alpha, lam", [(0.0, [0.5 + 1j, 2.0 - 1j]),
                                             (0.7, [0.5 + 1j, 0.5 + 1j])],

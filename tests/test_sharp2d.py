@@ -15,6 +15,7 @@ from hypodecay import (
     sector_constant,
     sup_m_plus,
 )
+from hypodecay import sharp2d
 from hypodecay.sharp2d import ALPHA_FLOOR, _m_plus_minus
 from .conftest import make_2x2_with_overlap
 from .sweep import (_grid_extrema, _gram_coefficients, trajectory_envelope_oracle,
@@ -260,10 +261,17 @@ class TestSupReference:
         (a, g * abs(d), d) for a in (1e-6, 0.1, 0.5, 0.9, 0.99)
         for g, d in ((0.0, 1.0), (1e-5, -7.0), (0.01, 1.0), (0.3, -1.0),
                      (3.0, 7.0), (30.0, 1.0))])
-    def test_matches_mpmath(self, alpha, gamma, delta):
+    def test_matches_mpmath(self, alpha, gamma, delta, monkeypatch):
         ref = _sup_reference(alpha, gamma, delta)
+        calls = []
+        m_plus_minus = sharp2d._m_plus_minus
+        monkeypatch.setattr(sharp2d, "_m_plus_minus",
+                            lambda *args: calls.append(args) or m_plus_minus(*args))
         res = sup_m_plus(alpha, gamma, delta)
         assert res.value == pytest.approx(float(ref), rel=1e-13)
+        # golden section to a bracket 1e-3 pi wide takes 17 evaluations of m_+,
+        # and the parabolic steps after it a few
+        assert len(calls) <= 26
 
     def test_time_rescaling(self):
         # (0.6, 0.3 s, 1.7 s) is the same problem in the time t / s

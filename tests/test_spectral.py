@@ -16,7 +16,7 @@ from hypodecay import (
     eigendecompose,
 )
 from hypodecay import condopt
-from hypodecay.spectral import COINCIDENCE_RTOL, _order_with_clustered_ties
+from hypodecay.spectral import COINCIDENCE_RTOL, _order_with_clustered_ties, coincidence_tol
 from .conftest import make_2x2_with_overlap
 
 #: eigenbases of overlap 0.6 and 0.9
@@ -89,12 +89,16 @@ class TestEigendecompose:
         [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
         [[0.0, 2.0j], [2.0j, 4.0]],
         _V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06),
-    ], ids=["jordan", "singular-V", "nilpotent-3", "complex-symmetric-jordan", "near-tie"])
+        [[1.0, -1.0], [1.0, 0.0]],
+        [[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 1.0, 3.0]],
+    ], ids=["jordan", "singular-V", "nilpotent-3", "complex-symmetric-jordan", "near-tie",
+            "unclustered", "unclustered-3"])
     def test_eigenvector_cond_is_np_cond(self, c):
         # the ratio of extreme singular values of the ordered V that eig returns,
         # inf without a RuntimeWarning where V is singular
         lam, v = np.linalg.eig(np.asarray(c, dtype=complex))
-        expected = float(np.linalg.cond(v[:, _order_with_clustered_ties(lam)]))
+        order = _order_with_clustered_ties(lam, coincidence_tol(lam))
+        expected = float(np.linalg.cond(v[:, order]))
         assert eigendecompose(c).eigenvector_cond == expected
 
     def test_adjoint_eigenvectors(self, mat_real_distinct):
@@ -103,6 +107,49 @@ class TestEigendecompose:
             w = data.left_vectors[:, j]
             lhs = mat_real_distinct.conj().T @ w
             assert np.allclose(lhs, np.conj(data.eigenvalues[j]) * w, atol=1e-12)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The arguments of every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestSvdOnlyWhereRead:
+    """eigendecompose reads the eigenvector condition number only for a
+    clustered spectrum, and canonical_2d_form reads |C|_2 only for a split
+    times sqrt(1 - alpha^2) within the Frobenius screen of its Jordan test."""
+
+    def test_unclustered_spectrum_makes_no_svd(self, svd_calls, mat_real_distinct):
+        data = eigendecompose(mat_real_distinct)
+        assert svd_calls == []
+        # computed on the first read, once
+        assert data.eigenvector_cond == data.eigenvector_cond
+        assert len(svd_calls) == 1
+
+    def test_clustered_spectrum_makes_one(self, svd_calls):
+        data = eigendecompose(_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06))
+        assert not data.defective
+        assert len(svd_calls) == 1
+
+    def test_separated_form_makes_no_svd(self, svd_calls, mat_complex_pair):
+        form = canonical_2d_form(eigendecompose(mat_complex_pair))
+        assert not form.scalar
+        assert svd_calls == []
+
+    def test_jordan_refusal_makes_one(self, svd_calls):
+        data = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
+        svd_calls.clear()
+        with pytest.raises(Defective2D, match=r"32 eps \|C\|_2"):
+            canonical_2d_form(data)
+        assert len(svd_calls) == 1
 
 
 class TestClassifyStability:
