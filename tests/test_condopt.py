@@ -114,6 +114,40 @@ class TestMinimizeKappaWeights:
         assert opt.kappa_equal == pytest.approx(1.0, abs=1e-12)
 
 
+def _nice_rescale_loop(b, rtol=1e-3, max_factor=12):
+    """The reference: condopt._nice_rescale one integer scale at a time."""
+    for q in range(1, max_factor + 1):
+        cand = b * q
+        if np.all(np.abs(cand - np.round(cand)) <= rtol * np.maximum(1.0, cand)):
+            return cand
+    return b
+
+
+class TestNiceRescale:
+    def test_matches_the_loop_bit_for_bit(self):
+        # random weights, which rarely rescale, and near-rational ones, which
+        # often do at some q <= 12 (or at a q just beyond it, or not at all)
+        rng = np.random.default_rng(5)
+        rescaled = 0
+        for k in range(2000):
+            n = int(rng.integers(2, 17))
+            if k % 2:
+                b = np.exp(rng.normal(size=n))
+            else:
+                b = rng.integers(1, 30, size=n) / rng.integers(1, 14)
+                b *= 1.0 + rng.choice([0.0, 1e-5, 1e-3, 5e-3]) * rng.normal(size=n)
+            want = _nice_rescale_loop(b)
+            rescaled += want is not b
+            assert condopt._nice_rescale(b).tobytes() == want.tobytes(), b
+        assert 200 < rescaled < 1800
+
+    def test_no_overflow_warning_at_huge_weights(self):
+        # q = 1 already matches; the larger scales overflow unseen
+        b = np.array([1.0, 1e308])
+        with np.errstate(all="raise"):
+            assert condopt._nice_rescale(b).tolist() == [1.0, 1e308]
+
+
 class TestMinimizeKappaAdmissible:
     def test_two_dim_reaches_rate_family_optimum(self, mat_complex_pair):
         # at the spectral gap the best admissible conditioning is
@@ -319,3 +353,58 @@ class TestLbfgsCore:
         found = condopt._minimize_log_cond(lambda x: lambda tau: (*fun(x), 2.0), x0)
         assert not found.converged
         assert found.kappa == 2.0
+
+
+#: the ten-stage continuation, tau = 0.1 ... 1e-10, that the five stages replace
+_TEN_STAGES = 10.0 ** -np.arange(1.0, 11.0)
+
+
+def _seeded_system(rng, n):
+    """C = V diag(lam) V^-1 with V = Q (I + 0.6 N / |N|), Re lam in [0.2, 1.5]."""
+    lam = np.sort(rng.uniform(0.2, 1.5, n)) + 1j * rng.uniform(-2.0, 2.0, n)
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    v = q @ (np.eye(n) + 0.6 * noise / np.linalg.norm(noise, 2))
+    return (v * lam) @ np.linalg.inv(v)
+
+
+@pytest.fixture(scope="module")
+def admissible_on_both_ladders():
+    """{n: (five-stage result, ten-stage result)} of the admissible search at
+    the spectral gap from equal weights, on three seeded systems."""
+    rng = np.random.default_rng(1)
+    found = {}
+    for n in (8, 12, 16):
+        c = _seeded_system(rng, n)
+        data = eigendecompose(c)
+        seed_p = build_weighted_p(data, np.ones(n))
+        short = minimize_kappa_admissible(c, data.spectral_gap, seed_p)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(condopt, "TAUS", _TEN_STAGES)
+            found[n] = short, minimize_kappa_admissible(c, data.spectral_gap, seed_p)
+    return found
+
+
+class TestShortLadder:
+    def test_weight_searches_lose_nothing(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        for n in range(3, 17):
+            w = _seeded_weights(rng, n)
+            short = minimize_kappa_weights(w)
+            with monkeypatch.context() as m:
+                m.setattr(condopt, "TAUS", _TEN_STAGES)
+                long = minimize_kappa_weights(w)
+            assert short.converged and long.converged, n
+            assert short.kappa <= long.kappa * (1 + 1e-10), n
+
+    def test_admissible_searches_lose_nothing(self, admissible_on_both_ladders):
+        for n, (short, long) in admissible_on_both_ladders.items():
+            assert short.converged and long.converged, n
+            assert short.kappa <= long.kappa * (1 + 1e-10), n
+
+    def test_sixteen_dim_admissible_search_takes_half_the_evaluations(
+            self, admissible_on_both_ladders):
+        # a count, not a wall time
+        short, long = admissible_on_both_ladders[16]
+        assert short.converged
+        assert 2 * short.nfev <= long.nfev
