@@ -9,18 +9,22 @@ Three searches of increasing generality:
   that spans exactly the admissible matrices (facial reduction in the
   eigenbasis of C; no penalty, barrier or feasibility slack).
 
-Both numerical searches share one core, `_minimize_log_cond`. It minimizes
-log lambda_max(P) - log lambda_min(P), smoothed by log-sum-exp at a
-temperature tau, with analytic gradients d lambda_i = u_i* dP u_i from one
-`eigh` per evaluated point (Lewis & Overton, Acta Numerica 1996). A small numpy
-BFGS (`_bfgs`: dense inverse Hessian H, backtracking Armijo line search;
-Nocedal & Wright, Numerical Optimization, ch. 3 and 6) runs once per
-temperature down the continuation TAUS, each stage from the point and the H
-the last one ended with; a line search that fails along -H g drops H and
-retries once along -g. The point with the smallest exact kappa wins. The
-O(d^2) update and step cost a fifth to a third of an evaluation for the
-n - 1 weights; for the 2 n^2 factor entries of the admissible search they
-match one at n = 12 and cost five at n = 16.
+Both numerical searches share one core, `_minimize_log_cond(P_of, gradient,
+x0)`. A search passes two plain functions of its real unknowns x: P_of(x),
+the Hermitian P at x, and gradient(x, U, g), the gradient in x of a function
+whose gradient in P is U diag(g) U*. The core owns the rest: one `eigh` per
+evaluated point; the smoothing of log lambda_max(P) - log lambda_min(P) by
+log-sum-exp at a temperature tau (`_smoothed`: the value and g, its gradient
+in the eigenvalues, since d lambda_i = u_i* dP u_i; Lewis & Overton, Acta
+Numerica 1996); the evaluation count; the best point and the converged
+flag. A small numpy BFGS (`_bfgs`: dense inverse Hessian H, backtracking
+Armijo line search; Nocedal & Wright, Numerical Optimization, ch. 3 and 6)
+runs once per temperature down the continuation TAUS, each stage from the
+point and the H the last one ended with; a line search that fails along
+-H g drops H and retries once along -g. The point with the smallest exact
+kappa wins. The O(d^2) update and step cost a fifth to a third of an
+evaluation for the n - 1 weights; for the 2 n^2 factor entries of the
+admissible search they match one at n = 12 and cost five at n = 16.
 
 kappa is quasiconvex on both families (lambda_max is convex, lambda_min
 concave; Braatz & Morari 1994), so one start suffices and there is no
@@ -111,40 +115,19 @@ def minimize_kappa_2d(form: Canonical2DForm) -> WeightOptimum:
     )
 
 
-def _smoothed_log_cond(P: np.ndarray, x: np.ndarray, gradient):
-    """tau -> (value, grad, kappa) at the point x, from one eigh of its
-    Hermitian P: the tau-smoothed log kappa of P, its gradient in x and the
-    exact kappa.
+def _smoothed(lam: np.ndarray, tau: float):
+    """The tau-smoothed log kappa of a positive definite P with eigenvalues
+    lam, and g: its gradient in P is U diag(g) U*, U the eigenvectors.
 
-    Log-sum-exp of the log-eigenvalues from above and from below, whose
-    gradient with respect to P is U diag(g) U*. gradient(U) returns the map
-    from g to the gradient in x, so its part free of tau runs once for every
-    temperature. The value is infinite and the gradient zero unless P is
-    positive definite.
+    Log-sum-exp of the log-eigenvalues from above and from below; it exceeds
+    log kappa by at most 2 tau log n.
     """
-    lam, U = np.linalg.eigh(P)
-    if lam[0] <= 0.0:
-        return lambda tau: (np.inf, np.zeros_like(x), np.inf)
     ell = np.log(lam)
-    kappa = float(lam[-1] / lam[0])
-    to_x = gradient(U)
-
-    def at(tau):
-        hi = np.exp((ell - ell[-1]) / tau)
-        lo = np.exp((ell[0] - ell) / tau)
-        hi_sum, lo_sum = hi.sum(), lo.sum()
-        value = ell[-1] - ell[0] + tau * (math.log(hi_sum) + math.log(lo_sum))
-        return value, to_x((hi / hi_sum - lo / lo_sum) / lam), kappa
-    return at
-
-
-@dataclass
-class _Search:
-    x: np.ndarray
-    kappa: float
-    kappa_start: float
-    nfev: int
-    converged: bool
+    hi = np.exp((ell - ell[-1]) / tau)
+    lo = np.exp((ell[0] - ell) / tau)
+    hi_sum, lo_sum = hi.sum(), lo.sum()
+    value = ell[-1] - ell[0] + tau * (math.log(hi_sum) + math.log(lo_sum))
+    return value, (hi / hi_sum - lo / lo_sum) / lam
 
 
 def _cubic_min(a, fa, da, b, fb, db):
@@ -190,26 +173,19 @@ def _bfgs(fun, x, gtol: float, maxiter: int, H):
     and takes the rank-2 update [s, Hy] M [s, Hy]^T of eq. 6.17. The search
     does not enforce s.y > 0; a pair without it skips the update, so H stays
     positive definite. No step along -H g drops H and retries once along -g,
-    from step min(1, 1/|g|). Returns (x, evaluations, converged, H): converged
-    means |g|_inf <= gtol, which no step along -g, or maxiter, leaves unmet.
+    from step min(1, 1/|g|). Returns (x, converged, H): converged means
+    |g|_inf <= gtol, which no step along -g, or maxiter, leaves unmet.
     """
-    nfev = 0
-
-    def counted(x):
-        nonlocal nfev
-        nfev += 1
-        return fun(x)
-
-    f, g = counted(x)
+    f, g = fun(x)
     for _ in range(maxiter):
         if np.abs(g).max() <= gtol:
-            return x, nfev, True, H
-        found = None if H is None else _backtrack(counted, x, f, g, -(H @ g), 1.0)
+            return x, True, H
+        found = None if H is None else _backtrack(fun, x, f, g, -(H @ g), 1.0)
         if found is None:
             H = None
-            found = _backtrack(counted, x, f, g, -g, min(1.0, 1.0 / np.linalg.norm(g)))
+            found = _backtrack(fun, x, f, g, -g, min(1.0, 1.0 / np.linalg.norm(g)))
             if found is None:
-                return x, nfev, False, H
+                return x, False, H
         x_new, f, g_new = found
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
@@ -221,51 +197,52 @@ def _bfgs(fun, x, gtol: float, maxiter: int, H):
             B = np.stack([s, Hy])
             H += B.T @ (np.array([[rho + rho * rho * float(y @ Hy), -rho], [-rho, 0.0]]) @ B)
         x, g = x_new, g_new
-    return x, nfev, bool(np.abs(g).max() <= gtol), H
+    return x, bool(np.abs(g).max() <= gtol), H
 
 
-def _minimize_log_cond(evaluate, x0: np.ndarray) -> _Search:
-    """Run BFGS once per temperature in TAUS, each stage from the point and
-    the inverse Hessian the last one ended with (none at the first stage, or
-    after a stage whose search along -H g failed and dropped it).
+def _minimize_log_cond(P_of, gradient, x0: np.ndarray):
+    """Minimize kappa(P_of(x)) by BFGS on the smoothed log kappa, once per
+    temperature in TAUS, each stage from the point and the inverse Hessian
+    the last one ended with (none at the first stage, or after a stage whose
+    search along -H g failed and dropped it).
 
-    evaluate(x) returns the point's objective as a function of tau, which
-    returns (smoothed objective, gradient, exact kappa), the objective and
-    kappa infinite outside the domain. Each stage starts where the last one
-    ended, at a point evaluated already when that stage ended on its last
-    evaluation; the function of the last evaluated point is kept, so such a
-    start re-smooths it at the new tau and runs no second eigh. It still
-    counts as an evaluation. The result is the evaluated point with the
-    smallest exact kappa, and kappa_start is the exact kappa at x0. A stage
-    that ends without reaching its gradient tolerance clears converged, and
-    so does any infinite objective: the search met the edge of the domain,
-    where the smoothed objective no longer describes kappa.
+    P_of(x) is the Hermitian P at x, and gradient(x, U, g) the gradient in x
+    of a function whose gradient in P is U diag(g) U*. Each evaluation is one
+    eigh of P_of(x), except a stage start on the point the last stage
+    evaluated last: that eigh is re-smoothed at the new tau, and still counts
+    in nfev. Returns (x, kappa, kappa_at_x0, nfev, converged): the evaluated
+    point with the smallest exact kappa. A stage that ends without reaching
+    its gradient tolerance clears converged, and so does a P that is not
+    positive definite: the search met the edge of the domain, where the
+    smoothed objective no longer describes kappa.
     """
-    # (x, its objective) of the last evaluated point; the first stage starts at x0
-    last = x0, evaluate(x0)
-    kappa0 = last[1](TAUS[0])[2]
-    best = _Search(x=x0, kappa=kappa0, kappa_start=kappa0, nfev=0, converged=True)
+    # the last evaluated point and its eigh; the first stage starts at x0
+    last, (lam, U) = x0, np.linalg.eigh(P_of(x0))
+    kappa_at_x0 = float(lam[-1] / lam[0]) if lam[0] > 0.0 else math.inf
+    best, kappa, nfev, converged = x0, kappa_at_x0, 0, True
 
     def fun(x, tau):
-        nonlocal last
+        nonlocal last, lam, U, best, kappa, nfev, converged
+        nfev += 1
         # a stage returns the very array it evaluated, and no x is written in
         # place, so the same object is the same point
-        if x is not last[0]:
-            last = x, evaluate(x)
-        value, grad, kappa = last[1](tau)
-        if kappa < best.kappa:
-            best.x, best.kappa = x.copy(), kappa
-        if not math.isfinite(value):
-            best.converged = False
-        return value, grad
+        if x is not last:
+            last, (lam, U) = x, np.linalg.eigh(P_of(x))
+        if not lam[0] > 0.0:
+            converged = False
+            return math.inf, np.zeros_like(x)
+        kappa_x = float(lam[-1] / lam[0])
+        if kappa_x < kappa:
+            best, kappa = x.copy(), kappa_x
+        value, g = _smoothed(lam, tau)
+        return value, gradient(x, U, g)
 
     x, H = x0, None
     for tau in TAUS:
-        x, nfev, converged, H = _bfgs(lambda x: fun(x, tau), x,
+        x, stage_converged, H = _bfgs(lambda x: fun(x, tau), x,
                                       GTOL_SCALE * math.sqrt(_EPS / tau), STAGE_MAXITER, H)
-        best.nfev += nfev
-        best.converged &= converged
-    return best
+        converged &= stage_converged
+    return best, kappa, kappa_at_x0, nfev, converged
 
 
 def minimize_kappa_weights(W) -> WeightOptimum:
@@ -285,30 +262,27 @@ def minimize_kappa_weights(W) -> WeightOptimum:
 
     Wh = W.conj().T
 
-    def evaluate(x):
-        b = np.concatenate([[1.0], np.exp(x)])
+    def weights(x):
+        return np.concatenate([[1.0], np.exp(x)])
 
-        def gradient(U):
-            # dP/dx_j = b_j w_j w_j*, so the derivative is b_j sum_i |w_j* u_i|^2 g_i
-            overlaps = np.abs(Wh @ U) ** 2
-            return lambda g: (b * (overlaps @ g))[1:]
-        return _smoothed_log_cond((W * b) @ Wh, x, gradient)
+    def gradient(x, U, g):
+        # dP/dx_j = b_j w_j w_j*, so the derivative is b_j sum_i |w_j* u_i|^2 g_i
+        return (weights(x) * (np.abs(Wh @ U) ** 2 @ g))[1:]
 
-    found = _minimize_log_cond(evaluate, np.zeros(n - 1))
-    if not np.isfinite(found.kappa):
+    x, kappa, kappa_equal, nfev, converged = _minimize_log_cond(
+        lambda x: (W * weights(x)) @ Wh, gradient, np.zeros(n - 1))
+    if not np.isfinite(kappa):
         raise DefectiveInput("the adjoint eigenvectors are numerically dependent")
-    weights = np.concatenate([[1.0], np.exp(found.x)])
-    return WeightOptimum(weights=_nice_rescale(weights), kappa=found.kappa,
-                         kappa_equal=found.kappa_start, converged=found.converged,
-                         nfev=found.nfev)
+    return WeightOptimum(weights=_nice_rescale(weights(x)), kappa=kappa,
+                         kappa_equal=kappa_equal, converged=converged, nfev=nfev)
 
 
-def _nice_rescale(b: np.ndarray, rtol: float = 1e-3, max_factor: int = 12) -> np.ndarray:
-    """Scale weights by the smallest integer q <= max_factor that makes them
-    all near-integers, all q tried in one (max_factor, n) array."""
+def _nice_rescale(b: np.ndarray) -> np.ndarray:
+    """Scale weights by the smallest integer q <= 12 that makes them all
+    near-integers (within 1e-3 relative), all q tried in one (12, n) array."""
     with np.errstate(over="ignore", invalid="ignore"):
-        cand = np.arange(1, max_factor + 1)[:, None] * b
-        near = np.all(np.abs(cand - np.round(cand)) <= rtol * np.maximum(1.0, cand), axis=1)
+        cand = np.arange(1, 13)[:, None] * b
+        near = np.all(np.abs(cand - np.round(cand)) <= 1e-3 * np.maximum(1.0, cand), axis=1)
     return cand[near.argmax()] if near.any() else b
 
 
@@ -370,22 +344,18 @@ def minimize_kappa_admissible(C, mu: float, seed_P) -> AdmissibleOptimum:
     def unpack(x):
         return x[:n * n].reshape(n, n) + 1j * x[n * n:].reshape(n, n)
 
-    def P_of(G):
+    def P_of(x):
+        G = unpack(x)
         return W @ ((G @ G.conj().T) * kinv) @ Wh
 
-    def evaluate(x):
-        G = unpack(x)
+    def gradient(x, U, g):
+        # d value = Re tr(B dX) with B = W* U diag(g) U* W and dX = (dG G* + G dG*) o Kinv
+        return pack(2.0 * ((Wh @ ((U * g) @ U.conj().T) @ W) * kinv_t) @ unpack(x))
 
-        def gradient(U):
-            Uh = U.conj().T
-            # d value = Re tr(B dX) with B = W* U diag(g) U* W and dX = (dG G* + G dG*) o Kinv
-            return lambda g: pack(2.0 * ((Wh @ ((U * g) @ Uh) @ W) * kinv_t) @ G)
-        return _smoothed_log_cond(P_of(G), x, gradient)
-
-    found = _minimize_log_cond(evaluate, pack(G0))
-    P = P_of(unpack(found.x))
+    x, _, _, nfev, converged = _minimize_log_cond(P_of, gradient, pack(G0))
+    P = P_of(x)
     P = (P + P.conj().T) * (n / (2.0 * np.trace(P).real))
     best = LyapunovMatrix(matrix=P)
     return AdmissibleOptimum(P=best, kappa=best.kappa,
                              residual=certificate_from_p(C, best, mu).residual,
-                             converged=found.converged, nfev=found.nfev)
+                             converged=converged, nfev=nfev)

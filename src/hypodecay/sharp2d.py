@@ -40,7 +40,6 @@ from .errors import NotPositiveStable
 from .spectral import Canonical2DForm, DecayCase
 
 __all__ = [
-    "DecayCase",
     "SharpResult2D",
     "EnvelopeCurve",
     "SupOfEnvelope",

@@ -51,10 +51,10 @@ COINCIDENCE_RTOL = 1e-10
 ROUNDING_RTOL = 32 * np.finfo(float).eps
 
 
-def coincidence_tol(lam, rtol: float = COINCIDENCE_RTOL) -> float:
-    """rtol times the spectral radius of lam: the one scale on which eigenvalues
-    or their parts count as equal, so that C -> sC changes no such decision."""
-    return rtol * float(np.abs(lam).max())
+def coincidence_tol(lam) -> float:
+    """COINCIDENCE_RTOL times the spectral radius of lam: the one scale on which
+    eigenvalues or their parts count as equal, so C -> sC changes no decision."""
+    return COINCIDENCE_RTOL * float(np.abs(lam).max())
 
 
 def as_complex_matrix(obj) -> np.ndarray:

@@ -208,12 +208,12 @@ class TestMinimizeKappaAdmissible:
 def _lbfgsb_stage(fun, x, gtol, maxiter, H):
     """One continuation stage run by SciPy's L-BFGS-B: the reference for the
     package's own BFGS core, same signature as condopt._bfgs. It carries no
-    curvature from stage to stage."""
+    curvature from stage to stage; the core counts its evaluations."""
     from scipy.optimize import minimize
 
     res = minimize(fun, x, jac=True, method="L-BFGS-B",
                    options=dict(gtol=gtol, ftol=0.0, maxiter=maxiter))
-    return res.x, int(res.nfev), bool(res.success), None
+    return res.x, bool(res.success), None
 
 
 def _seeded_weights(rng, n):
@@ -279,7 +279,7 @@ class TestLbfgsCore:
 
         x0 = rng.normal(size=dim)
         for h0 in (None, h):
-            x1, _, _, h1 = condopt._bfgs(fun, x0, 0.0, 1, None if h0 is None else h0.copy())
+            x1, _, h1 = condopt._bfgs(fun, x0, 0.0, 1, None if h0 is None else h0.copy())
             s, y = x1 - x0, a @ (x1 - x0)
             assert s @ y > 0.0
             assert np.allclose(h1 @ y, s, rtol=0.0, atol=1e-12 * np.abs(s).max())
@@ -328,31 +328,49 @@ class TestLbfgsCore:
 
     def test_failed_search_along_h_retries_along_gradient(self):
         # a planted H = -I points uphill; the stage drops it and goes on along -g
+        points = []
+
         def fun(x):
+            points.append(x)
             return float(x @ x), 2.0 * x
 
         x0 = np.array([1.0, -2.0, 0.5])
-        x, nfev, converged, h = condopt._bfgs(fun, x0, 1e-8, 100, -np.eye(3))
+        x, converged, h = condopt._bfgs(fun, x0, 1e-8, 100, -np.eye(3))
         assert converged
         assert np.abs(x).max() <= 1e-8
-        assert nfev > 1 + condopt.LINESEARCH_MAXEV // 2
+        assert len(points) > 1 + condopt.LINESEARCH_MAXEV // 2
         assert h is None or np.linalg.eigvalsh(h)[0] > 0.0
 
     def test_failed_line_search_ends_the_stage_unconverged(self):
         # the gradient contradicts the objective: every step along -g climbs
+        points = []
+
         def fun(x):
+            points.append(x)
             return float(x @ x), -2.0 * x
 
         x0 = np.array([1.0, -2.0, 0.5])
-        x, nfev, converged, h = condopt._bfgs(fun, x0, 1e-8, 100, None)
+        x, converged, h = condopt._bfgs(fun, x0, 1e-8, 100, None)
         assert not converged
         assert h is None
         assert np.array_equal(x, x0)
-        assert 1 < nfev <= 1 + condopt.LINESEARCH_MAXEV
+        assert 1 < len(points) <= 1 + condopt.LINESEARCH_MAXEV
 
-        found = condopt._minimize_log_cond(lambda x: lambda tau: (*fun(x), 2.0), x0)
-        assert not found.converged
-        assert found.kappa == 2.0
+        # a fixed P of kappa 2 makes the smoothed objective flat, so the
+        # nonzero gradient contradicts it the same way
+        _, kappa, _, _, converged = condopt._minimize_log_cond(
+            lambda x: np.diag([1.0, 2.0]), lambda x, U, g: -2.0 * x, x0)
+        assert not converged
+        assert kappa == 2.0
+
+    def test_a_point_outside_the_domain_clears_converged(self):
+        # an indefinite P has no smoothed objective: its zero gradient ends
+        # every stage at once, and only the edge of the domain says so
+        x, kappa, kappa_at_x0, nfev, converged = condopt._minimize_log_cond(
+            lambda x: np.diag([-1.0, 1.0]), lambda x, U, g: x, np.zeros(1))
+        assert not converged
+        assert kappa == kappa_at_x0 == np.inf
+        assert nfev == len(condopt.TAUS)
 
 
 #: the ten-stage continuation, tau = 0.1 ... 1e-10, that the five stages replace
