@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveStable
+from .errors import NotPositiveStable, RateOutOfRange
 from .spectral import Canonical2DForm, DecayCase
 
 __all__ = [
@@ -118,15 +118,23 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
     """Evaluate h_- and h_+ on a time grid.
 
     Degenerates to the exact exponential for a scalar C, which has no transient.
+    Raises RateOutOfRange when a rate of h_+-, 2 Re(lambda_1) or 2 gamma, lies
+    beyond the float range: at t = 0 its exponent would be inf * 0. An
+    exponential beyond the float range is inf, without numpy's warning.
     """
+    rate = 2.0 * max(abs(form.mu), form.gamma)
+    if not math.isfinite(rate):
+        raise RateOutOfRange(f"the envelopes decay at rate {rate}, outside the float range")
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    pre = np.exp(-2.0 * form.eigenvalues[0].real * ts)
-    if form.scalar or form.alpha < ALPHA_FLOOR:
-        m_hi = np.ones_like(ts)
-        m_lo = m_hi if form.scalar else np.exp(-2.0 * form.gamma * ts)
-    else:
-        m_lo, m_hi = _m_plus_minus(form.alpha, form.gamma, form.delta, ts)
-    return EnvelopeCurve(times=ts, h_minus=pre * m_lo, h_plus=pre * m_hi,
+    with np.errstate(over="ignore"):
+        pre = np.exp(-2.0 * form.eigenvalues[0].real * ts)
+        if form.scalar or form.alpha < ALPHA_FLOOR:
+            m_hi = np.ones_like(ts)
+            m_lo = m_hi if form.scalar else np.exp(-2.0 * form.gamma * ts)
+        else:
+            m_lo, m_hi = _m_plus_minus(form.alpha, form.gamma, form.delta, ts)
+        h_minus, h_plus = pre * m_lo, pre * m_hi
+    return EnvelopeCurve(times=ts, h_minus=h_minus, h_plus=h_plus,
                          alpha=form.alpha, gamma=form.gamma, delta=form.delta)
 
 

@@ -8,10 +8,16 @@ the Hermitian part (C + C*)/2. The two eigenvector families are kept
 biorthonormal, <w_j, v_k> = delta_jk, with the w_j at unit Euclidean norm;
 under this scaling the inverse of the right-eigenvector matrix is exactly W*.
 The stability report and the 2x2 canonical form only read this record.
+
+The record has two routes. A 2x2 with separated eigenvalues gets it in closed
+form on Python complex scalars (_closed_form_2x2); every other matrix takes
+LAPACK's eig, inv and eigvalsh (_eig_route), which is also the reference the
+closed form is tested against.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -49,6 +55,15 @@ COINCIDENCE_RTOL = 1e-10
 #: unitary, splits by up to 21 ulps (measured). Only such a tie makes C scalar.
 #: Times |C|_2 it is the rounding distance of a 2x2 to a Jordan block
 ROUNDING_RTOL = 32 * np.finfo(float).eps
+
+#: the smallest normal float: no nonzero part of a 2x2 may scale below it on
+#: the closed-form route
+_TINY = float(np.finfo(float).tiny)
+
+#: least |sqrt(h^2 + bc)|, half the eigenvalue split, of a scaled 2x2 on the
+#: closed-form route: its square is then at least 2^-1000, and the products
+#: that form it lose at most 2^-70 of it to underflow
+_MIN_SCALED_DISC = 2.0 ** -500
 
 
 def coincidence_tol(lam) -> float:
@@ -94,7 +109,7 @@ class SpectralData:
     positive_stable: bool
     mu_s: float
     nu_s: float
-    #: the spectral radius, and the ordered unit-norm V that eig returns
+    #: the spectral radius, and the ordered unit-norm eigenvector matrix V
     _radius: float = field(repr=False)
     _unit_vectors: np.ndarray = field(repr=False)
 
@@ -137,14 +152,27 @@ def _cond(V: np.ndarray) -> float:
 def eigendecompose(C) -> SpectralData:
     """Eigendecompose C, ordering eigenvalues by (Re, Im) increasing.
 
-    Raises NonConvergence if the QR iteration fails. A defective matrix is
-    detected numerically (clustered eigenvalues plus eigenvector-matrix
-    condition number above DEFECT_COND_LIMIT) and flagged, not raised; the
-    operations that genuinely need an eigenbasis check the flag themselves.
-    Only a clustered spectrum computes the condition number here; otherwise
-    eigenvector_cond computes it on first read, from the same V.
+    A 2x2 whose eigenvalues are separated, |lambda_2 - lambda_1| > CLUSTER_GAP
+    times the spectral radius, gets its record in closed form
+    (_closed_form_2x2); every other C, and a 2x2 the closed form declines,
+    takes the eig route (_eig_route). Raises NonConvergence if the QR iteration
+    of that route fails. A defective matrix is detected numerically (clustered
+    eigenvalues plus eigenvector-matrix condition number above
+    DEFECT_COND_LIMIT) and flagged, not raised; the operations that genuinely
+    need an eigenbasis check the flag themselves. Only a clustered spectrum
+    computes the condition number here; otherwise eigenvector_cond computes it
+    on first read, from the same V.
     """
     C = as_complex_matrix(C)
+    data = _closed_form_2x2(C) if C.shape[0] == 2 else None
+    return data if data is not None else _eig_route(C)
+
+
+def _eig_route(C: np.ndarray) -> SpectralData:
+    """The record through LAPACK: eig, inv of V and one eigvalsh of the
+    Hermitian part, formed as C/2 + C*/2 so that no entry near the float
+    maximum overflows (halving is exact, so in the normal range this is
+    (C + C*)/2 to the bit)."""
     try:
         lam, V = np.linalg.eig(C)
     except np.linalg.LinAlgError as exc:
@@ -171,7 +199,7 @@ def eigendecompose(C) -> SpectralData:
         V = V / np.einsum("jk,jk->k", W.conj(), V)
 
     positive_stable = bool((lam.real > 0.0).all())
-    herm = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
+    herm = np.linalg.eigvalsh(C / 2.0 + C.conj().T / 2.0)
     return SpectralData(
         matrix=C,
         eigenvalues=lam,
@@ -184,6 +212,104 @@ def eigendecompose(C) -> SpectralData:
         _radius=radius,
         _unit_vectors=unit_V,
     )
+
+
+def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
+    """The record of a 2x2 C = [[a, b], [c, d]] with separated eigenvalues,
+    in closed form on Python complex scalars; None where the eig route decides.
+
+    The entries are first scaled by an exact power of two, 2^k with k clamped
+    to [-1000, 1000] as in rate_family, that brings their largest part to
+    [1/2, 1), so no product below overflows. With m = (a + d)/2 and
+    h = (a - d)/2 the eigenvalues are m +- sqrt(h^2 + bc): the root of larger
+    modulus is formed as that sum and the other as det C over it, so neither
+    cancels; a triangular C (bc = 0) keeps its diagonal. Each unit eigenvector
+    is the null vector of the larger row of C - lambda I. V^-1 is the adjugate
+    over det V, and the adjugate's rows are unit, so its conjugated rows times
+    the phase of det V are the unit adjoint eigenvectors w_j, and V / |det V|
+    has <w_j, v_j> = 1. mu_s and nu_s come from _hermitian_extremes. The
+    eigenvalues are scaled back by 2^-k and ordered by
+    _order_with_clustered_ties, as on the eig route.
+
+    None, for the eig route, when the pair is clustered (the eig route then
+    decides the defect), when a nonzero part scales below the smallest normal
+    float or |sqrt(h^2 + bc)| below _MIN_SCALED_DISC (the products here would
+    lose bits to underflow), or when V is singular.
+    """
+    entries = C.ravel().tolist()
+    parts = [abs(x) for z in entries for x in (z.real, z.imag) if x]
+    if not parts:
+        return None
+    k = min(max(-math.frexp(max(parts))[1], -1000), 1000)
+    scale, unscale = 2.0 ** k, 2.0 ** -k
+    if min(parts) * scale < _TINY:
+        return None
+    a, b, c, d = (z * scale for z in entries)
+    h, bc = 0.5 * (a - d), b * c
+    disc = cmath.sqrt(h * h + bc) if bc else h
+    if abs(disc) < _MIN_SCALED_DISC:
+        return None
+    if bc:
+        m = 0.5 * (a + d)
+        big = m + disc if m.real * disc.real + m.imag * disc.imag >= 0.0 else m - disc
+        pair = (big, (a * d - bc) / big)
+    else:
+        pair = (a, d)
+    radius = max(map(abs, pair))
+    if abs(pair[1] - pair[0]) <= CLUSTER_GAP * radius:
+        return None
+
+    radius *= unscale
+    values = [z * unscale for z in pair]
+    i, j = _order_with_clustered_ties(np.array(values), COINCIDENCE_RTOL * radius).tolist()
+    vectors = []
+    for z in (pair[i], pair[j]):
+        p, q = a - z, d - z
+        n1 = math.hypot(p.real, p.imag, b.real, b.imag)
+        n2 = math.hypot(c.real, c.imag, q.real, q.imag)
+        vectors.append((b / n1, -p / n1) if n1 >= n2 else (q / n2, -c / n2))
+    (x1, y1), (x2, y2) = vectors
+    det = x1 * y2 - x2 * y1
+    if det == 0.0:
+        return None
+    size = abs(det)
+    unit_V = np.array([[x1, x2], [y1, y2]])
+    W = np.array([[y2.conjugate(), -y1.conjugate()],
+                  [-x2.conjugate(), x1.conjugate()]]) * (det / size)
+    mu_s, nu_s = _hermitian_extremes(a.real, d.real, b + c.conjugate())
+    return SpectralData(
+        matrix=C,
+        eigenvalues=np.array([values[i], values[j]]),
+        right_vectors=unit_V / size,
+        left_vectors=W,
+        defective=False,
+        positive_stable=values[0].real > 0.0 and values[1].real > 0.0,
+        mu_s=mu_s * unscale,
+        nu_s=nu_s * unscale,
+        _radius=radius,
+        _unit_vectors=unit_V,
+    )
+
+
+def _hermitian_extremes(x: float, y: float, off: complex) -> tuple[float, float]:
+    """(mu_s, nu_s), the eigenvalues of [[x, off/2], [conj(off)/2, y]].
+
+    On the parts scaled by their own power of two, the eigenvalue of larger
+    modulus is (x + y)/2 +- hypot(x - y, |off|)/2, with the sign of x + y,
+    and the other the determinant over it, so neither cancels: a diagonal
+    keeps its entries, however far apart.
+    """
+    top = max(abs(x), abs(y), abs(off.real), abs(off.imag))
+    if top == 0.0:
+        return 0.0, 0.0
+    k = min(-math.frexp(top)[1], 1000)
+    scale, unscale = 2.0 ** k, 2.0 ** -k
+    x, y, o = x * scale, y * scale, math.hypot(off.real * scale, off.imag * scale)
+    mid, half = 0.5 * (x + y), 0.5 * math.hypot(x - y, o)
+    big = mid + half if mid >= 0.0 else mid - half
+    other = (x * y - 0.25 * o * o) / big
+    lo, hi = (other, big) if mid >= 0.0 else (big, other)
+    return lo * unscale, hi * unscale
 
 
 @dataclass

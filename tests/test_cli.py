@@ -507,9 +507,6 @@ class TestExitCodes:
         (["gt", "random:7", "--seed", "3"], None, 1),
     ], ids=["jordan-3x3", "entry-1e308", "envelope-entry-1e308", "diag-1e308",
             "oracle-1e300", "gt-tol", "gt-seed"])
-    # (C + C*)/2 overflows on entries near the float maximum; the warnings
-    # say so on stderr, and the exit code is what is checked here
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exit_code(self, capsys, tmp_path, argv, mat, expect):
         if mat is not None:
             path = write_matrix(tmp_path / "m.json", mat)

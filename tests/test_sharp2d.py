@@ -15,7 +15,7 @@ from hypodecay import (
     sector_constant,
     sup_m_plus,
 )
-from hypodecay import sharp2d
+from hypodecay import RateOutOfRange, sharp2d
 from hypodecay.sharp2d import ALPHA_FLOOR, _m_plus_minus
 from .conftest import make_2x2_with_overlap
 from .sweep import (_grid_extrema, _gram_coefficients, trajectory_envelope_oracle,
@@ -159,6 +159,18 @@ class TestEnvelopes:
         m_lo, m_hi = _m_plus_minus(form.alpha, form.gamma, 0.7, ts)
         assert np.allclose(m_hi, 1.0 / (1.0 - form.alpha ** 2), rtol=1e-15, atol=0.0)
         assert np.all(m_lo == 0.0)
+
+    def test_rate_beyond_the_float_range_is_refused(self):
+        # h_- of [[1, 0], [0, 1e308]] decays at 2 gamma = inf: exp(-inf * 0) at
+        # t = 0 would be NaN
+        with pytest.raises(RateOutOfRange, match="outside the float range"):
+            envelope_curves(_form([[1.0, 0.0], [0.0, 1e308]]), [0.0, 1.0])
+
+    def test_growth_past_the_float_range_is_silent_inf(self):
+        # an unstable form: e^{2t} at t = 400 is inf, without numpy's warning
+        env = envelope_curves(_form([[-1.0, 1.0], [0.0, -0.999]]), [0.0, 400.0])
+        assert env.h_plus[-1] == env.h_minus[-1] == np.inf
+        assert env.h_plus[0] == pytest.approx(1.0) and env.h_minus[0] == pytest.approx(1.0)
 
     def test_near_tie_of_equal_eigenvalues_bends_the_envelope(self):
         # split 5e-11i within the coincidence tolerance: the envelopes are the

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,16 @@ from hypodecay import (
     eigendecompose,
 )
 from hypodecay import condopt
-from hypodecay.spectral import COINCIDENCE_RTOL, _order_with_clustered_ties, coincidence_tol
+from hypodecay.spectral import (
+    COINCIDENCE_RTOL,
+    _closed_form_2x2,
+    _eig_route,
+    _order_with_clustered_ties,
+    coincidence_tol,
+)
 from .conftest import make_2x2_with_overlap
+
+_EPS = np.finfo(float).eps
 
 #: eigenbases of overlap 0.6 and 0.9
 _V06 = np.array([[1.0, 0.6], [0.0, 0.8]])
@@ -94,12 +103,19 @@ class TestEigendecompose:
     ], ids=["jordan", "singular-V", "nilpotent-3", "complex-symmetric-jordan", "near-tie",
             "unclustered", "unclustered-3"])
     def test_eigenvector_cond_is_np_cond(self, c):
-        # the ratio of extreme singular values of the ordered V that eig returns,
-        # inf without a RuntimeWarning where V is singular
+        # the ratio of extreme singular values of the record's own unit V, inf
+        # without a RuntimeWarning where V is singular. A separated 2x2 builds
+        # that V in closed form; its condition number is that of the ordered V
+        # eig returns, within a few ulp, and on the eig route to the bit
+        data = eigendecompose(c)
+        assert data.eigenvector_cond == float(np.linalg.cond(data._unit_vectors))
         lam, v = np.linalg.eig(np.asarray(c, dtype=complex))
         order = _order_with_clustered_ties(lam, coincidence_tol(lam))
         expected = float(np.linalg.cond(v[:, order]))
-        assert eigendecompose(c).eigenvector_cond == expected
+        if data.n == 2 and _closed_form_2x2(data.matrix) is not None:
+            assert data.eigenvector_cond == pytest.approx(expected, rel=4 * _EPS, abs=0.0)
+        else:
+            assert data.eigenvector_cond == expected
 
     def test_adjoint_eigenvectors(self, mat_real_distinct):
         data = eigendecompose(mat_real_distinct)
@@ -107,6 +123,151 @@ class TestEigendecompose:
             w = data.left_vectors[:, j]
             lhs = mat_real_distinct.conj().T @ w
             assert np.allclose(lhs, np.conj(data.eigenvalues[j]) * w, atol=1e-12)
+
+
+def _rotated_pair(rng, b):
+    """Q [[1, b], [0, 2]] Q* for a random unitary Q, and its eigenvalue
+    condition number sqrt(1 + b^2)."""
+    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    return q @ np.array([[1.0, b], [0.0, 2.0]]) @ q.conj().T, np.hypot(1.0, b)
+
+
+def _seeded_pairs(rng, count):
+    """(C, eigenvalue condition number 1/sqrt(1 - alpha^2)) in the three
+    regimes of make_2x2_with_overlap."""
+    for i in range(count):
+        c, _, alpha = make_2x2_with_overlap(rng, **({}, {"equal_real": True},
+                                                    {"real_spectrum": True})[i % 3])
+        yield c, 1.0 / np.sqrt(1.0 - alpha * alpha)
+
+
+def _alpha(data):
+    w = data.left_vectors
+    return abs(np.vdot(w[:, 0], w[:, 1]))
+
+
+class TestClosedForm2x2:
+    """A separated 2x2 gets its spectral record in closed form. The eig route,
+    which every other matrix takes, is the reference: both routes agree within
+    tolerances fixed from eps, and against a 50-digit mpmath reference the
+    closed form meets the error bound the eig route meets."""
+
+    @staticmethod
+    def _agree(c, kappa, s=1.0):
+        # s C through both routes, compared at the scale of C: eigenvalues within
+        # 16 eps |C|_F kappa (eps |C|_F backward error times the eigenvalue
+        # condition number), mu_s and nu_s within 16 eps |C|_F, alpha within
+        # 1e-12 relative; the order and the defect flag are the same
+        C = np.asarray(c, dtype=complex)
+        sC = s * C
+        closed = _closed_form_2x2(sC)
+        assert closed is not None
+        ref = _eig_route(sC)
+        assert eigendecompose(sC).eigenvalues.tolist() == closed.eigenvalues.tolist()
+        fro = np.linalg.norm(C)
+        assert closed.defective == ref.defective is False
+        assert np.abs(closed.eigenvalues / s - ref.eigenvalues / s).max() <= 16 * _EPS * fro * kappa
+        assert abs(closed.mu_s / s - ref.mu_s / s) <= 16 * _EPS * fro
+        assert abs(closed.nu_s / s - ref.nu_s / s) <= 16 * _EPS * fro
+        assert _alpha(closed) == pytest.approx(_alpha(ref), rel=1e-12, abs=0.0)
+        assert closed.positive_stable == ref.positive_stable
+
+    def test_agrees_with_eig_route_on_seeded_draws(self):
+        for c, kappa in _seeded_pairs(np.random.default_rng(5), 90):
+            self._agree(c, kappa)
+
+    @pytest.mark.parametrize("b", [1.0, 10.0, 1e2, 1e3, 1e4])
+    def test_agrees_on_rotated_non_normal_pairs(self, b):
+        rng = np.random.default_rng(int(np.log10(b)))
+        for _ in range(20):
+            self._agree(*_rotated_pair(rng, b))
+
+    @pytest.mark.parametrize("s", 10.0 ** np.arange(-300, 301, 50), ids=lambda s: f"{s:.0e}")
+    def test_agrees_at_every_scale(self, s):
+        for c, kappa in _seeded_pairs(np.random.default_rng(6), 12):
+            self._agree(c, kappa, s)
+
+    def test_no_worse_than_eig_route_against_mpmath(self):
+        # errors against eig and eigh of mpmath at 50 digits, in units of
+        # eps |C|_F times kappa for the eigenvalues, eps |C|_F for mu_s and nu_s
+        # and eps |C|_F kappa / gap for alpha; both routes stay within 8 units
+        rng = np.random.default_rng(7)
+        draws = [*_seeded_pairs(rng, 30), *(_rotated_pair(rng, b) for b in (3.0, 30.0, 300.0)),
+                 *((rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), None)
+                   for _ in range(10))]
+        for c, _ in draws:
+            with mpmath.workdps(50):
+                A = mpmath.matrix(c.tolist())
+                lam, V = mpmath.eig(A)
+                herm = mpmath.eigh((A + A.H) / 2, eigvals_only=True)
+                v1, v2 = ([V[i, j] for i in range(2)] for j in range(2))
+                # in dimension two the right and adjoint overlaps agree
+                alpha = abs(mpmath.fdot(v1, v2, conjugate=True)) / (
+                    mpmath.norm(mpmath.matrix(v1)) * mpmath.norm(mpmath.matrix(v2)))
+                gap = float(abs(lam[1] - lam[0]))
+                alpha = float(alpha)
+                kappa = 1.0 / np.sqrt(1.0 - alpha * alpha)
+                unit = _EPS * np.linalg.norm(c)
+                for data in (_closed_form_2x2(np.asarray(c, dtype=complex)), _eig_route(c)):
+                    err = max(min(float(abs(mpmath.mpc(z) - r)) for r in lam)
+                              for z in data.eigenvalues.tolist())
+                    assert err <= 8 * unit * kappa
+                    assert abs(data.mu_s - float(min(herm))) <= 8 * unit
+                    assert abs(data.nu_s - float(max(herm))) <= 8 * unit
+                    assert abs(_alpha(data) - alpha) <= 8 * unit * kappa / gap
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [
+        [[1.0, 1.0], [0.0, 1.0]],  # a Jordan block: clustered
+        _V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06),  # clustered
+        [[1.0, 1e-320], [0.0, 2.0]],  # a subnormal entry
+        [[1e300, 1e-20], [0.0, 2e300]],  # an entry that scales below the normal range
+        [[0.0, 1.0], [2.0 ** -1010, 0.0]],  # eigenvalues +-2^-505: the split's square underflows
+        [[0.0, 0.0], [0.0, 0.0]],
+    ], ids=["jordan", "near-tie", "subnormal", "scales-subnormal", "tiny-split", "zero"])
+    def test_declines_to_the_eig_route(self, c):
+        C = np.asarray(c, dtype=complex)
+        assert _closed_form_2x2(C) is None
+        data, ref = eigendecompose(C), _eig_route(C)
+        assert data.eigenvalues.tolist() == ref.eigenvalues.tolist()
+        assert (data.mu_s, data.nu_s, data.defective) == (ref.mu_s, ref.nu_s, ref.defective)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c, mu_s, nu_s", [
+        ([[1.0, 0.0], [0.0, 1e308]], 1.0, 1e308),
+        ([[1e-300, 1.0], [-1.0, 2e-300]], 1e-300, 2e-300),
+        ([[1.0, 0.0], [0.0, -1e-200]], -1e-200, 1.0),
+    ], ids=["1e308", "skew-dominated", "signs"])
+    def test_hermitian_extremes_do_not_cancel(self, c, mu_s, nu_s):
+        # (Re a + Re d)/2 - hypot((Re a - Re d)/2, |b + conj(c)|/2) would read
+        # 0 for mu_s here; the smaller one is the determinant over the larger
+        data = eigendecompose(c)
+        assert _closed_form_2x2(data.matrix) is not None
+        assert data.mu_s == pytest.approx(mu_s, rel=4 * _EPS, abs=0.0)
+        assert data.nu_s == pytest.approx(nu_s, rel=4 * _EPS, abs=0.0)
+
+    def test_badly_scaled_pair_keeps_its_overlap(self):
+        # c is 7.5e4 times a and b 4e-46 times a: v_1 ~ (1.3e-5, 1), v_2 ~ (4e-46, 1),
+        # and alpha is 1 - 8.8e-11 (mpmath eig at 50 digits). The eig route
+        # returned v_1 = (1, 0) here, so alpha ~ 4e-46 and c_sharp = 1 for a
+        # system whose transient grows to 7.5e4
+        c = [[1.6888357343042814e+211, -7.192358301381623e+165],
+             [1.2720468962103406e+216, 8.475014239184013e+188]]
+        data = eigendecompose(c)
+        assert _closed_form_2x2(data.matrix) is not None
+        form = canonical_2d_form(data)
+        assert form.alpha == pytest.approx(0.99999999991186699494924306804923, rel=0.0,
+                                           abs=4 * _EPS)
+        assert classify_and_sharp_constant(form).c_sharp >= 75320.0
+
+    def test_makes_no_lapack_call(self, monkeypatch, mat_complex_pair):
+        def refused(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        for name in ("eig", "inv", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        data = eigendecompose(mat_complex_pair)
+        assert data.eigenvalues.imag.tolist() == pytest.approx([-np.sqrt(0.75), np.sqrt(0.75)])
 
 
 @pytest.fixture
@@ -210,6 +371,10 @@ class TestCanonical2DForm:
             assert rep.coercive == (data.mu_s > 0.0)
 
     def test_one_hermitian_eigensolve(self, monkeypatch, mat_real_distinct):
+        # the record holds mu_s and nu_s: eigendecompose solves at most one
+        # Hermitian eigenproblem, none in closed form (a separated 2x2) and one
+        # on the eig route (a clustered 2x2, a 3x3), and reading the stability
+        # report and the canonical form solves none
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -218,10 +383,16 @@ class TestCanonical2DForm:
             return eigvalsh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        data = eigendecompose(mat_real_distinct)
-        classify_stability(data)
-        canonical_2d_form(data)
-        assert len(calls) == 1
+        for c, expected in ((mat_real_distinct, 0),
+                            (_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06), 1),
+                            (np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 1.0, 3.0]]), 1)):
+            calls.clear()
+            data = eigendecompose(c)
+            assert len(calls) == expected
+            classify_stability(data)
+            if data.n == 2:
+                canonical_2d_form(data)
+            assert len(calls) == expected
 
     def test_overlap_same_for_both_eigenvector_families(self):
         # in dimension two the right and adjoint eigenvector overlaps agree
