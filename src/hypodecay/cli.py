@@ -11,8 +11,9 @@ the input file is malformed (argparse, MatrixFormatError, CutoffTooLarge).
 3: a command returned a failed verdict (an --oracle gap, or gt's FAIL).
 2: the library raised any other HypodecayError or ValueError (numpy's
 LinAlgError included) while certifying, as for a defective matrix, one within
-rounding of a Jordan block, one not positive stable or larger than 16x16, or
-a certificate outside the float range. 0: success.
+rounding of a Jordan block, one not positive stable or larger than 16x16, a
+weighted P that is not admissible at the spectral gap, or a certificate
+outside the float range. 0: success.
 All output is deterministic for fixed inputs and seed.
 
 Each command imports the library modules it uses when it runs, so a process
@@ -152,19 +153,21 @@ def _gap(closed: np.ndarray, reference: np.ndarray) -> float:
 
 def _certifiable(C: np.ndarray) -> SpectralData:
     """eigendecompose(C), unless C is defective or not positive stable."""
-    from .spectral import eigendecompose
+    from .spectral import coincidence_tol, eigendecompose
 
     data = eigendecompose(C)
     if data.defective:
         raise DefectiveInput("matrix is defective; certificates need a full eigenbasis")
     if not data.positive_stable:
-        raise NotPositiveStable(f"spectral gap is {data.spectral_gap}; no decay to certify")
+        raise NotPositiveStable(f"spectral gap is {data.spectral_gap}, not above "
+                                f"{coincidence_tol(data.eigenvalues):.3e} (1e-10 of the spectral "
+                                "radius); no decay to certify")
     return data
 
 
 def cmd_analyze(args) -> int:
     from .condopt import minimize_kappa_2d, minimize_kappa_weights
-    from .lyapunov import build_weighted_p, lyapunov_residual
+    from .lyapunov import build_weighted_p, certificate_from_p
     from .spectral import canonical_2d_form, classify_stability
 
     C = read_matrix_file(args.matrix_file)
@@ -194,7 +197,7 @@ def cmd_analyze(args) -> int:
             "bracket": [sharp.bracket[0], sharp.bracket[1]],
             "kappa": opt.kappa,
             "weights": [float(w) for w in opt.weights],
-            "residual": lyapunov_residual(C, p, report.mu),
+            "residual": certificate_from_p(C, p, report.mu).residual,
             "attained": {"kind": sharp.attained,
                          "time": sharp.attained_time},
             "c1_at_mu": upper_bound_constant(form, report.mu).constant,
@@ -214,7 +217,7 @@ def cmd_analyze(args) -> int:
             "kappa_equal": opt.kappa_equal,
             "kappa_opt": opt.kappa,
             "weights": [float(w) for w in opt.weights],
-            "residual": lyapunov_residual(C, p, report.mu),
+            "residual": certificate_from_p(C, p, report.mu).residual,
             "constant": float(np.sqrt(opt.kappa)),
             "rate": report.mu,
         })

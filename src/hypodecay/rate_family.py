@@ -163,7 +163,9 @@ def _lower_envelope(rates: np.ndarray, logc: np.ndarray, ts: np.ndarray) -> np.n
 
     The members on that envelope are the vertices of the lower convex hull of
     the points (rates_i, logc_i). Sorted by rate, with only the smallest logc
-    of equal rates kept, the points form a chain; each round drops every
+    of equal rates kept, the points form a chain; rates that already strictly
+    increase, as a row of the rate grid does, are that chain as given, and
+    are neither sorted nor deduplicated. Each round drops every
     vertex whose two edge slopes do not increase, that is every vertex on or
     above the chord of its neighbours, until the slopes strictly increase.
     A dropped vertex lies on or above a segment between two points of the
@@ -175,13 +177,16 @@ def _lower_envelope(rates: np.ndarray, logc: np.ndarray, ts: np.ndarray) -> np.n
     finds each time's winner. A slope beyond the float range is inf, with
     numpy's overflow warning unless the caller ignores it.
     """
-    order = np.lexsort((logc, rates))
-    r = rates[order]
-    first = np.empty(len(r), dtype=bool)
-    first[0] = True
-    np.not_equal(r[1:], r[:-1], out=first[1:])
-    hull = order[first]
-    r, ell = r[first], logc[hull]
+    if (rates[1:] > rates[:-1]).all():
+        hull, r, ell = np.arange(len(rates)), rates, logc
+    else:
+        order = np.lexsort((logc, rates))
+        r = rates[order]
+        first = np.empty(len(r), dtype=bool)
+        first[0] = True
+        np.not_equal(r[1:], r[:-1], out=first[1:])
+        hull = order[first]
+        r, ell = r[first], logc[hull]
     while True:
         slopes = (ell[1:] - ell[:-1]) / (r[1:] - r[:-1])
         convex = slopes[1:] > slopes[:-1]
@@ -197,20 +202,26 @@ def _rate_grid(form: Canonical2DForm, n_rates: int) -> np.ndarray:
 
     Each row follows np.linspace's own rule: i * step, or (i / div) * delta
     where the step underflows to zero. np.linspace over the stacked ends
-    would take the second form on both rows once either step is zero.
+    would take the second form on both rows once either step is zero; with
+    both steps nonzero, the rows are formed in one expression.
     """
-    grid = np.empty((2, n_rates))
     i = np.arange(n_rates, dtype=float)
     div = max(n_rates - 1, 1)
-    for row, (lo, hi) in zip(grid, _ends(form)):
-        step = (hi - lo) / div
-        if step == 0.0:
-            np.multiply(i / div, hi - lo, out=row)
-        else:
-            np.multiply(i, step, out=row)
-        row += lo
-        if n_rates > 1:
-            row[-1] = hi
+    ends = _ends(form)
+    lo, hi = np.array(ends).T
+    steps = (hi - lo) / div
+    if steps.all():
+        grid = i * steps[:, None] + lo[:, None]
+    else:
+        grid = np.empty((2, n_rates))
+        for row, (low, high), step in zip(grid, ends, steps.tolist()):
+            if step == 0.0:
+                np.multiply(i / div, high - low, out=row)
+            else:
+                np.multiply(i, step, out=row)
+            row += low
+    if n_rates > 1:
+        grid[:, -1] = hi
     return grid
 
 
@@ -228,7 +239,8 @@ def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEn
     evaluates only that member, c_i e^{-r_i t}, so time and memory grow with
     rates plus times, not their product. Where two members tie within
     rounding the value may exceed the dense minimum by a few ulp. The lower
-    envelope is the same construction on (-r_i, -log c_i). Both families are
+    envelope is the same construction on (-r_i, -log c_i), read from the
+    fastest rate down so that its abscissae increase. Both families are
     evaluated in one call on their stacked rates.
     """
     if n_rates < 1:
@@ -240,9 +252,11 @@ def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEn
     # a slope between rates of subnormal spacing, and e^{-r t} at a negative
     # rate, may grow past the float range: inf
     with np.errstate(over="ignore"):
-        # winners as indices into the flattened (2, n_rates) arrays, one row per family
+        # winners as indices into the flattened (2, n_rates) arrays, one row per
+        # family; the lower family's are counted back from the end of its row
         wins = np.concatenate((_lower_envelope(rates[0], logc[0], ts),
-                               _lower_envelope(-rates[1], -logc[1], ts) + n_rates)).reshape(2, -1)
+                               2 * n_rates - 1 - _lower_envelope(-rates[1, ::-1], -logc[1, ::-1], ts))
+                              ).reshape(2, -1)
         upper, lower = consts.take(wins) * np.exp(-rates.take(wins) * ts)
     return FamilyEnvelope(times=ts, upper=upper, lower=lower,
                           upper_rates=rates[0], lower_rates=rates[1],

@@ -12,7 +12,9 @@ The stability report and the 2x2 canonical form only read this record.
 The record has two routes. A 2x2 with separated eigenvalues gets it in closed
 form on Python complex scalars (_closed_form_2x2); every other matrix takes
 LAPACK's eig, inv and eigvalsh (_eig_route), which is also the reference the
-closed form is tested against.
+closed form is tested against. The extremes of a Hermitian 2x2
+(_hermitian_extremes) and the norm |C|_2 of a 2x2 (_norm_2x2) are closed
+forms too, which the lyapunov module shares.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ class SpectralData:
     right_vectors : columns v_j, C v_j = lambda_j v_j, scaled so <w_j, v_j> = 1
     left_vectors : columns w_j, C* w_j = conj(lambda_j) w_j, unit norm
     defective : True when no reliable eigenbasis exists
-    positive_stable : True when every eigenvalue has positive real part
+    positive_stable : True when every eigenvalue has real part above
+        coincidence_tol of the spectrum, so that rounding noise on the
+        imaginary axis certifies no decay
     mu_s, nu_s : smallest and largest eigenvalue of (C + C*)/2
     eigenvector_cond : condition number of the unit-norm eigenvector matrix,
         computed on first read
@@ -198,7 +202,7 @@ def _eig_route(C: np.ndarray) -> SpectralData:
         W = W / norms
         V = V / np.einsum("jk,jk->k", W.conj(), V)
 
-    positive_stable = bool((lam.real > 0.0).all())
+    positive_stable = bool((lam.real > COINCIDENCE_RTOL * radius).all())
     herm = np.linalg.eigvalsh(C / 2.0 + C.conj().T / 2.0)
     return SpectralData(
         matrix=C,
@@ -277,13 +281,14 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
     W = np.array([[y2.conjugate(), -y1.conjugate()],
                   [-x2.conjugate(), x1.conjugate()]]) * (det / size)
     mu_s, nu_s = _hermitian_extremes(a.real, d.real, b + c.conjugate())
+    tol = COINCIDENCE_RTOL * radius
     return SpectralData(
         matrix=C,
         eigenvalues=np.array([values[i], values[j]]),
         right_vectors=unit_V / size,
         left_vectors=W,
         defective=False,
-        positive_stable=values[0].real > 0.0 and values[1].real > 0.0,
+        positive_stable=values[0].real > tol and values[1].real > tol,
         mu_s=mu_s * unscale,
         nu_s=nu_s * unscale,
         _radius=radius,
@@ -294,15 +299,16 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
 def _hermitian_extremes(x: float, y: float, off: complex) -> tuple[float, float]:
     """(mu_s, nu_s), the eigenvalues of [[x, off/2], [conj(off)/2, y]].
 
-    On the parts scaled by their own power of two, the eigenvalue of larger
-    modulus is (x + y)/2 +- hypot(x - y, |off|)/2, with the sign of x + y,
-    and the other the determinant over it, so neither cancels: a diagonal
-    keeps its entries, however far apart.
+    On the parts scaled by their own power of two, 2^k with k clamped to
+    [-1000, 1000], the eigenvalue of larger modulus is
+    (x + y)/2 +- hypot(x - y, |off|)/2, with the sign of x + y, and the other
+    the determinant over it, so neither cancels: a diagonal keeps its
+    entries, however far apart.
     """
     top = max(abs(x), abs(y), abs(off.real), abs(off.imag))
     if top == 0.0:
         return 0.0, 0.0
-    k = min(-math.frexp(top)[1], 1000)
+    k = min(max(-math.frexp(top)[1], -1000), 1000)
     scale, unscale = 2.0 ** k, 2.0 ** -k
     x, y, o = x * scale, y * scale, math.hypot(off.real * scale, off.imag * scale)
     mid, half = 0.5 * (x + y), 0.5 * math.hypot(x - y, o)
@@ -310,6 +316,30 @@ def _hermitian_extremes(x: float, y: float, off: complex) -> tuple[float, float]
     other = (x * y - 0.25 * o * o) / big
     lo, hi = (other, big) if mid >= 0.0 else (big, other)
     return lo * unscale, hi * unscale
+
+
+def _norm_2x2(C: np.ndarray) -> float:
+    """|C|_2 of a 2x2 C, the root of the top eigenvalue of C*C.
+
+    The entries are scaled by a power of two, 2^k with k clamped to
+    [-1000, 1000] as in _closed_form_2x2, that brings their largest part
+    to [1/2, 1) or as near as the clamp allows, so no square overflows, and
+    the top eigenvalue, at least the largest part squared, is beyond the
+    reach of any square that underflows. It is the sum
+    (p + q)/2 + hypot(p - q, 2|off|)/2 of non-negative terms, so it does not
+    cancel.
+    """
+    entries = C.ravel().tolist()
+    top = max(abs(x) for z in entries for x in (z.real, z.imag))
+    if top == 0.0:
+        return 0.0
+    k = min(max(-math.frexp(top)[1], -1000), 1000)
+    scale = 2.0 ** k
+    a, b, c, d = (z * scale for z in entries)
+    p = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+    q = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+    off = a.conjugate() * b + c.conjugate() * d
+    return math.sqrt(_hermitian_extremes(p, q, 2.0 * off)[1]) * 2.0 ** -k
 
 
 @dataclass
@@ -455,7 +485,7 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     # both norms, and math.hypot forms |C|_F without overflow
     if not scalar and gap * rnorm <= 2.0 * ROUNDING_RTOL * math.hypot(
             *map(abs, data.matrix.ravel().tolist())):
-        jordan_tol = ROUNDING_RTOL * float(np.linalg.svd(data.matrix, compute_uv=False)[0])
+        jordan_tol = ROUNDING_RTOL * _norm_2x2(data.matrix)
         if gap * rnorm <= jordan_tol:
             raise Defective2D(f"matrix is within rounding of a Jordan block: eigenvalue split "
                               f"{gap:.2e} times sqrt(1 - alpha^2) {rnorm:.2e} is "

@@ -218,6 +218,40 @@ class TestAnalyzeErrors:
         code, _, _ = run(capsys, ["analyze", path])
         assert code == 2
 
+    @pytest.mark.parametrize("k", [-200, -12, 0, 12, 200])
+    def test_eigenvalue_on_the_imaginary_axis(self, capsys, tmp_path, k):
+        # eigenvalues i and 1 - 4i, times 10^k: Re i is rounding noise, which
+        # certified a decay rate of order 1e-16 |C| at k = -200
+        path = write_matrix(tmp_path / "axis.json",
+                            10.0 ** k * np.array([[-3j, 2.0], [-2.0 - 2j, 1.0]]), with_imag=True)
+        code, out, err = run(capsys, ["analyze", path])
+        assert code == 2 and out == ""
+        assert "no decay to certify" in err
+
+    def test_badly_scaled_3x3(self, capsys, tmp_path):
+        # LAPACK's eig returns the eigenvector (1, 0, 0) for lambda = 1.69e211,
+        # where it is (1.3e-5, 1, 0), and the weighted P, I, has residual
+        # -1.27e216 at the gap; the gap, 8.5e188, is also within
+        # coincidence_tol of the imaginary axis. This printed constant 1.0
+        path = tmp_path / "bad3.json"
+        path.write_text('{"n": 3, "re": [[1.6888357343042814e211, -7.192358301381623e165, 0], '
+                        '[1.2720468962103406e216, 8.475014239184013e188, 0], [0, 0, 1e200]]}')
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("fixture", ["m52_file", "m3_file"])
+    def test_inadmissible_p_is_refused(self, capsys, monkeypatch, request, fixture):
+        # planted: P = I is not admissible at the gap of either matrix, whose
+        # Hermitian parts have mu_s below mu
+        from hypodecay import LyapunovMatrix, lyapunov
+
+        monkeypatch.setattr(lyapunov, "build_weighted_p",
+                            lambda data, weights: LyapunovMatrix(np.eye(data.n)))
+        code, out, err = run(capsys, ["analyze", request.getfixturevalue(fixture)])
+        assert code == 2 and out == ""
+        assert "not admissible" in err
+
     def test_certificate_beyond_the_float_range(self, capsys, tmp_path):
         # at subnormal scale the attainment time pi/|delta| overflows to inf,
         # which strict JSON cannot carry

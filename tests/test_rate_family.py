@@ -313,6 +313,22 @@ class TestLowerEnvelope:
             win = _lower_envelope(rates, logc, ts)
         assert np.array_equal(win, _monotone_chain_envelope(rates, logc, ts))
 
+    @given(rates=st.lists(_FLOATS, min_size=1, max_size=40, unique=True),
+           data=st.data(), ts=st.lists(_FLOATS, min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_strictly_increasing_rates_need_no_sort(self, rates, data, ts):
+        # the chain of a rate-grid row is taken as given; the same points in
+        # any order, sorted and deduplicated, give the same winners
+        rates = np.sort(rates)
+        logc = np.array(data.draw(st.lists(_FLOATS, min_size=len(rates), max_size=len(rates))))
+        ts = np.array(ts)
+        perm = np.random.default_rng(len(rates)).permutation(len(rates))
+        with np.errstate(over="ignore"):
+            win = _lower_envelope(rates, logc, ts)
+            shuffled = perm[_lower_envelope(rates[perm], logc[perm], ts)]
+        assert np.array_equal(win, _monotone_chain_envelope(rates, logc, ts))
+        assert np.array_equal(win, shuffled)
+
     @pytest.mark.parametrize("fixture", ["form_complex_pair", "form_real_distinct",
                                          "form_far_below_zero"])
     def test_matches_the_monotone_chain_on_the_families(self, fixture, request):
@@ -321,7 +337,8 @@ class TestLowerEnvelope:
         for n_rates in (2, 64, 4096):
             fam = family_envelope(form, ts, n_rates=n_rates)
             for rates, logc in ((fam.upper_rates, np.log(fam.upper_constants)),
-                                (-fam.lower_rates, -np.log(fam.lower_constants))):
+                                (-fam.lower_rates, -np.log(fam.lower_constants)),
+                                (-fam.lower_rates[::-1], -np.log(fam.lower_constants[::-1]))):
                 assert np.array_equal(_lower_envelope(rates, logc, ts),
                                       _monotone_chain_envelope(rates, logc, ts))
 

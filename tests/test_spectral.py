@@ -16,7 +16,7 @@ from hypodecay import (
     classify_stability,
     eigendecompose,
 )
-from hypodecay import condopt
+from hypodecay import condopt, spectral
 from hypodecay.spectral import (
     COINCIDENCE_RTOL,
     _closed_form_2x2,
@@ -284,9 +284,10 @@ def svd_calls(monkeypatch):
 
 
 class TestSvdOnlyWhereRead:
-    """eigendecompose reads the eigenvector condition number only for a
-    clustered spectrum, and canonical_2d_form reads |C|_2 only for a split
-    times sqrt(1 - alpha^2) within the Frobenius screen of its Jordan test."""
+    """eigendecompose reads the eigenvector condition number (one svd) only
+    for a clustered spectrum, and canonical_2d_form reads |C|_2 (one
+    _norm_2x2, no svd) only for a split times sqrt(1 - alpha^2) within the
+    Frobenius screen of its Jordan test."""
 
     def test_unclustered_spectrum_makes_no_svd(self, svd_calls, mat_real_distinct):
         data = eigendecompose(mat_real_distinct)
@@ -305,12 +306,20 @@ class TestSvdOnlyWhereRead:
         assert not form.scalar
         assert svd_calls == []
 
-    def test_jordan_refusal_makes_one(self, svd_calls):
+    def test_jordan_refusal_makes_one(self, svd_calls, monkeypatch):
+        norm_calls = []
+        norm = spectral._norm_2x2
+
+        def counted(*args):
+            norm_calls.append(args)
+            return norm(*args)
+        monkeypatch.setattr(spectral, "_norm_2x2", counted)
         data = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
         svd_calls.clear()
         with pytest.raises(Defective2D, match=r"32 eps \|C\|_2"):
             canonical_2d_form(data)
-        assert len(svd_calls) == 1
+        assert len(norm_calls) == 1
+        assert svd_calls == []
 
 
 class TestClassifyStability:
@@ -329,6 +338,25 @@ class TestClassifyStability:
     def test_unstable_example(self):
         rep = classify_stability(eigendecompose(np.diag([-1.0, 2.0])))
         assert not rep.positive_stable
+
+    @pytest.mark.parametrize("k", [-200, -12, 0, 12, 200])
+    def test_eigenvalue_on_the_imaginary_axis_is_not_positive_stable(self, k):
+        # eigenvalues i and 1 - 4i: the real part of i is rounding noise of
+        # either sign, inside coincidence_tol, on both routes and at every scale
+        c = 10.0 ** k * np.array([[-3j, 2.0], [-2.0 - 2j, 1.0]])
+        closed, reference = _closed_form_2x2(c), _eig_route(c)
+        assert closed is not None
+        for data in (closed, reference):
+            assert abs(data.eigenvalues[0] - 10.0 ** k * 1j) <= 1e-14 * 10.0 ** k
+            assert not data.positive_stable
+        assert not classify_stability(eigendecompose(c)).positive_stable
+
+    @pytest.mark.parametrize("route", [_closed_form_2x2, _eig_route])
+    def test_positive_stable_margin_is_coincidence_tol(self, route):
+        # Re lambda_1 = mu against coincidence_tol = 1e-10 |1 + 2i| = 2.2e-10
+        for mu, stable in ((1e-10, False), (2e-10, False), (3e-10, True), (1e-9, True)):
+            data = route(np.diag([mu, 1.0 + 2j]))
+            assert data.positive_stable is stable
 
 
 class TestAlphaOverlap:
