@@ -24,7 +24,7 @@ _HOMES = {
     "spectral": (
         "SpectralData", "StabilityReport", "Canonical2DForm", "DecayCase",
         "as_complex_matrix", "eigendecompose", "classify_stability",
-        "alpha_overlap", "canonical_2d_form",
+        "canonical_2d_form",
     ),
     "lyapunov": (
         "LyapunovMatrix", "LyapunovCertificate",
@@ -53,7 +53,7 @@ _HOMES = {
     ),
     "errors": (
         "HypodecayError", "MatrixFormatError", "NonConvergence",
-        "NotPositiveStable", "DefectiveInput", "Defective2D", "ZeroVector",
+        "NotPositiveStable", "DefectiveInput", "Defective2D",
         "NotAdmissible", "RateOutOfRange", "ZeroMode",
         "CutoffTooLarge", "NotNormalized",
     ),

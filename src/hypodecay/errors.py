@@ -25,10 +25,6 @@ class Defective2D(DefectiveInput):
     """The 2x2 matrix is (numerically) defective, no canonical form exists."""
 
 
-class ZeroVector(HypodecayError):
-    """An input vector is numerically zero where a direction is required."""
-
-
 class NotAdmissible(HypodecayError):
     """Candidate P fails the matrix inequality at the requested rate."""
 

@@ -38,6 +38,10 @@ __all__ = [
 #: admissibility slack, relative to |C| |P|
 RESIDUAL_RTOL = 1e-10
 
+#: largest |P - P*| accepted as Hermitian, relative to the largest entry of P,
+#: with no absolute floor, so that the verdict does not depend on the scale of P
+HERMITIAN_RTOL = 1e-12
+
 
 @dataclass
 class LyapunovMatrix:
@@ -69,9 +73,9 @@ class LyapunovMatrix:
 
 def _hermitian_part(P: np.ndarray) -> tuple[np.ndarray, float, float]:
     """(P + P*)/2 with its extreme eigenvalues, from eigvalsh. ValueError
-    unless P is Hermitian to 1e-12 of its largest entry."""
+    unless P is Hermitian to HERMITIAN_RTOL of its largest entry."""
     herm_defect = np.abs(P - P.conj().T).max()
-    if herm_defect > 1e-12 * max(1.0, np.abs(P).max()):
+    if herm_defect > HERMITIAN_RTOL * np.abs(P).max():
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.2e})")
     H = (P + P.conj().T) / 2.0
     ev = np.linalg.eigvalsh(H).tolist()
@@ -85,7 +89,7 @@ def _hermitian_part_2x2(P: np.ndarray) -> tuple[np.ndarray, float, float]:
     (p00, p01), (p10, p11) = P.tolist()
     skew = p01 - p10.conjugate()
     herm_defect = max(2.0 * abs(p00.imag), 2.0 * abs(p11.imag), math.hypot(skew.real, skew.imag))
-    if herm_defect > 1e-12 * max(1.0, *(math.hypot(z.real, z.imag) for z in (p00, p01, p10, p11))):
+    if herm_defect > HERMITIAN_RTOL * max(math.hypot(z.real, z.imag) for z in (p00, p01, p10, p11)):
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.2e})")
     off = p01 + p10.conjugate()
     h, x, y = off / 2.0, p00.real, p11.real

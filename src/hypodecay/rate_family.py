@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateOutOfRange
-from .spectral import Canonical2DForm
+from .spectral import Canonical2DForm, _pow2_scale
 
 __all__ = [
     "FamilyBound",
@@ -123,7 +123,7 @@ def _family(form: Canonical2DForm, rates, direction: str | None = None):
     # beta0 and kappa have degree 0 in (lambda, r): a power of two takes both to
     # unit scale exactly, so no square below under- or overflows
     parts = form.eigenvalues.view(float).tolist()
-    scale = 2.0 ** min(-math.frexp(max(map(abs, parts)))[1], 1000)
+    scale = _pow2_scale(max(map(abs, parts)))[0]
     (re0, im0, re1, im1), r = (x * scale for x in parts), r * scale
     dim2 = (im1 - im0) * (im1 - im0)
     gap2 = (re1 - re0) * (re1 - re0) + dim2
@@ -200,28 +200,19 @@ def _rate_grid(form: Canonical2DForm, n_rates: int) -> np.ndarray:
     """Rates of shape (2, n_rates): row 0 spans the upper family's range and
     row 1 the lower family's, each bit for bit np.linspace of its ends.
 
-    Each row follows np.linspace's own rule: i * step, or (i / div) * delta
-    where the step underflows to zero. np.linspace over the stacked ends
-    would take the second form on both rows once either step is zero; with
-    both steps nonzero, the rows are formed in one expression.
+    Each row follows np.linspace's own rule, chosen per row: i * step, or
+    (i / div) * delta where the step underflows to zero. np.linspace over
+    the stacked ends would take the second form on both rows once either
+    step is zero.
     """
     i = np.arange(n_rates, dtype=float)
     div = max(n_rates - 1, 1)
-    ends = _ends(form)
-    lo, hi = np.array(ends).T
-    steps = (hi - lo) / div
-    if steps.all():
-        grid = i * steps[:, None] + lo[:, None]
-    else:
-        grid = np.empty((2, n_rates))
-        for row, (low, high), step in zip(grid, ends, steps.tolist()):
-            if step == 0.0:
-                np.multiply(i / div, high - low, out=row)
-            else:
-                np.multiply(i, step, out=row)
-            row += low
+    lo, hi = np.array(_ends(form)).T[:, :, None]  # (2, 1) columns
+    delta = hi - lo
+    step = delta / div
+    grid = np.where(step == 0, (i / div) * delta, i * step) + lo
     if n_rates > 1:
-        grid[:, -1] = hi
+        grid[:, -1:] = hi
     return grid
 
 

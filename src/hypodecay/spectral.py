@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Defective2D, MatrixFormatError, NonConvergence, ZeroVector
+from .errors import Defective2D, MatrixFormatError, NonConvergence
 
 __all__ = [
     "SpectralData",
@@ -37,7 +37,6 @@ __all__ = [
     "as_complex_matrix",
     "eigendecompose",
     "classify_stability",
-    "alpha_overlap",
     "canonical_2d_form",
 ]
 
@@ -74,6 +73,15 @@ def coincidence_tol(lam) -> float:
     return COINCIDENCE_RTOL * float(np.abs(lam).max())
 
 
+def _pow2_scale(top: float) -> tuple[float, float]:
+    """(2^k, 2^-k) for the k that brings top > 0 to [1/2, 1) (k = 0 for
+    top = 0), clamped to [-1000, 1000] so that both are normal floats.
+    Scaling by them is exact, and takes any finite top to within 2^24 of
+    [1/2, 1): the one scaling of every closed form on a 2x2."""
+    k = min(max(-math.frexp(top)[1], -1000), 1000)
+    return 2.0 ** k, 2.0 ** -k
+
+
 def as_complex_matrix(obj) -> np.ndarray:
     """Coerce input to a square complex matrix with finite entries."""
     A = np.asarray(obj, dtype=complex)
@@ -99,7 +107,8 @@ class SpectralData:
     defective : True when no reliable eigenbasis exists
     positive_stable : True when every eigenvalue has real part above
         coincidence_tol of the spectrum, so that rounding noise on the
-        imaginary axis certifies no decay
+        imaginary axis certifies no decay; decided once, from the
+        eigenvalues and the spectral radius, for both routes
     mu_s, nu_s : smallest and largest eigenvalue of (C + C*)/2
     eigenvector_cond : condition number of the unit-norm eigenvector matrix,
         computed on first read
@@ -110,12 +119,16 @@ class SpectralData:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     defective: bool
-    positive_stable: bool
     mu_s: float
     nu_s: float
     #: the spectral radius, and the ordered unit-norm eigenvector matrix V
     _radius: float = field(repr=False)
     _unit_vectors: np.ndarray = field(repr=False)
+    positive_stable: bool = field(init=False)
+
+    def __post_init__(self):
+        tol = COINCIDENCE_RTOL * self._radius
+        self.positive_stable = all(z.real > tol for z in self.eigenvalues.tolist())
 
     @property
     def n(self) -> int:
@@ -196,13 +209,14 @@ def _eig_route(C: np.ndarray) -> SpectralData:
         W = np.full_like(V, np.nan)
     else:
         # rows of V^-1 are left row-eigenvectors; conjugate-transpose them into
-        # eigenvectors of C*, then normalize and push the scale onto V
+        # eigenvectors of C*, then normalize and push the scale onto V. A norm
+        # that overflows leaves zeros, inf or NaN in W and V, with no warning
+        # on stderr, for the readers of the record to refuse
         W = np.linalg.inv(V).conj().T
-        norms = np.linalg.norm(W, axis=0)
-        W = W / norms
-        V = V / np.einsum("jk,jk->k", W.conj(), V)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            W = W / np.linalg.norm(W, axis=0)
+            V = V / np.einsum("jk,jk->k", W.conj(), V)
 
-    positive_stable = bool((lam.real > COINCIDENCE_RTOL * radius).all())
     herm = np.linalg.eigvalsh(C / 2.0 + C.conj().T / 2.0)
     return SpectralData(
         matrix=C,
@@ -210,7 +224,6 @@ def _eig_route(C: np.ndarray) -> SpectralData:
         right_vectors=V,
         left_vectors=W,
         defective=defective,
-        positive_stable=positive_stable,
         mu_s=float(herm[0]),
         nu_s=float(herm[-1]),
         _radius=radius,
@@ -222,18 +235,18 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
     """The record of a 2x2 C = [[a, b], [c, d]] with separated eigenvalues,
     in closed form on Python complex scalars; None where the eig route decides.
 
-    The entries are first scaled by an exact power of two, 2^k with k clamped
-    to [-1000, 1000] as in rate_family, that brings their largest part to
-    [1/2, 1), so no product below overflows. With m = (a + d)/2 and
-    h = (a - d)/2 the eigenvalues are m +- sqrt(h^2 + bc): the root of larger
-    modulus is formed as that sum and the other as det C over it, so neither
-    cancels; a triangular C (bc = 0) keeps its diagonal. Each unit eigenvector
-    is the null vector of the larger row of C - lambda I. V^-1 is the adjugate
-    over det V, and the adjugate's rows are unit, so its conjugated rows times
-    the phase of det V are the unit adjoint eigenvectors w_j, and V / |det V|
-    has <w_j, v_j> = 1. mu_s and nu_s come from _hermitian_extremes. The
-    eigenvalues are scaled back by 2^-k and ordered by
-    _order_with_clustered_ties, as on the eig route.
+    The entries are first scaled by _pow2_scale of their largest part, which
+    brings it to [1/2, 1), or within 2^24 of it beyond the clamp, so no
+    product below overflows. With m = (a + d)/2 and h = (a - d)/2 the
+    eigenvalues are m +- sqrt(h^2 + bc): the root of larger modulus is formed
+    as that sum and the other as det C over it, so neither cancels; a
+    triangular C (bc = 0) keeps its diagonal. Each unit eigenvector is the
+    null vector of the larger row of C - lambda I. V^-1 is the adjugate over
+    det V, and the adjugate's rows are unit, so its conjugated rows times the
+    phase of det V are the unit adjoint eigenvectors w_j, and V / |det V| has
+    <w_j, v_j> = 1. mu_s and nu_s come from _hermitian_extremes. The
+    eigenvalues are scaled back and ordered by _order_with_clustered_ties, as
+    on the eig route.
 
     None, for the eig route, when the pair is clustered (the eig route then
     decides the defect), when a nonzero part scales below the smallest normal
@@ -244,8 +257,7 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
     parts = [abs(x) for z in entries for x in (z.real, z.imag) if x]
     if not parts:
         return None
-    k = min(max(-math.frexp(max(parts))[1], -1000), 1000)
-    scale, unscale = 2.0 ** k, 2.0 ** -k
+    scale, unscale = _pow2_scale(max(parts))
     if min(parts) * scale < _TINY:
         return None
     a, b, c, d = (z * scale for z in entries)
@@ -281,14 +293,12 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
     W = np.array([[y2.conjugate(), -y1.conjugate()],
                   [-x2.conjugate(), x1.conjugate()]]) * (det / size)
     mu_s, nu_s = _hermitian_extremes(a.real, d.real, b + c.conjugate())
-    tol = COINCIDENCE_RTOL * radius
     return SpectralData(
         matrix=C,
         eigenvalues=np.array([values[i], values[j]]),
         right_vectors=unit_V / size,
         left_vectors=W,
         defective=False,
-        positive_stable=values[0].real > tol and values[1].real > tol,
         mu_s=mu_s * unscale,
         nu_s=nu_s * unscale,
         _radius=radius,
@@ -299,17 +309,15 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
 def _hermitian_extremes(x: float, y: float, off: complex) -> tuple[float, float]:
     """(mu_s, nu_s), the eigenvalues of [[x, off/2], [conj(off)/2, y]].
 
-    On the parts scaled by their own power of two, 2^k with k clamped to
-    [-1000, 1000], the eigenvalue of larger modulus is
-    (x + y)/2 +- hypot(x - y, |off|)/2, with the sign of x + y, and the other
-    the determinant over it, so neither cancels: a diagonal keeps its
-    entries, however far apart.
+    On the parts scaled by _pow2_scale of the largest, the eigenvalue of
+    larger modulus is (x + y)/2 +- hypot(x - y, |off|)/2, with the sign of
+    x + y, and the other the determinant over it, so neither cancels: a
+    diagonal keeps its entries, however far apart.
     """
     top = max(abs(x), abs(y), abs(off.real), abs(off.imag))
     if top == 0.0:
         return 0.0, 0.0
-    k = min(max(-math.frexp(top)[1], -1000), 1000)
-    scale, unscale = 2.0 ** k, 2.0 ** -k
+    scale, unscale = _pow2_scale(top)
     x, y, o = x * scale, y * scale, math.hypot(off.real * scale, off.imag * scale)
     mid, half = 0.5 * (x + y), 0.5 * math.hypot(x - y, o)
     big = mid + half if mid >= 0.0 else mid - half
@@ -321,25 +329,20 @@ def _hermitian_extremes(x: float, y: float, off: complex) -> tuple[float, float]
 def _norm_2x2(C: np.ndarray) -> float:
     """|C|_2 of a 2x2 C, the root of the top eigenvalue of C*C.
 
-    The entries are scaled by a power of two, 2^k with k clamped to
-    [-1000, 1000] as in _closed_form_2x2, that brings their largest part
-    to [1/2, 1) or as near as the clamp allows, so no square overflows, and
-    the top eigenvalue, at least the largest part squared, is beyond the
-    reach of any square that underflows. It is the sum
+    The entries are scaled by _pow2_scale of their largest part, which
+    brings it to [1/2, 1) or as near as the clamp allows, so no square
+    overflows, and the top eigenvalue, at least the largest part squared,
+    is beyond the reach of any square that underflows. It is the sum
     (p + q)/2 + hypot(p - q, 2|off|)/2 of non-negative terms, so it does not
     cancel.
     """
     entries = C.ravel().tolist()
-    top = max(abs(x) for z in entries for x in (z.real, z.imag))
-    if top == 0.0:
-        return 0.0
-    k = min(max(-math.frexp(top)[1], -1000), 1000)
-    scale = 2.0 ** k
+    scale, unscale = _pow2_scale(max(abs(x) for z in entries for x in (z.real, z.imag)))
     a, b, c, d = (z * scale for z in entries)
     p = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
     q = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
     off = a.conjugate() * b + c.conjugate() * d
-    return math.sqrt(_hermitian_extremes(p, q, 2.0 * off)[1]) * 2.0 ** -k
+    return math.sqrt(_hermitian_extremes(p, q, 2.0 * off)[1]) * unscale
 
 
 @dataclass
@@ -376,23 +379,6 @@ def classify_stability(data: SpectralData) -> StabilityReport:
         coercive=data.mu_s > 0.0,
         defective=data.defective,
     )
-
-
-def alpha_overlap(v1, v2) -> float:
-    """|<v1, v2>| / (|v1| |v2|), the modulus of the normalized overlap.
-
-    This is the single geometric quantity controlling every 2D constant below:
-    0 for orthogonal eigenvectors (normal matrix), approaching 1 as the
-    eigenbasis degenerates.
-    """
-    v1 = np.asarray(v1, dtype=complex).ravel()
-    v2 = np.asarray(v2, dtype=complex).ravel()
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
-    if n1 < 1e-300 or n2 < 1e-300:
-        raise ZeroVector("overlap of a zero vector is undefined")
-    a = abs(np.vdot(v1, v2)) / (n1 * n2)
-    return float(min(a, 1.0))
 
 
 class DecayCase(str, enum.Enum):
@@ -480,11 +466,7 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     rnorm = float(np.linalg.norm(w2 - overlap * w1))  # sqrt(1 - alpha^2)
     if rnorm < 1e-15:
         raise Defective2D("adjoint eigenvectors are numerically parallel")
-    # |C|_2 <= |C|_F, so only a product below the Frobenius screen can be at
-    # most ROUNDING_RTOL |C|_2; the screen is doubled against the rounding of
-    # both norms, and math.hypot forms |C|_F without overflow
-    if not scalar and gap * rnorm <= 2.0 * ROUNDING_RTOL * math.hypot(
-            *map(abs, data.matrix.ravel().tolist())):
+    if not scalar:
         jordan_tol = ROUNDING_RTOL * _norm_2x2(data.matrix)
         if gap * rnorm <= jordan_tol:
             raise Defective2D(f"matrix is within rounding of a Jordan block: eigenvalue split "

@@ -64,6 +64,15 @@ class TestAnalyze:
         assert doc["case"] == "EqualEigenvalues"
         assert doc["c_sharp"] == 1.0
 
+    def test_one_dim_certificate(self, capsys, tmp_path):
+        # x' = -(2 + 3i)x: |x(t)| = e^{-2t}|x0|, with constant 1 and no search
+        path = write_matrix(tmp_path / "one.json", [[2.0 + 3.0j]], with_imag=True)
+        code, out, _ = run(capsys, ["analyze", path])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["n"], doc["mu"], doc["kappa"], doc["weights"], doc["residual"],
+                doc["constant"], doc["rate"]) == (1, 2.0, 1.0, [1.0], 0.0, 1.0, 2.0)
+
     def test_three_dim_certificate(self, capsys, m3_file):
         code, out, _ = run(capsys, ["analyze", m3_file])
         assert code == 0
@@ -251,6 +260,19 @@ class TestAnalyzeErrors:
         code, out, err = run(capsys, ["analyze", request.getfixturevalue(fixture)])
         assert code == 2 and out == ""
         assert "not admissible" in err
+
+    def test_overflowing_eigenvector_norm_warns_nothing(self, capsys, tmp_path):
+        # the eig route's adjoint eigenvectors of this matrix have a norm that
+        # overflows: the refusal is the one line on stderr, with no numpy warning
+        path = tmp_path / "ovf.json"
+        path.write_text('{"n": 2, "re": [[1e90, 1e-168], [0, 1e97]], '
+                        '"im": [[0, 0], [1e306, 0]]}')
+        for command in ("analyze", "envelope"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, [command, str(path)])
+            assert code == 2 and out == ""
+            assert err == "error: adjoint eigenvectors are numerically parallel\n"
 
     def test_certificate_beyond_the_float_range(self, capsys, tmp_path):
         # at subnormal scale the attainment time pi/|delta| overflows to inf,
@@ -478,6 +500,15 @@ class TestGT:
         assert float(gaps["deviation form"]) == pytest.approx(1e-6, rel=1e-3)
         assert float(gaps["propagator"]) < 1e-8
 
+    def test_fail_verdict(self, capsys, monkeypatch):
+        # planted: a constant below the ratio 1.73... that the sharp datum reaches
+        from hypodecay import goldstein_taylor
+
+        monkeypatch.setattr(goldstein_taylor, "GT_CONSTANT", 1.5)
+        code, _, err = run(capsys, ["gt", "sharp", "--points", "200"])
+        assert code == 3
+        assert err.startswith("FAIL max ratio 1.73") and err.count("\n") == 1
+
     def test_deterministic(self, capsys):
         _, out1, err1 = run(capsys, ["gt", "random:11", "--points", "50"])
         _, out2, err2 = run(capsys, ["gt", "random:11", "--points", "50"])
@@ -539,8 +570,9 @@ class TestExitCodes:
         (["analyze", "M", "--oracle"], 1e300 * np.diag(np.arange(1.0, 17.0)), 0),
         (["gt", "sharp", "--tol", "1e-9"], None, 1),
         (["gt", "random:7", "--seed", "3"], None, 1),
+        (["analyze", "M"], [[-1.0]], 2),
     ], ids=["jordan-3x3", "entry-1e308", "envelope-entry-1e308", "diag-1e308",
-            "oracle-1e300", "gt-tol", "gt-seed"])
+            "oracle-1e300", "gt-tol", "gt-seed", "unstable-1x1"])
     def test_exit_code(self, capsys, tmp_path, argv, mat, expect):
         if mat is not None:
             path = write_matrix(tmp_path / "m.json", mat)

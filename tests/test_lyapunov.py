@@ -43,6 +43,21 @@ class TestLyapunovMatrix:
         with pytest.raises(ValueError):
             LyapunovMatrix(np.diag([1.0, -2.0]))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    def test_hermitian_verdict_is_scale_free(self, n, k):
+        # |P - P*| is measured against the largest entry of P alone: 2^k P
+        # gets the verdict and the kappa of P, on the 2x2 and the numpy route.
+        # An absolute floor accepted 2^-600 [[1, 0.1], [0, 1]] as Hermitian
+        s = 2.0 ** k
+        c = np.diag(np.arange(1.0, n + 1.0))
+        skew, herm = np.eye(n), np.eye(n)
+        skew[0, 1] = herm[0, 1] = herm[1, 0] = 0.1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            certificate_from_p(c, s * skew, 0.5)
+        assert certificate_from_p(c, s * herm, 0.5).kappa \
+            == certificate_from_p(c, herm, 0.5).kappa
+
     def test_kappa_of_diagonal(self):
         assert LyapunovMatrix(np.diag([1.0, 4.0])).kappa == pytest.approx(4.0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -180,6 +181,26 @@ def test_gap_members_are_the_closed_form_kappa_min():
         edge = float(np.sqrt((1.0 + form.alpha) / (1.0 - form.alpha)))
         assert upper_bound_constant(form, form.mu).constant == edge
         assert lower_bound_constant(form, form.nu).constant == 1.0 / edge
+
+
+@pytest.mark.parametrize("fixture", ["form_complex_pair", "form_real_distinct",
+                                     "form_far_below_zero"])
+def test_constants_keep_their_bits_beyond_the_scaling_clamp(fixture, request):
+    # the eigenvalue parts of 2^1010 C lie above 2^1000, where the power of two
+    # that scales them is clamped: every member keeps the bits it has for C
+    form = request.getfixturevalue(fixture)
+    s = 2.0 ** 1010
+    big = dataclasses.replace(form, eigenvalues=s * form.eigenvalues, mu_s=s * form.mu_s,
+                              nu_s=s * form.nu_s, rounding_tol=s * form.rounding_tol)
+    for bound, (lo, hi) in ((upper_bound_constant, (form.mu_s, form.mu)),
+                            (lower_bound_constant, (form.nu, form.nu_s))):
+        for r in np.linspace(lo, hi, 9).tolist():
+            a, b = bound(form, r), bound(big, s * r)
+            assert (b.rate, b.constant, b.beta0, b.beta_tilde, b.kappa) \
+                == (s * r, a.constant, a.beta0, a.beta_tilde, a.kappa)
+    fam, fam_big = family_envelope(form, [0.0]), family_envelope(big, [0.0])
+    assert fam_big.upper_constants.tobytes() == fam.upper_constants.tobytes()
+    assert fam_big.lower_constants.tobytes() == fam.lower_constants.tobytes()
 
 
 class TestBoundsHold:

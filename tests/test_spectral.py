@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,8 +10,6 @@ from hypodecay import (
     DecayCase,
     Defective2D,
     MatrixFormatError,
-    ZeroVector,
-    alpha_overlap,
     as_complex_matrix,
     canonical_2d_form,
     classify_and_sharp_constant,
@@ -90,6 +90,18 @@ class TestEigendecompose:
         data = eigendecompose(s * np.diag([2.0 - 1.0j, 1.0 + 1.0j]))
         assert data.spectral_gap == pytest.approx(s, rel=1e-12)
         assert not eigendecompose(s * np.array([[1.0, 1e9], [0.0, 2.0]])).defective
+
+    def test_overflowing_adjoint_norm_warns_nothing(self):
+        # parts from 1e-168 to 1e306 take the eig route, where the norm of a
+        # column of V^-1 overflows; the record is built without a warning and
+        # canonical_2d_form refuses its adjoint pair
+        c = np.array([[1e90, 1e-168], [1e306j, 1e97]])
+        assert _closed_form_2x2(c) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = eigendecompose(c)
+        with pytest.raises(Defective2D, match="numerically parallel"):
+            canonical_2d_form(data)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c", [
@@ -285,9 +297,8 @@ def svd_calls(monkeypatch):
 
 class TestSvdOnlyWhereRead:
     """eigendecompose reads the eigenvector condition number (one svd) only
-    for a clustered spectrum, and canonical_2d_form reads |C|_2 (one
-    _norm_2x2, no svd) only for a split times sqrt(1 - alpha^2) within the
-    Frobenius screen of its Jordan test."""
+    for a clustered spectrum, and canonical_2d_form's Jordan test reads |C|_2
+    from one _norm_2x2, and no svd, for every form that is not scalar."""
 
     def test_unclustered_spectrum_makes_no_svd(self, svd_calls, mat_real_distinct):
         data = eigendecompose(mat_real_distinct)
@@ -359,26 +370,6 @@ class TestClassifyStability:
             assert data.positive_stable is stable
 
 
-class TestAlphaOverlap:
-    @given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3))
-    @settings(max_examples=25, deadline=None)
-    def test_bounds_and_scale_invariance(self, seed, scale):
-        rng = np.random.default_rng(seed)
-        v1 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v2 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        a = alpha_overlap(v1, v2)
-        assert 0.0 <= a <= 1.0
-        assert alpha_overlap(scale * v1, v2) == pytest.approx(a, rel=1e-12)
-
-    def test_parallel_is_one(self):
-        v = np.array([1.0, 2.0j])
-        assert alpha_overlap(v, 3j * v) == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            alpha_overlap(np.zeros(2), np.ones(2))
-
-
 class TestCanonical2DForm:
     def test_alpha_complex_pair(self, mat_complex_pair):
         form = canonical_2d_form(eigendecompose(mat_complex_pair))
@@ -428,9 +419,9 @@ class TestCanonical2DForm:
         for _ in range(50):
             c, _, _ = make_2x2_with_overlap(rng)
             data = eigendecompose(c)
-            a_right = alpha_overlap(data.right_vectors[:, 0], data.right_vectors[:, 1])
-            a_left = alpha_overlap(data.left_vectors[:, 0], data.left_vectors[:, 1])
-            assert a_right == pytest.approx(a_left, abs=5e-12)
+            v = data.right_vectors
+            a_right = abs(np.vdot(v[:, 0], v[:, 1])) / np.prod(np.linalg.norm(v, axis=0))
+            assert a_right == pytest.approx(_alpha(data), abs=5e-12)
 
     def test_constructed_overlap_recovered(self):
         rng = np.random.default_rng(3)
