@@ -188,9 +188,10 @@ def certificate_from_p(C, P, rate: float) -> LyapunovCertificate:
     """Certify P at the requested rate and package the resulting estimate.
 
     The admissibility check allows a small negative residual proportional to
-    |C| |P|, the rounding floor of eigvalsh, and rejects a NaN residual. |C|
-    is needed only for a residual that is not already >= 0; a 2x2 reads it
-    from spectral._norm_2x2, a larger C from svd.
+    |C| |P|, the rounding floor of eigvalsh, with no absolute floor, so that
+    C -> sC at rate s r gives the verdict of C at rate r; it rejects a NaN
+    residual. |C| is needed only for a residual that is not already >= 0; a
+    2x2 reads it from spectral._norm_2x2, a larger C from svd.
     """
     if not np.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate!r}")
@@ -201,7 +202,7 @@ def certificate_from_p(C, P, rate: float) -> LyapunovCertificate:
     if not res >= 0.0:
         norm = _norm_2x2(C) if len(C) == 2 else float(np.linalg.svd(C, compute_uv=False)[0])
         scale = norm * P.lambda_max
-        if not res >= -RESIDUAL_RTOL * max(scale, 1e-300):
+        if not res >= -RESIDUAL_RTOL * scale:
             raise NotAdmissible(
                 f"P is not admissible at rate {rate}: residual {res:.3e} "
                 f"below -{RESIDUAL_RTOL:.1e} * |C| |P| = {-RESIDUAL_RTOL * scale:.3e}",

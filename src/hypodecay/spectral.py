@@ -175,10 +175,10 @@ def eigendecompose(C) -> SpectralData:
     takes the eig route (_eig_route). Raises NonConvergence if the QR iteration
     of that route fails. A defective matrix is detected numerically (clustered
     eigenvalues plus eigenvector-matrix condition number above
-    DEFECT_COND_LIMIT) and flagged, not raised; the operations that genuinely
-    need an eigenbasis check the flag themselves. Only a clustered spectrum
-    computes the condition number here; otherwise eigenvector_cond computes it
-    on first read, from the same V.
+    DEFECT_COND_LIMIT, or a V that inv finds singular) and flagged, not
+    raised; the operations that genuinely need an eigenbasis check the flag
+    themselves. Only a clustered spectrum computes the condition number here;
+    otherwise eigenvector_cond computes it on first read, from the same V.
     """
     C = as_complex_matrix(C)
     data = _closed_form_2x2(C) if C.shape[0] == 2 else None
@@ -205,14 +205,20 @@ def _eig_route(C: np.ndarray) -> SpectralData:
     clustered = bool(gaps.min() <= CLUSTER_GAP * radius)
     defective = clustered and _cond(V) > DEFECT_COND_LIMIT
 
+    if not defective:
+        # rows of V^-1 are left row-eigenvectors; conjugate-transpose them into
+        # eigenvectors of C*. A V that inv finds singular has no adjoint basis,
+        # whatever the gaps of the spectrum: a defect like a cluster's
+        try:
+            W = np.linalg.inv(V).conj().T
+        except np.linalg.LinAlgError:
+            defective = True
     if defective:
         W = np.full_like(V, np.nan)
     else:
-        # rows of V^-1 are left row-eigenvectors; conjugate-transpose them into
-        # eigenvectors of C*, then normalize and push the scale onto V. A norm
-        # that overflows leaves zeros, inf or NaN in W and V, with no warning
-        # on stderr, for the readers of the record to refuse
-        W = np.linalg.inv(V).conj().T
+        # normalize W and push the scale onto V. A norm that overflows leaves
+        # zeros, inf or NaN in W and V, with no warning on stderr, for the
+        # readers of the record to refuse
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             W = W / np.linalg.norm(W, axis=0)
             V = V / np.einsum("jk,jk->k", W.conj(), V)

@@ -274,6 +274,18 @@ class TestAnalyzeErrors:
             assert code == 2 and out == ""
             assert err == "error: adjoint eigenvectors are numerically parallel\n"
 
+    def test_singular_eigenvector_matrix_is_refused_as_defective(self, capsys, tmp_path):
+        # inv of the eig route's V raises here: the record is flagged
+        # defective, and both commands print the refusal, not numpy's error
+        path = tmp_path / "singular.json"
+        path.write_text('{"n": 2, "re": [[0, -9.74265979e283], [1.95220652e-294, 0]], '
+                        '"im": [[-1.49837836e-264, 1.16449606e160], '
+                        '[-7.33874052e-242, -3.88152586e-124]]}')
+        for command in ("analyze", "envelope"):
+            code, out, err = run(capsys, [command, str(path)])
+            assert code == 2 and out == ""
+            assert err == "error: matrix is defective; certificates need a full eigenbasis\n"
+
     def test_certificate_beyond_the_float_range(self, capsys, tmp_path):
         # at subnormal scale the attainment time pi/|delta| overflows to inf,
         # which strict JSON cannot carry

@@ -107,6 +107,48 @@ class TestMinimizeKappaWeights:
         opt = minimize_kappa_weights([[2.0 + 1.0j]])
         assert (opt.kappa, opt.kappa_equal, opt.weights.tolist()) == (1.0, 1.0, [1.0])
 
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_gram_gradient_matches_central_difference(self, n, monkeypatch):
+        # the search's gradient in the log-weights against a central
+        # difference of the smoothed objective of its own P, at tau = 1e-3
+        rng = np.random.default_rng(n)
+        w = _seeded_weights(rng, n)
+        found, core = {}, condopt._minimize_log_cond
+
+        def captured(P_of, gradient, x0):
+            found.update(P_of=P_of, gradient=gradient)
+            return core(P_of, gradient, x0)
+
+        monkeypatch.setattr(condopt, "_minimize_log_cond", captured)
+        minimize_kappa_weights(w)
+        P_of, tau = found["P_of"], 1e-3
+
+        def smoothed(x):
+            return condopt._smoothed(np.linalg.eigvalsh(P_of(x)), tau)[0]
+
+        x, h = 0.3 * rng.normal(size=n - 1), 1e-5
+        lam, U = np.linalg.eigh(P_of(x))
+        grad = found["gradient"](x, lam, U, condopt._smoothed(lam, tau)[1])
+        central = [(smoothed(x + h * e) - smoothed(x - h * e)) / (2 * h) for e in np.eye(n - 1)]
+        assert np.allclose(grad, central, rtol=0.0, atol=1e-8 * np.abs(grad).max())
+
+    def test_kappa_ignores_phases_and_order_of_the_vectors(self):
+        # W -> W D Pi with D unit phases and Pi a permutation leaves the
+        # weighted family, and so the best kappa, unchanged. With column 0 in
+        # place the search's pinned weight stays the same; a permutation that
+        # moves it runs the search in other coordinates, to the same optimum
+        rng = np.random.default_rng(0)
+        for n in (3, 8, 16):
+            for _ in range(3):
+                w = _seeded_weights(rng, n)
+                kappa = minimize_kappa_weights(w).kappa
+                phases = np.exp(2j * np.pi * rng.uniform(size=n))
+                fixed = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+                for same in (w * phases, w[:, fixed], (w * phases)[:, fixed]):
+                    assert minimize_kappa_weights(same).kappa == pytest.approx(kappa, rel=1e-12), n
+                moved = minimize_kappa_weights(w[:, rng.permutation(n)]).kappa
+                assert moved == pytest.approx(kappa, rel=1e-10), n
+
     def test_orthonormal_basis_gives_identity(self):
         q = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))[0]
         opt = minimize_kappa_weights(q)
@@ -243,9 +285,11 @@ class TestLbfgsCore:
             assert polished.kappa >= ours.kappa * (1 - 1e-10), n
 
     def test_a_stage_start_reuses_the_last_eigh(self, monkeypatch, mat_triangular, triangular_w):
-        # every later stage starts on the last evaluation of the one before
-        # (no stage here ends on a failed line search): the start re-smooths
-        # that point's eigh at the new tau, and still counts as an evaluation
+        # only the first stage moves here, so no stage starts on a secant
+        # prediction, and every later stage starts on the last evaluation of
+        # the one before (no stage here ends on a failed line search): the
+        # start re-smooths that point's eigh at the new tau, and still counts
+        # as an evaluation
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(condopt.np.linalg, "eigh", lambda P: calls.append(P) or eigh(P))
         seed_p = LyapunovMatrix(triangular_w @ np.diag([2.0, 4.0, 3.0]) @ triangular_w.T)
@@ -359,7 +403,7 @@ class TestLbfgsCore:
         # a fixed P of kappa 2 makes the smoothed objective flat, so the
         # nonzero gradient contradicts it the same way
         _, kappa, _, _, converged = condopt._minimize_log_cond(
-            lambda x: np.diag([1.0, 2.0]), lambda x, U, g: -2.0 * x, x0)
+            lambda x: np.diag([1.0, 2.0]), lambda x, lam, U, g: -2.0 * x, x0)
         assert not converged
         assert kappa == 2.0
 
@@ -367,10 +411,89 @@ class TestLbfgsCore:
         # an indefinite P has no smoothed objective: its zero gradient ends
         # every stage at once, and only the edge of the domain says so
         x, kappa, kappa_at_x0, nfev, converged = condopt._minimize_log_cond(
-            lambda x: np.diag([-1.0, 1.0]), lambda x, U, g: x, np.zeros(1))
+            lambda x: np.diag([-1.0, 1.0]), lambda x, lam, U, g: x, np.zeros(1))
         assert not converged
         assert kappa == kappa_at_x0 == np.inf
         assert nfev == len(condopt.TAUS)
+
+
+def _secant(ends, k):
+    """The core's secant prediction for stage k from the ends of stages k - 2
+    and k - 1, in the core's own arithmetic."""
+    x1, x2, taus = ends[k - 2], ends[k - 1], condopt.TAUS
+    return x2 + (x2 - x1) * ((taus[k] - taus[k - 1]) / (taus[k - 1] - taus[k - 2]))
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """(starts, ends): the point each _bfgs call starts on and ends on."""
+    starts, ends, bfgs = [], [], condopt._bfgs
+
+    def recorded(fun, x, gtol, maxiter, H):
+        starts.append(x)
+        found = bfgs(fun, x, gtol, maxiter, H)
+        ends.append(found[0])
+        return found
+
+    monkeypatch.setattr(condopt, "_bfgs", recorded)
+    return starts, ends
+
+
+class TestSecantPredictor:
+    def test_a_stage_after_two_moves_starts_on_the_secant(self, monkeypatch, stages):
+        # each stage from the third on starts on the secant through the ends
+        # of the two before it when both moved, and on the last end when not;
+        # a kept prediction's eigh is its stage's first evaluation, so eigh
+        # runs once per evaluation except at the starts on a last end
+        starts, ends = stages
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(condopt.np.linalg, "eigh", lambda P: calls.append(P) or eigh(P))
+        rng = np.random.default_rng(0)
+        predicted = 0
+        for n in range(3, 17):
+            del starts[:], ends[:], calls[:]
+            found = minimize_kappa_weights(_seeded_weights(rng, n))
+            assert found.converged
+            assert len(starts) == len(condopt.TAUS)
+            assert starts[1] is ends[0]
+            reused = 1
+            for k in range(2, len(starts)):
+                if ends[k - 1] is ends[k - 2]:
+                    assert starts[k] is ends[k - 1], (n, k)
+                    reused += 1
+                else:
+                    assert np.array_equal(starts[k], _secant(ends, k)), (n, k)
+                    predicted += 1
+            assert len(calls) == found.nfev - reused, n
+        assert predicted >= 3
+
+    def test_an_indefinite_prediction_starts_the_stage_on_the_last_end(
+            self, monkeypatch, stages):
+        # P_of turned negative definite at each secant point: every prediction
+        # is dropped, the stage starts on the last end, and converged holds
+        starts, ends = stages
+        core, dropped = condopt._minimize_log_cond, []
+
+        def poisoned(P_of, gradient, x0):
+            def P_bad(x):
+                k = len(ends)
+                if 2 <= k < len(condopt.TAUS) and ends[k - 1] is not ends[k - 2] \
+                        and np.array_equal(x, _secant(ends, k)):
+                    dropped.append(k)
+                    return -P_of(x)
+                return P_of(x)
+            return core(P_bad, gradient, x0)
+
+        monkeypatch.setattr(condopt, "_minimize_log_cond", poisoned)
+        rng = np.random.default_rng(0)
+        for n in range(3, 17):
+            del starts[:], ends[:]
+            before = len(dropped)
+            found = minimize_kappa_weights(_seeded_weights(rng, n))
+            assert found.converged, n
+            for k in dropped[before:]:
+                assert starts[k] is ends[k - 1], (n, k)
+        assert len(dropped) >= 3
 
 
 #: the ten-stage continuation, tau = 0.1 ... 1e-10, that the five stages replace

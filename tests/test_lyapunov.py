@@ -216,6 +216,16 @@ class TestResidualSlack:
         assert certificate_from_p(self.C, np.eye(2), 1.0).residual == 0.0
         assert norm_calls == {"norm_2x2": [], "svd": []}
 
+    @pytest.mark.parametrize("k", [0, -600, -1000])
+    def test_verdict_is_scale_free(self, k):
+        # 2^k C at rate 2^k r: the residual -6e-10 2^k stays below the slack
+        # -2e-10 2^k at every scale, with no absolute floor to let it pass
+        # once |C| |P| is subnormal; a residual of zero passes at every scale
+        s = 2.0 ** k
+        with pytest.raises(NotAdmissible, match="not admissible"):
+            certificate_from_p(s * self.C, np.eye(2), s * (1.0 + 3e-10))
+        assert certificate_from_p(s * self.C, np.eye(2), s).residual == 0.0
+
     def test_nan_residual_is_rejected(self, monkeypatch):
         monkeypatch.setattr(lyapunov, "lyapunov_residual", lambda C, P, rate: float("nan"))
         with pytest.raises(NotAdmissible) as exc:

@@ -103,6 +103,20 @@ class TestEigendecompose:
         with pytest.raises(Defective2D, match="numerically parallel"):
             canonical_2d_form(data)
 
+    def test_singular_eigenvector_matrix_is_flagged_defective(self):
+        # eigenvalues 4e-124 apart at spectral radius 4e-124, not clustered;
+        # but the eig route's V is singular to inv, so the record is flagged
+        # defective with a NaN adjoint basis instead of raising
+        c = (np.array([[0.0, -9.74265979e283], [1.95220652e-294, 0.0]])
+             + 1j * np.array([[-1.49837836e-264, 1.16449606e160],
+                              [-7.33874052e-242, -3.88152586e-124]]))
+        assert _closed_form_2x2(c) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = eigendecompose(c)
+        assert data.defective
+        assert np.isnan(data.left_vectors).all()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c", [
         [[1.0, 1.0], [0.0, 1.0]],
