@@ -56,8 +56,11 @@ class UnsupportedMatrix(HypodecayError):
     """Valid file, but outside what the certificates cover (exit code 2)."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _print_csv(header, columns) -> None:
+    """The header line and one line per row of columns, every number as %.17g."""
+    print(",".join(header))
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    sys.stdout.writelines(row % tuple(r) for r in np.column_stack(columns).tolist())
 
 
 def _err(msg: str) -> None:
@@ -269,9 +272,7 @@ def cmd_envelope(args) -> int:
             header.append(f"traj_{i + 1}")
             columns.append(np.linalg.norm(sol, axis=1) ** 2)
 
-    print(",".join(header))
-    for row in zip(*columns):
-        print(",".join(_fmt(v) for v in row))
+    _print_csv(header, columns)
 
     if args.oracle:
         # h_+ = sigma_max(P)^2 for the RK4 propagator P(t). By Liouville
@@ -325,9 +326,7 @@ def cmd_gt(args) -> int:
     report = verify_gt_bound(field, times, args.modes)
 
     bound = GT_CONSTANT * np.exp(-GT_RATE * times) * report.initial_deviation
-    print("t,deviation,bound")
-    for row in zip(times, report.deviations, bound):
-        print(",".join(_fmt(v) for v in row))
+    _print_csv(["t", "deviation", "bound"], [times, report.deviations, bound])
 
     if args.oracle:
         # the closed-form propagator of evolve, and the deviation form of the

@@ -4,7 +4,7 @@ Three searches of increasing generality:
 
 * 2x2 weighted family: closed form, the optimum is always at equal weights
   with kappa_min = (1 + alpha) / (1 - alpha).
-* n-dimensional weighted family P(b) = W diag(b) W*, over log-weights.
+* n-dimensional weighted family P(b) = W diag(b) W*, over all n log-weights.
 * full Hermitian family at a fixed rate mu, over an unconstrained factor
   that spans exactly the admissible matrices (facial reduction in the
   eigenbasis of C; no penalty, barrier or feasibility slack).
@@ -21,17 +21,16 @@ evaluation count; the best point and the converged flag. A small numpy BFGS
 (`_bfgs`: dense inverse Hessian H, backtracking Armijo line search; Nocedal &
 Wright, Numerical Optimization, ch. 3 and 6) runs once per temperature down
 the continuation TAUS, each stage with the H the last one ended with; a line
-search that fails along -H g drops H and retries once along -g. Each stage
-starts on the point the last one ended with, except that from the third on,
-a stage whose two predecessors ended on different points starts on the
-secant predictor through their ends, linear in tau (Allgower & Georg,
-Numerical Continuation Methods, 1990), unless P is not positive definite
-there. The point with the smallest exact kappa wins. The weight search runs
-on the Gram form diag(sqrt b) W*W diag(sqrt b), which has the spectrum of
-W diag(b) W* and costs no complex matrix product per evaluation. The O(d^2)
-update and step cost a seventh (n = 16) to two fifths (n = 3) of an
-evaluation for the n - 1 weights; for the 2 n^2 factor entries of the
-admissible search they match one at n = 12 and cost five at n = 16.
+search that fails along -H g drops H and retries once along -g. Where a
+stage starts (the last end, or a secant predictor; Allgower & Georg,
+Numerical Continuation Methods, 1990), and why the ladder may end before the
+last tau, once the smoothing is exact, `_minimize_log_cond` tells. The point
+with the smallest exact kappa wins. The weight search runs on the Gram form
+diag(sqrt b) W*W diag(sqrt b), which has the spectrum of W diag(b) W* and
+costs no complex matrix product per evaluation; kappa is invariant along the
+all-ones direction of the log-weights, so no weight is pinned. For the 2 n^2
+factor entries of the admissible search the O(d^2) update and step match
+one evaluation at n = 12 and cost five at n = 16.
 
 kappa is quasiconvex on both families (lambda_max is convex, lambda_min
 concave; Braatz & Morari 1994), so one start suffices and there is no
@@ -129,12 +128,22 @@ def _smoothed(lam: np.ndarray, tau: float):
     Log-sum-exp of the log-eigenvalues from above and from below; it exceeds
     log kappa by at most 2 tau log n.
     """
-    ell = np.log(lam)
-    hi = np.exp((ell - ell[-1]) / tau)
-    lo = np.exp((ell[0] - ell) / tau)
+    z = np.log(lam) / tau
+    hi = np.exp(z - z[-1])
+    lo = np.exp(z[0] - z)
     hi_sum, lo_sum = hi.sum(), lo.sum()
-    value = ell[-1] - ell[0] + tau * (math.log(hi_sum) + math.log(lo_sum))
-    return value, (hi / hi_sum - lo / lo_sum) / lam
+    value = math.log(lam[-1] / lam[0]) + tau * math.log(hi_sum * lo_sum)
+    hi /= hi_sum
+    hi -= lo / lo_sum
+    hi /= lam
+    return value, hi
+
+
+def _smoothing_is_exact(lam: np.ndarray, tau: float) -> bool:
+    """True if every weight exp((ell_i - ell_n) / tau), i < n, and exp((ell_1 -
+    ell_i) / tau), i > 1, ell = log lam, is 0.0: then _smoothed is exact."""
+    z = np.log(lam) / tau
+    return not (np.exp(z[:-1] - z[-1]).any() or np.exp(z[0] - z[1:]).any())
 
 
 def _cubic_min(a, fa, da, b, fb, db):
@@ -201,7 +210,7 @@ def _bfgs(fun, x, gtol: float, maxiter: int, H):
                 H = (sy / float(y @ y)) * np.eye(len(x))
             Hy = H @ y
             rho = 1.0 / sy
-            B = np.stack([s, Hy])
+            B = np.array([s, Hy])
             H += B.T @ (np.array([[rho + rho * rho * float(y @ Hy), -rho], [-rho, 0.0]]) @ B)
         x, g = x_new, g_new
     return x, bool(np.abs(g).max() <= gtol), H
@@ -216,23 +225,26 @@ def _minimize_log_cond(P_of, gradient, x0: np.ndarray):
     P_of(x) is the Hermitian P at x, and gradient(x, lam, U, g) the gradient
     in x of a function whose gradient in P is U diag(g) U*, where P = U
     diag(lam) U*. Each evaluation is one eigh of P_of(x), counted in nfev.
-    A stage starts on the point the last stage ended with, which was its last
-    evaluation, so that point's eigh is re-smoothed at the new tau (and still
-    counted). But from the third stage on, if the two stages before ended on
-    different points x1 and x2, at tau1 and tau2, the stage starts on the
-    secant prediction x2 + (x2 - x1) (tau - tau2) / (tau2 - tau1) instead,
-    and the prediction's eigh is the stage's first evaluation. A prediction
-    where P is not positive definite is dropped, its eigh still counted, and
-    the stage starts on x2. Returns (x, kappa, kappa_at_x0, nfev, converged):
-    the evaluated point with the smallest exact kappa. A stage that ends
-    without reaching its gradient tolerance clears converged, and so does a P
-    that is not positive definite at a point a stage evaluates: the search met
-    the edge of the domain, where the smoothed objective no longer describes
-    kappa.
+    A stage starts on the point the last stage ended with, its last
+    evaluation, whose eigh is re-smoothed at the new tau (and still counted).
+    But from the third stage on, if the two stages before ended on different
+    points x1 and x2, at tau1 and tau2, the stage starts on the secant
+    prediction x2 + (x2 - x1) (tau - tau2) / (tau2 - tau1) instead, whose
+    eigh is the stage's first evaluation; where P is not positive definite it
+    is dropped, its eigh still counted, and the stage starts on x2. No stage
+    runs after one that converged on its last evaluation, at a positive
+    definite P, when the next stage would start there (the first stage, or one
+    that did not move) and the smoothing there is exact: every later stage
+    would evaluate that point once and stop, so only nfev changes. Returns
+    (x, kappa, kappa_at_x0, nfev, converged): the evaluated point with the
+    smallest exact kappa. A stage that ends without reaching its gradient
+    tolerance clears converged, and so does a P that is not positive definite
+    at a point a stage evaluates: the search met the edge of the domain,
+    where the smoothed objective no longer describes kappa.
     """
     # the last evaluated point and its eigh; the first stage starts at x0
     last, (lam, U) = x0, np.linalg.eigh(P_of(x0))
-    kappa_at_x0 = float(lam[-1] / lam[0]) if lam[0] > 0.0 else math.inf
+    kappa_at_x0 = lam[-1].item() / lam[0].item() if lam[0] > 0.0 else math.inf
     best, kappa, nfev, converged = x0, kappa_at_x0, 0, True
 
     def fun(x, tau):
@@ -242,10 +254,11 @@ def _minimize_log_cond(P_of, gradient, x0: np.ndarray):
         # place, so the same object is the same point
         if x is not last:
             last, (lam, U) = x, np.linalg.eigh(P_of(x))
-        if not lam[0] > 0.0:
+        lam_min = lam[0].item()
+        if not lam_min > 0.0:
             converged = False
             return math.inf, np.zeros_like(x)
-        kappa_x = float(lam[-1] / lam[0])
+        kappa_x = lam[-1].item() / lam_min
         if kappa_x < kappa:
             best, kappa = x.copy(), kappa_x
         value, g = _smoothed(lam, tau)
@@ -266,15 +279,20 @@ def _minimize_log_cond(P_of, gradient, x0: np.ndarray):
                                       GTOL_SCALE * math.sqrt(_EPS / tau), STAGE_MAXITER, H)
         converged &= stage_converged
         ends.append(x)
+        # every later stage would start on x, see the same value and gradient, and stop
+        if stage_converged and x is last and lam[0] > 0.0 and (k == 0 or x is ends[-2]) \
+                and _smoothing_is_exact(lam, tau):
+            break
     return best, kappa, kappa_at_x0, nfev, converged
 
 
 def minimize_kappa_weights(W) -> WeightOptimum:
-    """Minimize kappa(W diag(b) W*) over positive weights b, b[0] fixed at 1.
+    """Minimize kappa(W diag(b) W*) over positive weights b, with b[0] = 1.
 
-    One search in log-weights x = log b[1:] from equal weights (kappa is
-    scale invariant, so one weight can be pinned); kappa_equal is the kappa
-    of its first point. The search runs on the Gram form S Gamma S, with
+    One search in all n log-weights x = log b from equal weights, reported as
+    exp(x - x[0]): kappa is scale invariant, so no weight is pinned and a
+    permutation of W's columns only permutes the coordinates; kappa_equal is
+    the kappa of its first point. The search runs on the Gram form S Gamma S,
     Gamma = W* W formed once and S = diag(sqrt b): it is (W S)* (W S), so it
     has the spectrum of W diag(b) W* = (W S)(W S)*, and an evaluation needs
     no n x n complex product. Weights are rescaled afterwards to the
@@ -289,22 +307,19 @@ def minimize_kappa_weights(W) -> WeightOptimum:
 
     gram = W.conj().T @ W
 
-    def weights(x):
-        return np.concatenate([[1.0], np.exp(x)])
-
     def P_of(x):
-        s = np.sqrt(weights(x))
-        return s[:, None] * gram * s
+        s = np.exp(0.5 * x)
+        return s[:, None] * s * gram
 
     def gradient(x, lam, U, g):
         # dP/dx_j = (E_j P + P E_j) / 2 with E_j = e_j e_j^T, so the derivative
-        # of eigenvalue i is lam_i |U_ji|^2
-        return (np.abs(U) ** 2 @ (lam * g))[1:]
+        # of eigenvalue i is lam_i |U_ji|^2; the entries sum to zero
+        return np.abs(U) ** 2 @ (lam * g)
 
-    x, kappa, kappa_equal, nfev, converged = _minimize_log_cond(P_of, gradient, np.zeros(n - 1))
+    x, kappa, kappa_equal, nfev, converged = _minimize_log_cond(P_of, gradient, np.zeros(n))
     if not np.isfinite(kappa):
         raise DefectiveInput("the adjoint eigenvectors are numerically dependent")
-    return WeightOptimum(weights=_nice_rescale(weights(x)), kappa=kappa,
+    return WeightOptimum(weights=_nice_rescale(np.exp(x - x[0])), kappa=kappa,
                          kappa_equal=kappa_equal, converged=converged, nfev=nfev)
 
 

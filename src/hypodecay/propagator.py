@@ -56,10 +56,11 @@ def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
     system one RK4 step of size h is multiplication by the stability
     polynomial R(-hC) = I - hC + (hC)^2/2 - (hC)^3/6 + (hC)^4/24, so each
     interval between requested times is a matrix power of the full step
-    followed by one shortened step that lands exactly on the time.
-    f0 and the result have the shapes of exact_solution's, so f0 = I gives
-    the RK4 propagator itself. `times` must be finite, non-decreasing and
-    >= 0, and dt must be positive.
+    followed by one shortened step that lands exactly on the time; each
+    distinct number of full steps is powered once per call. f0 and the result
+    have the shapes of exact_solution's, so f0 = I gives the RK4 propagator
+    itself. `times` must be finite, non-decreasing and >= 0, and dt must be
+    positive.
     """
     C = as_complex_matrix(C)
     f0 = _initial_data(f0, len(C))
@@ -89,11 +90,13 @@ def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
         return P
 
     full = increment(dt)
+    steps = [divmod(float(gap), dt) for gap in np.diff(times, prepend=0.0)]
+    # a grid has few distinct full-step counts: power each once
+    powers = {m: power(full, int(m)) for m in {m for m, _ in steps}}
     out = np.empty((len(times),) + f0.shape, dtype=complex)
     x = f0
-    for i, gap in enumerate(np.diff(times, prepend=0.0)):
-        m, rem = divmod(float(gap), dt)
-        x = x + power(full, int(m)) @ x
+    for i, (m, rem) in enumerate(steps):
+        x = x + powers[m] @ x
         if rem > 0.0:
             x = x + increment(rem) @ x
         out[i] = x

@@ -109,7 +109,7 @@ class TestMinimizeKappaWeights:
 
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_gram_gradient_matches_central_difference(self, n, monkeypatch):
-        # the search's gradient in the log-weights against a central
+        # the search's gradient in all n log-weights against a central
         # difference of the smoothed objective of its own P, at tau = 1e-3
         rng = np.random.default_rng(n)
         w = _seeded_weights(rng, n)
@@ -126,17 +126,19 @@ class TestMinimizeKappaWeights:
         def smoothed(x):
             return condopt._smoothed(np.linalg.eigvalsh(P_of(x)), tau)[0]
 
-        x, h = 0.3 * rng.normal(size=n - 1), 1e-5
+        x, h = 0.3 * rng.normal(size=n), 1e-5
         lam, U = np.linalg.eigh(P_of(x))
         grad = found["gradient"](x, lam, U, condopt._smoothed(lam, tau)[1])
-        central = [(smoothed(x + h * e) - smoothed(x - h * e)) / (2 * h) for e in np.eye(n - 1)]
+        central = [(smoothed(x + h * e) - smoothed(x - h * e)) / (2 * h) for e in np.eye(n)]
         assert np.allclose(grad, central, rtol=0.0, atol=1e-8 * np.abs(grad).max())
+        # kappa is invariant along the all-ones direction
+        assert abs(grad.sum()) <= 1e-12 * np.abs(grad).max()
 
     def test_kappa_ignores_phases_and_order_of_the_vectors(self):
         # W -> W D Pi with D unit phases and Pi a permutation leaves the
-        # weighted family, and so the best kappa, unchanged. With column 0 in
-        # place the search's pinned weight stays the same; a permutation that
-        # moves it runs the search in other coordinates, to the same optimum
+        # weighted family, and so the best kappa, unchanged. The search pins no
+        # weight, so a permutation, whether it moves column 0 or not, runs it
+        # in the same coordinates, permuted
         rng = np.random.default_rng(0)
         for n in (3, 8, 16):
             for _ in range(3):
@@ -144,10 +146,9 @@ class TestMinimizeKappaWeights:
                 kappa = minimize_kappa_weights(w).kappa
                 phases = np.exp(2j * np.pi * rng.uniform(size=n))
                 fixed = np.concatenate([[0], 1 + rng.permutation(n - 1)])
-                for same in (w * phases, w[:, fixed], (w * phases)[:, fixed]):
+                moved = rng.permutation(n)
+                for same in (w * phases, w[:, fixed], (w * phases)[:, fixed], w[:, moved]):
                     assert minimize_kappa_weights(same).kappa == pytest.approx(kappa, rel=1e-12), n
-                moved = minimize_kappa_weights(w[:, rng.permutation(n)]).kappa
-                assert moved == pytest.approx(kappa, rel=1e-10), n
 
     def test_orthonormal_basis_gives_identity(self):
         q = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))[0]
@@ -284,22 +285,24 @@ class TestLbfgsCore:
             assert ours.kappa <= ref.kappa * (1 + 1e-10), n
             assert polished.kappa >= ours.kappa * (1 - 1e-10), n
 
-    def test_a_stage_start_reuses_the_last_eigh(self, monkeypatch, mat_triangular, triangular_w):
+    def test_a_stage_start_reuses_the_last_eigh(self, monkeypatch, stages, mat_triangular,
+                                                 triangular_w):
         # only the first stage moves here, so no stage starts on a secant
-        # prediction, and every later stage starts on the last evaluation of
-        # the one before (no stage here ends on a failed line search): the
-        # start re-smooths that point's eigh at the new tau, and still counts
-        # as an evaluation
+        # prediction, and every later stage that runs starts on the last
+        # evaluation of the one before (no stage here ends on a failed line
+        # search): the start re-smooths that point's eigh at the new tau, and
+        # still counts as an evaluation
+        starts, _ = stages
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(condopt.np.linalg, "eigh", lambda P: calls.append(P) or eigh(P))
         seed_p = LyapunovMatrix(triangular_w @ np.diag([2.0, 4.0, 3.0]) @ triangular_w.T)
         # the admissible search factors its seed with one eigh of its own
         for search, own in ((lambda: minimize_kappa_weights(triangular_w), 0),
                             (lambda: minimize_kappa_admissible(mat_triangular, 1.0, seed_p), 1)):
-            calls.clear()
+            del starts[:], calls[:]
             found = search()
             assert found.converged
-            assert len(calls) == found.nfev - (len(condopt.TAUS) - 1) + own
+            assert len(calls) == found.nfev - (len(starts) - 1) + own
 
     def test_admissible_search_matches_lbfgsb(self, monkeypatch, mat_triangular, triangular_w):
         seed_p = LyapunovMatrix(triangular_w @ np.diag([2.0, 4.0, 3.0]) @ triangular_w.T)
@@ -444,21 +447,32 @@ class TestSecantPredictor:
         # each stage from the third on starts on the secant through the ends
         # of the two before it when both moved, and on the last end when not;
         # a kept prediction's eigh is its stage's first evaluation, so eigh
-        # runs once per evaluation except at the starts on a last end
+        # runs once per evaluation except at the starts on a last end. Every
+        # stage runs, unless the smoothing turned exact: then the ladder ends
+        # after that stage
         starts, ends = stages
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(condopt.np.linalg, "eigh", lambda P: calls.append(P) or eigh(P))
+        exact, exits = condopt._smoothing_is_exact, []
+
+        def recorded(lam, tau):
+            fired = exact(lam, tau)
+            if fired:
+                exits.append(len(starts))
+            return fired
+
+        monkeypatch.setattr(condopt, "_smoothing_is_exact", recorded)
         rng = np.random.default_rng(0)
         predicted = 0
         for n in range(3, 17):
-            del starts[:], ends[:], calls[:]
+            del starts[:], ends[:], calls[:], exits[:]
             found = minimize_kappa_weights(_seeded_weights(rng, n))
             assert found.converged
-            assert len(starts) == len(condopt.TAUS)
-            assert starts[1] is ends[0]
-            reused = 1
-            for k in range(2, len(starts)):
-                if ends[k - 1] is ends[k - 2]:
+            assert len(exits) <= 1
+            assert len(starts) == (exits[0] if exits else len(condopt.TAUS)), n
+            reused = 0
+            for k in range(1, len(starts)):
+                if k == 1 or ends[k - 1] is ends[k - 2]:
                     assert starts[k] is ends[k - 1], (n, k)
                     reused += 1
                 else:
@@ -494,6 +508,61 @@ class TestSecantPredictor:
             for k in dropped[before:]:
                 assert starts[k] is ends[k - 1], (n, k)
         assert len(dropped) >= 3
+
+
+def _batch_nd(seed):
+    """Adjoint eigenvectors of the systems of perfbench's batch_nd(seed), built
+    inline: seeded_nd draws at n = 3 (six), 8 (two) and 16, then the
+    triangular system."""
+    rng = np.random.default_rng([seed, 3])
+    found = []
+    for n in (3, 3, 3, 3, 3, 3, 8, 8, 16):
+        lam = np.sort(rng.uniform(0.2, 1.5, size=n)) + 1j * rng.uniform(-2.0, 2.0, size=n)
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        v = (q * (np.diag(r) / np.abs(np.diag(r)))) @ (
+            np.eye(n) + 0.6 * noise / np.linalg.norm(noise, 2))
+        v /= np.linalg.norm(v, axis=0)
+        found.append(eigendecompose((v * lam) @ np.linalg.inv(v)).left_vectors)
+    triangular = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 1.0, 3.0]])
+    return found + [eigendecompose(triangular).left_vectors]
+
+
+class TestLadderExit:
+    def test_skipped_stages_change_nothing_but_the_count(
+            self, monkeypatch, stages, mat_triangular, triangular_w):
+        # once a stage converges on its last evaluation, where no later stage
+        # would move and the smoothing is exact, each later stage would see
+        # the same value and gradient under a looser gtol and take no step:
+        # running them anyway changes no bit of the result, and adds one
+        # evaluation per stage
+        starts, _ = stages
+        seed_p = LyapunovMatrix(triangular_w @ np.diag([2.0, 4.0, 3.0]) @ triangular_w.T)
+        searches = [lambda w=w: minimize_kappa_weights(w)
+                    for seed in (1, 2, 3) for w in _batch_nd(seed)]
+        searches.append(lambda: minimize_kappa_admissible(mat_triangular, 1.0, seed_p))
+        skipped = []
+        for search in searches:
+            del starts[:]
+            short = search()
+            ran = len(starts)
+            with monkeypatch.context() as m:
+                m.setattr(condopt, "_smoothing_is_exact", lambda lam, tau: False)
+                del starts[:]
+                full = search()
+            assert len(starts) == len(condopt.TAUS)
+            skipped.append(len(condopt.TAUS) - ran)
+            assert full.nfev == short.nfev + skipped[-1]
+            assert (full.kappa, full.converged) == (short.kappa, short.converged)
+            if isinstance(full, condopt.WeightOptimum):
+                assert full.weights.tobytes() == short.weights.tobytes()
+                assert full.kappa_equal == short.kappa_equal
+            else:
+                assert full.P.matrix.tobytes() == short.P.matrix.tobytes()
+                assert full.residual == short.residual
+        # the exit fires on most of these searches, the admissible one included
+        assert skipped[-1] > 0
+        assert sum(k > 0 for k in skipped) > len(skipped) // 2
 
 
 #: the ten-stage continuation, tau = 0.1 ... 1e-10, that the five stages replace

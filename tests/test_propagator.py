@@ -146,6 +146,19 @@ class TestRK4Oracle:
             with pytest.raises(ValueError):
                 rk4_oracle(np.eye(2), [1.0, 0.0], [0.5, 1.0], dt=dt)
 
+    def test_matches_a_loop_over_the_intervals_bit_for_bit(self):
+        # uneven gaps, some with the same number of full steps and some not:
+        # each interval powered on its own, from the end of the one before
+        rng = np.random.default_rng(8)
+        c = make_stable_system(rng, 3)
+        f0 = np.eye(3) + 1j * rng.normal(size=(3, 3))
+        ts = np.array([0.0, 0.0004, 0.05, 0.05, 0.3, 0.3507, 1.0, 1.0451, 2.2, 2.2453])
+        x, loop = f0, []
+        for gap in np.diff(ts, prepend=0.0):
+            x = rk4_oracle(c, x, [gap], dt=1e-2)[0]
+            loop.append(x)
+        assert rk4_oracle(c, f0, ts, dt=1e-2).tobytes() == np.array(loop).tobytes()
+
     def test_lands_exactly_on_requested_times(self):
         # steps are shortened at the end, not rounded, so sample times that
         # are not multiples of dt still come out right
