@@ -33,10 +33,30 @@ def m3_file(tmp_path, mat_triangular):
     return write_matrix(tmp_path / "m3.json", mat_triangular)
 
 
+@pytest.fixture
+def m16_file(tmp_path):
+    rng = np.random.default_rng(16)
+    lam = rng.uniform(0.2, 1.5, 16) + 1j * rng.uniform(-2.0, 2.0, 16)
+    v = np.eye(16) + 0.1 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    return write_matrix(tmp_path / "m16.json", (v * lam) @ np.linalg.inv(v), with_imag=True)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports hypodecay from this checkout."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
+def python(args):
+    """A fresh interpreter run with these arguments, its output captured."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=src_env(), timeout=120)
 
 
 class TestAnalyze:
@@ -611,17 +631,11 @@ class TestExitCodes:
 
 
 class TestImportCost:
-    def test_no_path_loads_scipy(self, tmp_path, mat_complex_pair, mat_triangular,
-                                 triangular_w):
+    def test_no_path_loads_scipy(self, tmp_path, m52_file, m3_file, m16_file,
+                                 mat_triangular, triangular_w):
         # hypodecay needs numpy only; SciPy is a test dependency. pytest has
         # scipy loaded already: run every path in a fresh interpreter in
         # which any SciPy import raises.
-        rng = np.random.default_rng(16)
-        lam = rng.uniform(0.2, 1.5, 16) + 1j * rng.uniform(-2.0, 2.0, 16)
-        v = np.eye(16) + 0.1 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
-        m2 = write_matrix(tmp_path / "m2.json", mat_complex_pair)
-        m3 = write_matrix(tmp_path / "m3.json", mat_triangular)
-        m16 = write_matrix(tmp_path / "m16.json", (v * lam) @ np.linalg.inv(v), with_imag=True)
         fd = write_matrix(tmp_path / "fd.json", [[1 + 1j, 1], [0, 2 - 0.5j]], with_imag=True)
         seed_p = triangular_w @ np.diag([2.0, 4.0, 3.0]) @ triangular_w.T
         script = f"""
@@ -635,9 +649,9 @@ import numpy as np
 import hypodecay
 from hypodecay.cli import main
 
-for argv in (["gt", "sharp"], ["envelope", {m2!r}], ["analyze", {m2!r}],
+for argv in (["gt", "sharp"], ["envelope", {m52_file!r}], ["analyze", {m52_file!r}],
              ["analyze", {fd!r}], ["analyze", {fd!r}, "--oracle"],
-             ["envelope", {fd!r}, "--oracle"], ["analyze", {m3!r}], ["analyze", {m16!r}]):
+             ["envelope", {fd!r}, "--oracle"], ["analyze", {m3_file!r}], ["analyze", {m16_file!r}]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
 found = hypodecay.minimize_kappa_admissible(np.array({mat_triangular.tolist()!r}), 1.0,
@@ -645,10 +659,7 @@ found = hypodecay.minimize_kappa_admissible(np.array({mat_triangular.tolist()!r}
 assert found.converged
 print("done")
 """
-        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
+        proc = python(["-c", script])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["blocked", "done"]
 
@@ -659,10 +670,8 @@ print("done")
         (["analyze", "M3"], {"goldstein_taylor", "sharp2d", "rate_family", "propagator"}),
         (["envelope", "M2"], {"goldstein_taylor", "condopt", "lyapunov", "propagator"}),
     ], ids=["gt", "gt-oracle", "analyze-3x3", "envelope"])
-    def test_a_command_loads_only_its_modules(self, tmp_path, mat_complex_pair,
-                                              mat_triangular, argv, absent):
-        files = {"M2": write_matrix(tmp_path / "m2.json", mat_complex_pair),
-                 "M3": write_matrix(tmp_path / "m3.json", mat_triangular)}
+    def test_a_command_loads_only_its_modules(self, m52_file, m3_file, argv, absent):
+        files = {"M2": m52_file, "M3": m3_file}
         argv = [files.get(a, a) for a in argv]
         script = f"""
 import contextlib, io, json, sys
@@ -673,11 +682,122 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert cli.main({argv!r}) == 0
 print(json.dumps(sorted(sys.modules)))
 """
-        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
+        proc = python(["-c", script])
         assert proc.returncode == 0, proc.stderr
         loaded = {m.removeprefix("hypodecay.") for m in json.loads(proc.stdout)
                   if m.startswith("hypodecay.")}
         assert "cli" in loaded and not loaded & absent, sorted(loaded)
+
+
+#: the commands of perfbench's cli-session workload, then one input each for
+#: exit codes 1 and 2 (M2, M3, M16 and JORDAN stand for matrix files)
+SESSION = [["analyze", "M2"], ["analyze", "M3"], ["analyze", "M16"],
+           ["envelope", "M2", "--trajectories", "5"], ["gt", "sharp"],
+           ["gt", "random:7", "--modes", "127", "--points", "2000"],
+           ["analyze", "M2", "--oracle"], ["envelope", "M2", "--oracle"],
+           ["gt", "harmonic:3", "--oracle"],
+           ["gt", "random:7", "--seed", "3"], ["analyze", "JORDAN"]]
+
+
+class TestProcess:
+    """The process route, run(), against the library function main()."""
+
+    @pytest.fixture
+    def files(self, tmp_path, m52_file, m3_file, m16_file):
+        jordan = write_matrix(tmp_path / "jordan.json", [[481, 640, 0], [-360, -479, 0], [0, 0, 3]])
+        return {"M2": m52_file, "M3": m3_file, "M16": m16_file, "JORDAN": jordan}
+
+    @pytest.mark.parametrize("argv", SESSION, ids=lambda argv: "-".join(argv))
+    def test_the_process_prints_what_main_prints(self, capsys, files, argv):
+        argv = [files.get(a, a) for a in argv]
+        proc = python(["-m", "hypodecay.cli", *argv])
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)
+
+    def test_a_failed_verdict_exits_3_from_the_process(self, capsys, monkeypatch):
+        # planted as in TestGT.test_fail_verdict, in both; runpy runs the
+        # module as python -m does
+        from hypodecay import goldstein_taylor
+
+        argv = ["gt", "sharp", "--points", "200"]
+        script = f"""
+import runpy, sys
+from hypodecay import goldstein_taylor
+goldstein_taylor.GT_CONSTANT = 1.5
+sys.argv = ["hypodecay", *{argv!r}]
+runpy.run_module("hypodecay.cli", run_name="__main__", alter_sys=True)
+"""
+        proc = python(["-c", script])
+        monkeypatch.setattr(goldstein_taylor, "GT_CONSTANT", 1.5)
+        expect = run(capsys, argv)
+        assert expect[0] == 3
+        assert (proc.returncode, proc.stdout, proc.stderr) == expect
+
+    @pytest.mark.parametrize("entry", [
+        ["-m", "hypodecay.cli"],
+        ["-c", "import sys; from hypodecay.cli import run; sys.exit(run())"],
+    ], ids=["module", "console-script"])
+    @pytest.mark.parametrize("argv, lines", [
+        (["gt", "random:7", "--points", "20000"], 1),
+        (["envelope", "M2", "--points", "20000"], 1),
+        (["envelope", "M2", "--points", "3"], 0),
+    ], ids=["gt", "envelope", "envelope-short"])
+    def test_a_closed_stdout_ends_quietly(self, files, entry, argv, lines):
+        # as `| head` does: the reader takes some lines and closes stdout. A
+        # long output meets the closed pipe while it is written, a short one
+        # in the flush at exit (stdout block-buffered, as on a pipe by
+        # default); either way, exit 1 and nothing on stderr
+        argv = [files.get(a, a) for a in argv]
+        env = src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen([sys.executable, *entry, *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env) as proc:
+            for _ in range(lines):
+                assert proc.stdout.readline().startswith("t,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (1, "")
+
+    def test_library_use_leaves_the_collector_alone(self, m52_file):
+        script = f"""
+import contextlib, gc, io
+from hypodecay.cli import main
+assert gc.isenabled() and gc.get_freeze_count() == 0
+for argv in (["analyze", {m52_file!r}], ["envelope", {m52_file!r}], ["gt", "sharp"],
+             ["gt", "sharp", "--tol", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+print(gc.isenabled(), gc.get_freeze_count())
+"""
+        proc = python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True 0\n"
+
+    def test_a_command_leaves_little_cyclic_garbage(self, files):
+        # the process runs with no cyclic collection; that is safe because a
+        # command, the library modules it imports included, leaves a small
+        # number of unreachable objects that does not grow with the input
+        families = {
+            "analyze": [["analyze", files[m]] for m in ("M2", "M3", "M16")],
+            "envelope": [["envelope", files["M2"]],
+                         ["envelope", files["M2"], "--trajectories", "5"]],
+            "gt": [["gt", "random:7", "--points", points] for points in ("400", "20000")],
+        }
+        script = f"""
+import contextlib, gc, io, json
+gc.disable()
+from hypodecay.cli import main
+gc.collect()
+counts = {{}}
+for family, commands in {families!r}.items():
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0, argv
+        counts.setdefault(family, []).append(gc.collect())
+print(json.dumps(counts))
+"""
+        proc = python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout)
+        for family, found in counts.items():
+            assert max(found) < 1000, (family, found)
+            assert found == sorted(found, reverse=True), (family, found)
