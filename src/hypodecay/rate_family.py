@@ -27,6 +27,11 @@ when beta0 < alpha and
 
 so no factor cancels, not even as beta0 -> 1. At the gap (beta0 = 0)
 kappa_min is (1 + alpha)/(1 - alpha) to the last bit.
+
+family_envelope samples each family at np.linspace of its range and
+evaluates it in one array call, with the same IEEE operations that a single
+rate runs on Python floats, so a member of the envelope and the single-rate
+call at its rate agree bit for bit.
 """
 
 from __future__ import annotations
@@ -80,41 +85,22 @@ class FamilyEnvelope:
 _FLOAT_OPS = (math.sqrt, max, min, lambda cond, x, y: x if cond else y)
 _ARRAY_OPS = (np.sqrt, np.maximum, np.minimum, np.where)
 
-#: the two families, in the row order of family_envelope's rates
-_DIRECTIONS = ("upper", "lower")
 
-
-def _ends(form: Canonical2DForm):
-    """((mu_s, mu), (nu, nu_s)): the rate range of each family."""
-    return (form.mu_s, form.mu), (form.nu, form.nu_s)
-
-
-def _family(form: Canonical2DForm, rates, direction: str | None = None):
-    """(beta0, beta~, kappa, constant) at rates: at a float for the named
-    direction, on Python floats; or, with direction None, on the (2, n) array
-    of _rate_grid, whose row 0 holds rates of the upper family and row 1 rates
-    of the lower one. RateOutOfRange unless every rate lies in its family's
-    range widened by form.rounding_tol, by which mu_s and mu (nu and nu_s) of
-    a normal C cross. Each row of the grid runs from one end of its range to
-    the other, so only the row's first and last rates are checked, on Python
-    floats: a row with a rate outside, or a NaN, has its first rate outside."""
-    scalar = direction is not None
+def _family(form: Canonical2DForm, rates, upper: bool):
+    """(beta0, beta~, kappa, constant) of the upper family, or of the lower
+    one, at rates: a Python float, evaluated on Python floats, or a 1-D row
+    from one end of the family's range to the other, on arrays.
+    RateOutOfRange unless every rate lies in the range widened by
+    form.rounding_tol, by which mu_s and mu (nu and nu_s) of a normal C cross.
+    Only a row's first and last rates are checked, on Python floats: a row
+    with a rate outside, or a NaN, has its first rate outside."""
+    scalar = isinstance(rates, float)
     sqrt, maximum, minimum, where = _FLOAT_OPS if scalar else _ARRAY_OPS
-    if scalar:
-        upper = direction == "upper"
-        lo, hi = (form.mu_s, form.mu) if upper else (form.nu, form.nu_s)
-        checks = [(direction, rates, lo, hi)]
-    else:
-        upper = np.array([[True], [False]])
-        ends = _ends(form)
-        lo, hi = np.array(ends).T[:, :, None]  # (2, 1) columns
-        checks = [(name, rate, *range_)
-                  for name, range_, row in zip(_DIRECTIONS, ends, rates[:, [0, -1]].tolist())
-                  for rate in row]
+    name, lo, hi = ("upper", form.mu_s, form.mu) if upper else ("lower", form.nu, form.nu_s)
     tol = form.rounding_tol
-    for name, rate, low, high in checks:
-        if not low - tol <= rate <= high + tol:  # False for NaN
-            raise RateOutOfRange(f"rate {rate} outside [{low}, {high}] for the {name} family")
+    for rate in [rates] if scalar else rates[[0, -1]].tolist():
+        if not lo - tol <= rate <= hi + tol:  # False for NaN
+            raise RateOutOfRange(f"rate {rate} outside [{lo}, {hi}] for the {name} family")
     r = minimum(maximum(rates, lo), hi)
     a = form.alpha
     if form.scalar:  # beta0 = 1 and c = 1
@@ -138,12 +124,12 @@ def _family(form: Canonical2DForm, rates, direction: str | None = None):
     one_bt = 1.0 - bt
     kappa = where(bt > -a, (1.0 + a) * (gap2 / dist2) / ((1.0 - a) * one_bt * one_bt), 1.0)
     root = sqrt(kappa)
-    return beta0, bt, kappa, where(upper, root, 1.0 / root)
+    return beta0, bt, kappa, root if upper else 1.0 / root
 
 
 def _member(form: Canonical2DForm, rate: float, direction: str) -> FamilyBound:
     rate = float(rate)
-    beta0, bt, kappa, c = _family(form, rate, direction)
+    beta0, bt, kappa, c = _family(form, rate, direction == "upper")
     return FamilyBound(rate=rate, constant=c, direction=direction,
                        beta0=beta0, beta_tilde=bt, kappa=kappa)
 
@@ -164,10 +150,10 @@ def _lower_envelope(rates: np.ndarray, logc: np.ndarray, ts: np.ndarray) -> np.n
     The members on that envelope are the vertices of the lower convex hull of
     the points (rates_i, logc_i). Sorted by rate, with only the smallest logc
     of equal rates kept, the points form a chain; rates that already strictly
-    increase, as a row of the rate grid does, are that chain as given, and
-    are neither sorted nor deduplicated. Each round drops every
-    vertex whose two edge slopes do not increase, that is every vertex on or
-    above the chord of its neighbours, until the slopes strictly increase.
+    increase are that chain as given, and are neither sorted nor
+    deduplicated. Each round drops every vertex whose two edge slopes do not
+    increase, that is every vertex on or above the chord of its neighbours,
+    until the slopes strictly increase.
     A dropped vertex lies on or above a segment between two points of the
     set, so it is no vertex of the hull. A chain whose drops expose new
     non-convex vertices takes one round per exposure; the points of a rate
@@ -196,26 +182,6 @@ def _lower_envelope(rates: np.ndarray, logc: np.ndarray, ts: np.ndarray) -> np.n
         hull, r, ell = hull[keep], r[keep], ell[keep]
 
 
-def _rate_grid(form: Canonical2DForm, n_rates: int) -> np.ndarray:
-    """Rates of shape (2, n_rates): row 0 spans the upper family's range and
-    row 1 the lower family's, each bit for bit np.linspace of its ends.
-
-    Each row follows np.linspace's own rule, chosen per row: i * step, or
-    (i / div) * delta where the step underflows to zero. np.linspace over
-    the stacked ends would take the second form on both rows once either
-    step is zero.
-    """
-    i = np.arange(n_rates, dtype=float)
-    div = max(n_rates - 1, 1)
-    lo, hi = np.array(_ends(form)).T[:, :, None]  # (2, 1) columns
-    delta = hi - lo
-    step = delta / div
-    grid = np.where(step == 0, (i / div) * delta, i * step) + lo
-    if n_rates > 1:
-        grid[:, -1:] = hi
-    return grid
-
-
 def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEnvelope:
     """Pointwise-best bound over rate families sampled across both ranges.
 
@@ -231,24 +197,23 @@ def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEn
     rates plus times, not their product. Where two members tie within
     rounding the value may exceed the dense minimum by a few ulp. The lower
     envelope is the same construction on (-r_i, -log c_i), read from the
-    fastest rate down so that its abscissae increase. Both families are
-    evaluated in one call on their stacked rates.
+    fastest rate down so that its abscissae increase.
     """
     if n_rates < 1:
         raise ValueError("n_rates must be at least 1")
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    rates = _rate_grid(form, n_rates)
-    consts = _family(form, rates)[3]
-    logc = np.log(consts)
+    up = np.linspace(form.mu_s, form.mu, n_rates)
+    down = np.linspace(form.nu, form.nu_s, n_rates)
+    c_up = _family(form, up, True)[3]
+    c_down = _family(form, down, False)[3]
     # a slope between rates of subnormal spacing, and e^{-r t} at a negative
     # rate, may grow past the float range: inf
     with np.errstate(over="ignore"):
-        # winners as indices into the flattened (2, n_rates) arrays, one row per
-        # family; the lower family's are counted back from the end of its row
-        wins = np.concatenate((_lower_envelope(rates[0], logc[0], ts),
-                               2 * n_rates - 1 - _lower_envelope(-rates[1, ::-1], -logc[1, ::-1], ts))
-                              ).reshape(2, -1)
-        upper, lower = consts.take(wins) * np.exp(-rates.take(wins) * ts)
+        i = _lower_envelope(up, np.log(c_up), ts)
+        # the lower family's winners, counted back from the end of its rates
+        j = n_rates - 1 - _lower_envelope(-down[::-1], -np.log(c_down)[::-1], ts)
+        upper = c_up[i] * np.exp(-up[i] * ts)
+        lower = c_down[j] * np.exp(-down[j] * ts)
     return FamilyEnvelope(times=ts, upper=upper, lower=lower,
-                          upper_rates=rates[0], lower_rates=rates[1],
-                          upper_constants=consts[0], lower_constants=consts[1])
+                          upper_rates=up, lower_rates=down,
+                          upper_constants=c_up, lower_constants=c_down)

@@ -136,7 +136,7 @@ class SpectralData:
 
     @cached_property
     def eigenvector_cond(self) -> float:
-        return _cond(self._unit_vectors)
+        return float(np.linalg.cond(self._unit_vectors))
 
     @property
     def spectral_gap(self) -> float:
@@ -157,13 +157,6 @@ def _order_with_clustered_ties(lam: np.ndarray, tol: float) -> np.ndarray:
         if abs(snapped[j] - snapped[i]) <= tol:
             snapped[j] = snapped[i]
     return np.lexsort((lam.imag, snapped))
-
-
-def _cond(V: np.ndarray) -> float:
-    """np.linalg.cond(V) without its wrapper: the ratio of the extreme singular
-    values, inf for a singular V."""
-    s = np.linalg.svd(V, compute_uv=False).tolist()
-    return s[0] / s[-1] if s[-1] != 0.0 else math.inf
 
 
 def eigendecompose(C) -> SpectralData:
@@ -203,7 +196,7 @@ def _eig_route(C: np.ndarray) -> SpectralData:
     gaps = np.abs(lam[:, None] - lam[None, :])
     np.fill_diagonal(gaps, np.inf)
     clustered = bool(gaps.min() <= CLUSTER_GAP * radius)
-    defective = clustered and _cond(V) > DEFECT_COND_LIMIT
+    defective = clustered and np.linalg.cond(V) > DEFECT_COND_LIMIT
 
     if not defective:
         # rows of V^-1 are left row-eigenvectors; conjugate-transpose them into

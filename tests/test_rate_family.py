@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -19,7 +18,7 @@ from hypodecay import (
     lower_bound_constant,
     upper_bound_constant,
 )
-from hypodecay.rate_family import _lower_envelope, _rate_grid
+from hypodecay.rate_family import _lower_envelope
 
 from .conftest import make_2x2_with_overlap
 
@@ -338,8 +337,8 @@ class TestLowerEnvelope:
            data=st.data(), ts=st.lists(_FLOATS, min_size=1, max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_strictly_increasing_rates_need_no_sort(self, rates, data, ts):
-        # the chain of a rate-grid row is taken as given; the same points in
-        # any order, sorted and deduplicated, give the same winners
+        # a family's linspace rates are a chain taken as given; the same points
+        # in any order, sorted and deduplicated, give the same winners
         rates = np.sort(rates)
         logc = np.array(data.draw(st.lists(_FLOATS, min_size=len(rates), max_size=len(rates))))
         ts = np.array(ts)
@@ -451,12 +450,22 @@ class TestFamilyEnvelope:
         ((-1e-310, 2e-310), (3e-310, 3e-310)),
     ])
     @pytest.mark.parametrize("n_rates", [1, 2, 3, 64])
-    def test_rates_are_linspace_of_each_range(self, ends, n_rates):
+    @pytest.mark.filterwarnings("error")
+    def test_rates_are_linspace_of_each_range(self, form_complex_pair, ends, n_rates):
+        # each family's rates are np.linspace of its range, bit for bit, even
+        # where a step is zero or underflows, and each member is its
+        # single-rate call
         (mu_s, mu), (nu, nu_s) = ends
-        form = SimpleNamespace(mu_s=mu_s, mu=mu, nu=nu, nu_s=nu_s)
-        grid = _rate_grid(form, n_rates)
-        for row, (lo, hi) in zip(grid, ends):
-            assert row.tobytes() == np.linspace(lo, hi, n_rates).tobytes()
+        # mu and nu are derived fields, which replace() does not take
+        form = dataclasses.replace(form_complex_pair, mu_s=mu_s, nu_s=nu_s)
+        form.mu, form.nu = mu, nu
+        fam = family_envelope(form, [0.0, 1.0], n_rates=n_rates)
+        for rates, (lo, hi) in zip((fam.upper_rates, fam.lower_rates), ends):
+            assert rates.tobytes() == np.linspace(lo, hi, n_rates).tobytes()
+        assert [upper_bound_constant(form, r).constant for r in fam.upper_rates] \
+            == fam.upper_constants.tolist()
+        assert [lower_bound_constant(form, r).constant for r in fam.lower_rates] \
+            == fam.lower_constants.tolist()
 
     def test_equal_eigenvalues_give_one(self):
         # C is scalar up to rounding: every member of both families is exactly 1
