@@ -12,9 +12,9 @@ or the reader closed stdout before the output was written, as `| head` does
 (the process then ends with no traceback).
 3: a command returned a failed verdict (an --oracle gap, or gt's FAIL).
 2: the library raised any other HypodecayError or ValueError (numpy's
-LinAlgError included) while certifying, as for a defective matrix, one within
-rounding of a Jordan block, one not positive stable or larger than 16x16, a
-weighted P that is not admissible at the spectral gap, or a certificate
+LinAlgError included) while certifying, as for a defective matrix (within
+rounding of a Jordan block, for every n), one not positive stable or larger
+than 16x16, a weighted P not admissible at the spectral gap, or a certificate
 outside the float range. 0: success.
 All output is deterministic for fixed inputs and seed.
 
@@ -172,11 +172,11 @@ def _gap(closed: np.ndarray, reference: np.ndarray) -> float:
 
 def _certifiable(C: np.ndarray) -> SpectralData:
     """eigendecompose(C), unless C is defective or not positive stable."""
-    from .spectral import coincidence_tol, eigendecompose
+    from .spectral import DEFECT_MESSAGE, coincidence_tol, eigendecompose
 
     data = eigendecompose(C)
     if data.defective:
-        raise DefectiveInput("matrix is defective; certificates need a full eigenbasis")
+        raise DefectiveInput(DEFECT_MESSAGE)
     if not data.positive_stable:
         raise NotPositiveStable(f"spectral gap is {data.spectral_gap}, not above "
                                 f"{coincidence_tol(data.eigenvalues):.3e} (1e-10 of the spectral "

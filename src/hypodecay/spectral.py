@@ -11,10 +11,10 @@ The stability report and the 2x2 canonical form only read this record.
 
 The record has two routes. A 2x2 with separated eigenvalues gets it in closed
 form on Python complex scalars (_closed_form_2x2); every other matrix takes
-LAPACK's eig, inv and eigvalsh (_eig_route), which is also the reference the
-closed form is tested against. The extremes of a Hermitian 2x2
-(_hermitian_extremes) and the norm |C|_2 of a 2x2 (_norm_2x2) are closed
-forms too, which the lyapunov module shares.
+LAPACK's eig, inv and eigvalsh (_eig_route), the reference of the closed form.
+One rule, _jordan_cluster, flags a C within rounding of a Jordan block, for
+every n. The extremes of a Hermitian 2x2 (_hermitian_extremes) and |C|_2 of a
+2x2 (_norm_2x2) are closed forms too, which the lyapunov module shares.
 """
 
 from __future__ import annotations
@@ -40,12 +40,17 @@ __all__ = [
     "canonical_2d_form",
 ]
 
-#: eigenvector-matrix condition number beyond which a clustered spectrum is
-#: treated as defective
-DEFECT_COND_LIMIT = 1e8
-
-#: gap, relative to the spectral radius, below which eigenvalues form a cluster
+#: gap, relative to the spectral radius, at or below which a 2x2 takes the
+#: eig route
 CLUSTER_GAP = 1e-6
+
+#: least singular value of a cluster's unit eigenvectors at or below which it
+#: is a Jordan block: a heuristic cut between the measured <= 1.5e-7 of rotated
+#: Jordan blocks (sizes 2 to 4) and >= 0.068 of semisimple repeated eigenvalues
+DEFECT_SIGMA = 1e-6
+
+#: the refusal of every defective record
+DEFECT_MESSAGE = "matrix is defective (within rounding of a Jordan block): no full eigenbasis"
 
 #: eigenvalues, or their real or imaginary parts, within COINCIDENCE_RTOL of the
 #: spectral radius coincide; every such decision in the package asks this
@@ -54,7 +59,7 @@ COINCIDENCE_RTOL = 1e-10
 #: eigenvalues within ROUNDING_RTOL of the spectral radius agree up to rounding:
 #: lambda I rebuilt through a basis of overlap up to 0.999, or turned by a
 #: unitary, splits by up to 21 ulps (measured). Only such a tie makes C scalar.
-#: Times |C|_2 it is the rounding distance of a 2x2 to a Jordan block
+#: Times |C|_2 it is the rounding distance of C to a multiple eigenvalue
 ROUNDING_RTOL = 32 * np.finfo(float).eps
 
 #: the smallest normal float: no nonzero part of a 2x2 may scale below it on
@@ -166,12 +171,10 @@ def eigendecompose(C) -> SpectralData:
     times the spectral radius, gets its record in closed form
     (_closed_form_2x2); every other C, and a 2x2 the closed form declines,
     takes the eig route (_eig_route). Raises NonConvergence if the QR iteration
-    of that route fails. A defective matrix is detected numerically (clustered
-    eigenvalues plus eigenvector-matrix condition number above
-    DEFECT_COND_LIMIT, or a V that inv finds singular) and flagged, not
-    raised; the operations that genuinely need an eigenbasis check the flag
-    themselves. Only a clustered spectrum computes the condition number here;
-    otherwise eigenvector_cond computes it on first read, from the same V.
+    of that route fails. A defective matrix, one within rounding of a Jordan
+    block (_jordan_cluster) or with a V that inv finds singular, is flagged,
+    not raised, for every n; the operations that genuinely need an eigenbasis
+    check the flag themselves.
     """
     C = as_complex_matrix(C)
     data = _closed_form_2x2(C) if C.shape[0] == 2 else None
@@ -193,28 +196,23 @@ def _eig_route(C: np.ndarray) -> SpectralData:
     lam = lam[order]
     V = unit_V = V[:, order]
 
-    gaps = np.abs(lam[:, None] - lam[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    clustered = bool(gaps.min() <= CLUSTER_GAP * radius)
-    defective = clustered and np.linalg.cond(V) > DEFECT_COND_LIMIT
-
-    if not defective:
-        # rows of V^-1 are left row-eigenvectors; conjugate-transpose them into
-        # eigenvectors of C*. A V that inv finds singular has no adjoint basis,
-        # whatever the gaps of the spectrum: a defect like a cluster's
-        try:
-            W = np.linalg.inv(V).conj().T
-        except np.linalg.LinAlgError:
-            defective = True
-    if defective:
-        W = np.full_like(V, np.nan)
+    # rows of V^-1 are left row-eigenvectors; conjugate-transpose them into
+    # eigenvectors of C*. A V that inv finds singular has no adjoint basis
+    try:
+        W = np.linalg.inv(V).conj().T
+    except np.linalg.LinAlgError:
+        defective = True
     else:
         # normalize W and push the scale onto V. A norm that overflows leaves
-        # zeros, inf or NaN in W and V, with no warning on stderr, for the
-        # readers of the record to refuse
+        # zeros, inf or NaN in W and V, with no warning on stderr, and a NaN
+        # kappa, which _jordan_cluster links to every eigenvalue
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             W = W / np.linalg.norm(W, axis=0)
             V = V / np.einsum("jk,jk->k", W.conj(), V)
+            kappa = np.linalg.norm(V, axis=0)
+        defective = _jordan_cluster(C, lam, kappa, unit_V)
+    if defective:
+        V, W = unit_V, np.full_like(unit_V, np.nan)
 
     herm = np.linalg.eigvalsh(C / 2.0 + C.conj().T / 2.0)
     return SpectralData(
@@ -228,6 +226,31 @@ def _eig_route(C: np.ndarray) -> SpectralData:
         _radius=radius,
         _unit_vectors=unit_V,
     )
+
+
+def _jordan_cluster(C: np.ndarray, lam: np.ndarray, kappa: np.ndarray, unit_V: np.ndarray) -> bool:
+    """True when C lies within rounding of a Jordan block: the one defect rule.
+
+    kappa_j, the norm of v_j scaled to <w_j, v_j> = 1 with w_j unit, is the
+    condition number of lambda_j, and |lambda_i - lambda_j|/(kappa_i + kappa_j)
+    is to first order the distance from C to a matrix on which the two
+    coincide (Wilkinson 1972, Demmel 1987). Eigenvalues within ROUNDING_RTOL
+    |C|_2 of that are linked, each to itself, and a NaN kappa to every one. A
+    cluster, a connected component of the links, is a Jordan block when its
+    unit eigenvectors unit_V[:, K] have least singular value at most
+    DEFECT_SIGMA. |C|_2 is read only when some pair is linked at |C|_F.
+    """
+    n = len(lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps, sums = np.abs(lam[:, None] - lam), kappa[:, None] + kappa
+        if np.count_nonzero(gaps > ROUNDING_RTOL * np.linalg.norm(C) * sums) == n * (n - 1):
+            return False
+        norm = _norm_2x2(C) if n == 2 else float(np.linalg.norm(C, 2))
+        reach = ~(gaps > ROUNDING_RTOL * norm * sums)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    return any(len(K) > 1 and np.linalg.svd(unit_V[:, K], compute_uv=False)[-1] <= DEFECT_SIGMA
+               for K in {tuple(np.flatnonzero(row).tolist()) for row in reach})
 
 
 def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
@@ -247,10 +270,11 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
     eigenvalues are scaled back and ordered by _order_with_clustered_ties, as
     on the eig route.
 
-    None, for the eig route, when the pair is clustered (the eig route then
-    decides the defect), when a nonzero part scales below the smallest normal
-    float or |sqrt(h^2 + bc)| below _MIN_SCALED_DISC (the products here would
-    lose bits to underflow), or when V is singular.
+    None, for the eig route, when the pair is clustered, when a nonzero part
+    scales below the smallest normal float or |sqrt(h^2 + bc)| below
+    _MIN_SCALED_DISC (the products here would lose bits to underflow), or
+    when _jordan_cluster might link the pair, screened with both kappa
+    1/|det V| as |lambda_2 - lambda_1| |det V| <= 2 ROUNDING_RTOL |C|_F.
     """
     entries = C.ravel().tolist()
     parts = [abs(x) for z in entries for x in (z.real, z.imag) if x]
@@ -285,9 +309,10 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
         vectors.append((b / n1, -p / n1) if n1 >= n2 else (q / n2, -c / n2))
     (x1, y1), (x2, y2) = vectors
     det = x1 * y2 - x2 * y1
-    if det == 0.0:
-        return None
     size = abs(det)
+    fro = math.hypot(*(x for z in (a, b, c, d) for x in (z.real, z.imag)))
+    if abs(pair[1] - pair[0]) * size <= 2.0 * ROUNDING_RTOL * fro:
+        return None
     unit_V = np.array([[x1, x2], [y1, y2]])
     W = np.array([[y2.conjugate(), -y1.conjugate()],
                   [-x2.conjugate(), x1.conjugate()]]) * (det / size)
@@ -435,42 +460,18 @@ class Canonical2DForm:
 def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     """Reduce a 2x2 system to (alpha, lambda_1, lambda_2) and its regime.
 
-    alpha = |<w1, w2>| of the unit adjoint eigenvectors; sqrt(1 - alpha^2) is
-    read without cancellation as |w2 - <w1, w2> w1|.
-
-    Raises Defective2D when C lies within rounding of a Jordan block: C is
-    not scalar and |lambda_2 - lambda_1| sqrt(1 - alpha^2), of the order of
-    the distance to the nearest defective matrix (Wilkinson), is at most
-    ROUNDING_RTOL |C|_2. Rounding splits the double eigenvalue of a Jordan
-    block by about sqrt(eps) |C|_2 and can keep the eigenvector condition
-    below DEFECT_COND_LIMIT; the split times sqrt(1 - alpha^2) is then of the
-    order of eps |C|_2, which for a strongly non-normal block is far above
-    eps times the spectral radius. The alpha of that split would certify a
-    finite constant where |e^{-(C - mu)t}| grows like t.
+    alpha = |<w1, w2>| of the unit adjoint eigenvectors. Raises Defective2D
+    for a defective record: no canonical form exists.
     """
     if data.n != 2:
         raise MatrixFormatError(f"canonical form needs a 2x2 matrix, got n={data.n}")
     if data.defective:
-        raise Defective2D("matrix is numerically defective, eigenbasis is unreliable")
+        raise Defective2D(DEFECT_MESSAGE)
 
-    radius = data._radius
-    tol, rounding_tol = COINCIDENCE_RTOL * radius, ROUNDING_RTOL * radius
+    tol, rounding_tol = COINCIDENCE_RTOL * data._radius, ROUNDING_RTOL * data._radius
     spread = data.eigenvalues[1] - data.eigenvalues[0]
     gap = abs(spread)
-    scalar = bool(gap <= rounding_tol)
-
-    w1, w2 = data.left_vectors[:, 0], data.left_vectors[:, 1]
-    overlap = np.vdot(w1, w2)
-    alpha = min(abs(overlap), 1.0 - 1e-16)
-    rnorm = float(np.linalg.norm(w2 - overlap * w1))  # sqrt(1 - alpha^2)
-    if rnorm < 1e-15:
-        raise Defective2D("adjoint eigenvectors are numerically parallel")
-    if not scalar:
-        jordan_tol = ROUNDING_RTOL * _norm_2x2(data.matrix)
-        if gap * rnorm <= jordan_tol:
-            raise Defective2D(f"matrix is within rounding of a Jordan block: eigenvalue split "
-                              f"{gap:.2e} times sqrt(1 - alpha^2) {rnorm:.2e} is "
-                              f"{gap * rnorm:.2e}, at most 32 eps |C|_2 = {jordan_tol:.2e}")
+    alpha = min(abs(np.vdot(*data.left_vectors.T)), 1.0 - 1e-16)
     case = (DecayCase.EQUAL_EIGENVALUES if gap <= tol
             else DecayCase.EQUAL_REAL_PARTS if abs(spread.real) <= tol
             else DecayCase.EQUAL_IMAGINARY_PARTS if abs(spread.imag) <= tol
@@ -481,6 +482,6 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
         mu_s=data.mu_s,
         nu_s=data.nu_s,
         case=case,
-        scalar=scalar,
+        scalar=bool(gap <= rounding_tol),
         rounding_tol=rounding_tol,
     )

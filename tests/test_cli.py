@@ -13,6 +13,12 @@ from hypodecay import GT_CONSTANT, TorusField, deviation_norm, envelope_curves, 
 from hypodecay.cli import main
 from hypodecay.errors import CutoffTooLarge, HypodecayError, MatrixFormatError
 
+from . import families
+
+#: the one refusal of a defective matrix, for every n
+DEFECT_REFUSAL = ("error: matrix is defective (within rounding of a Jordan block): "
+                  "no full eigenbasis\n")
+
 
 def write_matrix(path, mat, with_imag=False):
     mat = np.asarray(mat)
@@ -225,7 +231,7 @@ class TestAnalyzeErrors:
             code, out, err = run(capsys, [command, str(path)])
             assert code == 2 and out == ""
             assert err.startswith("error:") and "Jordan block" in err
-            assert "at most 32 eps |C|_2 =" in err
+            assert err == DEFECT_REFUSAL
 
     @pytest.mark.parametrize("text", [
         # I + 100 N with N nilpotent: was certified with c_sharp = 67108864
@@ -240,7 +246,40 @@ class TestAnalyzeErrors:
             code, out, err = run(capsys, [command, str(path)])
             assert code == 2 and out == ""
             assert err.startswith("error:") and "Jordan block" in err
-            assert "at most 32 eps |C|_2 =" in err
+            assert err == DEFECT_REFUSAL
+
+    @pytest.mark.parametrize("text", [
+        # I + 800 N beside the eigenvalue 3: was refused only as "matrix is
+        # not positive definite"
+        '{"n": 3, "re": [[481, 640, 0], [-360, -479, 0], [0, 0, 3]]}',
+        # Q (2 I + N) Q* with Q from the third complex Gaussian 3x3 draw of
+        # default_rng(1): was certified with constant 6.2e7
+        ('{"n": 3, "re": [[1.8639585771772664, 0.4725645610950224, 0.37738321383842205], '
+         '[-0.39100456743179185, 2.3859213867655247, 0.33190970558557625], '
+         '[-0.2562637366115688, 0.2787056177154445, 1.7501200360572091]], '
+         '"im": [[-0.026462921962230008, 0.33608846608815707, 0.1256013748059245], '
+         '[-0.12838561120969832, -0.116192813404322, -0.36711625425329386], '
+         '[0.7331436062020799, 0.38202863925863656, 0.14265573536655204]]}'),
+    ], ids=["I+800N-beside-3", "rotated-J3"])
+    def test_nd_jordan_block_is_refused_as_defective(self, capsys, tmp_path, text):
+        path = tmp_path / "jordan.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert (code, out, err) == (2, "", DEFECT_REFUSAL)
+
+    @pytest.mark.parametrize("name", list(families.JORDAN))
+    def test_jordan_family_is_refused(self, capsys, tmp_path, name):
+        for i, c in enumerate(families.draws(families.JORDAN[name], 0, 2)):
+            path = write_matrix(tmp_path / f"{i}.json", c, with_imag=True)
+            assert run(capsys, ["analyze", path]) == (2, "", DEFECT_REFUSAL)
+
+    @pytest.mark.parametrize("name", list(families.SEMISIMPLE))
+    def test_semisimple_family_is_certified(self, capsys, tmp_path, name):
+        for i, c in enumerate(families.draws(families.SEMISIMPLE[name], 0, 2)):
+            path = write_matrix(tmp_path / f"{i}.json", c, with_imag=True)
+            code, out, err = run(capsys, ["analyze", path])
+            assert code == 0 and err == "", err
+            assert np.isfinite(json.loads(out)["constant"])
 
     def test_unstable_matrix(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "uns.json", np.diag([-1.0, 1.0]))
@@ -292,7 +331,7 @@ class TestAnalyzeErrors:
                 warnings.simplefilter("error")
                 code, out, err = run(capsys, [command, str(path)])
             assert code == 2 and out == ""
-            assert err == "error: adjoint eigenvectors are numerically parallel\n"
+            assert err == DEFECT_REFUSAL
 
     def test_singular_eigenvector_matrix_is_refused_as_defective(self, capsys, tmp_path):
         # inv of the eig route's V raises here: the record is flagged
@@ -304,7 +343,7 @@ class TestAnalyzeErrors:
         for command in ("analyze", "envelope"):
             code, out, err = run(capsys, [command, str(path)])
             assert code == 2 and out == ""
-            assert err == "error: matrix is defective; certificates need a full eigenbasis\n"
+            assert err == DEFECT_REFUSAL
 
     def test_certificate_beyond_the_float_range(self, capsys, tmp_path):
         # at subnormal scale the attainment time pi/|delta| overflows to inf,
@@ -448,6 +487,16 @@ class TestGT:
         assert np.all(dev <= bound * (1 + 1e-9))
         # the sharp datum touches the bound somewhere
         assert np.max(dev / bound) > 0.995
+
+    @pytest.mark.parametrize("spec", ["sharp", "random:7"])
+    def test_long_horizon_passes(self, capsys, spec):
+        # the deviation and e^{-t/2} |f0 - f_inf| both underflow before
+        # t = 1500, where the verdict once read "FAIL max ratio nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, ["gt", spec, "--t-max", "1500"])
+        assert code == 0 and err.startswith("PASS"), err
+        assert np.isfinite(float(err.split()[3]))
 
     def test_steady_is_zero(self, capsys):
         code, out, err = run(capsys, ["gt", "steady", "--points", "5"])

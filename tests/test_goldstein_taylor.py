@@ -215,6 +215,18 @@ class TestVerifyGTBound:
                 / (np.exp(-GT_RATE * t) * dev0)
             assert r == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize("field", [TorusField.sharp(256), TorusField.random_field(7, 256)],
+                             ids=["sharp", "random-7"])
+    def test_long_horizon_ratio_is_finite(self, field):
+        # e^{-t/2} underflows before t = 1500: the ratio is formed with the
+        # common e^{-t} divided out, and matches the quotient where that is finite
+        ts = np.linspace(0.0, 1500.0, 400)
+        rep = verify_gt_bound(field, ts, 64)
+        assert rep.passed and np.isfinite(rep.ratios).all()
+        early = ts < 100.0
+        quotient = rep.deviations[early] / (np.exp(-GT_RATE * ts[early]) * rep.initial_deviation)
+        assert np.allclose(rep.ratios[early], quotient, rtol=1e-14, atol=0.0)
+
     def test_requires_normalized_mass(self):
         field = TorusField(np.full(32, 0.6), np.full(32, 0.6))
         with pytest.raises(NotNormalized):

@@ -260,10 +260,9 @@ def _assert_dense_envelopes(form, ts, n_rates):
 
 
 def _assert_jordan_refusal(alpha, lam):
-    """The matrix _form refuses is within rounding of a Jordan block, as
-    canonical_2d_form documents: its eigenvalue split times sqrt(1 - alpha^2)
-    is at most 32 eps |C|_2, recomputed here with numpy, up to a rounding
-    slack of 1e-12 relative."""
+    """The matrix _form refuses is within rounding of a Jordan block: its
+    eigenvalue split times sqrt(1 - alpha^2) is at most 32 eps |C|_2,
+    recomputed here with numpy, up to a rounding slack of 1e-12 relative."""
     c = _matrix(alpha, lam)
     ev, v = np.linalg.eig(c)
     w = np.linalg.inv(v).conj().T
@@ -389,7 +388,8 @@ class TestFamilyEnvelope:
            n_rates=st.sampled_from([1, 2, 3, 64, 2048]),
            ts=st.lists(st.floats(-5.0, 5.0) | st.just(np.nan), min_size=1, max_size=50))
     # eigenvalues split by 2.2207e-16, just above the scalar tie 32 eps * radius
-    # = 2.2204e-16: canonical_2d_form refuses the matrix as a Jordan block
+    # = 2.2204e-16, with eigenvectors far from parallel (alpha 0.875): a form,
+    # not a Jordan block
     @example(alpha=0.875, re=(0.03125, 0.03125), im=(0.0, 2.220446049250313e-16),
              n_rates=1, ts=[np.nan])
     @settings(max_examples=60, deadline=None)

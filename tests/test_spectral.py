@@ -24,6 +24,7 @@ from hypodecay.spectral import (
     _order_with_clustered_ties,
     coincidence_tol,
 )
+from . import families
 from .conftest import make_2x2_with_overlap
 
 _EPS = np.finfo(float).eps
@@ -86,21 +87,24 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-7, 1.0, 1e6])
     def test_time_rescaling(self, s):
-        # C -> sC: the order, the gap and the defect flag go with the spectral radius
+        # C -> sC: the order, the gap and the defect flag go with the spectral radius.
+        # [[1, 1e9], [0, 2]] is 5e-10 from a double eigenvalue, against
+        # 32 eps |C|_2 = 7e-6, with unit eigenvectors 1e-9 apart: flagged at every s
         data = eigendecompose(s * np.diag([2.0 - 1.0j, 1.0 + 1.0j]))
         assert data.spectral_gap == pytest.approx(s, rel=1e-12)
-        assert not eigendecompose(s * np.array([[1.0, 1e9], [0.0, 2.0]])).defective
+        assert eigendecompose(s * np.array([[1.0, 1e9], [0.0, 2.0]])).defective
 
     def test_overflowing_adjoint_norm_warns_nothing(self):
         # parts from 1e-168 to 1e306 take the eig route, where the norm of a
         # column of V^-1 overflows; the record is built without a warning and
-        # canonical_2d_form refuses its adjoint pair
+        # flagged defective, so canonical_2d_form refuses it
         c = np.array([[1e90, 1e-168], [1e306j, 1e97]])
         assert _closed_form_2x2(c) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             data = eigendecompose(c)
-        with pytest.raises(Defective2D, match="numerically parallel"):
+        assert data.defective
+        with pytest.raises(Defective2D, match="Jordan block"):
             canonical_2d_form(data)
 
     def test_singular_eigenvector_matrix_is_flagged_defective(self):
@@ -312,9 +316,9 @@ def svd_calls(monkeypatch):
 
 
 class TestSvdOnlyWhereRead:
-    """eigendecompose reads the eigenvector condition number (one svd) only
-    for a clustered spectrum, and canonical_2d_form's Jordan test reads |C|_2
-    from one _norm_2x2, and no svd, for every form that is not scalar."""
+    """eigendecompose makes one svd for each cluster of linked eigenvalues,
+    and reads |C|_2 only where a pair is linked at |C|_F: for a 2x2 from one
+    _norm_2x2, for a larger C from one svd. canonical_2d_form reads neither."""
 
     def test_unclustered_spectrum_makes_no_svd(self, svd_calls, mat_real_distinct):
         data = eigendecompose(mat_real_distinct)
@@ -324,9 +328,24 @@ class TestSvdOnlyWhereRead:
         assert len(svd_calls) == 1
 
     def test_clustered_spectrum_makes_one(self, svd_calls):
+        # a near tie 5e-11 apart is not linked; a tie within rounding is, and
+        # its unit eigenvectors make the one svd
         data = eigendecompose(_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06))
         assert not data.defective
+        assert svd_calls == []
+        data = eigendecompose(_V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09))
+        assert not data.defective
         assert len(svd_calls) == 1
+
+    def test_unlinked_nd_spectrum_makes_no_svd(self, svd_calls, mat_triangular):
+        assert not eigendecompose(mat_triangular).defective
+        assert svd_calls == []
+
+    def test_linked_nd_cluster_makes_two(self, svd_calls):
+        # diag(1, 1, 2): the tie is linked at |C|_F, so |C|_2 is read from
+        # one svd, and the cluster's unit eigenvectors take the other
+        assert not eigendecompose(np.diag([1.0, 1.0, 2.0])).defective
+        assert len(svd_calls) == 2
 
     def test_separated_form_makes_no_svd(self, svd_calls, mat_complex_pair):
         form = canonical_2d_form(eigendecompose(mat_complex_pair))
@@ -342,11 +361,48 @@ class TestSvdOnlyWhereRead:
             return norm(*args)
         monkeypatch.setattr(spectral, "_norm_2x2", counted)
         data = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
-        svd_calls.clear()
-        with pytest.raises(Defective2D, match=r"32 eps \|C\|_2"):
+        assert data.defective
+        assert len(norm_calls) == len(svd_calls) == 1
+        with pytest.raises(Defective2D, match="Jordan block"):
             canonical_2d_form(data)
-        assert len(norm_calls) == 1
-        assert svd_calls == []
+        assert len(norm_calls) == len(svd_calls) == 1
+
+
+class TestJordanClusters:
+    """_jordan_cluster is the one defect rule for every n: each rotated
+    Jordan draw is flagged, each semisimple repeat is not, and neither
+    verdict moves under C -> sC, a unitary similarity or a permutation of
+    the eigenvalues."""
+
+    @staticmethod
+    def _verdicts(c, rng):
+        n = len(c)
+        q, p = families.unitary(rng, n), np.eye(n)[rng.permutation(n)]
+        return {eigendecompose(v).defective
+                for v in (*(s * c for s in (1e-12, 1.0, 1e6)), q @ c @ q.conj().T, p @ c @ p.T)}
+
+    @pytest.mark.parametrize("name", list(families.JORDAN))
+    def test_jordan_draws_are_flagged(self, name):
+        rng = np.random.default_rng(1)
+        for c in families.draws(families.JORDAN[name], 0, 3):
+            assert self._verdicts(c, rng) == {True}
+
+    @pytest.mark.parametrize("name", list(families.SEMISIMPLE))
+    def test_semisimple_draws_are_not(self, name):
+        rng = np.random.default_rng(1)
+        for c in families.draws(families.SEMISIMPLE[name], 0, 3):
+            assert self._verdicts(c, rng) == {False}
+
+    def test_clusters_are_connected_components(self):
+        # at |C|_2 = 1 and unit kappa, only neighbours of 0, 1, 2, 3 (x 1e-14)
+        # are linked; the chain is one cluster, which alone holds both of the
+        # nearly parallel eigenvectors of 0 and 3e-14
+        c, lam, kappa = np.diag([1.0, 0.0, 0.0, 0.0]), 1e-14 * np.arange(4.0), np.ones(4)
+        unit_V = np.eye(4)
+        unit_V[:, 3] = [1.0, 0.0, 0.0, 1e-9]
+        assert spectral._jordan_cluster(c, lam, kappa, unit_V / np.linalg.norm(unit_V, axis=0))
+        unit_V[:, 3] = [0.0, 0.0, 0.0, 1.0]
+        assert not spectral._jordan_cluster(c, lam, kappa, unit_V)
 
 
 class TestClassifyStability:
@@ -453,10 +509,9 @@ class TestCanonical2DForm:
     @pytest.mark.parametrize("s", [1e-12, 0.7, 1.0, 1e6])
     def test_within_rounding_of_a_jordan_block_rejected(self, s):
         # [[0, 2i], [2i, 4]] is a Jordan block with eigenvalue 2: |e^{-(C - 2)t}| = 4t.
-        # At s = 1 rounding splits the eigenvalues by 1.2e-7 and keeps the
-        # eigenvector condition below DEFECT_COND_LIMIT; only the split times
-        # sqrt(1 - alpha^2), 3.6e-15 against 1.4e-14, tells it from a 2x2 with
-        # a finite constant. At other scales the condition may exceed the limit
+        # At s = 1 rounding splits the eigenvalues by 1.2e-7; only the split
+        # over the eigenvalue condition numbers, against 32 eps |C|_2, tells it
+        # from a 2x2 with a finite constant
         with pytest.raises(Defective2D):
             canonical_2d_form(eigendecompose(s * np.array([[0.0, 2.0j], [2.0j, 4.0]])))
 
@@ -467,7 +522,7 @@ class TestCanonical2DForm:
     def test_strongly_non_normal_jordan_block_rejected(self, c):
         # the rounding split times sqrt(1 - alpha^2) is of the order of
         # eps |C|_2, far above eps times the spectral radius 1
-        with pytest.raises(Defective2D, match=r"32 eps \|C\|_2"):
+        with pytest.raises(Defective2D, match="Jordan block"):
             canonical_2d_form(eigendecompose(c))
 
     def test_random_non_normal_jordan_blocks_rejected(self):
