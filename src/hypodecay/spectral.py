@@ -111,12 +111,10 @@ class SpectralData:
     left_vectors : columns w_j, C* w_j = conj(lambda_j) w_j, unit norm
     defective : True when no reliable eigenbasis exists
     positive_stable : True when every eigenvalue has real part above
-        coincidence_tol of the spectrum, so that rounding noise on the
-        imaginary axis certifies no decay; decided once, from the
-        eigenvalues and the spectral radius, for both routes
+        coincidence_tol of the spectrum, so rounding noise on the imaginary
+        axis certifies no decay; decided once per record, on both routes
     mu_s, nu_s : smallest and largest eigenvalue of (C + C*)/2
-    eigenvector_cond : condition number of the unit-norm eigenvector matrix,
-        computed on first read
+    eigenvector_cond : cond of the unit-norm eigenvector matrix, on first read
     """
 
     matrix: np.ndarray
@@ -238,18 +236,20 @@ def _jordan_cluster(C: np.ndarray, lam: np.ndarray, kappa: np.ndarray, unit_V: n
     |C|_2 of that are linked, each to itself, and a NaN kappa to every one. A
     cluster, a connected component of the links, is a Jordan block when its
     unit eigenvectors unit_V[:, K] have least singular value at most
-    DEFECT_SIGMA. |C|_2 is read only when some pair is linked at |C|_F.
+    DEFECT_SIGMA, and a linked 2x2 pair unless a scalar tie: only lambda I
+    repeats a 2x2 eigenvalue semisimply. Gaps are divided by |C|_F (a hypot),
+    then by |C|_2 if some pair is linked, so no bound under- or overflows.
     """
     n = len(lam)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps, sums = np.abs(lam[:, None] - lam), kappa[:, None] + kappa
-        if np.count_nonzero(gaps > ROUNDING_RTOL * np.linalg.norm(C) * sums) == n * (n - 1):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gaps, sums = np.abs(lam[:, None] - lam), ROUNDING_RTOL * (kappa[:, None] + kappa)
+        if np.count_nonzero(gaps / math.hypot(*np.abs(C).ravel().tolist()) > sums) == n * (n - 1):
             return False
-        norm = _norm_2x2(C) if n == 2 else float(np.linalg.norm(C, 2))
-        reach = ~(gaps > ROUNDING_RTOL * norm * sums)
+        reach = ~(gaps / (_norm_2x2(C) if n == 2 else float(np.linalg.norm(C, 2))) > sums)
     for _ in range(n.bit_length()):
         reach = reach @ reach
-    return any(len(K) > 1 and np.linalg.svd(unit_V[:, K], compute_uv=False)[-1] <= DEFECT_SIGMA
+    return any(len(K) > 1 and (n == 2 and gaps[0, 1] > ROUNDING_RTOL * np.abs(lam).max()
+                               or np.linalg.svd(unit_V[:, K], compute_uv=False)[-1] <= DEFECT_SIGMA)
                for K in {tuple(np.flatnonzero(row).tolist()) for row in reach})
 
 

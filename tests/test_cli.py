@@ -248,6 +248,22 @@ class TestAnalyzeErrors:
             assert err.startswith("error:") and "Jordan block" in err
             assert err == DEFECT_REFUSAL
 
+    @pytest.mark.parametrize("s", [2.0 ** -600, 2.0 ** 600])
+    def test_jordan_block_refused_at_extreme_scales(self, capsys, tmp_path, s):
+        # I + 100 N times s: the square of every entry leaves the float range
+        path = write_matrix(tmp_path / "jordan.json", s * np.array([[49.0, 64.0], [-36.0, -47.0]]))
+        assert run(capsys, ["analyze", path]) == (2, "", DEFECT_REFUSAL)
+
+    def test_rotated_pair_within_rounding_of_a_double_eigenvalue(self, capsys, tmp_path):
+        # Q [[1, 1e-9], [0, 1 + 1e-13]] Q*: rounding moves each eigenvalue by
+        # about 1e4 eps, more than their split, so no alpha read off them holds
+        rng = np.random.default_rng(0)
+        for i in range(3):
+            q = families.unitary(rng, 2)
+            c = q @ np.array([[1.0, 1e-9], [0.0, 1.0 + 1e-13]]) @ q.conj().T
+            path = write_matrix(tmp_path / f"{i}.json", c, with_imag=True)
+            assert run(capsys, ["analyze", path]) == (2, "", DEFECT_REFUSAL)
+
     @pytest.mark.parametrize("text", [
         # I + 800 N beside the eigenvalue 3: was refused only as "matrix is
         # not positive definite"

@@ -261,14 +261,15 @@ def _assert_dense_envelopes(form, ts, n_rates):
 
 def _assert_jordan_refusal(alpha, lam):
     """The matrix _form refuses is within rounding of a Jordan block: its
-    eigenvalue split times sqrt(1 - alpha^2) is at most 32 eps |C|_2,
-    recomputed here with numpy, up to a rounding slack of 1e-12 relative."""
+    eigenvalue split over the sum of the two eigenvalue condition numbers,
+    each 1/sqrt(1 - alpha^2), is at most 32 eps |C|_2, recomputed here with
+    numpy, up to a rounding slack of 1e-12 relative."""
     c = _matrix(alpha, lam)
     ev, v = np.linalg.eig(c)
     w = np.linalg.inv(v).conj().T
     w /= np.linalg.norm(w, axis=0)
     overlap = abs(np.vdot(w[:, 0], w[:, 1]))
-    split = abs(ev[1] - ev[0]) * np.sqrt(1.0 - overlap * overlap)
+    split = abs(ev[1] - ev[0]) * np.sqrt(1.0 - overlap * overlap) / 2.0
     assert split <= 32 * np.finfo(float).eps * np.linalg.norm(c, 2) * (1.0 + 1e-12)
 
 

@@ -29,6 +29,10 @@ from .conftest import make_2x2_with_overlap
 
 _EPS = np.finfo(float).eps
 
+#: scales of C at which no defect verdict may move: 2^-600 puts every
+#: entry's square below the smallest float, 2^600 above the largest
+_SCALES = (2.0 ** -600, 1e-12, 1.0, 1e6, 2.0 ** 600)
+
 #: eigenbases of overlap 0.6 and 0.9
 _V06 = np.array([[1.0, 0.6], [0.0, 0.8]])
 _V09 = np.array([[1.0, 0.9], [0.0, np.sqrt(1.0 - 0.81)]])
@@ -316,9 +320,10 @@ def svd_calls(monkeypatch):
 
 
 class TestSvdOnlyWhereRead:
-    """eigendecompose makes one svd for each cluster of linked eigenvalues,
-    and reads |C|_2 only where a pair is linked at |C|_F: for a 2x2 from one
-    _norm_2x2, for a larger C from one svd. canonical_2d_form reads neither."""
+    """eigendecompose makes one svd for each cluster of linked eigenvalues
+    (of a 2x2, only a linked scalar tie), and reads |C|_2 only where a pair
+    is linked at |C|_F: for a 2x2 from one _norm_2x2, for a larger C from one
+    svd. canonical_2d_form reads neither."""
 
     def test_unclustered_spectrum_makes_no_svd(self, svd_calls, mat_real_distinct):
         data = eigendecompose(mat_real_distinct)
@@ -360,12 +365,13 @@ class TestSvdOnlyWhereRead:
             norm_calls.append(args)
             return norm(*args)
         monkeypatch.setattr(spectral, "_norm_2x2", counted)
+        # a linked 2x2 pair that is no scalar tie is a Jordan block: no svd
         data = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
         assert data.defective
-        assert len(norm_calls) == len(svd_calls) == 1
         with pytest.raises(Defective2D, match="Jordan block"):
             canonical_2d_form(data)
-        assert len(norm_calls) == len(svd_calls) == 1
+        assert len(norm_calls) == 1
+        assert svd_calls == []
 
 
 class TestJordanClusters:
@@ -379,7 +385,7 @@ class TestJordanClusters:
         n = len(c)
         q, p = families.unitary(rng, n), np.eye(n)[rng.permutation(n)]
         return {eigendecompose(v).defective
-                for v in (*(s * c for s in (1e-12, 1.0, 1e6)), q @ c @ q.conj().T, p @ c @ p.T)}
+                for v in (*(s * c for s in _SCALES), q @ c @ q.conj().T, p @ c @ p.T)}
 
     @pytest.mark.parametrize("name", list(families.JORDAN))
     def test_jordan_draws_are_flagged(self, name):
@@ -392,6 +398,21 @@ class TestJordanClusters:
         rng = np.random.default_rng(1)
         for c in families.draws(families.SEMISIMPLE[name], 0, 3):
             assert self._verdicts(c, rng) == {False}
+
+    @pytest.mark.parametrize("c", [
+        [[49.0, 64.0], [-36.0, -47.0]],  # I + 100 N with N nilpotent
+        [[0.0, 2.0j], [2.0j, 4.0]],
+        # kappa 1e4 links a split of 1e-13, 14 times the scalar tie; the unit
+        # eigenvectors are 1e-4 apart, far above DEFECT_SIGMA, but rounding
+        # moves each eigenvalue by 1e4 eps, more than the split
+        [[1.0, 1e-9], [0.0, 1.0 + 1e-13]],
+    ], ids=["I+100N", "complex-symmetric", "linked-not-a-scalar-tie"])
+    def test_2x2_jordan_blocks_are_flagged(self, c):
+        assert self._verdicts(np.array(c, dtype=complex), np.random.default_rng(0)) == {True}
+
+    def test_2x2_scalar_tie_is_not(self):
+        c = _V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09)
+        assert self._verdicts(c, np.random.default_rng(0)) == {False}
 
     def test_clusters_are_connected_components(self):
         # at |C|_2 = 1 and unit kappa, only neighbours of 0, 1, 2, 3 (x 1e-14)
@@ -506,7 +527,7 @@ class TestCanonical2DForm:
         with pytest.raises(Defective2D):
             canonical_2d_form(eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]])))
 
-    @pytest.mark.parametrize("s", [1e-12, 0.7, 1.0, 1e6])
+    @pytest.mark.parametrize("s", [1e-12, 0.7, 1.0, 1e6, 2.0 ** -600, 2.0 ** 600])
     def test_within_rounding_of_a_jordan_block_rejected(self, s):
         # [[0, 2i], [2i, 4]] is a Jordan block with eigenvalue 2: |e^{-(C - 2)t}| = 4t.
         # At s = 1 rounding splits the eigenvalues by 1.2e-7; only the split
