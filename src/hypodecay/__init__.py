@@ -16,10 +16,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Every public name and the module it lives in. A name is imported from its
-# home module on first access (PEP 562), so ``import hypodecay`` loads no
-# submodule and no numpy, and each command of the CLI pays only for the
-# modules it uses.
+# Every public name and the module it lives in: the one list of public names.
+# Each module's ``__all__`` is its row here. A name is imported from its home
+# module on first access (PEP 562), so ``import hypodecay`` loads no submodule
+# and no numpy, and each command of the CLI pays only for the modules it uses.
 _HOMES = {
     "spectral": (
         "SpectralData", "StabilityReport", "Canonical2DForm", "DecayCase",

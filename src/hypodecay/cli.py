@@ -172,15 +172,15 @@ def _gap(closed: np.ndarray, reference: np.ndarray) -> float:
 
 def _certifiable(C: np.ndarray) -> SpectralData:
     """eigendecompose(C), unless C is defective or not positive stable."""
-    from .spectral import DEFECT_MESSAGE, coincidence_tol, eigendecompose
+    from .spectral import COINCIDENCE_RTOL, DEFECT_MESSAGE, coincidence_tol, eigendecompose
 
     data = eigendecompose(C)
     if data.defective:
         raise DefectiveInput(DEFECT_MESSAGE)
     if not data.positive_stable:
         raise NotPositiveStable(f"spectral gap is {data.spectral_gap}, not above "
-                                f"{coincidence_tol(data.eigenvalues):.3e} (1e-10 of the spectral "
-                                "radius); no decay to certify")
+                                f"{coincidence_tol(data.eigenvalues):.3e} ({COINCIDENCE_RTOL:g} "
+                                "of the spectral radius); no decay to certify")
     return data
 
 

@@ -48,17 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _HOMES
 from .errors import DefectiveInput
 from .lyapunov import LyapunovMatrix, certificate_from_p
 from .spectral import Canonical2DForm, as_complex_matrix, coincidence_tol, eigendecompose
 
-__all__ = [
-    "WeightOptimum",
-    "AdmissibleOptimum",
-    "minimize_kappa_2d",
-    "minimize_kappa_weights",
-    "minimize_kappa_admissible",
-]
+__all__ = _HOMES["condopt"]
 
 #: smoothing temperatures of the continuation; the smoothed objective exceeds
 #: log kappa by at most 2 tau log n, 0.0056 at the first stage for n <= 16

@@ -24,16 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _HOMES
 from .errors import DefectiveInput, NotAdmissible
 from .spectral import SpectralData, _hermitian_extremes, _norm_2x2, as_complex_matrix
 
-__all__ = [
-    "LyapunovMatrix",
-    "LyapunovCertificate",
-    "build_weighted_p",
-    "lyapunov_residual",
-    "certificate_from_p",
-]
+__all__ = _HOMES["lyapunov"]
 
 #: admissibility slack, relative to |C| |P|
 RESIDUAL_RTOL = 1e-10

@@ -11,16 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _HOMES
 from .errors import DefectiveInput
 from .spectral import SpectralData, as_complex_matrix
 
-__all__ = [
-    "exact_solution",
-    "rk4_oracle",
-    "verify_bounds",
-    "time_grid",
-    "BoundCheck",
-]
+__all__ = _HOMES["propagator"]
 
 
 def _initial_data(f0, n: int) -> np.ndarray:

@@ -41,16 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _HOMES
 from .errors import RateOutOfRange
 from .spectral import Canonical2DForm, _pow2_scale
 
-__all__ = [
-    "FamilyBound",
-    "FamilyEnvelope",
-    "upper_bound_constant",
-    "lower_bound_constant",
-    "family_envelope",
-]
+__all__ = _HOMES["rate_family"]
 
 
 @dataclass

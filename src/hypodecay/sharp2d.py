@@ -36,18 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _HOMES
 from .errors import NotPositiveStable, RateOutOfRange
 from .spectral import Canonical2DForm, DecayCase
 
-__all__ = [
-    "SharpResult2D",
-    "EnvelopeCurve",
-    "SupOfEnvelope",
-    "classify_and_sharp_constant",
-    "envelope_curves",
-    "sup_m_plus",
-    "sector_constant",
-]
+__all__ = _HOMES["sharp2d"]
 
 #: alpha below which the eigenbasis counts as orthogonal and every constant is 1
 ALPHA_FLOOR = 1e-14

@@ -23,22 +23,13 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
+from . import _HOMES
 from .errors import Defective2D, MatrixFormatError, NonConvergence
 
-__all__ = [
-    "SpectralData",
-    "StabilityReport",
-    "Canonical2DForm",
-    "DecayCase",
-    "as_complex_matrix",
-    "eigendecompose",
-    "classify_stability",
-    "canonical_2d_form",
-]
+__all__ = _HOMES["spectral"]
 
 #: gap, relative to the spectral radius, at or below which a 2x2 takes the
 #: eig route
@@ -114,7 +105,6 @@ class SpectralData:
         coincidence_tol of the spectrum, so rounding noise on the imaginary
         axis certifies no decay; decided once per record, on both routes
     mu_s, nu_s : smallest and largest eigenvalue of (C + C*)/2
-    eigenvector_cond : cond of the unit-norm eigenvector matrix, on first read
     """
 
     matrix: np.ndarray
@@ -124,9 +114,8 @@ class SpectralData:
     defective: bool
     mu_s: float
     nu_s: float
-    #: the spectral radius, and the ordered unit-norm eigenvector matrix V
+    #: the spectral radius
     _radius: float = field(repr=False)
-    _unit_vectors: np.ndarray = field(repr=False)
     positive_stable: bool = field(init=False)
 
     def __post_init__(self):
@@ -136,10 +125,6 @@ class SpectralData:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def eigenvector_cond(self) -> float:
-        return float(np.linalg.cond(self._unit_vectors))
 
     @property
     def spectral_gap(self) -> float:
@@ -222,7 +207,6 @@ def _eig_route(C: np.ndarray) -> SpectralData:
         mu_s=float(herm[0]),
         nu_s=float(herm[-1]),
         _radius=radius,
-        _unit_vectors=unit_V,
     )
 
 
@@ -326,7 +310,6 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
         mu_s=mu_s * unscale,
         nu_s=nu_s * unscale,
         _radius=radius,
-        _unit_vectors=unit_V,
     )
 
 

@@ -204,7 +204,12 @@ class TestAnalyzeErrors:
         {"n": 2, "re": [[1, 0], [0, 2]], "im": [[0, 0], [0, False]]},
         {"n": 1, "re": [[10 ** 400]]},
         {"n": 3_000_000, "re": [[1]]},
-    ], ids=["string", "bool", "bool-im", "huge-int", "huge-n"])
+        [[1, 0], [0, 2]],
+        {"n": 2, "im": [[1, 0], [0, 2]]},
+        {"n": 1, "re": [[float("inf")]]},
+        {"n": 1, "re": [[1]], "im": [[float("nan")]]},
+    ], ids=["string", "bool", "bool-im", "huge-int", "huge-n", "array", "no-re",
+            "infinity", "nan-im"])
     def test_entries_must_be_numbers(self, capsys, tmp_path, payload):
         # numpy would coerce "2" and true; a huge "n" must fail on the shape
         # of "re" before any n x n array is built
@@ -531,8 +536,11 @@ class TestGT:
         assert out.splitlines()[0] == "t,deviation,bound"
 
     def test_bad_spec(self, capsys):
-        code, _, err = run(capsys, ["gt", "bogus"])
-        assert code == 1 and "error:" in err
+        for spec, named in (("bogus", "'bogus'"),
+                            ("harmonic:x", "harmonic index must be an integer, got 'x'"),
+                            ("random:x", "random seed must be an integer, got 'x'")):
+            code, _, err = run(capsys, ["gt", spec])
+            assert code == 1 and err.startswith("error:") and named in err, spec
 
     def test_bad_harmonic_index(self, capsys):
         code, _, _ = run(capsys, ["gt", "harmonic:200", "--grid", "64"])

@@ -40,6 +40,8 @@ class TestTorusField:
             TorusField(np.ones(4), np.ones(4))
         with pytest.raises(ValueError):
             TorusField(np.ones(8), np.ones(10))
+        with pytest.raises(ValueError, match="non-finite"):
+            TorusField(np.full(8, np.nan), np.ones(8))
 
     @pytest.mark.parametrize("make", [TorusField.steady, TorusField.sharp,
                                       lambda n: TorusField.harmonic(3, n),
@@ -81,6 +83,10 @@ class TestModes:
         field = TorusField.steady(32)
         with pytest.raises(CutoffTooLarge):
             decompose(field, 16)
+        with pytest.raises(ValueError, match="non-negative"):
+            decompose(field, -1)
+        with pytest.raises(CutoffTooLarge, match="mode 16"):
+            reconstruct([0, 16], np.ones((2, 2)), 32)
         decompose(field, 15)
 
     def test_parseval_identity(self):
@@ -233,5 +239,8 @@ class TestVerifyGTBound:
             verify_gt_bound(field, [0.0, 1.0], 10)
 
     def test_rejects_negative_times(self):
-        with pytest.raises(ValueError):
-            verify_gt_bound(TorusField.steady(32), [-1.0, 0.0], 10)
+        # and non-finite ones, which would otherwise give a NaN verdict or a
+        # RuntimeWarning from cos
+        for times in ([-1.0, 0.0], [0.0, np.nan, 1.0], [0.0, np.inf]):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                verify_gt_bound(TorusField.sharp(64), times, 8)

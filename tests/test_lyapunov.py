@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hypodecay import (
     Defective2D,
+    DefectiveInput,
     LyapunovMatrix,
     NotAdmissible,
     build_weighted_p,
@@ -89,6 +90,13 @@ class TestBuildWeightedP:
         for bad in ([1.0], [1.0, -1.0], [1.0, 0.0], [1.0, np.nan]):
             with pytest.raises(ValueError):
                 build_weighted_p(data, bad)
+
+    def test_rejects_defective_record(self):
+        # I + 100N, within rounding of a Jordan block: no eigenbasis to weight
+        data = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
+        assert data.defective
+        with pytest.raises(DefectiveInput, match="full eigenbasis"):
+            build_weighted_p(data, [1.0, 1.0])
 
     def test_admissible_at_spectral_gap(self, mat_complex_pair):
         # weighted eigenprojector sums satisfy the spectral-gap inequality

@@ -17,13 +17,6 @@ def test_every_export_is_the_object_of_its_home_module():
             assert value.__module__ == home.__name__, name
 
 
-def test_the_table_lists_every_name_a_module_exports():
-    for module, names in hypodecay._HOMES.items():
-        home = importlib.import_module(f"hypodecay.{module}")
-        if hasattr(home, "__all__"):
-            assert set(names) == set(home.__all__), module
-
-
 def test_dir_lists_every_export():
     assert set(hypodecay.__all__) <= set(dir(hypodecay))
 

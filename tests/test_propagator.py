@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from hypodecay import (
+    DefectiveInput,
     canonical_2d_form,
     eigendecompose,
     exact_solution,
@@ -21,6 +24,12 @@ class TestExactSolution:
         sol = exact_solution(data, [1.0, 1.0], ts)
         expected = np.stack([np.exp(-ts), np.exp(-2 * ts)], axis=1)
         assert np.allclose(sol, expected, rtol=1e-14)
+
+    def test_rejects_defective_record(self):
+        data = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
+        assert data.defective
+        with pytest.raises(DefectiveInput, match="non-defective"):
+            exact_solution(data, [1.0, 0.0], [1.0])
 
     def test_initial_condition(self, mat_complex_pair):
         data = eigendecompose(mat_complex_pair)
@@ -198,6 +207,11 @@ class TestVerifyBounds:
     def test_rejects_empty_samples(self):
         with pytest.raises(ValueError, match="at least one sampled norm"):
             verify_bounds([], [], [])
+
+    def test_rejects_unknown_direction(self):
+        bound = SimpleNamespace(rate=0.5, constant=1.0, direction="both")
+        with pytest.raises(ValueError, match="unknown bound direction 'both'"):
+            verify_bounds([0.0, 1.0], [1.0, 0.5], [bound])
 
     @pytest.mark.filterwarnings("error")
     def test_upper_bound_holds_where_norm_and_bound_underflow(self):

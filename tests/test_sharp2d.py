@@ -213,7 +213,8 @@ class TestSupMPlus:
     @pytest.mark.parametrize("alpha,gamma,delta", [
         (1.0, 0.3, 1.0), (1.5, 0.3, 1.0), (-0.1, 0.3, 1.0), (np.nan, 0.3, 1.0),
         (0.5, np.nan, 1.0), (0.5, np.inf, 1.0), (0.5, -0.3, 1.0),
-        (0.5, 0.3, np.nan), (0.5, 0.3, -np.inf)])
+        (0.5, 0.3, np.nan), (0.5, 0.3, -np.inf),
+        (0.5, 0.0, 0.0)])  # coincident eigenvalues: no envelope factor
     def test_rejects_inputs_outside_domain(self, alpha, gamma, delta):
         with pytest.raises(ValueError):
             sup_m_plus(alpha, gamma, delta)
