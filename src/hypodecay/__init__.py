@@ -53,7 +53,7 @@ _HOMES = {
     ),
     "errors": (
         "HypodecayError", "MatrixFormatError", "NonConvergence",
-        "NotPositiveStable", "DefectiveInput", "Defective2D",
+        "NotPositiveStable", "DefectiveInput",
         "NotAdmissible", "RateOutOfRange", "ZeroMode",
         "CutoffTooLarge", "NotNormalized",
     ),

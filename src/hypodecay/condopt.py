@@ -32,10 +32,15 @@ all-ones direction of the log-weights, so no weight is pinned. For the 2 n^2
 factor entries of the admissible search the O(d^2) update and step match
 one evaluation at n = 12 and cost five at n = 16.
 
-kappa is quasiconvex on both families (lambda_max is convex, lambda_min
-concave; Braatz & Morari 1994), so one start suffices and there is no
-spurious local minimum for heavy smoothing to carry the search past. The
-continuation therefore takes five stages, tau = 1e-3, 1e-5, 1e-7, 1e-9,
+In the log-weights x of the weight search, log kappa and every smoothed
+stage are convex: with P(x) = sum_j e^{x_j} w_j w_j*, log lambda_max(P(x))
+and tau log sum_i lambda_i^(1/tau), the log of a Schatten norm, are suprema
+of log-sum-exps of x, and -log lambda_min = log lambda_max(P(x)^-1), where
+P(x)^-1 = sum_j e^{-x_j} v_j v_j*, V = W^-*, has the same form in -x. Over the
+admissible family kappa is quasiconvex in P (lambda_max is convex,
+lambda_min concave; Braatz & Morari 1994). So one start suffices and there
+is no spurious local minimum for heavy smoothing to carry the search past.
+The continuation therefore takes five stages, tau = 1e-3, 1e-5, 1e-7, 1e-9,
 1e-10: at the first the smoothed objective is at most 2 tau log n <= 0.0056
 above log kappa for n <= 16, close enough that the later stages only
 polish. The module needs numpy only.

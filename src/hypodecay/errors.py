@@ -21,10 +21,6 @@ class DefectiveInput(HypodecayError):
     """Operation requires a full eigenbasis but the matrix is defective."""
 
 
-class Defective2D(DefectiveInput):
-    """The 2x2 matrix is (numerically) defective, no canonical form exists."""
-
-
 class NotAdmissible(HypodecayError):
     """Candidate P fails the matrix inequality at the requested rate."""
 

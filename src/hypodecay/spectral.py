@@ -9,9 +9,10 @@ biorthonormal, <w_j, v_k> = delta_jk, with the w_j at unit Euclidean norm;
 under this scaling the inverse of the right-eigenvector matrix is exactly W*.
 The stability report and the 2x2 canonical form only read this record.
 
-The record has two routes. A 2x2 with separated eigenvalues gets it in closed
-form on Python complex scalars (_closed_form_2x2); every other matrix takes
-LAPACK's eig, inv and eigvalsh (_eig_route), the reference of the closed form.
+The record has two routes. A 2x2 gets it in closed form on Python complex
+scalars (_closed_form_2x2) unless that form declines it; every other matrix,
+and a 2x2 it declines, takes LAPACK's eig, inv and eigvalsh (_eig_route), the
+reference of the closed form.
 One rule, _jordan_cluster, flags a C within rounding of a Jordan block, for
 every n. The extremes of a Hermitian 2x2 (_hermitian_extremes) and |C|_2 of a
 2x2 (_norm_2x2) are closed forms too, which the lyapunov module shares.
@@ -27,13 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _HOMES
-from .errors import Defective2D, MatrixFormatError, NonConvergence
+from .errors import DefectiveInput, MatrixFormatError, NonConvergence
 
 __all__ = _HOMES["spectral"]
-
-#: gap, relative to the spectral radius, at or below which a 2x2 takes the
-#: eig route
-CLUSTER_GAP = 1e-6
 
 #: least singular value of a cluster's unit eigenvectors at or below which it
 #: is a Jordan block: a heuristic cut between the measured <= 1.5e-7 of rotated
@@ -150,14 +147,13 @@ def _order_with_clustered_ties(lam: np.ndarray, tol: float) -> np.ndarray:
 def eigendecompose(C) -> SpectralData:
     """Eigendecompose C, ordering eigenvalues by (Re, Im) increasing.
 
-    A 2x2 whose eigenvalues are separated, |lambda_2 - lambda_1| > CLUSTER_GAP
-    times the spectral radius, gets its record in closed form
-    (_closed_form_2x2); every other C, and a 2x2 the closed form declines,
-    takes the eig route (_eig_route). Raises NonConvergence if the QR iteration
-    of that route fails. A defective matrix, one within rounding of a Jordan
-    block (_jordan_cluster) or with a V that inv finds singular, is flagged,
-    not raised, for every n; the operations that genuinely need an eigenbasis
-    check the flag themselves.
+    A 2x2 gets its record in closed form (_closed_form_2x2); every other C,
+    and a 2x2 the closed form declines, takes the eig route (_eig_route).
+    Raises NonConvergence if the QR iteration of that route fails. A
+    defective matrix, one within rounding of a Jordan block (_jordan_cluster)
+    or with a V that inv finds singular, is flagged, not raised, for every n;
+    the operations that genuinely need an eigenbasis check the flag
+    themselves.
     """
     C = as_complex_matrix(C)
     data = _closed_form_2x2(C) if C.shape[0] == 2 else None
@@ -238,8 +234,8 @@ def _jordan_cluster(C: np.ndarray, lam: np.ndarray, kappa: np.ndarray, unit_V: n
 
 
 def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
-    """The record of a 2x2 C = [[a, b], [c, d]] with separated eigenvalues,
-    in closed form on Python complex scalars; None where the eig route decides.
+    """The record of a 2x2 C = [[a, b], [c, d]] in closed form on Python
+    complex scalars; None where the eig route decides.
 
     The entries are first scaled by _pow2_scale of their largest part, which
     brings it to [1/2, 1), or within 2^24 of it beyond the clamp, so no
@@ -254,11 +250,11 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
     eigenvalues are scaled back and ordered by _order_with_clustered_ties, as
     on the eig route.
 
-    None, for the eig route, when the pair is clustered, when a nonzero part
-    scales below the smallest normal float or |sqrt(h^2 + bc)| below
-    _MIN_SCALED_DISC (the products here would lose bits to underflow), or
-    when _jordan_cluster might link the pair, screened with both kappa
-    1/|det V| as |lambda_2 - lambda_1| |det V| <= 2 ROUNDING_RTOL |C|_F.
+    None, for the eig route, when C is zero, when a nonzero part scales below
+    the smallest normal float or |sqrt(h^2 + bc)| below _MIN_SCALED_DISC (the
+    products here would lose bits to underflow), or when _jordan_cluster
+    might link the pair, screened with both kappa 1/|det V| as
+    |lambda_2 - lambda_1| |det V| <= 2 ROUNDING_RTOL |C|_F.
     """
     entries = C.ravel().tolist()
     parts = [abs(x) for z in entries for x in (z.real, z.imag) if x]
@@ -278,11 +274,7 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
         pair = (big, (a * d - bc) / big)
     else:
         pair = (a, d)
-    radius = max(map(abs, pair))
-    if abs(pair[1] - pair[0]) <= CLUSTER_GAP * radius:
-        return None
-
-    radius *= unscale
+    radius = max(map(abs, pair)) * unscale
     values = [z * unscale for z in pair]
     i, j = _order_with_clustered_ties(np.array(values), COINCIDENCE_RTOL * radius).tolist()
     vectors = []
@@ -443,13 +435,13 @@ class Canonical2DForm:
 def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     """Reduce a 2x2 system to (alpha, lambda_1, lambda_2) and its regime.
 
-    alpha = |<w1, w2>| of the unit adjoint eigenvectors. Raises Defective2D
+    alpha = |<w1, w2>| of the unit adjoint eigenvectors. Raises DefectiveInput
     for a defective record: no canonical form exists.
     """
     if data.n != 2:
         raise MatrixFormatError(f"canonical form needs a 2x2 matrix, got n={data.n}")
     if data.defective:
-        raise Defective2D(DEFECT_MESSAGE)
+        raise DefectiveInput(DEFECT_MESSAGE)
 
     tol, rounding_tol = COINCIDENCE_RTOL * data._radius, ROUNDING_RTOL * data._radius
     spread = data.eigenvalues[1] - data.eigenvalues[0]

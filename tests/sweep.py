@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hypodecay import Defective2D, NotPositiveStable, as_complex_matrix, eigendecompose
+from hypodecay import DefectiveInput, NotPositiveStable, as_complex_matrix, eigendecompose
 from hypodecay.spectral import SpectralData
 
 
@@ -148,7 +148,7 @@ def trajectory_envelope_oracle(C, phi_grid, theta_grid, times,
     if data.n != 2:
         raise ValueError("the trajectory oracle is for 2x2 systems")
     if data.defective:
-        raise Defective2D("defective matrix")
+        raise DefectiveInput("defective matrix")
     phi_grid = np.asarray(phi_grid, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     times = np.atleast_1d(np.asarray(times, dtype=float))

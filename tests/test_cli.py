@@ -9,9 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypodecay import GT_CONSTANT, TorusField, deviation_norm, envelope_curves, evolve
+from hypodecay import (
+    GT_CONSTANT,
+    TorusField,
+    deviation_norm,
+    eigendecompose,
+    envelope_curves,
+    evolve,
+)
 from hypodecay.cli import main
-from hypodecay.errors import CutoffTooLarge, HypodecayError, MatrixFormatError
+from hypodecay.errors import CutoffTooLarge, HypodecayError, MatrixFormatError, NonConvergence
 
 from . import families
 
@@ -701,6 +708,19 @@ class TestExitCodes:
         code, out, err = run(capsys, ["analyze", m52_file])
         assert code == (1 if issubclass(error, (MatrixFormatError, CutoffTooLarge)) else 2)
         assert (out, err) == ("", "error: planted\n")
+
+    def test_eig_failure_is_non_convergence(self, capsys, monkeypatch, m3_file, mat_triangular):
+        # the eig route's one raise: QR iteration that fails in LAPACK is
+        # NonConvergence, which analyze prints on one line and maps to 2
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        with pytest.raises(NonConvergence, match="eigenvalue iteration failed"):
+            eigendecompose(mat_triangular)
+        code, out, err = run(capsys, ["analyze", m3_file])
+        assert code == 2 and out == ""
+        assert err.startswith("error: eigenvalue iteration failed") and err.count("\n") == 1
 
 
 class TestImportCost:

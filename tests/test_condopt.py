@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,22 @@ class TestMinimizeKappaWeights:
         assert np.allclose(grad, central, rtol=0.0, atol=1e-8 * np.abs(grad).max())
         # kappa is invariant along the all-ones direction
         assert abs(grad.sum()) <= 1e-12 * np.abs(grad).max()
+
+    def test_smoothed_log_kappa_is_convex_in_the_log_weights(self):
+        # tau log sum lam_i^(1/tau) is the log of a Schatten norm of
+        # P(x) = sum e^{x_j} w_j w_j*, a sup of log-sum-exps of x, and the
+        # lambda_min part is the same of P(x)^-1 = sum e^{-x_j} v_j v_j*: every
+        # stage, and log kappa, is convex along any segment of the log-weights
+        rng = np.random.default_rng(9)
+        stages = [*(lambda lam, tau=tau: condopt._smoothed(lam, tau)[0] for tau in condopt.TAUS),
+                  lambda lam: math.log(lam[-1] / lam[0])]
+        for n in rng.integers(2, 9, size=300).tolist():
+            w = _seeded_weights(rng, n)
+            x, y = rng.normal(size=(2, n))
+            lam = [np.linalg.eigvalsh((w * np.exp(z)) @ w.conj().T) for z in (x, y, (x + y) / 2)]
+            for F in stages:
+                fx, fy, mid = map(F, lam)
+                assert mid <= (fx + fy) / 2 + 1e-12 * max(abs(fx), abs(fy)), n
 
     def test_kappa_ignores_phases_and_order_of_the_vectors(self):
         # W -> W D Pi with D unit phases and Pi a permutation leaves the

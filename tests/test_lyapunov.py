@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypodecay import (
-    Defective2D,
     DefectiveInput,
     LyapunovMatrix,
     NotAdmissible,
@@ -375,7 +374,7 @@ class TestTwoByTwoRoute:
         assert np.isnan(_residual_2x2(c, p, 0.0)) and np.isnan(_residual(c, p, 0.0))
 
     def test_certify_2x2_makes_no_lapack_call(self, monkeypatch, mat_complex_pair):
-        # the full closed-form sequence on separated 2x2s, including one whose
+        # the full closed-form sequence on 2x2s, including one whose
         # residual at the gap rounds below zero (so |C|_2 is read); and the
         # refusal of canonical_2d_form, which reads only the defect flag, on
         # the record of I + 100N, which comes from the eig route
@@ -403,5 +402,5 @@ class TestTwoByTwoRoute:
             family_envelope(form, times)
             upper_bound_constant(form, report.mu)
             lower_bound_constant(form, report.nu)
-        with pytest.raises(Defective2D, match="Jordan block"):
+        with pytest.raises(DefectiveInput, match="Jordan block"):
             canonical_2d_form(jordan)

@@ -8,7 +8,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from hypodecay import (
-    Defective2D,
+    DefectiveInput,
     RateOutOfRange,
     canonical_2d_form,
     eigendecompose,
@@ -398,7 +398,7 @@ class TestFamilyEnvelope:
         lam = [re[0] + 1j * im[0], re[1] + 1j * im[1]]
         try:
             form = _form(alpha, lam)
-        except Defective2D:
+        except DefectiveInput:
             _assert_jordan_refusal(alpha, lam)
             reject()
         _assert_dense_envelopes(form, np.array(ts), n_rates)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hypodecay import (
     DecayCase,
-    Defective2D,
+    DefectiveInput,
     MatrixFormatError,
     as_complex_matrix,
     canonical_2d_form,
@@ -112,13 +113,14 @@ class TestEigendecompose:
             warnings.simplefilter("error")
             data = eigendecompose(c)
         assert data.defective
-        with pytest.raises(Defective2D, match="Jordan block"):
+        with pytest.raises(DefectiveInput, match="Jordan block"):
             canonical_2d_form(data)
 
     def test_singular_eigenvector_matrix_is_flagged_defective(self):
-        # eigenvalues 4e-124 apart at spectral radius 4e-124, not clustered;
-        # but the eig route's V is singular to inv, so the record is flagged
-        # defective with a NaN adjoint basis instead of raising
+        # eigenvalues 4e-124 apart at spectral radius 4e-124, from parts too
+        # far apart in scale for the closed form; the eig route's V is
+        # singular to inv, so the record is flagged defective with a NaN
+        # adjoint basis instead of raising
         c = (np.array([[0.0, -9.74265979e283], [1.95220652e-294, 0.0]])
              + 1j * np.array([[-1.49837836e-264, 1.16449606e160],
                               [-7.33874052e-242, -3.88152586e-124]]))
@@ -135,7 +137,7 @@ class TestEigendecompose:
         [[1.0 + 1.0j, 1.0], [0.0, 2.0 - 0.5j]],
     ], ids=["unclustered", "upper-triangular", "complex"])
     def test_closed_form_v_is_as_conditioned_as_eig(self, c):
-        # a separated 2x2 builds its eigenvectors in closed form; scaled to
+        # a 2x2 builds its eigenvectors in closed form; scaled to
         # unit columns, they are as well conditioned as the ordered V eig
         # returns, within a few ulp
         c = np.asarray(c, dtype=complex)
@@ -177,10 +179,11 @@ def _alpha(data):
 
 
 class TestClosedForm2x2:
-    """A separated 2x2 gets its spectral record in closed form. The eig route,
-    which every other matrix takes, is the reference: both routes agree within
-    tolerances fixed from eps, and against a 50-digit mpmath reference the
-    closed form meets the error bound the eig route meets."""
+    """A 2x2 gets its spectral record in closed form unless the closed form
+    declines it. The eig route, which every other matrix takes, is the
+    reference: both routes agree within tolerances fixed from eps, and against
+    a 50-digit mpmath reference the closed form meets the error bound the eig
+    route meets, near ties included."""
 
     @staticmethod
     def _agree(c, kappa, s=1.0):
@@ -217,44 +220,67 @@ class TestClosedForm2x2:
         for c, kappa in _seeded_pairs(np.random.default_rng(6), 12):
             self._agree(c, kappa, s)
 
+    @staticmethod
+    def _within_8_units(c):
+        # errors of both routes against eig and eigh of mpmath at 50 digits, in
+        # units of eps |C|_F times kappa for the eigenvalues, eps |C|_F for mu_s
+        # and nu_s and eps |C|_F kappa / gap for alpha: each within 8 units
+        c = np.asarray(c, dtype=complex)
+        closed = _closed_form_2x2(c)
+        assert closed is not None
+        with mpmath.workdps(50):
+            A = mpmath.matrix(c.tolist())
+            lam, V = mpmath.eig(A)
+            herm = mpmath.eigh((A + A.H) / 2, eigvals_only=True)
+            v1, v2 = ([V[i, j] for i in range(2)] for j in range(2))
+            # in dimension two the right and adjoint overlaps agree
+            alpha = abs(mpmath.fdot(v1, v2, conjugate=True)) / (
+                mpmath.norm(mpmath.matrix(v1)) * mpmath.norm(mpmath.matrix(v2)))
+            gap = float(abs(lam[1] - lam[0]))
+            alpha = float(alpha)
+            kappa = 1.0 / np.sqrt(1.0 - alpha * alpha)
+            unit = _EPS * math.hypot(*np.abs(c).ravel().tolist())
+            for data in (closed, _eig_route(c)):
+                err = max(min(float(abs(mpmath.mpc(z) - r)) for r in lam)
+                          for z in data.eigenvalues.tolist())
+                assert err <= 8 * unit * kappa
+                assert abs(data.mu_s - float(min(herm))) <= 8 * unit
+                assert abs(data.nu_s - float(max(herm))) <= 8 * unit
+                assert abs(_alpha(data) - alpha) <= 8 * unit * kappa / gap
+
     def test_no_worse_than_eig_route_against_mpmath(self):
-        # errors against eig and eigh of mpmath at 50 digits, in units of
-        # eps |C|_F times kappa for the eigenvalues, eps |C|_F for mu_s and nu_s
-        # and eps |C|_F kappa / gap for alpha; both routes stay within 8 units
         rng = np.random.default_rng(7)
         draws = [*_seeded_pairs(rng, 30), *(_rotated_pair(rng, b) for b in (3.0, 30.0, 300.0)),
                  *((rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), None)
                    for _ in range(10))]
         for c, _ in draws:
-            with mpmath.workdps(50):
-                A = mpmath.matrix(c.tolist())
-                lam, V = mpmath.eig(A)
-                herm = mpmath.eigh((A + A.H) / 2, eigvals_only=True)
-                v1, v2 = ([V[i, j] for i in range(2)] for j in range(2))
-                # in dimension two the right and adjoint overlaps agree
-                alpha = abs(mpmath.fdot(v1, v2, conjugate=True)) / (
-                    mpmath.norm(mpmath.matrix(v1)) * mpmath.norm(mpmath.matrix(v2)))
-                gap = float(abs(lam[1] - lam[0]))
-                alpha = float(alpha)
-                kappa = 1.0 / np.sqrt(1.0 - alpha * alpha)
-                unit = _EPS * np.linalg.norm(c)
-                for data in (_closed_form_2x2(np.asarray(c, dtype=complex)), _eig_route(c)):
-                    err = max(min(float(abs(mpmath.mpc(z) - r)) for r in lam)
-                              for z in data.eigenvalues.tolist())
-                    assert err <= 8 * unit * kappa
-                    assert abs(data.mu_s - float(min(herm))) <= 8 * unit
-                    assert abs(data.nu_s - float(max(herm))) <= 8 * unit
-                    assert abs(_alpha(data) - alpha) <= 8 * unit * kappa / gap
+            self._within_8_units(c)
+
+    @pytest.mark.parametrize("s", [1e-200, 1.0, 1e200], ids=lambda s: f"{s:.0e}")
+    def test_takes_near_ties_within_the_eig_route_bounds(self, s):
+        # eigenvalues 1e-7 to 1e-11 of the spectral radius apart, in a random
+        # direction, with overlaps 0, 0.6, 0.99 and 1 - 1e-6 under a random
+        # unitary, and the tie 5e-11 apart at overlap 0.6: each gets the
+        # closed-form record, as accurate as the eig route's
+        rng = np.random.default_rng(8)
+        draws = [_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06)]
+        for gap, alpha in [*((g, a) for g in (1e-7, 1e-9, 1e-11) for a in (0.0, 0.6, 0.99)),
+                           (1e-7, 1.0 - 1e-6)]:
+            lam = rng.uniform(0.2, 1.5) + 1j * rng.uniform(-1.5, 1.5)
+            lam = np.array([lam, lam + abs(lam) * gap * np.exp(2j * np.pi * rng.uniform())])
+            v = _unitary(rng) @ np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]])
+            draws.append(v @ np.diag(lam) @ np.linalg.inv(v))
+        for c in draws:
+            self._within_8_units(s * c)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c", [
-        [[1.0, 1.0], [0.0, 1.0]],  # a Jordan block: clustered
-        _V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06),  # clustered
+        [[1.0, 1.0], [0.0, 1.0]],  # a Jordan block: no split
         [[1.0, 1e-320], [0.0, 2.0]],  # a subnormal entry
         [[1e300, 1e-20], [0.0, 2e300]],  # an entry that scales below the normal range
         [[0.0, 1.0], [2.0 ** -1010, 0.0]],  # eigenvalues +-2^-505: the split's square underflows
         [[0.0, 0.0], [0.0, 0.0]],
-    ], ids=["jordan", "near-tie", "subnormal", "scales-subnormal", "tiny-split", "zero"])
+    ], ids=["jordan", "subnormal", "scales-subnormal", "tiny-split", "zero"])
     def test_declines_to_the_eig_route(self, c):
         C = np.asarray(c, dtype=complex)
         assert _closed_form_2x2(C) is None
@@ -310,8 +336,8 @@ def svd_calls(monkeypatch):
         calls.append(args)
         return svd(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", counted)
-    # np.linalg.cond calls the svd of its own module, not the attribute above
-    monkeypatch.setitem(np.linalg.cond.__wrapped__.__globals__, "svd", counted)
+    # np.linalg.norm(C, 2) calls the svd of its own module, not the attribute above
+    monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", counted)
     return calls
 
 
@@ -361,7 +387,7 @@ class TestSvdOnlyWhereRead:
         # a linked 2x2 pair that is no scalar tie is a Jordan block: no svd
         data = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
         assert data.defective
-        with pytest.raises(Defective2D, match="Jordan block"):
+        with pytest.raises(DefectiveInput, match="Jordan block"):
             canonical_2d_form(data)
         assert len(norm_calls) == 1
         assert svd_calls == []
@@ -477,9 +503,9 @@ class TestCanonical2DForm:
 
     def test_one_hermitian_eigensolve(self, monkeypatch, mat_real_distinct):
         # the record holds mu_s and nu_s: eigendecompose solves at most one
-        # Hermitian eigenproblem, none in closed form (a separated 2x2) and one
-        # on the eig route (a clustered 2x2, a 3x3), and reading the stability
-        # report and the canonical form solves none
+        # Hermitian eigenproblem, none in closed form (a 2x2) and one on the
+        # eig route (a 2x2 the closed form declines, a 3x3), and reading the
+        # stability report and the canonical form solves none
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -489,7 +515,7 @@ class TestCanonical2DForm:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         for c, expected in ((mat_real_distinct, 0),
-                            (_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06), 1),
+                            (_V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09), 1),
                             (np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 1.0, 3.0]]), 1)):
             calls.clear()
             data = eigendecompose(c)
@@ -517,7 +543,7 @@ class TestCanonical2DForm:
             assert form.alpha == pytest.approx(alpha, abs=1e-9)
 
     def test_defective_rejected(self):
-        with pytest.raises(Defective2D):
+        with pytest.raises(DefectiveInput):
             canonical_2d_form(eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]])))
 
     @pytest.mark.parametrize("s", [1e-12, 0.7, 1.0, 1e6, 2.0 ** -600, 2.0 ** 600])
@@ -526,7 +552,7 @@ class TestCanonical2DForm:
         # At s = 1 rounding splits the eigenvalues by 1.2e-7; only the split
         # over the eigenvalue condition numbers, against 32 eps |C|_2, tells it
         # from a 2x2 with a finite constant
-        with pytest.raises(Defective2D):
+        with pytest.raises(DefectiveInput):
             canonical_2d_form(eigendecompose(s * np.array([[0.0, 2.0j], [2.0j, 4.0]])))
 
     @pytest.mark.parametrize("c", [
@@ -536,7 +562,7 @@ class TestCanonical2DForm:
     def test_strongly_non_normal_jordan_block_rejected(self, c):
         # the rounding split times sqrt(1 - alpha^2) is of the order of
         # eps |C|_2, far above eps times the spectral radius 1
-        with pytest.raises(Defective2D, match="Jordan block"):
+        with pytest.raises(DefectiveInput, match="Jordan block"):
             canonical_2d_form(eigendecompose(c))
 
     def test_random_non_normal_jordan_blocks_rejected(self):
@@ -545,7 +571,7 @@ class TestCanonical2DForm:
             lam = rng.uniform(0.2, 1.5) + 1j * rng.uniform(-1.5, 1.5)
             q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
             c = q @ np.array([[lam, 100.0 * abs(lam)], [0.0, lam]]) @ q.conj().T
-            with pytest.raises(Defective2D):
+            with pytest.raises(DefectiveInput):
                 canonical_2d_form(eigendecompose(c))
 
     @pytest.mark.parametrize("c, scalar", [
