@@ -21,13 +21,14 @@ All output is deterministic for fixed inputs and seed.
 Each command imports the library modules it uses when it runs, so a process
 loads only those. A process also runs with no cyclic garbage collection. The
 collector would walk the ~10^5 long-lived objects of numpy and the standard
-library while they are imported and again at interpreter exit, yet a command
-leaves only about 200 unreachable objects, a number that does not grow with
-the input. So `python -m hypodecay.cli` disables the collector before it
-imports numpy, and run(), the entry of both that route and the installed
-`hypodecay` script, disables it for the command and then freezes every live
-object, which the collections at exit skip. Importing this module or calling
-main() leaves the collector as it was.
+library while they are imported, yet a command leaves only about 200
+unreachable objects, a number that does not grow with the input. So
+`python -m hypodecay.cli` disables the collector before it imports numpy, and
+run(), the entry of both that route and the installed `hypodecay` script,
+disables it for the command. run() then flushes stdout and stderr and ends the
+process with os._exit, so no interpreter teardown runs: no module is torn
+down and no object is collected or freed at exit. Importing this module or
+calling main() leaves the collector as it was.
 """
 
 from __future__ import annotations
@@ -431,11 +432,11 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """Process entry point of ``hypodecay`` and ``python -m hypodecay.cli``:
-    main() with the collector off, then sys.exit with its code.
+    main() with the collector off, then stdout and stderr flushed and the
+    process ended by os._exit with main's code, skipping interpreter teardown.
 
     A reader that closes stdout early ends the process with exit code 1 and
-    no traceback: stdout is pointed at devnull, so the flush at exit cannot
-    fail again.
+    no traceback; stdout is then pointed at devnull.
     """
     gc.disable()
     try:
@@ -444,9 +445,8 @@ def run() -> None:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    # the collections at interpreter exit then skip every live object
-    gc.freeze()
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,14 @@ between explicit envelopes
 
 with h_+-(t) = e^{-2 Re(lambda_1) t} m_+-(t) and
 
-    m_+-(t) = e^{-gamma t} ( sqrt(A(t)^2 - 1) +- A(t) ) * (+-1),
-    A(t)    = (cosh(gamma t) - alpha^2 cos(delta t)) / (1 - alpha^2),
+    m_+(t) = e + G + sqrt(G (G + 2e)),    m_-(t) = e^2 / m_+(t),
+    G(t)   = (1/2 (1 - e)^2 + 2 alpha^2 e sin^2(delta t/2)) / (1 - alpha^2),
 
-where gamma = Re(lambda_2 - lambda_1) >= 0, delta = Im(lambda_2 - lambda_1)
-and alpha is the eigenvector overlap. h_+ and h_- are the squared extreme
+where e = e^{-gamma t}, gamma = Re(lambda_2 - lambda_1) >= 0,
+delta = Im(lambda_2 - lambda_1) and alpha is the eigenvector overlap. This is
+the paper's m_+- = e (A +- sqrt(A^2 - 1)), with
+A = (cosh(gamma t) - alpha^2 cos(delta t))/(1 - alpha^2), through e A = e + G;
+the G form sums only non-negative terms. h_+ and h_- are the squared extreme
 singular values of e^{-Ct}; `envelope --oracle` checks them against those of
 the RK4 propagator. The sharp multiplicative constant in |f(t)| <= c e^{-mu t} |f0|
 is c = sqrt(sup_t m_+(t)): 1 for a scalar C, closed-form for equal real or
@@ -88,23 +91,20 @@ class SupOfEnvelope:
 
 
 def _m_plus_minus(alpha: float, gamma: float, delta: float, ts):
-    """Both envelope factors from A~ = e A, e = e^{-gamma t}, which never
-    overflows: m_+ = A~ + sqrt((A~ - e)(A~ + e)) and m_- = e^2 / m_+, with
-    A~ - e = (1/2 (1 - e)^2 + 2 alpha^2 e sin^2(delta t/2)) / (1 - alpha^2)
-    formed without cancellation, so small alpha and small t keep their digits.
-    A float time is evaluated in Python floats through math, an array of
-    times through numpy.
+    """Both envelope factors from e = e^{-gamma t} and the gap
+    G = e A - e = (1/2 (1 - e)^2 + 2 alpha^2 e sin^2(delta t/2)) / (1 - alpha^2):
+    m_+ = e + G + sqrt(G (G + 2e)) and m_- = e^2 / m_+. Every term is
+    non-negative, so nothing cancels as alpha -> 1 or t -> 0, and no value
+    overflows. A float time is evaluated in Python floats through math, an
+    array of times through numpy.
     """
     xp = math if isinstance(ts, float) else np
-    one = 1.0 - alpha * alpha
     mgt = -gamma * ts
     e = xp.exp(mgt)
-    e2 = e * e
-    A = (0.5 * (1.0 + e2) - alpha * alpha * e * xp.cos(delta * ts)) / one
     em, sn = xp.expm1(mgt), xp.sin(0.5 * delta * ts)
-    gap = (0.5 * (em * em) + 2.0 * alpha * alpha * e * (sn * sn)) / one
-    m_hi = A + xp.sqrt(gap * (A + e))
-    return e2 / m_hi, m_hi
+    gap = (0.5 * (em * em) + 2.0 * alpha * alpha * e * (sn * sn)) / (1.0 - alpha * alpha)
+    m_hi = e + gap + xp.sqrt(gap * (gap + 2.0 * e))
+    return e * e / m_hi, m_hi
 
 
 def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:

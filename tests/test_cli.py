@@ -850,6 +850,23 @@ runpy.run_module("hypodecay.cli", run_name="__main__", alter_sys=True)
             err = proc.stderr.read()
             assert (proc.wait(timeout=120), err) == (1, "")
 
+    @pytest.mark.parametrize("entry", [
+        ["-m", "hypodecay.cli"],
+        ["-c", "import sys; from hypodecay.cli import run; sys.exit(run())"],
+    ], ids=["module", "console-script"])
+    def test_a_long_output_is_flushed_before_the_process_ends(self, tmp_path, entry):
+        # run() ends the process with os._exit, which flushes nothing itself;
+        # stdout to a file is block-buffered, so an unflushed tail would be lost
+        env = src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        out = tmp_path / "long.csv"
+        with out.open("w") as f:
+            proc = subprocess.run([sys.executable, *entry, "gt", "random:7", "--points", "200000"],
+                                  stdout=f, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr.startswith("PASS "), proc.stderr
+        text = out.read_text()
+        assert text.count("\n") == 200_001 and text.endswith("\n")
+
     def test_library_use_leaves_the_collector_alone(self, m52_file):
         script = f"""
 import contextlib, gc, io

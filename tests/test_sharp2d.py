@@ -192,6 +192,32 @@ class TestEnvelopes:
         assert np.allclose(env.h_plus, np.exp(-2.0 * ts), rtol=1e-12)
         assert np.allclose(env.h_minus, np.exp(-2.0 * ts), rtol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-6, 1.0 - 1e-9])
+    def test_no_cancellation_near_a_jordan_block(self, alpha):
+        # the reference is the definition m_+- = e (A +- sqrt(A^2 - 1)) at 50
+        # digits, with A - 1 = 2 (sinh^2(gamma t/2) + alpha^2 sin^2(delta t/2))
+        # over the double's own 1 - alpha^2, so that only the cancellation of
+        # forming A in floats shows
+        one = mpmath.mpf(1.0 - alpha * alpha)
+        ts = np.logspace(-8.0, np.log10(5.0), 33)
+        worst = 0.0
+        for gamma in (1e-6, 1e-3):
+            for delta in (1e-3, 1.0, 30.0):
+                lo, hi = _m_plus_minus(alpha, gamma, delta, ts)
+                pairs = [_m_plus_minus(alpha, gamma, delta, float(t)) for t in ts]
+                with mpmath.workdps(50):
+                    a, g, d = (mpmath.mpf(x) for x in (alpha, gamma, delta))
+                    for k, t in enumerate(ts):
+                        t = mpmath.mpf(t)
+                        am1 = 2 * (mpmath.sinh(g * t / 2) ** 2
+                                   + a * a * mpmath.sin(d * t / 2) ** 2) / one
+                        e = mpmath.exp(-g * t)
+                        root = mpmath.sqrt(am1 * (am1 + 2))
+                        ref_hi, ref_lo = e * (1 + am1 + root), e / (1 + am1 + root)
+                        for got_lo, got_hi in ((lo[k], hi[k]), pairs[k]):
+                            worst = max(worst, abs(got_hi / ref_hi - 1), abs(got_lo / ref_lo - 1))
+        assert worst <= 1e-12, worst
+
 
 class TestSupMPlus:
     def test_pure_oscillation_closed_form(self):
@@ -309,8 +335,9 @@ class TestHalfPeriodLemma:
     def test_lemma(self, g):
         for alpha in self.ALPHAS:
             one = 1.0 - alpha * alpha
-            # the derivative of m_+ is F / sqrt(A~^2 - e^2), with
-            # F = A~' m_+ + g e^2; count the sign changes of F on (0, pi]
+            # with A~ = e A = e + gap, the derivative of m_+ is
+            # F / sqrt(A~^2 - e^2), with F = A~' m_+ + g e^2; count the sign
+            # changes of F on (0, pi]
             s = np.linspace(0.0, np.pi, 20_001)[1:]
             e = np.exp(-g * s)
             _, m = _m_plus_minus(alpha, g, 1.0, s)
@@ -325,9 +352,8 @@ class TestHalfPeriodLemma:
             s = np.union1d(np.linspace(0.0, span, int(32 * span / (2 * np.pi))),
                            np.arange(np.pi, span, 2.0 * np.pi))
             e = np.exp(-g * s)
-            A_plus = (0.5 * (1.0 + e * e) + alpha * alpha * e) / one
             gap = (0.5 * np.expm1(-g * s) ** 2 + 2.0 * alpha * alpha * e) / one
-            M = A_plus + np.sqrt(gap * (A_plus + e))
+            M = e + gap + np.sqrt(gap * (gap + 2.0 * e))
             assert np.all(np.diff(M) <= 8e-16 * M[1:]), (alpha, g)
             _, m = _m_plus_minus(alpha, g, 1.0, s)
             assert np.all(m <= M * (1.0 + 4e-16)), (alpha, g)
