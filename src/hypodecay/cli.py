@@ -436,14 +436,13 @@ def run() -> None:
     process ended by os._exit with main's code, skipping interpreter teardown.
 
     A reader that closes stdout early ends the process with exit code 1 and
-    no traceback; stdout is then pointed at devnull.
+    no traceback.
     """
     gc.disable()
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.stderr.flush()
     os._exit(code)

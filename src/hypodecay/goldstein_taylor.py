@@ -70,10 +70,6 @@ class TorusField:
         return len(self.f_plus)
 
     @property
-    def x(self) -> np.ndarray:
-        return _grid(self.n)
-
-    @property
     def mass(self) -> float:
         return float((2.0 * np.pi / self.n) * np.sum(self.f_plus + self.f_minus))
 

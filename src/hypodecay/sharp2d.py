@@ -230,17 +230,17 @@ def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
 
 def _g_rayleigh(alpha: float, b: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    return (1.0 - alpha * alpha) * (1.0 / b + b * z * z) / (1.0 - 2.0 * alpha * z + z * z)
+    return (1.0 / b + b * z * z) / (1.0 - 2.0 * alpha * z + z * z)
 
 
 def sector_constant(alpha: float, b, gamma_sector):
     """Best constant over initial data confined to one spectral sector.
 
     Equals g(gamma) / inf {g(z) : z between 0 and gamma} for the rational
-    function g(z) = (1 - alpha^2)(1/b + b z^2) / (1 - 2 alpha z + z^2); the
-    infimum is taken over the closed interval and located through the
-    stationary points of g, which are available in closed form. b and
-    gamma_sector broadcast against each other; scalars give a float.
+    function g(z) = (1/b + b z^2) / (1 - 2 alpha z + z^2); the infimum is
+    taken over the closed interval and located through the stationary
+    points of g, which are available in closed form. b and gamma_sector
+    broadcast against each other; scalars give a float.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -42,8 +43,8 @@ def m52_file(tmp_path, mat_complex_pair):
 
 
 @pytest.fixture
-def m3_file(tmp_path, mat_triangular):
-    return write_matrix(tmp_path / "m3.json", mat_triangular)
+def m3_file(tmp_path):
+    return write_matrix(tmp_path / "m3.json", [[1, 0, 0], [1, 2, 0], [1, 1, 3]])
 
 
 @pytest.fixture
@@ -138,6 +139,26 @@ class TestAnalyze:
         # c1 at the gap is sqrt(kappa_min), the bracket's upper end, to the bit
         assert doc["case"] == "FullyDistinct"
         assert doc["c1_at_mu"] == doc["bracket"][1]
+
+    @pytest.mark.parametrize("text, flags, digits", [
+        # a near tie, which takes the closed form: (x + sqrt(x^2 + 4))/2 with
+        # x = 2 b/delta for the float entries b = 3.75e-11 and delta = 5e-11
+        ('{"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, 3.75e-11], [0, 5e-11]]}', ["--oracle"],
+         "1.9999999999999999483012117154357724713138835102338"),
+        # FullyDistinct: sqrt(sup_t m_+) with alpha = 1/sqrt(4.25), gamma = 1, delta = -1.5
+        ('{"n": 2, "re": [[1, 1], [0, 2]], "im": [[1, 0], [0, -0.5]]}', [],
+         "1.1934870800083691954696121243695902019980072720374"),
+    ], ids=["near-tie", "fully-distinct"])
+    def test_c_sharp_meets_a_50_digit_sup(self, capsys, tmp_path, text, flags, digits):
+        # each sup of |e^{-(C - mu)t}|_2 was computed once to 50 digits with
+        # mpmath's expm and svd; c_sharp is at most 4 ulp below its nearest
+        # double, and never above
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["analyze", str(path), *flags])
+        assert code == 0, err
+        ref = float(digits)
+        assert ref - 4 * math.ulp(ref) <= json.loads(out)["c_sharp"] <= ref
 
     def test_oracle_flag(self, capsys, m52_file):
         code, out, _ = run(capsys, ["analyze", m52_file, "--oracle"])
@@ -438,8 +459,12 @@ class TestEnvelope:
                    [36.129105300856814, 32.058498448102945]])
          + 1j * np.array([[161.44061368537604, -230.8187495202469],
                           [71.32776941107899, -164.05986787346987]]), "100"),
+        # the regime edges that the scalar tie and the rate-family range slack govern
+        ([[2.0, 0.0], [0.0, 2.0]], "10"),
+        ([[1.0, -2.0], [2.0, 1.0]], "10"),
+        ([[1.0, 3.75e-11j], [0.0, 1.0 + 5e-11j]], "10"),
     ], ids=["real-distinct", "complex", "fully-distinct-t50", "equal-real-parts-t800",
-            "large-norm-t100"])
+            "large-norm-t100", "scalar", "normal", "near-tie"])
     @pytest.mark.filterwarnings("error")
     def test_oracle_agrees_with_rk4_singular_values(self, capsys, tmp_path, mat, t_max):
         # h_+ = sigma_max^2 and h_- = sigma_min^2 of e^{-Ct}, out to where
@@ -460,6 +485,12 @@ class TestEnvelope:
         monkeypatch.setattr(hypodecay.sharp2d, "envelope_curves", planted)
         code, _, err = run(capsys, ["envelope", m52_file, "--oracle"])
         assert code == 3 and "RK4 disagrees with the envelopes" in err
+
+    def test_dense_rate_family(self, capsys, tmp_path):
+        # time and memory grow with rates plus times, not their product
+        path = write_matrix(tmp_path / "m.json", [[1.0, 3.0], [-1.0, 2.0]])
+        code, out, err = run(capsys, ["envelope", path, "--rates", "100000"])
+        assert code == 0 and len(out.splitlines()) == 401, err
 
     def test_finite_far_out(self, capsys, tmp_path):
         # gamma = 1: cosh(gamma t) overflows past t ~ 710, the envelopes must not
