@@ -82,7 +82,7 @@ def as_complex_matrix(obj) -> np.ndarray:
         raise MatrixFormatError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] < 1:
         raise MatrixFormatError("matrix is empty")
-    if not np.isfinite(A).all():
+    if np.count_nonzero(np.isfinite(A)) < A.size:
         raise MatrixFormatError("matrix has non-finite entries")
     return A
 
@@ -101,6 +101,7 @@ class SpectralData:
     positive_stable : True when every eigenvalue has real part above
         coincidence_tol of the spectrum, so rounding noise on the imaginary
         axis certifies no decay; decided once per record, on both routes
+    spectral_gap : mu, the smallest real part of the spectrum
     mu_s, nu_s : smallest and largest eigenvalue of (C + C*)/2
     """
 
@@ -114,34 +115,41 @@ class SpectralData:
     #: the spectral radius
     _radius: float = field(repr=False)
     positive_stable: bool = field(init=False)
+    spectral_gap: float = field(init=False)
 
     def __post_init__(self):
-        tol = COINCIDENCE_RTOL * self._radius
-        self.positive_stable = all(z.real > tol for z in self.eigenvalues.tolist())
+        self.spectral_gap = _least([z.real for z in self.eigenvalues.tolist()])
+        self.positive_stable = self.spectral_gap > COINCIDENCE_RTOL * self._radius
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def spectral_gap(self) -> float:
-        """mu, the smallest real part of the spectrum."""
-        return float(self.eigenvalues.real.min())
+
+def _nan_last(x: float) -> tuple:
+    """Sort key of a float that puts NaN after every number, as numpy's sort."""
+    return (True, 0.0) if x != x else (False, x)
 
 
-def _order_with_clustered_ties(lam: np.ndarray, tol: float) -> np.ndarray:
-    """Sort key (Re, Im) with real parts within tol, coincidence_tol(lam),
-    snapped together.
+def _least(xs: list[float]) -> float:
+    """numpy's min of the floats xs: NaN if one is, else the last of the
+    smallest, which signs a zero as numpy does on up to 16 of them."""
+    return min(reversed(xs), key=lambda x: (x == x, x))
+
+
+def _order_with_clustered_ties(lam, tol: float) -> list[int]:
+    """Sort order (Re, Im) of the complex numbers lam, real parts within tol,
+    coincidence_tol(lam), snapped together; ties keep their order, NaN goes last.
 
     Raw float real parts of an equal-real-part pair differ by rounding noise,
     which would make the tie-break on the imaginary part unreliable.
     """
-    snapped = lam.real.copy()
-    idx = np.argsort(snapped, kind="stable")
-    for i, j in zip(idx[:-1], idx[1:]):
+    snapped = [z.real for z in lam]
+    idx = sorted(range(len(lam)), key=lambda k: _nan_last(snapped[k]))
+    for i, j in zip(idx, idx[1:]):
         if abs(snapped[j] - snapped[i]) <= tol:
             snapped[j] = snapped[i]
-    return np.lexsort((lam.imag, snapped))
+    return sorted(range(len(lam)), key=lambda k: (_nan_last(snapped[k]), _nan_last(lam[k].imag)))
 
 
 def eigendecompose(C) -> SpectralData:
@@ -171,7 +179,7 @@ def _eig_route(C: np.ndarray) -> SpectralData:
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
 
     radius = float(np.abs(lam).max())
-    order = _order_with_clustered_ties(lam, COINCIDENCE_RTOL * radius)
+    order = _order_with_clustered_ties(lam.tolist(), COINCIDENCE_RTOL * radius)
     lam = lam[order]
     V = unit_V = V[:, order]
 
@@ -276,7 +284,7 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
         pair = (a, d)
     radius = max(map(abs, pair)) * unscale
     values = [z * unscale for z in pair]
-    i, j = _order_with_clustered_ties(np.array(values), COINCIDENCE_RTOL * radius).tolist()
+    i, j = _order_with_clustered_ties(values, COINCIDENCE_RTOL * radius)
     vectors = []
     for z in (pair[i], pair[j]):
         p, q = a - z, d - z
@@ -420,11 +428,10 @@ class Canonical2DForm:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        lam = self.eigenvalues
-        self.mu = float(lam.real.min())
-        self.nu = float(lam[1].real)
-        spread = lam[1] - lam[0]
-        self.gamma, self.delta = float(spread.real), float(spread.imag)
+        lam0, lam1 = self.eigenvalues.tolist()
+        self.mu, self.nu = _least([lam0.real, lam1.real]), lam1.real
+        spread = lam1 - lam0
+        self.gamma, self.delta = spread.real, spread.imag
 
     @property
     def kappa_min(self) -> float:

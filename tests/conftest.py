@@ -27,9 +27,13 @@ def triangular_w():
 @pytest.fixture
 def mat_triangular(triangular_w):
     """3x3 matrix with spectrum {1, 2, 3} whose adjoint has the triangular_w
-    eigenvectors; works out to [[1,0,0],[1,2,0],[1,1,3]]."""
-    ws = triangular_w.conj().T
-    return np.linalg.solve(ws, np.diag([1.0, 2.0, 3.0]) @ ws)
+    eigenvectors, as exact integers."""
+    c = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 1.0, 3.0]])
+    # the columns of triangular_w are unit adjoint eigenvectors of c
+    w = triangular_w
+    assert (np.allclose(np.linalg.norm(w, axis=0), 1.0, rtol=0.0, atol=1e-15)
+            and np.allclose(c.conj().T @ w, w * [1.0, 2.0, 3.0], rtol=0.0, atol=1e-15))
+    return c
 
 
 def make_2x2_with_overlap(rng, alpha=None, equal_real=False, real_spectrum=False):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -22,6 +23,7 @@ from hypodecay.spectral import (
     COINCIDENCE_RTOL,
     _closed_form_2x2,
     _eig_route,
+    _least,
     _order_with_clustered_ties,
     coincidence_tol,
 )
@@ -619,6 +621,59 @@ class TestCoincidence:
         # whichever comes first, mu is the smallest real part
         mu = data.eigenvalues.real.min()
         assert data.spectral_gap == classify_stability(data).mu == form.mu == mu
+
+
+def _numpy_order(lam, tol):
+    """The ordering rule on numpy arrays: a stable argsort of the real parts,
+    the snapping pass, then a lexsort on (snapped real part, imaginary part)."""
+    lam = np.asarray(lam, dtype=complex)
+    snapped = lam.real.copy()
+    idx = np.argsort(snapped, kind="stable")
+    for i, j in zip(idx[:-1], idx[1:]):
+        if abs(snapped[j] - snapped[i]) <= tol:
+            snapped[j] = snapped[i]
+    return np.lexsort((lam.imag, snapped)).tolist()
+
+
+class TestOrderingOnFloats:
+    """The ordering rule and the record's scalars run on Python floats; they
+    give what the same rule gives on numpy arrays, and numpy's min."""
+
+    def test_order_matches_the_array_rule(self):
+        # real parts from a small set, signed zeros among them, each moved by
+        # 0 to 2 tolerances, so ties fall inside and just beyond the tolerance
+        # and chain; few imaginary parts, so full ties test that the sort is
+        # stable
+        rng = np.random.default_rng(7)
+        tol = 1e-10
+        for n in range(1, 17):
+            for _ in range(60):
+                base = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=n)
+                move = tol * rng.choice([0.0, 0.0, 0.9, 1.1, 1.8, 2.0], size=n)
+                re = np.where(move > 0.0, base + move, base)  # -0.0 + 0.0 is 0.0
+                lam = [complex(x, y) for x, y in zip(re, rng.choice([-1.0, 0.0, 2.0], size=n))]
+                assert _order_with_clustered_ties(lam, tol) == _numpy_order(lam, tol)
+                gap = float(np.asarray(lam).real.min())
+                assert repr(_least([z.real for z in lam])) == repr(gap)
+
+    def test_nan_parts_go_last(self):
+        # a NaN real part after every number, a NaN imaginary part after every
+        # number of its tie, as numpy's sort puts them
+        nan = math.nan
+        lam = [complex(nan, 0.0), complex(1.0, nan), 2.0 + 1.0j, complex(nan, -1.0),
+               1.0 + 2.0j, 1.0 + 0.0j]
+        order = [5, 4, 1, 2, 3, 0]
+        assert _order_with_clustered_ties(lam, 1e-10) == order == _numpy_order(lam, 1e-10)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_nan_eigenvalue_propagates(self, first, mat_complex_pair):
+        # a NaN real part makes the gap and the form's mu NaN, wherever it sits
+        data = eigendecompose(mat_complex_pair)
+        lam = [complex(math.nan, 0.0), 0.5 + 1.0j][::1 if first else -1]
+        record = dataclasses.replace(data, eigenvalues=np.array(lam))
+        assert math.isnan(record.spectral_gap)
+        form = dataclasses.replace(canonical_2d_form(data), eigenvalues=np.array(lam))
+        assert math.isnan(form.mu)
 
 
 def _unitary(rng):
