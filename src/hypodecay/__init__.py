@@ -37,15 +37,12 @@ _HOMES = {
     "sharp2d": (
         "SharpResult2D", "EnvelopeCurve", "SupOfEnvelope",
         "classify_and_sharp_constant", "envelope_curves", "sup_m_plus",
-        "sector_constant",
     ),
     "rate_family": (
         "FamilyBound", "FamilyEnvelope",
         "upper_bound_constant", "lower_bound_constant", "family_envelope",
     ),
-    "propagator": (
-        "BoundCheck", "exact_solution", "rk4_oracle", "verify_bounds", "time_grid",
-    ),
+    "propagator": ("exact_solution", "rk4_oracle"),
     "goldstein_taylor": (
         "TorusField", "GTBoundReport", "GT_RATE", "GT_CONSTANT", "GT_TOL",
         "mode_matrix", "mode_certificate", "decompose", "reconstruct",

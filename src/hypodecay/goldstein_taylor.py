@@ -128,14 +128,11 @@ class GTBoundReport:
     """Deviations |f(t) - f_inf| along times, by Parseval, and their ratios
     to e^{-t/2} |f0 - f_inf| (initial_deviation)."""
 
-    times: np.ndarray
     deviations: np.ndarray
     initial_deviation: float
     ratios: np.ndarray
     max_ratio: float
     t_at_max: float
-    rate: float
-    constant: float
     passed: bool
 
 
@@ -306,8 +303,6 @@ def verify_gt_bound(field: TorusField, times, cutoff: int) -> GTBoundReport:
     ratios = (np.sqrt(np.pi * (np.exp(-ts) * q0 + s)) / dev0 if dev0 >= 1e-300
               else np.zeros_like(ts))
     i = int(np.argmax(ratios))
-    return GTBoundReport(times=ts, deviations=dev, initial_deviation=dev0,
-                         ratios=ratios, max_ratio=float(ratios[i]),
-                         t_at_max=float(ts[i]), rate=GT_RATE,
-                         constant=GT_CONSTANT,
+    return GTBoundReport(deviations=dev, initial_deviation=dev0,
+                         ratios=ratios, max_ratio=float(ratios[i]), t_at_max=float(ts[i]),
                          passed=bool(ratios[i] <= GT_CONSTANT * (1.0 + GT_TOL)))

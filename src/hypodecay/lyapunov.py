@@ -176,7 +176,6 @@ class LyapunovCertificate:
     residual: float
     matrix: np.ndarray
     weights: np.ndarray | None = None
-    direction: str = "upper"
 
 
 def certificate_from_p(C, P, rate: float) -> LyapunovCertificate:
@@ -185,16 +184,17 @@ def certificate_from_p(C, P, rate: float) -> LyapunovCertificate:
     The admissibility check allows a small negative residual proportional to
     |C| |P|, the rounding floor of eigvalsh, with no absolute floor, so that
     C -> sC at rate s r gives the verdict of C at rate r; it rejects a NaN
-    residual. |C| is needed only for a residual that is not already >= 0; a
-    2x2 reads it from spectral._norm_2x2, a larger C from svd.
+    residual. lyapunov_residual checks C. |C| is needed only for a residual
+    that is not already >= 0; a 2x2 reads it from spectral._norm_2x2, a
+    larger C from svd.
     """
     if not np.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate!r}")
-    C = as_complex_matrix(C)
     if not isinstance(P, LyapunovMatrix):
         P = LyapunovMatrix(matrix=P)
     res = lyapunov_residual(C, P, rate)
     if not res >= 0.0:
+        C = as_complex_matrix(C)
         norm = _norm_2x2(C) if len(C) == 2 else float(np.linalg.svd(C, compute_uv=False)[0])
         scale = norm * P.lambda_max
         if not res >= -RESIDUAL_RTOL * scale:

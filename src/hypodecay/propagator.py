@@ -1,13 +1,11 @@
-"""Exact and numerical propagation for x' = -Cx, plus bound verification.
+"""Exact and numerical propagation for x' = -Cx.
 
 The exact route goes through the eigendecomposition, f(t) = V e^{-Dt} W* f0;
 the independent route is a fixed-step classical Runge-Kutta integrator used as
-an oracle to cross-check both the exact solver and any claimed decay bound.
+an oracle to cross-check the exact solver and the 2x2 envelopes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,68 +94,3 @@ def rk4_oracle(C, f0, times, dt: float = 1e-3) -> np.ndarray:
             x = x + increment(rem) @ x
         out[i] = x
     return out
-
-
-@dataclass
-class BoundCheck:
-    """Outcome of checking trajectory norms against exponential bounds.
-
-    violations[i] is the worst signed relative overshoot of bound i over all
-    sampled times: positive means the bound was broken by that fraction.
-    """
-
-    violations: np.ndarray
-    passed: bool
-    tol: float
-
-    @property
-    def worst(self) -> float:
-        return float(self.violations.max()) if len(self.violations) else 0.0
-
-
-def verify_bounds(times, norms, bounds, norm0: float | None = None,
-                  tol: float = 1e-9) -> BoundCheck:
-    """Check sampled solution norms against (rate, constant, direction) bounds.
-
-    Each bound must expose .rate, .constant and .direction ("upper"/"lower").
-    An upper bound claims |f(t)| <= c e^{-rate t} |f0|, a lower bound the
-    reverse inequality; the reference |f0| defaults to norms[0]. A sampled
-    norm of 0 has underflowed (e^{-Ct} is invertible, so no f0 != 0 reaches
-    0): it refutes no lower bound and adds a gap of 0.
-    """
-    times = np.asarray(times, dtype=float)
-    norms = np.asarray(norms, dtype=float)
-    if norms.size == 0:
-        raise ValueError("need at least one sampled norm")
-    ref = float(norms[0]) if norm0 is None else float(norm0)
-    violations = np.empty(len(bounds))
-    for i, b in enumerate(bounds):
-        env = b.constant * np.exp(-b.rate * times) * ref
-        if b.direction == "upper":
-            rel = (norms - env) / np.maximum(env, 1e-300)
-        elif b.direction == "lower":
-            rel = np.divide(env - norms, np.maximum(norms, 1e-300),
-                            out=np.zeros_like(norms), where=norms > 0.0)
-        else:
-            raise ValueError(f"unknown bound direction {b.direction!r}")
-        violations[i] = rel.max()
-    passed = bool(np.all(violations <= tol))
-    return BoundCheck(violations=violations, passed=passed, tol=tol)
-
-
-def time_grid(t_max: float, n: int = 400, insert=()) -> np.ndarray:
-    """Hybrid sampling grid on [0, t_max]: linear plus a log-dense head.
-
-    Early times carry the transient growth that sharp constants are about, so
-    half the budget goes to a geometric refinement near zero. Any times in
-    `insert` (for instance a known extremum) are added exactly.
-    """
-    if not 0 < t_max < np.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-    n_lin = max(n // 2, 2)
-    n_geo = max(n - n_lin, 2)
-    lin = np.linspace(0.0, t_max, n_lin)
-    geo = np.geomspace(t_max * 1e-6, t_max, n_geo)
-    pts = np.concatenate([lin, geo, np.asarray(list(insert), dtype=float)])
-    pts = pts[(pts >= 0.0) & (pts <= t_max)]
-    return np.unique(pts)

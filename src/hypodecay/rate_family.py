@@ -66,7 +66,6 @@ class FamilyBound:
 
 @dataclass
 class FamilyEnvelope:
-    times: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
     upper_rates: np.ndarray
@@ -217,6 +216,6 @@ def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEn
         j = 2 * n_rates - 1 - _lower_envelope(-down[::-1], -logc[n_rates:][::-1], ts)
         k = np.array((i, j))
         upper, lower = c[k] * np.exp(-rates[k] * ts)
-    return FamilyEnvelope(times=ts, upper=upper, lower=lower,
+    return FamilyEnvelope(upper=upper, lower=lower,
                           upper_rates=up, lower_rates=down,
                           upper_constants=c[:n_rates], lower_constants=c[n_rates:])

@@ -68,7 +68,6 @@ class SharpResult2D:
     case: DecayCase
     alpha: float
     c_sharp: float
-    kappa_min: float
     bracket: tuple[float, float]
     attained: str
     attained_time: float | None
@@ -76,12 +75,8 @@ class SharpResult2D:
 
 @dataclass
 class EnvelopeCurve:
-    times: np.ndarray
     h_minus: np.ndarray
     h_plus: np.ndarray
-    alpha: float
-    gamma: float
-    delta: float
 
 
 @dataclass
@@ -127,8 +122,7 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
         else:
             m_lo, m_hi = _m_plus_minus(form.alpha, form.gamma, form.delta, ts)
         h_minus, h_plus = pre * m_lo, pre * m_hi
-    return EnvelopeCurve(times=ts, h_minus=h_minus, h_plus=h_plus,
-                         alpha=form.alpha, gamma=form.gamma, delta=form.delta)
+    return EnvelopeCurve(h_minus=h_minus, h_plus=h_plus)
 
 
 def sup_m_plus(alpha: float, gamma: float, delta: float) -> SupOfEnvelope:
@@ -219,44 +213,7 @@ def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
     if form.case is DecayCase.EQUAL_IMAGINARY_PARTS and t_at is None:
         # the sup is the delta = 0 limit, approached as t -> inf
         c, bracket = max(lo, c), None
-    return SharpResult2D(case=form.case, alpha=a, c_sharp=c, kappa_min=kmin,
+    return SharpResult2D(case=form.case, alpha=a, c_sharp=c,
                          bracket=bracket or (c, c), attained_time=t_at,
                          attained="asymptotic" if t_at is None else "finite")
 
-
-# ---------------------------------------------------------------------------
-# sector-restricted constants
-# ---------------------------------------------------------------------------
-
-def _g_rayleigh(alpha: float, b: float, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    return (1.0 / b + b * z * z) / (1.0 - 2.0 * alpha * z + z * z)
-
-
-def sector_constant(alpha: float, b, gamma_sector):
-    """Best constant over initial data confined to one spectral sector.
-
-    Equals g(gamma) / inf {g(z) : z between 0 and gamma} for the rational
-    function g(z) = (1/b + b z^2) / (1 - 2 alpha z + z^2); the infimum is
-    taken over the closed interval and located through the stationary
-    points of g, which are available in closed form. b and gamma_sector
-    broadcast against each other; scalars give a float.
-    """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    b, g = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(gamma_sector, dtype=float))
-    if np.any(b <= 0.0):
-        raise ValueError("b must be positive")
-    if alpha < ALPHA_FLOOR:
-        crit = np.zeros((1,) + b.shape)
-    else:
-        # z_+- = (b - 1/b +- sqrt((b - 1/b)^2 + 4 alpha^2)) / (2 alpha b)
-        d = b - 1.0 / b
-        root = np.sqrt(d * d + 4.0 * alpha * alpha)
-        crit = np.stack([d - root, d + root]) / (2.0 * alpha * b)
-    inside = (np.minimum(0.0, g) <= crit) & (crit <= np.maximum(0.0, g))
-    g_end = _g_rayleigh(alpha, b, g)
-    inf_g = np.minimum(np.minimum(_g_rayleigh(alpha, b, 0.0), g_end),
-                       np.where(inside, _g_rayleigh(alpha, b, crit), np.inf).min(axis=0))
-    out = g_end / inf_g
-    return float(out) if out.ndim == 0 else out

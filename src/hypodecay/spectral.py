@@ -367,7 +367,6 @@ class StabilityReport:
     nu_s: float
     positive_stable: bool
     coercive: bool
-    defective: bool
 
     @property
     def hypocoercive(self) -> bool:
@@ -384,7 +383,6 @@ def classify_stability(data: SpectralData) -> StabilityReport:
         nu_s=data.nu_s,
         positive_stable=data.positive_stable,
         coercive=data.mu_s > 0.0,
-        defective=data.defective,
     )
 
 

@@ -1,10 +1,14 @@
-"""Brute-force sweep over the unit sphere of initial data for 2x2 systems.
+"""Brute-force sweep over the unit sphere of initial data for 2x2 systems,
+and the sector-restricted constant.
 
 The per-time max and min of |f(t)|^2 over unit f0, and the sup over time of
 e^{2 mu t} |f(t)|^2, from a (phi, theta) grid on the sphere refined by a
 compass search. It is the reference the acceptance criteria and the sharp2d
 tests compare the closed-form envelopes and constants against; the package
 itself checks envelopes against the RK4 propagator (`envelope --oracle`).
+sector_constant, the best constant over initial data confined to one
+spectral sector, is an independent check of the 2x2 sharp constant: its
+inf-sup over sectors is 1/(1 - alpha^2) (acceptance criterion 07).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from hypodecay import DefectiveInput, NotPositiveStable, as_complex_matrix, eigendecompose
+from hypodecay.sharp2d import ALPHA_FLOOR
 from hypodecay.spectral import SpectralData
 
 
@@ -179,3 +184,41 @@ def trajectory_sup_oracle(C, phi_grid, theta_grid, times,
     times = np.atleast_1d(np.asarray(times, dtype=float))
     vmax, _ = trajectory_envelope_oracle(C, phi_grid, theta_grid, times, refine=refine)
     return float(np.max(np.exp(2.0 * mu_tilde * times) * vmax))
+
+
+# ---------------------------------------------------------------------------
+# sector-restricted constants
+# ---------------------------------------------------------------------------
+
+def _g_rayleigh(alpha: float, b: float, z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    return (1.0 / b + b * z * z) / (1.0 - 2.0 * alpha * z + z * z)
+
+
+def sector_constant(alpha: float, b, gamma_sector):
+    """Best constant over initial data confined to one spectral sector.
+
+    Equals g(gamma) / inf {g(z) : z between 0 and gamma} for the rational
+    function g(z) = (1/b + b z^2) / (1 - 2 alpha z + z^2); the infimum is
+    taken over the closed interval and located through the stationary
+    points of g, which are available in closed form. b and gamma_sector
+    broadcast against each other; scalars give a float.
+    """
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must lie in [0, 1)")
+    b, g = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(gamma_sector, dtype=float))
+    if np.any(b <= 0.0):
+        raise ValueError("b must be positive")
+    if alpha < ALPHA_FLOOR:
+        crit = np.zeros((1,) + b.shape)
+    else:
+        # z_+- = (b - 1/b +- sqrt((b - 1/b)^2 + 4 alpha^2)) / (2 alpha b)
+        d = b - 1.0 / b
+        root = np.sqrt(d * d + 4.0 * alpha * alpha)
+        crit = np.stack([d - root, d + root]) / (2.0 * alpha * b)
+    inside = (np.minimum(0.0, g) <= crit) & (crit <= np.maximum(0.0, g))
+    g_end = _g_rayleigh(alpha, b, g)
+    inf_g = np.minimum(np.minimum(_g_rayleigh(alpha, b, 0.0), g_end),
+                       np.where(inside, _g_rayleigh(alpha, b, crit), np.inf).min(axis=0))
+    out = g_end / inf_g
+    return float(out) if out.ndim == 0 else out

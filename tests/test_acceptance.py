@@ -26,13 +26,10 @@ from hypodecay import (
     mode_certificate,
     mode_matrix,
     rk4_oracle,
-    sector_constant,
-    time_grid,
     upper_bound_constant,
-    verify_bounds,
     verify_gt_bound,
 )
-from .sweep import trajectory_envelope_oracle, trajectory_sup_oracle
+from .sweep import sector_constant, trajectory_envelope_oracle, trajectory_sup_oracle
 
 W3 = np.array([[1.0, 1.0, 1.0],
                [0.0, 1.0, 1.0],
@@ -49,7 +46,8 @@ def _p_tilde(b1, b2, b3, beta):
 
 def test_criterion_01_transport_bound_sharp_and_uniform():
     t_star = np.pi / np.sqrt(3.0)
-    times = time_grid(20.0, 400, insert=(t_star,))
+    times = np.unique(np.concatenate([np.linspace(0, 20, 200),
+                                      np.geomspace(20.0 * 1e-6, 20, 200), [t_star]]))
     worst = 0.0
     for seed in range(20):
         field = TorusField.random_field(seed, 256, n_modes=64)
@@ -228,16 +226,26 @@ def test_criterion_09_rate_family_domination():
     c1_half = upper_bound_constant(form, 0.5).constant
     assert abs(c1_half - np.sqrt(3.0)) <= 1e-10
 
-    times = time_grid(20.0, 300)
+    times = np.unique(np.concatenate([np.linspace(0, 20, 150),
+                                      np.geomspace(20.0 * 1e-6, 20, 150)]))
     rng = np.random.default_rng(15)
     worst = -np.inf
     for _ in range(25):
         f0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         f0 /= np.linalg.norm(f0)
         norms = np.linalg.norm(exact_solution(data, f0, times), axis=1)
-        check = verify_bounds(times, norms, ups + los, norm0=1.0, tol=1e-9)
-        worst = max(worst, check.worst)
-        assert check.passed
+        # relative overshoot of each bound, for |f0| = 1; an underflowed
+        # norm of 0 refutes no lower bound
+        for fb in ups + los:
+            env = fb.constant * np.exp(-fb.rate * times)
+            if fb.direction == "upper":
+                rel = (norms - env) / np.maximum(env, 1e-300)
+            else:
+                rel = np.divide(env - norms, np.maximum(norms, 1e-300),
+                                out=np.zeros_like(norms), where=norms > 0.0)
+            gap = float(rel.max())
+            assert gap <= 1e-9, f"{fb.direction} bound at rate {fb.rate}: overshoot {gap}"
+            worst = max(worst, gap)
 
     def spread(family):
         rates = np.array([fb.rate for fb in family])

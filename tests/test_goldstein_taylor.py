@@ -21,6 +21,7 @@ from hypodecay import (
     rk4_oracle,
     verify_gt_bound,
 )
+from hypodecay import goldstein_taylor
 from hypodecay.goldstein_taylor import _propagate, _propagated_norm_sq
 
 
@@ -120,7 +121,7 @@ class TestModeCertificates:
     def test_is_a_lyapunov_certificate(self):
         cert = mode_certificate(3)
         assert isinstance(cert, LyapunovCertificate)
-        assert cert.direction == "upper" and cert.weights is None
+        assert cert.weights is None
         assert np.array_equal(cert.matrix, [[1.0, -1j / 6], [1j / 6, 1.0]])
 
     def test_conserved_mode_rejected(self):
@@ -232,6 +233,16 @@ class TestVerifyGTBound:
         early = ts < 100.0
         quotient = rep.deviations[early] / (np.exp(-GT_RATE * ts[early]) * rep.initial_deviation)
         assert np.allclose(rep.ratios[early], quotient, rtol=1e-14, atol=0.0)
+
+    def test_verdict_slack_is_gt_tol(self, monkeypatch):
+        # with sqrt(3) moved just below the attained ratio, a relative 1e-11
+        # overshoot passes and 1e-8 fails: GT_TOL lies between them
+        ts = np.linspace(0, 20, 401)
+        top = verify_gt_bound(TorusField.sharp(256), ts, 8).max_ratio
+        monkeypatch.setattr(goldstein_taylor, "GT_CONSTANT", top / (1 + 1e-11))
+        assert verify_gt_bound(TorusField.sharp(256), ts, 8).passed
+        monkeypatch.setattr(goldstein_taylor, "GT_CONSTANT", top / (1 + 1e-8))
+        assert not verify_gt_bound(TorusField.sharp(256), ts, 8).passed
 
     def test_requires_normalized_mass(self):
         field = TorusField(np.full(32, 0.6), np.full(32, 0.6))

@@ -1,19 +1,13 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from hypodecay import (
     DefectiveInput,
-    canonical_2d_form,
     eigendecompose,
     exact_solution,
     rk4_oracle,
-    time_grid,
-    verify_bounds,
 )
-from hypodecay.rate_family import FamilyBound, lower_bound_constant, upper_bound_constant
 from .conftest import make_stable_system
 
 
@@ -175,85 +169,3 @@ class TestRK4Oracle:
         ts = np.array([0.0, 0.123456, 1.0101])
         out = rk4_oracle(c, [1.0], ts, dt=1e-3)
         assert np.allclose(out[:, 0], np.exp(-0.9 * ts), rtol=1e-12)
-
-
-class TestVerifyBounds:
-    def test_upper_bound_pass_and_fail(self):
-        ts = np.linspace(0.0, 5.0, 50)
-        norms = np.exp(-0.5 * ts)
-        good = FamilyBound(rate=0.4, constant=1.0, direction="upper",
-                           beta0=0.0, beta_tilde=0.0, kappa=1.0)
-        bad = FamilyBound(rate=0.6, constant=1.0, direction="upper",
-                          beta0=0.0, beta_tilde=0.0, kappa=1.0)
-        assert verify_bounds(ts, norms, [good]).passed
-        check = verify_bounds(ts, norms, [bad])
-        assert not check.passed
-        assert check.worst > 0.1
-
-    def test_lower_bound(self):
-        ts = np.linspace(0.0, 5.0, 50)
-        norms = np.exp(-0.5 * ts)
-        good = FamilyBound(rate=0.6, constant=1.0, direction="lower",
-                           beta0=0.0, beta_tilde=0.0, kappa=1.0)
-        assert verify_bounds(ts, norms, [good]).passed
-
-    def test_norm0_scaling(self):
-        ts = np.linspace(0.0, 2.0, 10)
-        norms = 5.0 * np.exp(-0.3 * ts)
-        fb = FamilyBound(rate=0.3, constant=1.0, direction="upper",
-                         beta0=0.0, beta_tilde=0.0, kappa=1.0)
-        assert verify_bounds(ts, norms, [fb], norm0=5.0).passed
-
-    def test_rejects_empty_samples(self):
-        with pytest.raises(ValueError, match="at least one sampled norm"):
-            verify_bounds([], [], [])
-
-    def test_rejects_unknown_direction(self):
-        bound = SimpleNamespace(rate=0.5, constant=1.0, direction="both")
-        with pytest.raises(ValueError, match="unknown bound direction 'both'"):
-            verify_bounds([0.0, 1.0], [1.0, 0.5], [bound])
-
-    @pytest.mark.filterwarnings("error")
-    def test_upper_bound_holds_where_norm_and_bound_underflow(self):
-        # e^{-1.5 t} underflows to 0 long before t = 1000, on both sides
-        data = eigendecompose(np.array([[1.0, 3.0], [-1.0, 2.0]]))
-        form = canonical_2d_form(data)
-        ts = np.linspace(0.0, 1000.0, 50)
-        norms = np.linalg.norm(exact_solution(data, [1.0, 0.0], ts), axis=1)
-        assert norms[-1] == 0.0
-        check = verify_bounds(ts, norms, [upper_bound_constant(form, form.mu)])
-        assert check.passed
-        assert np.all(np.isfinite(check.violations))
-
-
-    @pytest.mark.filterwarnings("error")
-    def test_lower_bound_holds_where_only_the_norm_underflows(self):
-        # |f(t)| ~ 1e-162 at t = 248.5 is representable, but np.linalg.norm
-        # squares the entries and returns 0; the bound 0.53 e^{-1.5 t} is not 0
-        data = eigendecompose(np.array([[1.0, 3.0], [-1.0, 2.0]]))
-        form = canonical_2d_form(data)
-        ts = np.linspace(0.0, 500.0, 2001)
-        norms = np.linalg.norm(exact_solution(data, [1.0, 0.0], ts), axis=1)
-        assert norms[ts == 248.5] == 0.0
-        check = verify_bounds(ts, norms, [lower_bound_constant(form, form.nu)])
-        assert check.passed
-        assert np.all(np.isfinite(check.violations))
-
-
-class TestTimeGrid:
-    def test_contains_inserts_and_endpoints(self):
-        ts = time_grid(10.0, n=100, insert=(np.pi,))
-        assert ts[0] == 0.0
-        assert ts[-1] == 10.0
-        assert np.pi in ts
-        assert np.all(np.diff(ts) > 0)
-
-    def test_resolves_early_times(self):
-        ts = time_grid(100.0, n=400)
-        assert ts[ts > 0].min() < 1e-3
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("t_max", [np.nan, np.inf, 0.0, -1.0])
-    def test_rejects_t_max_outside_positive_reals(self, t_max):
-        with pytest.raises(ValueError, match="t_max"):
-            time_grid(t_max, 5)

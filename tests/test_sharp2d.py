@@ -12,14 +12,13 @@ from hypodecay import (
     eigendecompose,
     envelope_curves,
     exact_solution,
-    sector_constant,
     sup_m_plus,
 )
 from hypodecay import RateOutOfRange, sharp2d
 from hypodecay.sharp2d import ALPHA_FLOOR, _m_plus_minus
 from .conftest import make_2x2_with_overlap
-from .sweep import (_grid_extrema, _gram_coefficients, trajectory_envelope_oracle,
-                    trajectory_sup_oracle)
+from .sweep import (_grid_extrema, _gram_coefficients, sector_constant,
+                    trajectory_envelope_oracle, trajectory_sup_oracle)
 
 
 def _form(c):
@@ -40,7 +39,7 @@ class TestClassification:
         assert res.c_sharp == pytest.approx(np.sqrt(3.0), rel=1e-12)
         assert res.attained == "finite"
         assert res.attained_time == pytest.approx(np.pi / np.sqrt(3.0), rel=1e-12)
-        assert res.kappa_min == pytest.approx(3.0, rel=1e-12)
+        assert form_complex_pair.kappa_min == pytest.approx(3.0, rel=1e-12)
 
     def test_equal_imaginary_parts(self, form_real_distinct):
         res = classify_and_sharp_constant(form_real_distinct)
