@@ -46,13 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    CutoffTooLarge,
-    DefectiveInput,
-    HypodecayError,
-    MatrixFormatError,
-    NotPositiveStable,
-)
+from .errors import CutoffTooLarge, HypodecayError, MatrixFormatError
 
 if TYPE_CHECKING:
     from .goldstein_taylor import TorusField
@@ -173,16 +167,9 @@ def _gap(closed: np.ndarray, reference: np.ndarray) -> float:
 
 def _certifiable(C: np.ndarray) -> SpectralData:
     """eigendecompose(C), unless C is defective or not positive stable."""
-    from .spectral import COINCIDENCE_RTOL, DEFECT_MESSAGE, coincidence_tol, eigendecompose
+    from .spectral import _require_positive_stable, eigendecompose
 
-    data = eigendecompose(C)
-    if data.defective:
-        raise DefectiveInput(DEFECT_MESSAGE)
-    if not data.positive_stable:
-        raise NotPositiveStable(f"spectral gap is {data.spectral_gap}, not above "
-                                f"{coincidence_tol(data.eigenvalues):.3e} ({COINCIDENCE_RTOL:g} "
-                                "of the spectral radius); no decay to certify")
-    return data
+    return _require_positive_stable(eigendecompose(C))
 
 
 def cmd_analyze(args) -> int:
@@ -396,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="append M random trajectory columns")
     pe.add_argument("--rates", type=_int_at_least(1), default=64, metavar="N",
                     help="rate-family resolution (default 64)")
-    pe.add_argument("--seed", type=int, default=0,
+    pe.add_argument("--seed", type=_int_at_least(0), default=0,
                     help="seed of the trajectory draws (default 0)")
     pe.set_defaults(func=cmd_envelope)
 

@@ -365,11 +365,10 @@ def minimize_kappa_admissible(C, mu: float, seed_P) -> AdmissibleOptimum:
     to the spectral gap this pins the residual to zero on the slow
     eigenvectors exactly, so the search runs over unconstrained G from the
     factor of seed_P. The returned P is trace-normalized to n. Raises
-    DefectiveInput, or NotAdmissible unless seed_P is admissible at mu.
+    DefectiveInput from eigendecompose for a defective C, or NotAdmissible
+    unless seed_P is admissible at mu.
     """
     data = eigendecompose(C)
-    if data.defective:
-        raise DefectiveInput("the admissible search needs a full eigenbasis")
     C, n = data.matrix, data.n
     seed = seed_P if isinstance(seed_P, LyapunovMatrix) else LyapunovMatrix(matrix=seed_P)
     certificate_from_p(C, seed, mu)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _HOMES
-from .errors import DefectiveInput, NotAdmissible
+from .errors import NotAdmissible
 from .spectral import SpectralData, _hermitian_extremes, _norm_2x2, as_complex_matrix
 
 __all__ = _HOMES["lyapunov"]
@@ -96,11 +96,10 @@ def build_weighted_p(data: SpectralData, weights) -> LyapunovMatrix:
     """P = sum_j b_j w_j w_j* from the unit adjoint eigenvectors of C.
 
     Positive weights only. The k-th projector damps the k-th spectral
-    direction; relative weights trade conditioning between directions. A
-    2x2 P is formed entry by entry on Python scalars.
+    direction; relative weights trade conditioning between directions. Every
+    record holds an eigenbasis (eigendecompose refuses a defective C). A 2x2
+    P is formed entry by entry on Python scalars.
     """
-    if data.defective:
-        raise DefectiveInput("weighted P requires a full eigenbasis")
     b = np.asarray(weights, dtype=float).ravel()
     if len(b) != data.n:
         raise ValueError(f"expected {data.n} weights, got {len(b)}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import _HOMES
-from .errors import DefectiveInput
 from .spectral import SpectralData, as_complex_matrix
 
 __all__ = _HOMES["propagator"]
@@ -28,12 +27,11 @@ def exact_solution(data: SpectralData, f0, times) -> np.ndarray:
 
     Expands f0 in the eigenbasis, decays each coefficient with its own
     e^{-lambda_j t}, and recombines. Exact up to the accuracy of the
-    eigendecomposition. f0 is one initial vector, shape (n,), or k of them
-    as columns, shape (n, k); the result has shape (len(times),) + f0.shape,
-    so f0 = I gives the propagator e^{-Ct} itself.
+    eigendecomposition, which eigendecompose gives only for a diagonalizable
+    C. f0 is one initial vector, shape (n,), or k of them as columns, shape
+    (n, k); the result has shape (len(times),) + f0.shape, so f0 = I gives
+    the propagator e^{-Ct} itself.
     """
-    if data.defective:
-        raise DefectiveInput("propagation via eigenbasis needs a non-defective matrix")
     f0 = _initial_data(f0, data.n)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     coeff = data.left_vectors.conj().T @ f0.reshape(data.n, -1)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _HOMES
-from .errors import NotPositiveStable, RateOutOfRange
+from .errors import RateOutOfRange
 from .spectral import Canonical2DForm, DecayCase
 
 __all__ = _HOMES["sharp2d"]
@@ -195,8 +195,6 @@ def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:
     strictly between the two closed forms; so is c for coinciding imaginary
     parts with delta != 0 where that sup is attained.
     """
-    if form.mu <= 0.0:
-        raise NotPositiveStable(f"spectral gap is not positive: mu = {form.mu}")
     a, kmin = form.alpha, form.kappa_min
     lo = 1.0 / math.sqrt(1.0 - a * a)
     sup, bracket = None, None  # a bracket other than (c, c) only around a numerical sup

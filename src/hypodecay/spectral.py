@@ -13,9 +13,12 @@ The record has two routes. A 2x2 gets it in closed form on Python complex
 scalars (_closed_form_2x2) unless that form declines it; every other matrix,
 and a 2x2 it declines, takes LAPACK's eig, inv and eigvalsh (_eig_route), the
 reference of the closed form.
-One rule, _jordan_cluster, flags a C within rounding of a Jordan block, for
-every n. The extremes of a Hermitian 2x2 (_hermitian_extremes) and |C|_2 of a
-2x2 (_norm_2x2) are closed forms too, which the lyapunov module shares.
+This module makes the package's two refusals, so every record holds an
+eigenbasis and every 2x2 form a decaying C: one rule, _jordan_cluster,
+refuses a C within rounding of a Jordan block, for every n, and
+_require_positive_stable a C whose record is not positive stable. The
+extremes of a Hermitian 2x2 (_hermitian_extremes) and |C|_2 of a 2x2
+(_norm_2x2) are closed forms too, which the lyapunov module shares.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _HOMES
-from .errors import DefectiveInput, MatrixFormatError, NonConvergence
+from .errors import DefectiveInput, MatrixFormatError, NonConvergence, NotPositiveStable
 
 __all__ = _HOMES["spectral"]
 
@@ -37,7 +40,7 @@ __all__ = _HOMES["spectral"]
 #: Jordan blocks (sizes 2 to 4) and >= 0.068 of semisimple repeated eigenvalues
 DEFECT_SIGMA = 1e-6
 
-#: the refusal of every defective record
+#: the refusal of every defective matrix
 DEFECT_MESSAGE = "matrix is defective (within rounding of a Jordan block): no full eigenbasis"
 
 #: eigenvalues, or their real or imaginary parts, within COINCIDENCE_RTOL of the
@@ -89,7 +92,8 @@ def as_complex_matrix(obj) -> np.ndarray:
 
 @dataclass
 class SpectralData:
-    """Eigendecomposition of C with biorthonormal left/right eigenvectors.
+    """Eigendecomposition of C with biorthonormal left/right eigenvectors;
+    eigendecompose refuses a defective C, so every record holds an eigenbasis.
 
     Attributes
     ----------
@@ -97,7 +101,6 @@ class SpectralData:
     eigenvalues : sorted by (Re, Im), increasing, coinciding real parts as equal
     right_vectors : columns v_j, C v_j = lambda_j v_j, scaled so <w_j, v_j> = 1
     left_vectors : columns w_j, C* w_j = conj(lambda_j) w_j, unit norm
-    defective : True when no reliable eigenbasis exists
     positive_stable : True when every eigenvalue has real part above
         coincidence_tol of the spectrum, so rounding noise on the imaginary
         axis certifies no decay; decided once per record, on both routes
@@ -109,7 +112,6 @@ class SpectralData:
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    defective: bool
     mu_s: float
     nu_s: float
     #: the spectral radius
@@ -157,11 +159,10 @@ def eigendecompose(C) -> SpectralData:
 
     A 2x2 gets its record in closed form (_closed_form_2x2); every other C,
     and a 2x2 the closed form declines, takes the eig route (_eig_route).
-    Raises NonConvergence if the QR iteration of that route fails. A
-    defective matrix, one within rounding of a Jordan block (_jordan_cluster)
-    or with a V that inv finds singular, is flagged, not raised, for every n;
-    the operations that genuinely need an eigenbasis check the flag
-    themselves.
+    Raises NonConvergence if the QR iteration of that route fails, and
+    DefectiveInput(DEFECT_MESSAGE) for a defective matrix, one within
+    rounding of a Jordan block (_jordan_cluster) or with a V that inv finds
+    singular, for every n: every record holds an eigenbasis.
     """
     C = as_complex_matrix(C)
     data = _closed_form_2x2(C) if C.shape[0] == 2 else None
@@ -188,18 +189,16 @@ def _eig_route(C: np.ndarray) -> SpectralData:
     try:
         W = np.linalg.inv(V).conj().T
     except np.linalg.LinAlgError:
-        defective = True
-    else:
-        # normalize W and push the scale onto V. A norm that overflows leaves
-        # zeros, inf or NaN in W and V, with no warning on stderr, and a NaN
-        # kappa, which _jordan_cluster links to every eigenvalue
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            W = W / np.linalg.norm(W, axis=0)
-            V = V / np.einsum("jk,jk->k", W.conj(), V)
-            kappa = np.linalg.norm(V, axis=0)
-        defective = _jordan_cluster(C, lam, kappa, unit_V)
-    if defective:
-        V, W = unit_V, np.full_like(unit_V, np.nan)
+        raise DefectiveInput(DEFECT_MESSAGE) from None
+    # normalize W and push the scale onto V. A norm that overflows leaves
+    # zeros, inf or NaN in W and V, with no warning on stderr, and a NaN
+    # kappa, which _jordan_cluster links to every eigenvalue
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        W = W / np.linalg.norm(W, axis=0)
+        V = V / np.einsum("jk,jk->k", W.conj(), V)
+        kappa = np.linalg.norm(V, axis=0)
+    if _jordan_cluster(C, lam, kappa, unit_V):
+        raise DefectiveInput(DEFECT_MESSAGE)
 
     herm = np.linalg.eigvalsh(C / 2.0 + C.conj().T / 2.0)
     return SpectralData(
@@ -207,7 +206,6 @@ def _eig_route(C: np.ndarray) -> SpectralData:
         eigenvalues=lam,
         right_vectors=V,
         left_vectors=W,
-        defective=defective,
         mu_s=float(herm[0]),
         nu_s=float(herm[-1]),
         _radius=radius,
@@ -306,7 +304,6 @@ def _closed_form_2x2(C: np.ndarray) -> SpectralData | None:
         eigenvalues=np.array([values[i], values[j]]),
         right_vectors=unit_V / size,
         left_vectors=W,
-        defective=False,
         mu_s=mu_s * unscale,
         nu_s=nu_s * unscale,
         _radius=radius,
@@ -350,6 +347,16 @@ def _norm_2x2(C: np.ndarray) -> float:
     q = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
     off = a.conjugate() * b + c.conjugate() * d
     return math.sqrt(_hermitian_extremes(p, q, 2.0 * off)[1]) * unscale
+
+
+def _require_positive_stable(data: SpectralData) -> SpectralData:
+    """data, unless its record is not positive stable: the one refusal of a C
+    with no decay to certify, for the CLI and every 2x2 form."""
+    if not data.positive_stable:
+        raise NotPositiveStable(f"spectral gap is {data.spectral_gap}, not above "
+                                f"{coincidence_tol(data.eigenvalues):.3e} ({COINCIDENCE_RTOL:g} "
+                                "of the spectral radius); no decay to certify")
+    return data
 
 
 @dataclass
@@ -397,7 +404,7 @@ class DecayCase(str, enum.Enum):
 
 @dataclass
 class Canonical2DForm:
-    """A diagonalizable 2x2 system up to unitary similarity.
+    """A diagonalizable positive stable 2x2 system up to unitary similarity.
 
     Up to a unitary change of basis, which keeps the Euclidean norm of every
     solution and so every constant computed downstream, C is fixed by its
@@ -440,13 +447,13 @@ class Canonical2DForm:
 def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     """Reduce a 2x2 system to (alpha, lambda_1, lambda_2) and its regime.
 
-    alpha = |<w1, w2>| of the unit adjoint eigenvectors. Raises DefectiveInput
-    for a defective record: no canonical form exists.
+    alpha = |<w1, w2>| of the unit adjoint eigenvectors. Raises
+    NotPositiveStable for a record that is not positive stable: no form
+    exists for a C that does not decay.
     """
     if data.n != 2:
         raise MatrixFormatError(f"canonical form needs a 2x2 matrix, got n={data.n}")
-    if data.defective:
-        raise DefectiveInput(DEFECT_MESSAGE)
+    _require_positive_stable(data)
 
     tol, rounding_tol = COINCIDENCE_RTOL * data._radius, ROUNDING_RTOL * data._radius
     spread = data.eigenvalues[1] - data.eigenvalues[0]

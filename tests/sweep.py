@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hypodecay import DefectiveInput, NotPositiveStable, as_complex_matrix, eigendecompose
+from hypodecay import NotPositiveStable, as_complex_matrix, eigendecompose
 from hypodecay.sharp2d import ALPHA_FLOOR
 from hypodecay.spectral import SpectralData
 
@@ -152,8 +152,6 @@ def trajectory_envelope_oracle(C, phi_grid, theta_grid, times,
     data = eigendecompose(as_complex_matrix(C))
     if data.n != 2:
         raise ValueError("the trajectory oracle is for 2x2 systems")
-    if data.defective:
-        raise DefectiveInput("defective matrix")
     phi_grid = np.asarray(phi_grid, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     times = np.atleast_1d(np.asarray(times, dtype=float))

@@ -383,7 +383,7 @@ class TestAnalyzeErrors:
             assert err == DEFECT_REFUSAL
 
     def test_singular_eigenvector_matrix_is_refused_as_defective(self, capsys, tmp_path):
-        # inv of the eig route's V raises here: the record is flagged
+        # inv of the eig route's V raises here: the matrix is refused as
         # defective, and both commands print the refusal, not numpy's error
         path = tmp_path / "singular.json"
         path.write_text('{"n": 2, "re": [[0, -9.74265979e283], [1.95220652e-294, 0]], '
@@ -690,7 +690,8 @@ class TestFlags:
         (["envelope", "M", "--trajectories", "-2"], "--trajectories"),
         (["gt", "sharp", "--t-max", "-3"], "--t-max"),
         (["gt", "sharp", "--modes", "0"], "--modes"),
-        (["gt", "sharp", "--points", "0"], "--points")])
+        (["gt", "sharp", "--points", "0"], "--points"),
+        (["envelope", "M", "--seed", "-1"], "--seed")])
     def test_out_of_range_values_are_malformed(self, capsys, m52_file, argv, flag):
         argv = [m52_file if a == "M" else a for a in argv]
         code, out, err = run(capsys, argv)

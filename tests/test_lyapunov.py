@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypodecay import (
-    DefectiveInput,
     LyapunovMatrix,
     NotAdmissible,
     build_weighted_p,
@@ -89,13 +88,6 @@ class TestBuildWeightedP:
         for bad in ([1.0], [1.0, -1.0], [1.0, 0.0], [1.0, np.nan]):
             with pytest.raises(ValueError):
                 build_weighted_p(data, bad)
-
-    def test_rejects_defective_record(self):
-        # I + 100N, within rounding of a Jordan block: no eigenbasis to weight
-        data = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
-        assert data.defective
-        with pytest.raises(DefectiveInput, match="full eigenbasis"):
-            build_weighted_p(data, [1.0, 1.0])
 
     def test_admissible_at_spectral_gap(self, mat_complex_pair):
         # weighted eigenprojector sums satisfy the spectral-gap inequality
@@ -375,16 +367,13 @@ class TestTwoByTwoRoute:
 
     def test_certify_2x2_makes_no_lapack_call(self, monkeypatch, mat_complex_pair):
         # the full closed-form sequence on 2x2s, including one whose
-        # residual at the gap rounds below zero (so |C|_2 is read); and the
-        # refusal of canonical_2d_form, which reads only the defect flag, on
-        # the record of I + 100N, which comes from the eig route
+        # residual at the gap rounds below zero (so |C|_2 is read)
         def refused(*args, **kwargs):
             raise AssertionError("LAPACK called")
 
         below = [[1.0, 3.0], [-1.0, 2.0]]
         assert lyapunov_residual(below, build_weighted_p(eigendecompose(below), [1.0, 1.0]),
                                  eigendecompose(below).spectral_gap) < 0.0
-        jordan = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
         for name in ("eig", "eigh", "eigvalsh", "svd", "inv"):
             monkeypatch.setattr(np.linalg, name, refused)
         times = np.linspace(0.0, 10.0, 50)
@@ -402,5 +391,3 @@ class TestTwoByTwoRoute:
             family_envelope(form, times)
             upper_bound_constant(form, report.mu)
             lower_bound_constant(form, report.nu)
-        with pytest.raises(DefectiveInput, match="Jordan block"):
-            canonical_2d_form(jordan)

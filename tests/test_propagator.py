@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import expm
 
 from hypodecay import (
-    DefectiveInput,
     eigendecompose,
     exact_solution,
     rk4_oracle,
@@ -18,12 +17,6 @@ class TestExactSolution:
         sol = exact_solution(data, [1.0, 1.0], ts)
         expected = np.stack([np.exp(-ts), np.exp(-2 * ts)], axis=1)
         assert np.allclose(sol, expected, rtol=1e-14)
-
-    def test_rejects_defective_record(self):
-        data = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
-        assert data.defective
-        with pytest.raises(DefectiveInput, match="non-defective"):
-            exact_solution(data, [1.0, 0.0], [1.0])
 
     def test_initial_condition(self, mat_complex_pair):
         data = eigendecompose(mat_complex_pair)

@@ -41,6 +41,20 @@ class TestClassification:
         assert res.attained_time == pytest.approx(np.pi / np.sqrt(3.0), rel=1e-12)
         assert form_complex_pair.kappa_min == pytest.approx(3.0, rel=1e-12)
 
+    def test_small_overlap_keeps_its_transient(self):
+        # eigenvalues 1 +- i with overlap alpha: c_sharp = sqrt(kappa_min) =
+        # 1 + alpha + O(alpha^2), and h_+ e^{2t} reaches kappa_min at the half
+        # turn t = pi/2; neither may round to the constant 1 of an orthogonal
+        # eigenbasis, so ALPHA_FLOOR stays below these overlaps
+        for alpha in (1e-12, 1e-9, 5e-9):
+            v = np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]])
+            form = _form(v @ np.diag([1.0 + 1.0j, 1.0 - 1.0j]) @ np.linalg.inv(v))
+            kmin = (1.0 + alpha) / (1.0 - alpha)
+            c_sharp = classify_and_sharp_constant(form).c_sharp
+            assert c_sharp == pytest.approx(np.sqrt(kmin), rel=1e-15)
+            h_plus = envelope_curves(form, [np.pi / 2.0]).h_plus[0]
+            assert h_plus * np.exp(np.pi) == pytest.approx(kmin, rel=1e-14)
+
     def test_equal_imaginary_parts(self, form_real_distinct):
         res = classify_and_sharp_constant(form_real_distinct)
         assert res.case is DecayCase.EQUAL_IMAGINARY_PARTS
@@ -160,14 +174,14 @@ class TestEnvelopes:
         assert np.all(m_lo == 0.0)
 
     def test_rate_beyond_the_float_range_is_refused(self):
-        # h_- of [[1, 0], [0, 1e308]] decays at 2 gamma = inf: exp(-inf * 0) at
+        # h_- of diag(1e307, 1.7e308) decays at 2 gamma = inf: exp(-inf * 0) at
         # t = 0 would be NaN
         with pytest.raises(RateOutOfRange, match="outside the float range"):
-            envelope_curves(_form([[1.0, 0.0], [0.0, 1e308]]), [0.0, 1.0])
+            envelope_curves(_form([[1e307, 0.0], [0.0, 1.7e308]]), [0.0, 1.0])
 
     def test_growth_past_the_float_range_is_silent_inf(self):
-        # an unstable form: e^{2t} at t = 400 is inf, without numpy's warning
-        env = envelope_curves(_form([[-1.0, 1.0], [0.0, -0.999]]), [0.0, 400.0])
+        # back in time: e^{800} at t = -400 is inf, without numpy's warning
+        env = envelope_curves(_form([[1.0, 1.0], [0.0, 1.001]]), [0.0, -400.0])
         assert env.h_plus[-1] == env.h_minus[-1] == np.inf
         assert env.h_plus[0] == pytest.approx(1.0) and env.h_minus[0] == pytest.approx(1.0)
 

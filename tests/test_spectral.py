@@ -12,6 +12,7 @@ from hypodecay import (
     DecayCase,
     DefectiveInput,
     MatrixFormatError,
+    NotPositiveStable,
     as_complex_matrix,
     canonical_2d_form,
     classify_and_sharp_constant,
@@ -71,7 +72,6 @@ class TestEigendecompose:
     def test_diagonal_matrix_sorted(self):
         data = eigendecompose(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(data.eigenvalues, [1.0, 2.0, 3.0])
-        assert not data.defective
 
     def test_biorthonormal(self, mat_triangular):
         data = eigendecompose(mat_triangular)
@@ -92,46 +92,41 @@ class TestEigendecompose:
         assert abs(lam[0].real - lam[1].real) < 1e-12
 
     def test_defective_flagged(self):
-        data = eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert data.defective
-        assert np.isnan(data.left_vectors).all()
+        with pytest.raises(DefectiveInput, match="Jordan block"):
+            eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-7, 1.0, 1e6])
     def test_time_rescaling(self, s):
-        # C -> sC: the order, the gap and the defect flag go with the spectral radius.
-        # [[1, 1e9], [0, 2]] is 5e-10 from a double eigenvalue, against
-        # 32 eps |C|_2 = 7e-6, with unit eigenvectors 1e-9 apart: flagged at every s
+        # C -> sC: the order, the gap and the defect refusal go with the spectral
+        # radius. [[1, 1e9], [0, 2]] is 5e-10 from a double eigenvalue, against
+        # 32 eps |C|_2 = 7e-6, with unit eigenvectors 1e-9 apart: refused at every s
         data = eigendecompose(s * np.diag([2.0 - 1.0j, 1.0 + 1.0j]))
         assert data.spectral_gap == pytest.approx(s, rel=1e-12)
-        assert eigendecompose(s * np.array([[1.0, 1e9], [0.0, 2.0]])).defective
+        with pytest.raises(DefectiveInput, match="Jordan block"):
+            eigendecompose(s * np.array([[1.0, 1e9], [0.0, 2.0]]))
 
     def test_overflowing_adjoint_norm_warns_nothing(self):
         # parts from 1e-168 to 1e306 take the eig route, where the norm of a
-        # column of V^-1 overflows; the record is built without a warning and
-        # flagged defective, so canonical_2d_form refuses it
+        # column of V^-1 overflows; the matrix is refused as defective
+        # without a warning
         c = np.array([[1e90, 1e-168], [1e306j, 1e97]])
         assert _closed_form_2x2(c) is None
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), pytest.raises(DefectiveInput, match="Jordan block"):
             warnings.simplefilter("error")
-            data = eigendecompose(c)
-        assert data.defective
-        with pytest.raises(DefectiveInput, match="Jordan block"):
-            canonical_2d_form(data)
+            eigendecompose(c)
 
     def test_singular_eigenvector_matrix_is_flagged_defective(self):
         # eigenvalues 4e-124 apart at spectral radius 4e-124, from parts too
         # far apart in scale for the closed form; the eig route's V is
-        # singular to inv, so the record is flagged defective with a NaN
-        # adjoint basis instead of raising
+        # singular to inv, so the matrix is refused as defective, not with
+        # numpy's error
         c = (np.array([[0.0, -9.74265979e283], [1.95220652e-294, 0.0]])
              + 1j * np.array([[-1.49837836e-264, 1.16449606e160],
                               [-7.33874052e-242, -3.88152586e-124]]))
         assert _closed_form_2x2(c) is None
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), pytest.raises(DefectiveInput, match="Jordan block"):
             warnings.simplefilter("error")
-            data = eigendecompose(c)
-        assert data.defective
-        assert np.isnan(data.left_vectors).all()
+            eigendecompose(c)
 
     @pytest.mark.parametrize("c", [
         [[1.0, -1.0], [1.0, 0.0]],
@@ -192,7 +187,7 @@ class TestClosedForm2x2:
         # s C through both routes, compared at the scale of C: eigenvalues within
         # 16 eps |C|_F kappa (eps |C|_F backward error times the eigenvalue
         # condition number), mu_s and nu_s within 16 eps |C|_F, alpha within
-        # 1e-12 relative; the order and the defect flag are the same
+        # 1e-12 relative; the order is the same, and neither route refuses
         C = np.asarray(c, dtype=complex)
         sC = s * C
         closed = _closed_form_2x2(sC)
@@ -200,7 +195,6 @@ class TestClosedForm2x2:
         ref = _eig_route(sC)
         assert eigendecompose(sC).eigenvalues.tolist() == closed.eigenvalues.tolist()
         fro = np.linalg.norm(C)
-        assert closed.defective == ref.defective is False
         assert np.abs(closed.eigenvalues / s - ref.eigenvalues / s).max() <= 16 * _EPS * fro * kappa
         assert abs(closed.mu_s / s - ref.mu_s / s) <= 16 * _EPS * fro
         assert abs(closed.nu_s / s - ref.nu_s / s) <= 16 * _EPS * fro
@@ -284,11 +278,17 @@ class TestClosedForm2x2:
         [[0.0, 0.0], [0.0, 0.0]],
     ], ids=["jordan", "subnormal", "scales-subnormal", "tiny-split", "zero"])
     def test_declines_to_the_eig_route(self, c):
+        def outcome(route):
+            # the record's eigenvalues and extremes, or the refusal
+            try:
+                data = route(C)
+            except DefectiveInput as exc:
+                return str(exc)
+            return data.eigenvalues.tolist(), data.mu_s, data.nu_s
+
         C = np.asarray(c, dtype=complex)
         assert _closed_form_2x2(C) is None
-        data, ref = eigendecompose(C), _eig_route(C)
-        assert data.eigenvalues.tolist() == ref.eigenvalues.tolist()
-        assert (data.mu_s, data.nu_s, data.defective) == (ref.mu_s, ref.nu_s, ref.defective)
+        assert outcome(eigendecompose) == outcome(_eig_route)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c, mu_s, nu_s", [
@@ -307,16 +307,17 @@ class TestClosedForm2x2:
     def test_badly_scaled_pair_keeps_its_overlap(self):
         # c is 7.5e4 times a and b 4e-46 times a: v_1 ~ (1.3e-5, 1), v_2 ~ (4e-46, 1),
         # and alpha is 1 - 8.8e-11 (mpmath eig at 50 digits). The eig route
-        # returned v_1 = (1, 0) here, so alpha ~ 4e-46 and c_sharp = 1 for a
-        # system whose transient grows to 7.5e4
+        # returned v_1 = (1, 0) here, so alpha ~ 4e-46 for a system whose
+        # transient grows to 7.5e4. Its gap is 5e-23 of the spectral radius,
+        # so it is not positive stable and has no 2x2 form
         c = [[1.6888357343042814e+211, -7.192358301381623e+165],
              [1.2720468962103406e+216, 8.475014239184013e+188]]
         data = eigendecompose(c)
         assert _closed_form_2x2(data.matrix) is not None
-        form = canonical_2d_form(data)
-        assert form.alpha == pytest.approx(0.99999999991186699494924306804923, rel=0.0,
-                                           abs=4 * _EPS)
-        assert classify_and_sharp_constant(form).c_sharp >= 75320.0
+        assert _alpha(data) == pytest.approx(0.99999999991186699494924306804923, rel=0.0,
+                                             abs=4 * _EPS)
+        with pytest.raises(NotPositiveStable, match="no decay to certify"):
+            canonical_2d_form(data)
 
     def test_makes_no_lapack_call(self, monkeypatch, mat_complex_pair):
         def refused(*args, **kwargs):
@@ -356,21 +357,19 @@ class TestSvdOnlyWhereRead:
     def test_clustered_spectrum_makes_one(self, svd_calls):
         # a near tie 5e-11 apart is not linked; a tie within rounding is, and
         # its unit eigenvectors make the one svd
-        data = eigendecompose(_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06))
-        assert not data.defective
+        eigendecompose(_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06))
         assert svd_calls == []
-        data = eigendecompose(_V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09))
-        assert not data.defective
+        eigendecompose(_V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09))
         assert len(svd_calls) == 1
 
     def test_unlinked_nd_spectrum_makes_no_svd(self, svd_calls, mat_triangular):
-        assert not eigendecompose(mat_triangular).defective
+        eigendecompose(mat_triangular)
         assert svd_calls == []
 
     def test_linked_nd_cluster_makes_two(self, svd_calls):
         # diag(1, 1, 2): the tie is linked at |C|_F, so |C|_2 is read from
         # one svd, and the cluster's unit eigenvectors take the other
-        assert not eigendecompose(np.diag([1.0, 1.0, 2.0])).defective
+        eigendecompose(np.diag([1.0, 1.0, 2.0]))
         assert len(svd_calls) == 2
 
     def test_separated_form_makes_no_svd(self, svd_calls, mat_complex_pair):
@@ -387,25 +386,32 @@ class TestSvdOnlyWhereRead:
             return norm(*args)
         monkeypatch.setattr(spectral, "_norm_2x2", counted)
         # a linked 2x2 pair that is no scalar tie is a Jordan block: no svd
-        data = eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
-        assert data.defective
         with pytest.raises(DefectiveInput, match="Jordan block"):
-            canonical_2d_form(data)
+            eigendecompose([[49.0, 64.0], [-36.0, -47.0]])
         assert len(norm_calls) == 1
         assert svd_calls == []
 
 
 class TestJordanClusters:
-    """_jordan_cluster is the one defect rule for every n: each rotated
-    Jordan draw is flagged, each semisimple repeat is not, and neither
+    """_jordan_cluster is the one defect rule for every n: eigendecompose
+    refuses each rotated Jordan draw and no semisimple repeat, and neither
     verdict moves under C -> sC, a unitary similarity or a permutation of
     the eigenvalues."""
 
     @staticmethod
-    def _verdicts(c, rng):
+    def _refused(c) -> bool:
+        try:
+            eigendecompose(c)
+        except DefectiveInput as exc:
+            assert str(exc) == spectral.DEFECT_MESSAGE
+            return True
+        return False
+
+    @classmethod
+    def _verdicts(cls, c, rng):
         n = len(c)
         q, p = families.unitary(rng, n), np.eye(n)[rng.permutation(n)]
-        return {eigendecompose(v).defective
+        return {cls._refused(v)
                 for v in (*(s * c for s in _SCALES), q @ c @ q.conj().T, p @ c @ p.T)}
 
     @pytest.mark.parametrize("name", list(families.JORDAN))
@@ -434,6 +440,13 @@ class TestJordanClusters:
     def test_2x2_scalar_tie_is_not(self):
         c = _V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09)
         assert self._verdicts(c, np.random.default_rng(0)) == {False}
+        # nor is a well-conditioned pair split by 400 eps at |C|_2 ~ 1: with
+        # kappa_1 = kappa_2 = 1/beta the link reaches 128 and 80 eps, and
+        # would reach 1024 and 640 eps at 8 times ROUNDING_RTOL
+        for beta in (0.5, 0.8):
+            v = np.array([[1.0, np.sqrt(1.0 - beta * beta)], [0.0, beta]])
+            c = v @ np.diag([1.0, 1.0 + 400 * _EPS]) @ np.linalg.inv(v)
+            assert self._verdicts(c, np.random.default_rng(0)) == {False}
 
     def test_clusters_are_connected_components(self):
         # at |C|_2 = 1 and unit kappa, only neighbours of 0, 1, 2, 3 (x 1e-14)
@@ -467,13 +480,16 @@ class TestClassifyStability:
     @pytest.mark.parametrize("k", [-200, -12, 0, 12, 200])
     def test_eigenvalue_on_the_imaginary_axis_is_not_positive_stable(self, k):
         # eigenvalues i and 1 - 4i: the real part of i is rounding noise of
-        # either sign, inside coincidence_tol, on both routes and at every scale
+        # either sign, inside coincidence_tol, on both routes and at every
+        # scale; neither record has a 2x2 form
         c = 10.0 ** k * np.array([[-3j, 2.0], [-2.0 - 2j, 1.0]])
         closed, reference = _closed_form_2x2(c), _eig_route(c)
         assert closed is not None
         for data in (closed, reference):
             assert abs(data.eigenvalues[0] - 10.0 ** k * 1j) <= 1e-14 * 10.0 ** k
             assert not data.positive_stable
+            with pytest.raises(NotPositiveStable, match="no decay to certify"):
+                canonical_2d_form(data)
         assert not classify_stability(eigendecompose(c)).positive_stable
 
     @pytest.mark.parametrize("route", [_closed_form_2x2, _eig_route])
