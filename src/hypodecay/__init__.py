@@ -35,7 +35,7 @@ _HOMES = {
         "minimize_kappa_2d", "minimize_kappa_weights", "minimize_kappa_admissible",
     ),
     "sharp2d": (
-        "SharpResult2D", "EnvelopeCurve", "SupOfEnvelope",
+        "SharpResult2D", "EnvelopeCurve",
         "classify_and_sharp_constant", "envelope_curves", "sup_m_plus",
     ),
     "rate_family": (

@@ -182,16 +182,19 @@ def certificate_from_p(C, P, rate: float) -> LyapunovCertificate:
 
     The admissibility check allows a small negative residual proportional to
     |C| |P|, the rounding floor of eigvalsh, with no absolute floor, so that
-    C -> sC at rate s r gives the verdict of C at rate r; it rejects a NaN
-    residual. lyapunov_residual checks C. |C| is needed only for a residual
-    that is not already >= 0; a 2x2 reads it from spectral._norm_2x2, a
-    larger C from svd.
+    C -> sC at rate s r gives the verdict of C at rate r; a NaN residual is
+    refused as beyond the float range. lyapunov_residual checks C. |C| is
+    needed only for a residual that is not already >= 0; a 2x2 reads it from
+    spectral._norm_2x2, a larger C from svd.
     """
     if not np.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate!r}")
     if not isinstance(P, LyapunovMatrix):
         P = LyapunovMatrix(matrix=P)
     res = lyapunov_residual(C, P, rate)
+    if res != res:
+        raise NotAdmissible(f"P is not admissible at rate {rate}: C*P + PC - 2 rate P "
+                            "leaves the float range", residual=res)
     if not res >= 0.0:
         C = as_complex_matrix(C)
         norm = _norm_2x2(C) if len(C) == 2 else float(np.linalg.svd(C, compute_uv=False)[0])

@@ -16,17 +16,17 @@ the off-diagonal weight at the requested rate. The radicand is a square,
     1 - (1 - alpha^2)(1 - beta~^2)/(1 + alpha beta~)^2 = s^2,
     s = (alpha + beta~)/(1 + alpha beta~)  in [0, alpha],
 
-so kappa_min = (1 + alpha)(1 + beta~)/((1 - alpha)(1 - beta~)), finite since
-s <= alpha < 1. Near mu_s and nu_s the ratio under the root is close to 1,
-and forming 1 - ratio first left s with half the digits: constants came out
-up to 1.8e-8 low, optimistic for an upper bound. kappa_min is evaluated from
-the product instead, with 1 + beta~ = 1 - beta0 = (1 - beta0^2)/(1 + beta0)
-when beta0 < alpha and
+so kappa_min = (1 + alpha)(1 + beta~)/((1 - alpha)(1 - beta~)), which is
+form.kappa_min, built from the form's |det W|, times (1 + beta~)/(1 - beta~).
+Near mu_s and nu_s the ratio under the root is close to 1, and forming
+1 - ratio first left s with half the digits: constants came out up to 1.8e-8
+low, optimistic for an upper bound. kappa_min is evaluated from the product
+instead, with 1 + beta~ = 1 - beta0 = (1 - beta0^2)/(1 + beta0) when beta0 < alpha and
 
     1 - beta0^2 = |lambda_2 - lambda_1|^2 / |lambda_1 + conj(lambda_2) - 2r|^2,
 
 so no factor cancels, not even as beta0 -> 1. At the gap (beta0 = 0)
-kappa_min is (1 + alpha)/(1 - alpha) to the last bit.
+kappa_min is form.kappa_min to the last bit.
 
 family_envelope samples each family at np.linspace of its range and
 evaluates both families in one array call, on the two rows of rates joined,
@@ -115,7 +115,7 @@ def _family(form: Canonical2DForm, rates):
     bt = maximum(-a, -beta0)
     # where beta~ = -beta0: 1 + beta~ = (1 - beta0^2)/(1 - beta~), 1 - beta0^2 = gap2/dist2
     one_bt = 1.0 - bt
-    kappa = where(bt > -a, (1.0 + a) * (gap2 / dist2) / ((1.0 - a) * one_bt * one_bt), 1.0)
+    kappa = where(bt > -a, form.kappa_min * (gap2 / dist2) / (one_bt * one_bt), 1.0)
     return beta0, bt, kappa
 
 

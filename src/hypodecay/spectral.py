@@ -408,10 +408,10 @@ class Canonical2DForm:
 
     Up to a unitary change of basis, which keeps the Euclidean norm of every
     solution and so every constant computed downstream, C is fixed by its
-    eigenvalues lambda_1, lambda_2 and the overlap alpha in [0, 1) of its unit
-    adjoint eigenvectors. mu_s and nu_s are copied from the spectral record.
-    The form carries the one regime decision: case, rounding_tol (ROUNDING_RTOL
-    times the spectral radius) and scalar (the eigenvalues agree within it).
+    eigenvalues lambda_1, lambda_2, the overlap alpha in [0, 1] of its unit adjoint
+    eigenvectors and beta = sqrt(1 - alpha^2). mu_s and nu_s are copied from the
+    spectral record. The form carries the one regime decision: case, rounding_tol
+    (ROUNDING_RTOL times the spectral radius) and scalar (the eigenvalues agree within it).
 
     mu and nu are the real parts of lambda_1 and lambda_2. gamma, the
     real-part spread Re(lambda_2 - lambda_1), is >= 0 only up to the
@@ -421,6 +421,7 @@ class Canonical2DForm:
     """
 
     alpha: float
+    beta: float
     eigenvalues: np.ndarray
     mu_s: float
     nu_s: float
@@ -440,16 +441,18 @@ class Canonical2DForm:
 
     @property
     def kappa_min(self) -> float:
-        """(1 + alpha)/(1 - alpha): the least kappa of a Lyapunov matrix."""
-        return (1.0 + self.alpha) / (1.0 - self.alpha)
+        """(1 + alpha)/(1 - alpha) as q^2, q = (1 + alpha)/beta: the least kappa of P."""
+        q = (1.0 + self.alpha) / self.beta
+        return q * q
 
 
 def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
-    """Reduce a 2x2 system to (alpha, lambda_1, lambda_2) and its regime.
+    """Reduce a 2x2 system to (alpha, beta, lambda_1, lambda_2) and its regime.
 
-    alpha = |<w1, w2>| of the unit adjoint eigenvectors. Raises
-    NotPositiveStable for a record that is not positive stable: no form
-    exists for a C that does not decay.
+    alpha = |<w1, w2>| and beta = |det W| of the unit adjoint eigenvectors, each
+    capped at 1 (Cauchy-Schwarz, Hadamard); their Gram determinant is 1 - alpha^2,
+    so beta has relative error eps/beta where 1 - alpha^2 formed from alpha has
+    eps/beta^2. NotPositiveStable: no form exists for a C that does not decay.
     """
     if data.n != 2:
         raise MatrixFormatError(f"canonical form needs a 2x2 matrix, got n={data.n}")
@@ -458,13 +461,14 @@ def canonical_2d_form(data: SpectralData) -> Canonical2DForm:
     tol, rounding_tol = COINCIDENCE_RTOL * data._radius, ROUNDING_RTOL * data._radius
     spread = data.eigenvalues[1] - data.eigenvalues[0]
     gap = abs(spread)
-    alpha = min(abs(np.vdot(*data.left_vectors.T)), 1.0 - 1e-16)
+    (w00, w01), (w10, w11) = data.left_vectors.tolist()
     case = (DecayCase.EQUAL_EIGENVALUES if gap <= tol
             else DecayCase.EQUAL_REAL_PARTS if abs(spread.real) <= tol
             else DecayCase.EQUAL_IMAGINARY_PARTS if abs(spread.imag) <= tol
             else DecayCase.FULLY_DISTINCT)
     return Canonical2DForm(
-        alpha=float(alpha),
+        alpha=min(abs(w00.conjugate() * w01 + w10.conjugate() * w11), 1.0),
+        beta=min(abs(w00 * w11 - w01 * w10), 1.0),
         eigenvalues=data.eigenvalues.copy(),
         mu_s=data.mu_s,
         nu_s=data.nu_s,

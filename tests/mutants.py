@@ -64,8 +64,17 @@ MUTANTS = [
      "gt passes a ratio 1e-8 above sqrt(3)"),
     ("goldstein_taylor.py", "GT_TOL = 1e-10", "GT_TOL = 1e-12",
      "gt fails a ratio 1e-11 above sqrt(3)"),
-    ("sharp2d.py", "ALPHA_FLOOR = 1e-14", "ALPHA_FLOOR = 1e-8",
+    ("sharp2d.py", "ALPHA_FLOOR = 2.0 ** -54", "ALPHA_FLOOR = 1e-8",
      "c_sharp and h_+ of an overlap of 5e-9 round to the orthogonal constant 1"),
+    ("sharp2d.py", "ALPHA_FLOOR = 2.0 ** -54", "ALPHA_FLOOR = 1e-14",
+     "c_sharp of an overlap of 5e-15 rounds to 1, 23 ulp below sqrt(kappa_min)"),
+    ("sharp2d.py", "* (sn * sn)) / (beta * beta)", "* (sn * sn)) / (1.0 - alpha * alpha)",
+     "h+- of a triangular C near a Jordan block drift from their 50-digit values"),
+    ("sharp2d.py", "1.0 / form.beta", "1.0 / math.sqrt(1.0 - form.alpha ** 2)",
+     "c_sharp of [[1, 1e6], [0, 2]] is 4.4e-5 below sqrt(1 + 1e12)"),
+    ("spectral.py", "        return q * q",
+     "        return (1.0 + self.alpha) / (1.0 - self.alpha)",
+     "kappa_min and c1 at mu of a triangular C near a Jordan block drift from 50 digits"),
     ("sharp2d.py", _ENVELOPES, "        h_minus, h_plus = pre * m_lo, pre * m_hi * (1.0 + 1e-6)\n",
      "h_+ 1e-6 above sigma_max^2 of the propagator"),
     ("sharp2d.py", _ENVELOPES, "        h_minus, h_plus = pre * m_lo * (1.0 + 1e-6), pre * m_hi\n",

@@ -148,11 +148,15 @@ class TestAnalyze:
         # FullyDistinct: sqrt(sup_t m_+) with alpha = 1/sqrt(4.25), gamma = 1, delta = -1.5
         ('{"n": 2, "re": [[1, 1], [0, 2]], "im": [[1, 0], [0, -0.5]]}', [],
          "1.1934870800083691954696121243695902019980072720374"),
-    ], ids=["near-tie", "fully-distinct"])
+        # EqualImaginaryParts near a Jordan block: e^{-(C - 1)t} tends to
+        # [[1, -1e6], [0, 0]], whose norm is sqrt(1 + 1e12)
+        ('{"n": 2, "re": [[1, 1000000], [0, 2]]}', [],
+         "1000000.0000004999999999998750000000000625"),
+    ], ids=["near-tie", "fully-distinct", "near-jordan"])
     def test_c_sharp_meets_a_50_digit_sup(self, capsys, tmp_path, text, flags, digits):
         # each sup of |e^{-(C - mu)t}|_2 was computed once to 50 digits with
-        # mpmath's expm and svd; c_sharp is at most 4 ulp below its nearest
-        # double, and never above
+        # mpmath (expm and svd, or the limit's closed form); c_sharp is at
+        # most 4 ulp below its nearest double, and never above
         path = tmp_path / "m.json"
         path.write_text(text)
         code, out, err = run(capsys, ["analyze", str(path), *flags])
@@ -396,11 +400,14 @@ class TestAnalyzeErrors:
 
     def test_certificate_beyond_the_float_range(self, capsys, tmp_path):
         # at subnormal scale the attainment time pi/|delta| overflows to inf,
-        # which strict JSON cannot carry
-        path = write_matrix(tmp_path / "sub.json", 1e-310 * np.array([[1.0, -1.0], [1.0, 0.0]]))
-        code, out, err = run(capsys, ["analyze", path])
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "float range" in err
+        # which strict JSON cannot carry; near the float maximum the residual
+        # C*P + PC - 2 mu P overflows to a NaN, which is not "below" the slack
+        for name, mat in (("sub", 1e-310 * np.array([[1.0, -1.0], [1.0, 0.0]])),
+                          ("top", np.diag([1e307, 1.7e308]))):
+            path = write_matrix(tmp_path / f"{name}.json", mat)
+            code, out, err = run(capsys, ["analyze", path])
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "float range" in err
 
     def test_usage_error(self, capsys):
         assert main([]) == 1
@@ -463,8 +470,11 @@ class TestEnvelope:
         ([[2.0, 0.0], [0.0, 2.0]], "10"),
         ([[1.0, -2.0], [2.0, 1.0]], "10"),
         ([[1.0, 3.75e-11j], [0.0, 1.0 + 5e-11j]], "10"),
+        # 1 - alpha^2 = 1e-12: formed from the rounded alpha it put both
+        # envelopes 8.7e-5 off
+        ([[1.0, 1.0], [0.0, 1.000001]], "10"),
     ], ids=["real-distinct", "complex", "fully-distinct-t50", "equal-real-parts-t800",
-            "large-norm-t100", "scalar", "normal", "near-tie"])
+            "large-norm-t100", "scalar", "normal", "near-tie", "near-jordan"])
     @pytest.mark.filterwarnings("error")
     def test_oracle_agrees_with_rk4_singular_values(self, capsys, tmp_path, mat, t_max):
         # h_+ = sigma_max^2 and h_- = sigma_min^2 of e^{-Ct}, out to where

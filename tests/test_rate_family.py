@@ -171,13 +171,14 @@ class TestAgainstMpmath:
 
 
 def test_gap_members_are_the_closed_form_kappa_min():
-    # beta0 = 0 at mu and at nu: c1 = sqrt((1 + alpha)/(1 - alpha)) and c2 its
-    # reciprocal to the last bit, as the bracket of classify_and_sharp_constant
+    # beta0 = 0 at mu and at nu: c1 = sqrt(kappa_min) of the form, which is
+    # (1 + alpha)/(1 - alpha), and c2 its reciprocal to the last bit, as the
+    # bracket of classify_and_sharp_constant
     rng = np.random.default_rng(15)
     for k in range(48):
         c, _, _ = make_2x2_with_overlap(rng, equal_real=k % 3 == 1, real_spectrum=k % 3 == 2)
         form = canonical_2d_form(eigendecompose(c))
-        edge = float(np.sqrt((1.0 + form.alpha) / (1.0 - form.alpha)))
+        edge = float(np.sqrt(form.kappa_min))
         assert upper_bound_constant(form, form.mu).constant == edge
         assert lower_bound_constant(form, form.nu).constant == 1.0 / edge
 

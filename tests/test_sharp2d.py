@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypodecay import (
     envelope_curves,
     exact_solution,
     sup_m_plus,
+    upper_bound_constant,
 )
 from hypodecay import RateOutOfRange, sharp2d
 from hypodecay.sharp2d import ALPHA_FLOOR, _m_plus_minus
@@ -23,6 +26,12 @@ from .sweep import (_grid_extrema, _gram_coefficients, sector_constant,
 
 def _form(c):
     return canonical_2d_form(eigendecompose(c))
+
+
+def _beta(alpha):
+    """sqrt(1 - alpha^2) of a float alpha in [0, 1], the beta that sup_m_plus
+    and _m_plus_minus take beside it."""
+    return math.sqrt((1.0 - alpha) * (1.0 + alpha))
 
 
 class TestClassification:
@@ -46,14 +55,14 @@ class TestClassification:
         # 1 + alpha + O(alpha^2), and h_+ e^{2t} reaches kappa_min at the half
         # turn t = pi/2; neither may round to the constant 1 of an orthogonal
         # eigenbasis, so ALPHA_FLOOR stays below these overlaps
-        for alpha in (1e-12, 1e-9, 5e-9):
+        for alpha in (5e-15, 1e-12, 1e-9, 5e-9):
             v = np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]])
             form = _form(v @ np.diag([1.0 + 1.0j, 1.0 - 1.0j]) @ np.linalg.inv(v))
             kmin = (1.0 + alpha) / (1.0 - alpha)
             c_sharp = classify_and_sharp_constant(form).c_sharp
-            assert c_sharp == pytest.approx(np.sqrt(kmin), rel=1e-15)
+            assert c_sharp == pytest.approx(np.sqrt(kmin), rel=1e-15, abs=0.0)
             h_plus = envelope_curves(form, [np.pi / 2.0]).h_plus[0]
-            assert h_plus * np.exp(np.pi) == pytest.approx(kmin, rel=1e-14)
+            assert h_plus * np.exp(np.pi) == pytest.approx(kmin, rel=1e-14, abs=0.0)
 
     def test_equal_imaginary_parts(self, form_real_distinct):
         res = classify_and_sharp_constant(form_real_distinct)
@@ -70,8 +79,8 @@ class TestClassification:
         res = classify_and_sharp_constant(form)
         assert res.case is DecayCase.EQUAL_IMAGINARY_PARTS
         assert form.delta != 0.0
-        sup = sup_m_plus(form.alpha, abs(form.gamma), form.delta)
-        assert res.c_sharp >= np.sqrt(sup.value)
+        sup, _ = sup_m_plus(form.alpha, form.beta, abs(form.gamma), form.delta)
+        assert res.c_sharp >= np.sqrt(sup)
         shifted = c - form.mu * np.eye(2)
         sampled = max(np.linalg.norm(expm(-t * shifted), 2)
                       for t in np.linspace(1e10, 3e10, 201))
@@ -164,13 +173,13 @@ class TestEnvelopes:
 
     def test_finite_far_out(self):
         # gamma t from 800 to 2000, where cosh(gamma t) overflows: both
-        # envelopes stay finite and m_+ sits on its asymptote 1/(1 - alpha^2)
+        # envelopes stay finite and m_+ sits on its asymptote 1/beta^2
         form = _form(np.array([[1.0, 3.0], [0.0, 2.0]]))
         ts = np.linspace(800.0, 2000.0, 25)
         env = envelope_curves(form, ts)
         assert np.isfinite(env.h_plus).all() and np.isfinite(env.h_minus).all()
-        m_lo, m_hi = _m_plus_minus(form.alpha, form.gamma, 0.7, ts)
-        assert np.allclose(m_hi, 1.0 / (1.0 - form.alpha ** 2), rtol=1e-15, atol=0.0)
+        m_lo, m_hi = _m_plus_minus(form.alpha, form.beta, form.gamma, 0.7, ts)
+        assert np.allclose(m_hi, 1.0 / form.beta ** 2, rtol=1e-15, atol=0.0)
         assert np.all(m_lo == 0.0)
 
     def test_rate_beyond_the_float_range_is_refused(self):
@@ -209,17 +218,18 @@ class TestEnvelopes:
     def test_no_cancellation_near_a_jordan_block(self, alpha):
         # the reference is the definition m_+- = e (A +- sqrt(A^2 - 1)) at 50
         # digits, with A - 1 = 2 (sinh^2(gamma t/2) + alpha^2 sin^2(delta t/2))
-        # over the double's own 1 - alpha^2, so that only the cancellation of
+        # over beta^2 of the beta passed, so that only the cancellation of
         # forming A in floats shows
-        one = mpmath.mpf(1.0 - alpha * alpha)
+        beta = _beta(alpha)
         ts = np.logspace(-8.0, np.log10(5.0), 33)
         worst = 0.0
         for gamma in (1e-6, 1e-3):
             for delta in (1e-3, 1.0, 30.0):
-                lo, hi = _m_plus_minus(alpha, gamma, delta, ts)
-                pairs = [_m_plus_minus(alpha, gamma, delta, float(t)) for t in ts]
+                lo, hi = _m_plus_minus(alpha, beta, gamma, delta, ts)
+                pairs = [_m_plus_minus(alpha, beta, gamma, delta, float(t)) for t in ts]
                 with mpmath.workdps(50):
                     a, g, d = (mpmath.mpf(x) for x in (alpha, gamma, delta))
+                    one = mpmath.mpf(beta) ** 2
                     for k, t in enumerate(ts):
                         t = mpmath.mpf(t)
                         am1 = 2 * (mpmath.sinh(g * t / 2) ** 2
@@ -235,19 +245,18 @@ class TestEnvelopes:
 class TestSupMPlus:
     def test_pure_oscillation_closed_form(self):
         alpha, delta = 0.5, np.sqrt(3.0)
-        res = sup_m_plus(alpha, 0.0, delta)
-        assert res.value == pytest.approx((1 + alpha) / (1 - alpha), rel=1e-10)
-        assert res.t_at == pytest.approx(np.pi / delta, rel=1e-6)
+        value, t_at = sup_m_plus(alpha, _beta(alpha), 0.0, delta)
+        assert value == pytest.approx((1 + alpha) / (1 - alpha), rel=1e-10)
+        assert t_at == pytest.approx(np.pi / delta, rel=1e-6)
 
     def test_monotone_approach_closed_form(self):
         alpha, gamma = 0.6, 0.8
-        res = sup_m_plus(alpha, gamma, 0.0)
-        assert res.value == pytest.approx(1.0 / (1 - alpha ** 2), rel=1e-12)
-        assert res.t_at is None
+        value, t_at = sup_m_plus(alpha, _beta(alpha), gamma, 0.0)
+        assert value == pytest.approx(1.0 / (1 - alpha ** 2), rel=1e-12)
+        assert t_at is None
 
     def test_orthogonal_basis_is_flat(self):
-        res = sup_m_plus(0.0, 0.3, 1.0)
-        assert res.value == 1.0
+        assert sup_m_plus(0.0, 1.0, 0.3, 1.0)[0] == 1.0
 
     @pytest.mark.parametrize("alpha,gamma,delta", [
         (1.0, 0.3, 1.0), (1.5, 0.3, 1.0), (-0.1, 0.3, 1.0), (np.nan, 0.3, 1.0),
@@ -255,17 +264,24 @@ class TestSupMPlus:
         (0.5, 0.3, np.nan), (0.5, 0.3, -np.inf),
         (0.5, 0.0, 0.0)])  # coincident eigenvalues: no envelope factor
     def test_rejects_inputs_outside_domain(self, alpha, gamma, delta):
+        # alpha = 1 has beta = 0: a Jordan block; off [0, 1] beta is a valid 0.6
+        beta = _beta(alpha) if 0.0 <= alpha <= 1.0 else 0.6
         with pytest.raises(ValueError):
-            sup_m_plus(alpha, gamma, delta)
+            sup_m_plus(alpha, beta, gamma, delta)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5, np.nan, 1.5])
+    def test_rejects_beta_outside_domain(self, beta):
+        with pytest.raises(ValueError):
+            sup_m_plus(0.5, beta, 0.3, 1.0)
 
     def test_value_dominates_samples(self):
         alpha, gamma, delta = 0.7, 0.25, 1.3
-        res = sup_m_plus(alpha, gamma, delta)
+        value, _ = sup_m_plus(alpha, _beta(alpha), gamma, delta)
         one = 1.0 - alpha ** 2
         ts = np.linspace(0.0, 120.0, 200_001)
         a = (np.cosh(gamma * ts) - alpha ** 2 * np.cos(delta * ts)) / one
         m = np.exp(-gamma * ts) * (a + np.sqrt(np.maximum(a * a - 1, 0)))
-        assert res.value >= m.max() * (1 - 1e-9)
+        assert value >= m.max() * (1 - 1e-9)
 
 
 def _m_plus_mp(alpha, gamma, delta, t):
@@ -319,8 +335,8 @@ class TestSupReference:
         m_plus_minus = sharp2d._m_plus_minus
         monkeypatch.setattr(sharp2d, "_m_plus_minus",
                             lambda *args: calls.append(args) or m_plus_minus(*args))
-        res = sup_m_plus(alpha, gamma, delta)
-        assert res.value == pytest.approx(float(ref), rel=1e-13)
+        value, _ = sup_m_plus(alpha, _beta(alpha), gamma, delta)
+        assert value == pytest.approx(float(ref), rel=1e-13)
         # golden section to a bracket 1e-3 pi wide takes 17 evaluations of m_+,
         # and the parabolic steps after it a few
         assert len(calls) <= 26
@@ -328,13 +344,14 @@ class TestSupReference:
     def test_time_rescaling(self):
         # (0.6, 0.3 s, 1.7 s) is the same problem in the time t / s
         ref = float(_sup_reference(0.6, 0.3, 1.7))
-        base = sup_m_plus(0.6, 0.3, 1.7)
+        beta = _beta(0.6)
+        base, base_t = sup_m_plus(0.6, beta, 0.3, 1.7)
         for s in 10.0 ** np.arange(-12, 11):
-            res = sup_m_plus(0.6, 0.3 * s, 1.7 * s)
-            assert res.value == pytest.approx(base.value, rel=1e-15, abs=0.0)
-            assert res.value == pytest.approx(ref, rel=1e-13)
+            value, t_at = sup_m_plus(0.6, beta, 0.3 * s, 1.7 * s)
+            assert value == pytest.approx(base, rel=1e-15, abs=0.0)
+            assert value == pytest.approx(ref, rel=1e-13)
             # the maximum is flat, so its place is known to ~sqrt(eps) only
-            assert res.t_at * s == pytest.approx(base.t_at, rel=1e-7)
+            assert t_at * s == pytest.approx(base_t, rel=1e-7)
 
 
 class TestHalfPeriodLemma:
@@ -347,13 +364,14 @@ class TestHalfPeriodLemma:
     @pytest.mark.parametrize("g", [0.0, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 220.0])
     def test_lemma(self, g):
         for alpha in self.ALPHAS:
-            one = 1.0 - alpha * alpha
+            beta = _beta(alpha)
+            one = beta * beta
             # with A~ = e A = e + gap, the derivative of m_+ is
             # F / sqrt(A~^2 - e^2), with F = A~' m_+ + g e^2; count the sign
             # changes of F on (0, pi]
             s = np.linspace(0.0, np.pi, 20_001)[1:]
             e = np.exp(-g * s)
-            _, m = _m_plus_minus(alpha, g, 1.0, s)
+            _, m = _m_plus_minus(alpha, beta, g, 1.0, s)
             dA = (alpha * alpha * e * (g * np.cos(s) + np.sin(s)) - g * e * e) / one
             sign = np.sign(dA * m + g * e * e)
             sign = sign[sign != 0.0]
@@ -368,9 +386,44 @@ class TestHalfPeriodLemma:
             gap = (0.5 * np.expm1(-g * s) ** 2 + 2.0 * alpha * alpha * e) / one
             M = e + gap + np.sqrt(gap * (gap + 2.0 * e))
             assert np.all(np.diff(M) <= 8e-16 * M[1:]), (alpha, g)
-            _, m = _m_plus_minus(alpha, g, 1.0, s)
+            _, m = _m_plus_minus(alpha, beta, g, 1.0, s)
             assert np.all(m <= M * (1.0 + 4e-16)), (alpha, g)
-            assert sup_m_plus(alpha, g, 1.0).value >= m.max() * (1.0 - 4e-16), (alpha, g)
+            assert sup_m_plus(alpha, beta, g, 1.0)[0] >= m.max() * (1.0 - 4e-16), (alpha, g)
+
+
+class TestTriangularNearJordan:
+    """C = [[1, b], [0, 1 + g]] is exact in floats, and so is its beta =
+    g/sqrt(g^2 + b^2), with g = fl(1 + g) - 1. e^{-(C - 1)t} tends to
+    [[1, -b/g], [0, 0]], so c_sharp = sqrt(g^2 + b^2)/g; c1 at mu is
+    q = (1 + alpha)/beta = (sqrt(g^2 + b^2) + b)/g, and kappa_min is q^2.
+    Re-formed from the rounded alpha, 1 - alpha^2 lost up to 4.4e-5 of these."""
+
+    # b in {1, 1e2, 1e4, 1e6} and g in {1, 1e-3, 1e-6}, without the five
+    # pairs within rounding of a Jordan block, which eigendecompose refuses
+    @pytest.mark.parametrize("b,g", [(1.0, 1.0), (1.0, 1e-3), (1.0, 1e-6), (1e2, 1.0),
+                                     (1e2, 1e-3), (1e4, 1.0), (1e6, 1.0)])
+    def test_constants_and_envelopes_meet_50_digits(self, b, g):
+        form = _form(np.array([[1.0, b], [0.0, 1.0 + g]]))
+        sharp = classify_and_sharp_constant(form)
+        c1 = upper_bound_constant(form, form.mu).constant
+        ts = [0.5, 2.0, 5.0, 50.0]
+        env = envelope_curves(form, ts)
+        with mpmath.workdps(50):
+            bb, gg = mpmath.mpf(b), mpmath.mpf(1.0 + g) - 1
+            root = mpmath.sqrt(gg * gg + bb * bb)
+            q = (root + bb) / gg
+            got = [sharp.c_sharp, form.kappa_min, c1]
+            want = [root / gg, q * q, q]
+            for k, t in enumerate(ts):
+                # the squared singular values of e^{-Ct} = [[u, x], [0, w]]
+                u, w = mpmath.exp(-t), mpmath.exp(-(1 + gg) * t)
+                x = bb / gg * (w - u)
+                tr = u * u + x * x + w * w
+                top = (tr + mpmath.sqrt(tr * tr - 4 * (u * w) ** 2)) / 2
+                got += [env.h_plus[k], env.h_minus[k]]
+                want += [top, (u * w) ** 2 / top]
+            worst = max(abs(x / y - 1) for x, y in zip(got, want))
+        assert worst <= 1e-15, float(worst)
 
 
 def _system(alpha, lam, seed):
