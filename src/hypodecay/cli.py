@@ -14,8 +14,8 @@ or the reader closed stdout before the output was written, as `| head` does
 2: the library raised any other HypodecayError or ValueError (numpy's
 LinAlgError included) while certifying, as for a defective matrix (within
 rounding of a Jordan block, for every n), one not positive stable or larger
-than 16x16, a weighted P not admissible at the spectral gap, or a certificate
-outside the float range. 0: success.
+than 16x16, a weighted P not admissible at the spectral gap, a certificate
+outside the float range, or a gt field with energy above --modes. 0: success.
 All output is deterministic for fixed inputs and seed.
 
 Each command imports the library modules it uses when it runs, so a process
@@ -189,45 +189,33 @@ def cmd_analyze(args) -> int:
         "nu": report.nu,
         "nu_s": report.nu_s,
     }
-    if data.n == 2:
-        from .rate_family import upper_bound_constant
-        from .sharp2d import classify_and_sharp_constant
-
-        form = canonical_2d_form(data)
-        sharp = classify_and_sharp_constant(form)
-        opt = minimize_kappa_2d(form)
-        p = build_weighted_p(data, opt.weights)
-        out.update({
-            "alpha": sharp.alpha,
-            "case": sharp.case.value,
-            "c_sharp": sharp.c_sharp,
-            "bracket": [sharp.bracket[0], sharp.bracket[1]],
-            "kappa": opt.kappa,
-            "weights": [float(w) for w in opt.weights],
-            "residual": certificate_from_p(C, p, report.mu).residual,
-            "attained": {"kind": sharp.attained,
-                         "time": sharp.attained_time},
-            "c1_at_mu": upper_bound_constant(form, report.mu).constant,
-        })
-    elif data.n == 1:
-        out.update({
-            "kappa": 1.0,
-            "weights": [1.0],
-            "residual": 0.0,
-            "constant": 1.0,
-            "rate": report.mu,
-        })
+    if data.n == 1:  # P = 1 is exact: residual 0 at rate mu
+        out.update({"kappa": 1.0, "weights": [1.0], "residual": 0.0, "constant": 1.0,
+                    "rate": report.mu})
     else:
-        opt = minimize_kappa_weights(data.left_vectors)
+        if data.n == 2:
+            from .rate_family import upper_bound_constant
+            from .sharp2d import classify_and_sharp_constant
+
+            form = canonical_2d_form(data)
+            sharp = classify_and_sharp_constant(form)
+            opt = minimize_kappa_2d(form)
+            out.update({
+                "alpha": sharp.alpha,
+                "case": sharp.case.value,
+                "c_sharp": sharp.c_sharp,
+                "bracket": [sharp.bracket[0], sharp.bracket[1]],
+                "kappa": opt.kappa,
+                "attained": {"kind": sharp.attained, "time": sharp.attained_time},
+                "c1_at_mu": upper_bound_constant(form, report.mu).constant,
+            })
+        else:
+            opt = minimize_kappa_weights(data.left_vectors)
+            out.update({"kappa_equal": opt.kappa_equal, "kappa_opt": opt.kappa,
+                        "constant": float(np.sqrt(opt.kappa)), "rate": report.mu})
         p = build_weighted_p(data, opt.weights)
-        out.update({
-            "kappa_equal": opt.kappa_equal,
-            "kappa_opt": opt.kappa,
-            "weights": [float(w) for w in opt.weights],
-            "residual": certificate_from_p(C, p, report.mu).residual,
-            "constant": float(np.sqrt(opt.kappa)),
-            "rate": report.mu,
-        })
+        out["weights"] = [float(w) for w in opt.weights]
+        out["residual"] = certificate_from_p(C, p, report.mu).residual
 
     if args.oracle:
         from .propagator import exact_solution
@@ -349,13 +337,10 @@ def cmd_gt(args) -> int:
                      f"{gaps[0]:.3e}, deviation form gap {gaps[1]:.3e}")
                 return 3
 
-    if report.passed:
-        print(f"PASS max ratio {report.max_ratio:.12f} <= sqrt(3) "
-              f"at t = {report.t_at_max:.6f}", file=sys.stderr)
-        return 0
-    print(f"FAIL max ratio {report.max_ratio:.12f} > sqrt(3) "
+    verdict, relation, code = ("PASS", "<=", 0) if report.passed else ("FAIL", ">", 3)
+    print(f"{verdict} max ratio {report.max_ratio:.12f} {relation} sqrt(3) "
           f"at t = {report.t_at_max:.6f}", file=sys.stderr)
-    return 3
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--t-max", type=_nonnegative_float, default=20.0)
     pg.add_argument("--points", type=_int_at_least(1), default=400)
     pg.add_argument("--modes", type=_int_at_least(1), default=64, metavar="K",
-                    help="Fourier cutoff (default 64)")
+                    help="Fourier cutoff (default 64); a field with energy "
+                         "above it is refused with exit code 2")
     pg.add_argument("--grid", type=int, default=256, metavar="N",
                     help="spatial grid size (default 256)")
     pg.set_defaults(func=cmd_gt)

@@ -284,6 +284,11 @@ def verify_gt_bound(field: TorusField, times, cutoff: int) -> GTBoundReport:
     divided out, so it does not underflow at long times. passed allows the
     ratio a relative GT_TOL above sqrt(3). Requires the mass normalization
     int (f_plus + f_minus) dx = 2 pi and finite, non-negative times.
+
+    Only the modes |k| <= cutoff are checked, so a field with energy above
+    the cutoff raises ValueError: its squared deviation by grid quadrature
+    (deviation_norm, which sums every mode) may exceed the squared deviation
+    of the kept modes by at most a relative GT_TOL.
     """
     two_pi = 2.0 * np.pi
     if abs(field.mass - two_pi) > MASS_RTOL * two_pi:
@@ -296,9 +301,12 @@ def verify_gt_bound(field: TorusField, times, cutoff: int) -> GTBoundReport:
     # deviation coefficients: the conserved component is the k = 0 mean of p
     d = u.copy()
     d[ks == 0, 0] = 0.0
+    dev0 = float(np.sqrt(np.pi * (np.abs(d) ** 2).sum()))
+    if deviation_norm(field) ** 2 - dev0 ** 2 > GT_TOL * dev0 ** 2:
+        raise ValueError(f"the field has energy above the cutoff {cutoff} that would go "
+                         "unchecked; a larger cutoff (--modes) checks the whole field")
     _, q0, s = _mode_sums(ks, d, ts)  # p0 = 0
     dev = np.sqrt(np.pi * (np.exp(-2.0 * ts) * q0 + np.exp(-ts) * s))
-    dev0 = float(np.sqrt(np.pi * (np.abs(d) ** 2).sum()))
     # dev^2 e^{2 GT_RATE t}, with GT_RATE = 1/2, over dev0^2
     ratios = (np.sqrt(np.pi * (np.exp(-ts) * q0 + s)) / dev0 if dev0 >= 1e-300
               else np.zeros_like(ts))

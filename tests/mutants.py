@@ -64,6 +64,8 @@ MUTANTS = [
      "gt passes a ratio 1e-8 above sqrt(3)"),
     ("goldstein_taylor.py", "GT_TOL = 1e-10", "GT_TOL = 1e-12",
      "gt fails a ratio 1e-11 above sqrt(3)"),
+    ("goldstein_taylor.py", "> GT_TOL * dev0 ** 2", "> 1e-3 * dev0 ** 2",
+     "gt checks random:7 at cutoff 63, which leaves 1.2e-4 of its energy unchecked"),
     ("sharp2d.py", "ALPHA_FLOOR = 2.0 ** -54", "ALPHA_FLOOR = 1e-8",
      "c_sharp and h_+ of an overlap of 5e-9 round to the orthogonal constant 1"),
     ("sharp2d.py", "ALPHA_FLOOR = 2.0 ** -54", "ALPHA_FLOOR = 1e-14",

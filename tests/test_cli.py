@@ -725,8 +725,11 @@ class TestExitCodes:
         (["gt", "sharp", "--tol", "1e-9"], None, 1),
         (["gt", "random:7", "--seed", "3"], None, 1),
         (["analyze", "M"], [[-1.0]], 2),
+        (["gt", "harmonic:65"], None, 2),
+        (["gt", "harmonic:65", "--modes", "65"], None, 0),
     ], ids=["jordan-3x3", "entry-1e308", "envelope-entry-1e308", "diag-1e308",
-            "oracle-1e300", "gt-tol", "gt-seed", "unstable-1x1"])
+            "oracle-1e300", "gt-tol", "gt-seed", "unstable-1x1", "gt-above-modes",
+            "gt-at-modes"])
     def test_exit_code(self, capsys, tmp_path, argv, mat, expect):
         if mat is not None:
             path = write_matrix(tmp_path / "m.json", mat)

@@ -244,6 +244,17 @@ class TestVerifyGTBound:
         monkeypatch.setattr(goldstein_taylor, "GT_CONSTANT", top / (1 + 1e-8))
         assert not verify_gt_bound(TorusField.sharp(256), ts, 8).passed
 
+    @pytest.mark.parametrize("field, top", [(TorusField.harmonic(65, 256), 65),
+                                            (TorusField.random_field(7, 256), 64)],
+                             ids=["harmonic-65", "random-7"])
+    def test_refuses_energy_above_the_cutoff(self, field, top):
+        # random-7 keeps all but 1.2e-4 of its squared deviation at cutoff 63:
+        # a threshold of 1e-3 instead of GT_TOL would pass it
+        ts = np.linspace(0.0, 5.0, 11)
+        with pytest.raises(ValueError, match=f"above the cutoff {top - 1}"):
+            verify_gt_bound(field, ts, top - 1)
+        assert verify_gt_bound(field, ts, top).passed
+
     def test_requires_normalized_mass(self):
         field = TorusField(np.full(32, 0.6), np.full(32, 0.6))
         with pytest.raises(NotNormalized):
