@@ -189,7 +189,8 @@ def cmd_analyze(args) -> int:
         "nu": report.nu,
         "nu_s": report.nu_s,
     }
-    if data.n == 1:  # P = 1 is exact: residual 0 at rate mu
+    if data.n == 1:  # P = 1 is exact: residual 0 at rate mu, where 2 Re c is a float
+        certificate_from_p(C, np.eye(1), report.mu)  # refuses it beyond the float range
         out.update({"kappa": 1.0, "weights": [1.0], "residual": 0.0, "constant": 1.0,
                     "rate": report.mu})
     else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _HOMES
-from .errors import NotAdmissible
+from .errors import MatrixFormatError, NotAdmissible
 from .spectral import SpectralData, _hermitian_extremes, _norm_2x2, as_complex_matrix
 
 __all__ = _HOMES["lyapunov"]
@@ -47,10 +47,13 @@ class LyapunovMatrix:
 
     def __post_init__(self):
         P = as_complex_matrix(self.matrix)
-        self.matrix, lo, hi = (_hermitian_part_2x2 if len(P) == 2 else _hermitian_part)(P)
+        self._hold(*(_hermitian_part_2x2 if len(P) == 2 else _hermitian_part)(P), self.weights)
+
+    def _hold(self, H: np.ndarray, lo: float, hi: float, weights) -> None:
+        """Keep the Hermitian H, its extremes and weights; ValueError unless lo > 0."""
         if not lo > 0.0:
             raise ValueError(f"matrix is not positive definite (min eig {lo:.2e})")
-        self._ev = (lo, hi)
+        self.matrix, self.weights, self._ev = H, weights, (lo, hi)
 
     @property
     def lambda_min(self) -> float:
@@ -98,7 +101,7 @@ def build_weighted_p(data: SpectralData, weights) -> LyapunovMatrix:
     Positive weights only. The k-th projector damps the k-th spectral
     direction; relative weights trade conditioning between directions. Every
     record holds an eigenbasis (eigendecompose refuses a defective C). A 2x2
-    P is formed entry by entry on Python scalars.
+    P and its extremes are formed once, entry by entry on Python scalars.
     """
     b = np.asarray(weights, dtype=float).ravel()
     if len(b) != data.n:
@@ -115,10 +118,12 @@ def build_weighted_p(data: SpectralData, weights) -> LyapunovMatrix:
         y = b0 * (w10.real * w10.real + w10.imag * w10.imag) \
             + b1 * (w11.real * w11.real + w11.imag * w11.imag)
         h = b0 * w00 * w10.conjugate() + b1 * w01 * w11.conjugate()
-        P = np.array([[x, h], [h.conjugate(), y]])
-    else:
-        P = (W * b) @ W.conj().T
-    return LyapunovMatrix(matrix=P, weights=b)
+        if not (math.isfinite(x) and math.isfinite(y) and cmath.isfinite(h)):
+            raise MatrixFormatError("matrix has non-finite entries")
+        P = object.__new__(LyapunovMatrix)  # LyapunovMatrix(matrix=P) to the bit
+        P._hold(np.array([[x, h], [h.conjugate(), y]]), *_hermitian_extremes(x, y, h + h), b)
+        return P
+    return LyapunovMatrix(matrix=(W * b) @ W.conj().T, weights=b)
 
 
 def lyapunov_residual(C, P, rate: float) -> float:
@@ -183,20 +188,20 @@ def certificate_from_p(C, P, rate: float) -> LyapunovCertificate:
     The admissibility check allows a small negative residual proportional to
     |C| |P|, the rounding floor of eigvalsh, with no absolute floor, so that
     C -> sC at rate s r gives the verdict of C at rate r; a NaN residual is
-    refused as beyond the float range. lyapunov_residual checks C. |C| is
-    needed only for a residual that is not already >= 0; a 2x2 reads it from
-    spectral._norm_2x2, a larger C from svd.
+    refused as beyond the float range. C is converted and checked once. |C|
+    is needed only below half that slack at the largest |C_ij|, which is at
+    most |C|; a 2x2 reads it from spectral._norm_2x2, a larger C from svd.
     """
-    if not np.isfinite(rate):
+    if not math.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate!r}")
     if not isinstance(P, LyapunovMatrix):
         P = LyapunovMatrix(matrix=P)
+    C = as_complex_matrix(C)
     res = lyapunov_residual(C, P, rate)
     if res != res:
         raise NotAdmissible(f"P is not admissible at rate {rate}: C*P + PC - 2 rate P "
                             "leaves the float range", residual=res)
-    if not res >= 0.0:
-        C = as_complex_matrix(C)
+    if not res >= 0.0 and not res >= -0.5 * RESIDUAL_RTOL * np.abs(C).max() * P.lambda_max:
         norm = _norm_2x2(C) if len(C) == 2 else float(np.linalg.svd(C, compute_uv=False)[0])
         scale = norm * P.lambda_max
         if not res >= -RESIDUAL_RTOL * scale:

@@ -28,8 +28,8 @@ instead, with 1 + beta~ = 1 - beta0 = (1 - beta0^2)/(1 + beta0) when beta0 < alp
 so no factor cancels, not even as beta0 -> 1. At the gap (beta0 = 0)
 kappa_min is form.kappa_min to the last bit.
 
-family_envelope samples each family at np.linspace of its range and
-evaluates both families in one array call, on the two rows of rates joined,
+family_envelope samples each family at np.linspace of its range, to the
+bit, and evaluates both families in one array call on the two rows joined,
 with the same IEEE operations that a single rate runs on Python floats, so a
 member of the envelope and the single-rate call at its rate agree bit for bit.
 """
@@ -137,42 +137,44 @@ def lower_bound_constant(form: Canonical2DForm, nu_tilde: float) -> FamilyBound:
     return _member(form, nu_tilde, "lower")
 
 
-def _lower_envelope(rates: np.ndarray, logc: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _lower_envelope(rates: np.ndarray, logc: np.ndarray, slopes: np.ndarray,
+                    ts: np.ndarray) -> np.ndarray:
     """Index of the member minimizing logc_i - rates_i t, for each time in ts.
 
     The members on that envelope are the vertices of the lower convex hull of
     the points (rates_i, logc_i). Sorted by rate, with only the smallest logc
     of equal rates kept, the points form a chain; rates that already strictly
-    increase are that chain as given, and are neither sorted nor
-    deduplicated. Each round drops every vertex whose two edge slopes do not
-    increase, that is every vertex on or above the chord of its neighbours,
-    until the slopes strictly increase.
-    A dropped vertex lies on or above a segment between two points of the
-    set, so it is no vertex of the hull. A chain whose drops expose new
-    non-convex vertices takes one round per exposure; on perfbench's batch_2x2
-    seeds 1-40, all 2720 family rows whose rates increase took one round, and
-    the other 160, each of one repeated rate, took the sort path. Vertex k
-    wins for t between the slopes of its two edges, so one searchsorted on the
-    slopes finds each time's winner. A slope beyond the float range is inf,
-    with numpy's overflow warning unless the caller ignores it.
+    increase are that chain as given, with the caller's edge slopes (read
+    only then), and are neither sorted nor deduplicated. Each round drops
+    every vertex whose two edge slopes do not increase, that is every vertex
+    on or above the chord of its neighbours, until the slopes strictly
+    increase. A dropped vertex lies on or above a segment between two points
+    of the set, so it is no vertex of the hull. A chain whose drops expose
+    new non-convex vertices takes one round per exposure; one whose slopes
+    strictly increase is its own hull and ends in the first round, as all
+    2720 family rows of increasing rates did on perfbench's batch_2x2 seeds
+    1-40 (the other 160, of one repeated rate each, took the sort path).
+    Vertex k wins for t between the slopes of its edges, so one searchsorted
+    on the slopes finds each time's winner. A slope beyond the float range is
+    inf, with numpy's overflow warning unless the caller ignores it.
     """
-    if np.count_nonzero(rates[1:] > rates[:-1]) == len(rates) - 1:
-        hull, r, ell = np.arange(len(rates)), rates, logc
-    else:
+    hull = None  # the chain's labels, None while they are 0, 1, ...
+    if np.count_nonzero(rates[1:] > rates[:-1]) < len(rates) - 1:
         order = np.lexsort((logc, rates))
         r = rates[order]
-        first = np.empty(len(r), dtype=bool)
-        first[0] = True
-        np.not_equal(r[1:], r[:-1], out=first[1:])
+        first = np.concatenate(([True], r[1:] != r[:-1]))
         hull = order[first]
-        r, ell = r[first], logc[hull]
+        rates, logc = r[first], logc[hull]
+        slopes = (logc[1:] - logc[:-1]) / (rates[1:] - rates[:-1])
     while True:
-        slopes = (ell[1:] - ell[:-1]) / (r[1:] - r[:-1])
         convex = slopes[1:] > slopes[:-1]
         if np.count_nonzero(convex) == len(convex):
-            return hull[np.searchsorted(slopes, ts)]
+            win = np.searchsorted(slopes, ts)
+            return win if hull is None else hull[win]
         keep = np.concatenate(([True], convex, [True]))
-        hull, r, ell = hull[keep], r[keep], ell[keep]
+        hull = np.flatnonzero(keep) if hull is None else hull[keep]
+        rates, logc = rates[keep], logc[keep]
+        slopes = (logc[1:] - logc[:-1]) / (rates[1:] - rates[:-1])
 
 
 def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEnvelope:
@@ -190,32 +192,41 @@ def family_envelope(form: Canonical2DForm, times, n_rates: int = 64) -> FamilyEn
     rates plus times, not their product. Where two members tie within
     rounding the value may exceed the dense minimum by a few ulp. The lower
     envelope is the same construction on (-r_i, -log c_i), read from the
-    fastest rate down so that its abscissae increase. One call evaluates both
-    families, on the upper family's rates followed by the lower family's.
+    fastest rate down so that its abscissae increase. Both families are
+    formed once, upper first, in one row each of rates, constants and slopes.
     """
     if n_rates < 1:
         raise ValueError("n_rates must be at least 1")
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    rates = np.concatenate((np.linspace(form.mu_s, form.mu, n_rates),
-                            np.linspace(form.nu, form.nu_s, n_rates)))
-    up, down = rates[:n_rates], rates[n_rates:]
+    n, ranges = n_rates, ((form.mu_s, form.mu), (form.nu, form.nu_s))
+    steps = [(hi - lo) / (n - 1) for lo, hi in ranges] if n > 1 else [0.0]
+    if all(steps):  # np.linspace's bits: lo + i step, the last entry hi
+        rates = np.multiply.outer(steps, np.arange(n))
+        rates += [[lo] for lo, _ in ranges]
+        rates = rates.ravel()
+        rates[n - 1], rates[-1] = form.mu, form.nu_s
+    else:  # one rate, or a step that rounds to 0: np.linspace's own path
+        rates = np.concatenate([np.linspace(lo, hi, n) for lo, hi in ranges])
     # each family's rates lie between its range's ends, where the clamp keeps
     # them; where rounding crossed a range, they lie above its upper end, to
     # which the clamp takes them all
-    ends = rates[[0, n_rates - 1, n_rates, -1]].tolist()
+    ends = rates[[0, n - 1, n, -1]].tolist()
     clamped = [_clamp(form, x, k < 2) for k, x in enumerate(ends)]
-    at = rates if clamped == ends else np.minimum(rates, np.repeat(clamped[1::2], n_rates))
+    at = rates if clamped == ends else np.minimum(rates, np.repeat(clamped[1::2], n))
     c = np.sqrt(_family(form, at)[2])
-    c[n_rates:] = 1.0 / c[n_rates:]
+    c[n:] = 1.0 / c[n:]
     logc = np.log(c)
+    # one slope row: the lower family's part, read from the fastest rate down
+    # (back), has the bits of the slopes of (-r, -log c); any 0/0 goes unread
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        slopes = (logc[1:] - logc[:-1]) / (rates[1:] - rates[:-1])
+    back = slice(None, n - 1, -1)
     # a slope between rates of subnormal spacing, and e^{-r t} at a negative
     # rate, may grow past the float range: inf
     with np.errstate(over="ignore"):
-        i = _lower_envelope(up, logc[:n_rates], ts)
-        # the lower family's winners, counted back from the end of the row
-        j = 2 * n_rates - 1 - _lower_envelope(-down[::-1], -logc[n_rates:][::-1], ts)
-        k = np.array((i, j))
+        k = np.array((_lower_envelope(rates[:n], logc[:n], slopes[:n - 1], ts), 2 * n - 1
+                      - _lower_envelope(-rates[back], -logc[back], slopes[back], ts)))
         upper, lower = c[k] * np.exp(-rates[k] * ts)
     return FamilyEnvelope(upper=upper, lower=lower,
-                          upper_rates=up, lower_rates=down,
-                          upper_constants=c[:n_rates], lower_constants=c[n_rates:])
+                          upper_rates=rates[:n], lower_rates=rates[n:],
+                          upper_constants=c[:n], lower_constants=c[n:])

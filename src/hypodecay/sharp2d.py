@@ -62,7 +62,9 @@ class SharpResult2D:
 
     bracket = (lo, hi) encloses c_sharp; for the closed-form cases it
     degenerates to (c, c). attained_time is the finite time of equality when
-    there is one, None when the constant is approached only asymptotically.
+    there is one, None when the constant is approached only asymptotically;
+    for a numerical sup, the best sample's, where m_+ is c_sharp^2 to
+    rounding, good only to about 1e-6 relative as the flat maximum's place.
     """
 
     case: DecayCase

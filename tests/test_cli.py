@@ -99,13 +99,17 @@ class TestAnalyze:
         assert doc["c_sharp"] == 1.0
 
     def test_one_dim_certificate(self, capsys, tmp_path):
-        # x' = -(2 + 3i)x: |x(t)| = e^{-2t}|x0|, with constant 1 and no search
-        path = write_matrix(tmp_path / "one.json", [[2.0 + 3.0j]], with_imag=True)
-        code, out, _ = run(capsys, ["analyze", path])
-        assert code == 0
-        doc = json.loads(out)
-        assert (doc["n"], doc["mu"], doc["kappa"], doc["weights"], doc["residual"],
-                doc["constant"], doc["rate"]) == (1, 2.0, 1.0, [1.0], 0.0, 1.0, 2.0)
+        # x' = -(2 + 3i)x: |x(t)| = e^{-2t}|x0|, with constant 1 and no search.
+        # Where 2c stays in the float range the residual printed is the exact
+        # 0, not the rounding of 2 Re c - 2 mu (3.3e-316 at 1e-300, whose mu
+        # is one ulp below c)
+        for c, mu in ((2.0 + 3.0j, 2.0), (8.9e307, 8.9e307), (1e-300, 9.999999999999999e-301)):
+            path = write_matrix(tmp_path / "one.json", [[c]], with_imag=True)
+            code, out, _ = run(capsys, ["analyze", path])
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["n"], doc["mu"], doc["kappa"], doc["weights"], doc["residual"],
+                    doc["constant"], doc["rate"]) == (1, mu, 1.0, [1.0], 0.0, 1.0, mu)
 
     def test_three_dim_certificate(self, capsys, m3_file):
         code, out, _ = run(capsys, ["analyze", m3_file])
@@ -401,13 +405,19 @@ class TestAnalyzeErrors:
     def test_certificate_beyond_the_float_range(self, capsys, tmp_path):
         # at subnormal scale the attainment time pi/|delta| overflows to inf,
         # which strict JSON cannot carry; near the float maximum the residual
-        # C*P + PC - 2 mu P overflows to a NaN, which is not "below" the slack
+        # C*P + PC - 2 mu P overflows to a NaN, which is not "below" the slack.
+        # A 1x1 c is refused with the 2x2's message once 2c overflows
+        # (2 * 9e307 is inf), as the 2x2 diag(9e307, 1.7e308) is
         for name, mat in (("sub", 1e-310 * np.array([[1.0, -1.0], [1.0, 0.0]])),
-                          ("top", np.diag([1e307, 1.7e308]))):
+                          ("top", np.diag([1e307, 1.7e308])), ("top-2x2", np.diag([9e307, 1.7e308])),
+                          ("top-1x1", [[9e307]]), ("max-1x1", [[1.7976931348623157e308]])):
             path = write_matrix(tmp_path / f"{name}.json", mat)
             code, out, err = run(capsys, ["analyze", path])
             assert code == 2 and out == ""
             assert err.startswith("error:") and "float range" in err
+            if name != "sub":
+                assert err == (f"error: P is not admissible at rate {float(mat[0][0])!r}: "
+                               "C*P + PC - 2 rate P leaves the float range\n")
 
     def test_usage_error(self, capsys):
         assert main([]) == 1

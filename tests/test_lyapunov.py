@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hypodecay import (
     LyapunovMatrix,
+    MatrixFormatError,
     NotAdmissible,
     build_weighted_p,
     canonical_2d_form,
@@ -29,6 +30,8 @@ from hypodecay.lyapunov import (
     _residual_2x2,
 )
 from hypodecay.spectral import _norm_2x2
+
+from .conftest import make_2x2_with_overlap
 
 _EPS = np.finfo(float).eps
 
@@ -96,6 +99,50 @@ class TestBuildWeightedP:
         for _ in range(10):
             p = build_weighted_p(data, rng.uniform(0.1, 10.0, size=2))
             assert lyapunov_residual(mat_complex_pair, p, 0.5) >= -1e-12
+
+
+def _entrywise_p(W, b):
+    """The 2x2 P = sum_j b_j w_j w_j* formed entry by entry on Python scalars:
+    the array that build_weighted_p once sent through LyapunovMatrix."""
+    (w00, w01), (w10, w11) = W.tolist()
+    b0, b1 = b.tolist()
+    x = b0 * (w00.real * w00.real + w00.imag * w00.imag) \
+        + b1 * (w01.real * w01.real + w01.imag * w01.imag)
+    y = b0 * (w10.real * w10.real + w10.imag * w10.imag) \
+        + b1 * (w11.real * w11.real + w11.imag * w11.imag)
+    h = b0 * w00 * w10.conjugate() + b1 * w01 * w11.conjugate()
+    return np.array([[x, h], [h.conjugate(), y]])
+
+
+def _outcome(make):
+    """The bits of the LyapunovMatrix that make() returns, or its exception."""
+    try:
+        p = make()
+    except Exception as exc:  # the refusal itself is what is compared
+        return type(exc), str(exc)
+    return (p.matrix.tobytes(), p.weights.tobytes(),
+            np.array([p.lambda_min, p.lambda_max, p.kappa]).tobytes())
+
+
+class TestTwoByTwoWeightedP:
+    @pytest.mark.parametrize("weights", ["seeded", "2^1000", "2^-1000", "overflow", "tiny"])
+    def test_bits_and_refusals_of_lyapunov_matrix(self, weights):
+        # the 2x2 P and its extremes, formed once from the scalars, are what
+        # sending the entrywise P through LyapunovMatrix's checks gives, to
+        # the bit, and so is the refusal of a P beyond the float range (a
+        # MatrixFormatError) or one that rounds indefinite (a ValueError)
+        rng = np.random.default_rng(41)
+        seen = set()
+        for _ in range(60):
+            data = eigendecompose(make_2x2_with_overlap(rng)[0])
+            b = rng.uniform(0.1, 10.0, size=2)
+            b = {"seeded": b, "2^1000": 2.0 ** 1000 * b, "2^-1000": 2.0 ** -1000 * b,
+                 "overflow": np.array([1.7e308, 1.7e308]), "tiny": np.array([5e-324, b[0]])}[weights]
+            got = _outcome(lambda: build_weighted_p(data, b))
+            assert got == _outcome(lambda: LyapunovMatrix(_entrywise_p(data.left_vectors, b), b))
+            seen.add(got[0] if isinstance(got[0], type) else "P")
+        refusal = {"overflow": MatrixFormatError, "tiny": ValueError}.get(weights)
+        assert refusal in seen if refusal else seen == {"P"}
 
 
 class TestLyapunovResidual:
@@ -168,11 +215,12 @@ class TestCertificateFromP:
 
 
 class TestResidualSlack:
-    """certificate_from_p reads |C| only for a residual below zero, and
-    accepts down to -RESIDUAL_RTOL |C| |P|. For C = diag(1, 2) and P = I the
-    residual is 2 - 2 rate exactly and |C| |P| = 2, so the slack ends at
-    rate 1 + RESIDUAL_RTOL. A 2x2 reads |C| from the closed-form
-    _norm_2x2, a larger C from svd."""
+    """certificate_from_p reads |C| only for a residual below half the slack
+    at the largest |C_ij| (at most |C|), and accepts down to
+    -RESIDUAL_RTOL |C| |P|. For C = diag(1, 2) and P = I the residual is
+    2 - 2 rate exactly and |C| |P| = 2, so the slack ends at rate
+    1 + RESIDUAL_RTOL. A 2x2 reads |C| from the closed-form _norm_2x2, a
+    larger C from svd."""
 
     C = np.diag([1.0, 2.0])
 
@@ -213,6 +261,14 @@ class TestResidualSlack:
 
     def test_nonnegative_residual_reads_no_norm(self, norm_calls):
         assert certificate_from_p(self.C, np.eye(2), 1.0).residual == 0.0
+        assert norm_calls == {"norm_2x2": [], "svd": []}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_residual_of_rounding_size_reads_no_norm(self, n, norm_calls):
+        # -2e-14 lies above half the slack at the largest entry, -n e-10,
+        # so it is admitted without |C|, as it would be with it
+        c = np.diag(np.arange(1.0, n + 1.0))
+        assert certificate_from_p(c, np.eye(n), 1.0 + 1e-14).residual == 2.0 - 2.0 * (1.0 + 1e-14)
         assert norm_calls == {"norm_2x2": [], "svd": []}
 
     @pytest.mark.parametrize("k", [0, -600, -1000])

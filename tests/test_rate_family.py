@@ -18,7 +18,7 @@ from hypodecay import (
     lower_bound_constant,
     upper_bound_constant,
 )
-from hypodecay.rate_family import _lower_envelope
+from hypodecay.rate_family import _family, _lower_envelope
 
 from .conftest import make_2x2_with_overlap
 
@@ -296,6 +296,14 @@ def _monotone_chain_envelope(rates, logc, ts):
     return np.array(hull)[np.searchsorted(slopes, ts)]
 
 
+def _envelope(rates, logc, ts):
+    """_lower_envelope with the points' own slope row, read only where the
+    rates strictly increase: each family row as a separate call forms it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = (logc[1:] - logc[:-1]) / (rates[1:] - rates[:-1])
+    return _lower_envelope(rates, logc, slopes, ts)
+
+
 _FLOATS = st.floats(-1e3, 1e3, allow_subnormal=False)
 
 
@@ -309,6 +317,39 @@ def _float_points(draw):
     return np.array(rates), np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)))
 
 
+#: the kinds of family row: increasing rates with convex and with non-convex
+#: log c, repeated rates, and a point range
+_ROW_KINDS = ("convex", "non-convex", "repeated", "point")
+
+
+@st.composite
+def _family_row(draw, kind, n):
+    """n rates and log constants of one kind of _ROW_KINDS."""
+    if kind == "point":
+        rates = np.full(n, draw(_FLOATS))
+    elif kind == "repeated":
+        pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
+        rates = np.sort(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    else:
+        rates = np.sort(draw(st.lists(_FLOATS, min_size=n, max_size=n, unique=True)))
+    if kind == "convex":  # the rising slopes accumulated over the rate steps
+        rise = np.sort(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+        return rates, draw(_FLOATS) + np.cumsum(rise * np.diff(rates, prepend=rates[0]))
+    return rates, np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)))
+
+
+@st.composite
+def _two_family_rows(draw):
+    """(up, lu, down, ld): two rows of one length, each of a kind of _ROW_KINDS."""
+    n = draw(st.integers(1, 24))
+    return (*draw(_family_row(draw(st.sampled_from(_ROW_KINDS)), n)),
+            *draw(_family_row(draw(st.sampled_from(_ROW_KINDS)), n)))
+
+
+_ZIGZAG = (np.arange(5.0), np.array([0.0, 1.0, 0.0, 1.0, 3.0]),
+           np.arange(5.0) + 3.5, np.array([2.0, 0.0, 1.0, 0.0, -2.0]))
+
+
 class TestLowerEnvelope:
     @given(lines=st.lists(st.tuples(st.integers(-10, 10), st.integers(-20, 20)),
                           min_size=1, max_size=40),
@@ -319,7 +360,7 @@ class TestLowerEnvelope:
         # difference and comparison exact, so the winner must attain the minimum
         rates, offsets = np.array(lines, dtype=float).T
         ts = np.array(eighths) / 8.0
-        win = _lower_envelope(rates, offsets, ts)
+        win = _envelope(rates, offsets, ts)
         assert np.array_equal(offsets[win] - rates[win] * ts,
                               np.min(offsets[:, None] - np.outer(rates, ts), axis=0))
         assert np.array_equal(win, _monotone_chain_envelope(rates, offsets, ts))
@@ -331,7 +372,7 @@ class TestLowerEnvelope:
         rates, logc = points
         ts = np.array(ts)
         with np.errstate(over="ignore"):  # rates 1e-306 apart: a slope of inf
-            win = _lower_envelope(rates, logc, ts)
+            win = _envelope(rates, logc, ts)
         assert np.array_equal(win, _monotone_chain_envelope(rates, logc, ts))
 
     @given(rates=st.lists(_FLOATS, min_size=1, max_size=40, unique=True),
@@ -345,8 +386,8 @@ class TestLowerEnvelope:
         ts = np.array(ts)
         perm = np.random.default_rng(len(rates)).permutation(len(rates))
         with np.errstate(over="ignore"):
-            win = _lower_envelope(rates, logc, ts)
-            shuffled = perm[_lower_envelope(rates[perm], logc[perm], ts)]
+            win = _envelope(rates, logc, ts)
+            shuffled = perm[_envelope(rates[perm], logc[perm], ts)]
         assert np.array_equal(win, _monotone_chain_envelope(rates, logc, ts))
         assert np.array_equal(win, shuffled)
 
@@ -360,11 +401,102 @@ class TestLowerEnvelope:
             for rates, logc in ((fam.upper_rates, np.log(fam.upper_constants)),
                                 (-fam.lower_rates, -np.log(fam.lower_constants)),
                                 (-fam.lower_rates[::-1], -np.log(fam.lower_constants[::-1]))):
-                assert np.array_equal(_lower_envelope(rates, logc, ts),
+                assert np.array_equal(_envelope(rates, logc, ts),
                                       _monotone_chain_envelope(rates, logc, ts))
+
+    @given(rows=_two_family_rows(),
+           ts=st.lists(_FLOATS | st.just(np.nan), min_size=1, max_size=20))
+    # both chains zigzag, so the first round drops vertices; then repeated
+    # rates and a point range, which take the sort path; then collinear rows
+    @example(rows=_ZIGZAG, ts=np.linspace(-8.0, 8.0, 33).tolist())
+    @example(rows=(np.array([0.0, 1.0, 1.0, 2.0, 2.0]), _ZIGZAG[1], np.full(5, 1.0), _ZIGZAG[3]),
+             ts=np.linspace(-8.0, 8.0, 33).tolist())
+    @example(rows=(_ZIGZAG[0], np.zeros(5), _ZIGZAG[2], np.ones(5)), ts=[-1.0, 0.0, 2.0])
+    @settings(max_examples=300, deadline=None)
+    def test_one_slope_row_serves_both_families(self, rows, ts):
+        # family_envelope's hull step on the joined rows: one slope row, whose
+        # part for the lower family read backwards has the bits of the slopes
+        # of (-r, -log c) wherever that family's rates increase, gives each
+        # family the winners of its own slope row, which are the monotone
+        # chain's
+        up, lu, down, ld = rows
+        n, ts = len(up), np.array(ts)
+        rates, logc = np.concatenate((up, down)), np.concatenate((lu, ld))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            slopes = (logc[1:] - logc[:-1]) / (rates[1:] - rates[:-1])
+            ell, r = -ld[::-1], -down[::-1]
+            own = (ell[1:] - ell[:-1]) / (r[1:] - r[:-1])
+        back = slice(None, n - 1, -1)
+        if np.all(down[1:] > down[:-1]):
+            assert slopes[back].tobytes() == own.tobytes()
+        with np.errstate(over="ignore"):
+            i = _lower_envelope(up, lu, slopes[:n - 1], ts)
+            j = _lower_envelope(-rates[back], -logc[back], slopes[back], ts)
+            assert np.array_equal(i, _envelope(up, lu, ts))
+            assert np.array_equal(j, _envelope(r, ell, ts))
+        assert np.array_equal(i, _monotone_chain_envelope(up, lu, ts))
+        assert np.array_equal(j, _monotone_chain_envelope(r, ell, ts))
+
+
+def _batch_2x2_forms(seed):
+    """Canonical forms of the systems of perfbench's batch_2x2(seed), built
+    inline: the seeded draws of each regime, then the fixed aliased and
+    rescaled systems."""
+    rng = np.random.default_rng([seed, 2])
+    found = []
+    for case, count in (("EqualEigenvalues", 2), ("EqualRealParts", 5),
+                        ("EqualImaginaryParts", 5), ("FullyDistinct", 20)):
+        for _ in range(count):
+            mu, omega, alpha, gamma = (rng.uniform(0.2, 1.5), rng.uniform(-1.5, 1.5),
+                                       rng.uniform(0.05, 0.9), rng.uniform(0.1, 1.3))
+            delta = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            q = q * (np.diag(r) / np.abs(np.diag(r)))
+            if case == "EqualEigenvalues":
+                found.append((mu + 1j * omega) * np.eye(2, dtype=complex))
+                continue
+            gamma, delta = (0.0 if case == "EqualRealParts" else gamma,
+                            0.0 if case == "EqualImaginaryParts" else delta)
+            v = q @ np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]], dtype=complex)
+            found.append((v * [mu + 1j * omega, mu + gamma + 1j * (omega + delta)])
+                         @ np.linalg.inv(v))
+    if seed == 1:
+        for alpha, gamma, delta in ((0.5, 1e-4, 50.0), (0.5, 1e-3, 30.0), (0.9, 1e-2, 200.0)):
+            found.append(_matrix(alpha, [1.0, 1.0 + gamma + 1j * delta]))
+        found.append(1e-12 * np.array([[1.0, -1.0], [1.0, 0.0]], dtype=complex))
+    return [canonical_2d_form(eigendecompose(c)) for c in found]
+
+
+def _two_row_envelope(form, ts, n):
+    """(upper, lower, upper_rates, lower_rates, upper_constants,
+    lower_constants) from two np.linspace rows, each family evaluated and
+    given to _lower_envelope with its own slope row, as separate calls did."""
+    up, down = np.linspace(form.mu_s, form.mu, n), np.linspace(form.nu, form.nu_s, n)
+    # where rounding crossed a range, the clamp takes every rate to its top
+    crossed = form.mu_s > form.mu or form.nu > form.nu_s
+    cu = np.sqrt(_family(form, np.minimum(up, form.mu) if crossed else up)[2])
+    cd = 1.0 / np.sqrt(_family(form, np.minimum(down, form.nu_s) if crossed else down)[2])
+    with np.errstate(over="ignore"):
+        i = _envelope(up, np.log(cu), ts)
+        j = n - 1 - _envelope(-down[::-1], -np.log(cd)[::-1], ts)
+        return cu[i] * np.exp(-up[i] * ts), cd[j] * np.exp(-down[j] * ts), up, down, cu, cd
 
 
 class TestFamilyEnvelope:
+    @pytest.mark.filterwarnings("error")
+    def test_bits_of_two_rows_on_batch_2x2(self):
+        # one row of rates, constants and slopes for both families changes no
+        # bit of any field against two np.linspace rows and a hull per family,
+        # on every form of batch_2x2 seeds 1-40
+        fields = ("upper", "lower", "upper_rates", "lower_rates",
+                  "upper_constants", "lower_constants")
+        for seed in range(1, 41):
+            for form in _batch_2x2_forms(seed):
+                ts = np.linspace(0.0, 10.0 / form.mu, 400)
+                fam = family_envelope(form, ts)
+                for name, ref in zip(fields, _two_row_envelope(form, ts, 64)):
+                    assert getattr(fam, name).tobytes() == ref.tobytes(), (seed, name)
+
     def test_brackets_exact_envelopes(self, form_complex_pair):
         ts = np.linspace(0.0, 10.0, 101)
         fam = family_envelope(form_complex_pair, ts, n_rates=32)
