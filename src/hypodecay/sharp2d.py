@@ -24,12 +24,18 @@ Lemma (0 < alpha < 1, gamma >= 0, delta != 0). With A_+ = (cosh(gamma t) +
 alpha^2)/beta^2 >= A, m_+ <= M(t) = e^{-gamma t}(A_+ + sqrt(A_+^2 - 1)),
 with equality at t = (2j + 1) pi/|delta|. M is non-increasing, because
 beta^4 (A_+^2 - 1) - sinh^2(gamma t) = 2 alpha^2 (1 + cosh(gamma t)) >= 0.
-Hence sup_{t >= 0} m_+ = max of m_+ over [0, pi/|delta|], where m_+ rises and
-then falls (checked numerically), so golden-section search brackets it and
-successive parabolic interpolation (Brent, Algorithms for Minimization without
-Derivatives, 1973, ch. 5) then closes in on the smooth maximum. In
-s = |delta| t, with g = gamma/|delta| and e = e^{-g pi}, the slope of m_+ at s = pi
-is g e (e - (alpha^2 + e) m_+/beta^2), < 0 for gamma > 0 (m_+ > 1), 0 for gamma = 0.
+Hence sup_{t >= 0} m_+ = max of m_+ over [0, pi/|delta|].
+
+Lemma (one maximizer). In s = |delta| t, with g = gamma/|delta| > 0,
+log m_+ = -g s + arccosh A and A' = (g sinh gs + alpha^2 sin s)/beta^2 > 0 on
+(0, pi]. So m_+' has the sign of A'^2 - g^2 (A^2 - 1) = alpha^2 F/beta^4, with
+
+    F(s) = 2g (sinh gs sin s + g cosh gs cos s) + alpha^2 (1 + g^2) sin^2 s - 2g^2.
+
+F(0) = 0 and F'(s) = 2 (1 + g^2) cos s (g sinh gs + alpha^2 sin s), so F > 0
+on (0, pi/2], F falls strictly on [pi/2, pi], and F(pi) = -2g^2 (1 + cosh g pi)
+< 0. Hence m_+ has exactly one maximizer s* on [0, pi], and it lies in
+(pi/2, pi); for g = 0, F = alpha^2 sin^2 s and s* = pi.
 """
 
 from __future__ import annotations
@@ -48,14 +54,6 @@ __all__ = _HOMES["sharp2d"]
 #: alpha below which kappa_min and its root round to 1, the constant of an orthogonal basis
 ALPHA_FLOOR = 2.0 ** -54
 
-#: bracket width, in s = |delta| t, at which sup_m_plus turns from golden
-#: section to parabolic steps
-_GOLDEN_WIDTH = 1e-3 * math.pi
-
-#: relative step below which the parabolic steps of sup_m_plus stop
-_SEARCH_RTOL = np.finfo(float).eps ** 0.5
-
-
 @dataclass
 class SharpResult2D:
     """Sharp constant for |f(t)| <= c e^{-mu t} |f0| with attainment info.
@@ -63,8 +61,8 @@ class SharpResult2D:
     bracket = (lo, hi) encloses c_sharp; for the closed-form cases it
     degenerates to (c, c). attained_time is the finite time of equality when
     there is one, None when the constant is approached only asymptotically;
-    for a numerical sup, the best sample's, where m_+ is c_sharp^2 to
-    rounding, good only to about 1e-6 relative as the flat maximum's place.
+    for a numerical sup, the located maximizer of m_+, good to about 1e-13
+    relative.
     """
 
     case: DecayCase
@@ -122,19 +120,22 @@ def envelope_curves(form: Canonical2DForm, times) -> EnvelopeCurve:
 
 
 def sup_m_plus(alpha: float, beta: float, gamma: float, delta: float) -> tuple:
-    """(sup over t >= 0 of the upper envelope factor m_+, a time t_at of it),
+    """(sup over t >= 0 of the upper envelope factor m_+, the time t_at of it),
     with beta = sqrt(1 - alpha^2) as Canonical2DForm carries it.
-    By the module's lemma the sup lies in s = |delta| t in [0, pi] (invariant
-    under C -> sC). Golden-section search narrows that bracket to _GOLDEN_WIDTH;
-    the slope of m_+ at s = pi is < 0 (0 for gamma = 0), so that end needs no
-    evaluation of its own, and m_+(0) = 1. Then each step evaluates the vertex
-    of the parabola through the three best samples, kept inside the bracket,
-    until a step moves less than _SEARCH_RTOL relative, the samples no longer
-    bend down (they agree to rounding) or the vertex is no better than all
-    three. The value is the largest sampled m_+, a lower bound on the sup.
-    The search runs in Python floats: each m_+ is a handful of math calls, not
-    numpy calls on one-element values. t_at is None within 1e-12 of the
-    asymptote 1/beta^2, which is the sup for delta = 0.
+    By the module's lemmas the sup is m_+ at the one root s* of F in
+    s = |delta| t in [pi/2, pi] (invariant under C -> sC). Newton steps find s*
+    as the root of Fh = F e^{-gs}/(1 + g^2) =
+    w sh sin s + q (1 + e^2) cos s + (alpha^2 sin^2 s - 2q) e, with e = e^{-gs},
+    sh = 1 - e^2, w = 1/(g + 1/g) and q = 1/(1 + g^-2), which overflow at no g,
+    inf included; the slope of Fh is cos s (g sh + 2 alpha^2 e sin s) - g Fh.
+    They start at pi - min(pi/4, 2g/alpha), the root for small g, where F has a
+    near-double root at pi. A step that leaves the sign bracket of Fh bisects
+    it instead; the steps stop when one moves s by at most 2 eps s, or after
+    64, as many as bisection needs.
+    m_+ is evaluated once, at the root, so t_at is the maximizer to about 1e-13
+    relative. The search runs in Python floats: each step is a handful of math
+    calls, not numpy calls on one-element values. t_at is None within 1e-12 of
+    the asymptote 1/beta^2, which is the sup for delta = 0.
     """
     alpha, beta, gamma, delta = float(alpha), float(beta), float(gamma), float(delta)
     if not (0.0 <= alpha <= 1.0 and 0.0 < beta <= 1.0 and 0.0 <= gamma < math.inf
@@ -148,37 +149,27 @@ def sup_m_plus(alpha: float, beta: float, gamma: float, delta: float) -> tuple:
     if delta == 0.0:
         return asymptote, None
     g = gamma / abs(delta)
-    m = lambda s: _m_plus_minus(alpha, beta, g, 1.0, s)[1]  # noqa: E731
-    inv = (5.0 ** 0.5 - 1.0) / 2.0
-    lo, hi, s1, s2 = 0.0, math.pi, math.pi - inv * math.pi, inv * math.pi
-    m_lo, m1, m2, m_hi = 1.0, m(s1), m(s2), -math.inf  # m_+(0) = 1; pi is not sampled
-    while hi - lo >= _GOLDEN_WIDTH:
-        if m1 > m2:
-            hi, m_hi, s2, m2, s1 = s2, m2, s1, m1, s2 - inv * (s2 - lo)
-            m1 = m(s1)
-        else:
-            lo, m_lo, s1, m1, s2 = s1, m1, s2, m2, s1 + inv * (hi - s1)
-            m2 = m(s2)
-    # m_+ falls away from its maximum, so the best samples lie in [lo, hi]
-    (mb, b), (ma, a), (mc, c) = sorted([(m_lo, lo), (m1, s1), (m2, s2), (m_hi, hi)],
-                                       reverse=True)[:3]
-    while True:
-        # the parabola mb + k (s - b) + curv (s - b)^2 through the three samples,
-        # from the slopes of the chords from b to a and to c
-        ka, kc = (ma - mb) / (a - b), (mc - mb) / (c - b)
-        curv = (ka - kc) / (a - c)
-        if not curv < 0.0:
-            break
-        u = min(max(b - (ka - curv * (a - b)) / (2.0 * curv), lo), hi)
-        if abs(u - b) < _SEARCH_RTOL * b or u == a or u == c:
-            break
-        m_u = m(u)
-        if m_u <= mc:
-            break
-        (mb, b), (ma, a), (mc, c) = sorted([(mb, b), (ma, a), (m_u, u)], reverse=True)
-    if mb <= asymptote * (1.0 + 1e-12):
-        return max(mb, asymptote), None
-    return mb, b / abs(delta)
+    s = math.pi - min(0.25 * math.pi, 2.0 * g / alpha)
+    if g > 0.0:
+        a2, inv = alpha * alpha, 1.0 / g
+        w, q = 1.0 / (g + inv), 1.0 / (1.0 + inv * inv)
+        lo, hi = 0.5 * math.pi, math.pi
+        for _ in range(64):
+            e, sh = math.exp(-g * s), -math.expm1(-2.0 * g * s)
+            sn, cs = math.sin(s), math.cos(s)
+            f = w * sh * sn + q * (1.0 + e * e) * cs + (a2 * sn * sn - 2.0 * q) * e
+            lo, hi = (s, hi) if f > 0.0 else (lo, s)
+            slope = cs * (g * sh + 2.0 * a2 * e * sn) - g * f
+            step = s - f / slope if slope else math.nan  # no Newton step: bisect
+            if not lo <= step <= hi:  # closed: a root, f = 0, steps onto itself
+                step = 0.5 * (lo + hi)
+            s, moved = step, abs(step - s)
+            if moved <= 2.0 ** -51 * s:  # 2 eps
+                break
+    m = _m_plus_minus(alpha, beta, g, 1.0, s)[1]
+    if m <= asymptote * (1.0 + 1e-12):
+        return max(m, asymptote), None
+    return m, s / abs(delta)
 
 
 def classify_and_sharp_constant(form: Canonical2DForm) -> SharpResult2D:

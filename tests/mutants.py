@@ -101,6 +101,20 @@ MUTANTS = [
     ("sharp2d.py", "* (sn * sn)) / (beta * beta)", "* (sn * sn)) / (1.0 - alpha * alpha)",
      "h+- of a triangular C near a Jordan block drift from their 50-digit values",
      ("tests/test_sharp2d.py::TestEnvelopes::test_no_cancellation_near_a_jordan_block",)),
+    ("sharp2d.py", "            slope = cs * (g * sh + 2.0 * a2 * e * sn) - g * f\n",
+     "            slope = cs * (g * sh + 2.0 * a2 * e * sn)\n",
+     "the slope of the root-find without its -g Fh term: the Newton steps lose their quadratic pace",
+     ("tests/test_sharp2d.py::TestSupReference::test_search_cost",)),
+    ("sharp2d.py", "if moved <= 2.0 ** -51 * s:", "if moved <= 1e-8 * s:",
+     "the root-find stops at a step of 1e-8 relative, not 2 eps: attained.time drifts off the argmax",
+     ("tests/test_sharp2d.py::TestSupReference::test_time_meets_a_50_digit_argmax",)),
+    ("sharp2d.py", "    s = math.pi - min(0.25 * math.pi, 2.0 * g / alpha)\n", "    s = math.pi\n",
+     "the root-find starts at pi, beside the near-double root that small g leaves there",
+     ("tests/test_sharp2d.py::TestSupReference::test_search_cost",)),
+    ("sharp2d.py", "(a2 * sn * sn - 2.0 * q) * e", "(a2 * sn * sn - q) * e",
+     "the root-find's Fh with q for 2q: the root and the sup move off the maximum",
+     ("tests/test_sharp2d.py::TestSupReference::test_matches_mpmath",
+      "tests/test_sharp2d.py::TestSupReference::test_time_meets_a_50_digit_argmax")),
     ("sharp2d.py", "1.0 / form.beta", "1.0 / math.sqrt(1.0 - form.alpha ** 2)",
      "c_sharp of [[1, 1e6], [0, 2]] is 4.4e-5 below sqrt(1 + 1e12)",
      ("tests/test_sharp2d.py::TestTriangularNearJordan::test_constants_and_envelopes_meet_50_digits",)),

@@ -20,7 +20,7 @@ from hypodecay import (
 )
 from hypodecay.rate_family import _family, _lower_envelope
 
-from .conftest import make_2x2_with_overlap
+from .conftest import batch_2x2_matrices, make_2x2_with_overlap
 
 
 class TestUpperBoundConstant:
@@ -439,32 +439,8 @@ class TestLowerEnvelope:
 
 
 def _batch_2x2_forms(seed):
-    """Canonical forms of the systems of perfbench's batch_2x2(seed), built
-    inline: the seeded draws of each regime, then the fixed aliased and
-    rescaled systems."""
-    rng = np.random.default_rng([seed, 2])
-    found = []
-    for case, count in (("EqualEigenvalues", 2), ("EqualRealParts", 5),
-                        ("EqualImaginaryParts", 5), ("FullyDistinct", 20)):
-        for _ in range(count):
-            mu, omega, alpha, gamma = (rng.uniform(0.2, 1.5), rng.uniform(-1.5, 1.5),
-                                       rng.uniform(0.05, 0.9), rng.uniform(0.1, 1.3))
-            delta = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
-            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            q = q * (np.diag(r) / np.abs(np.diag(r)))
-            if case == "EqualEigenvalues":
-                found.append((mu + 1j * omega) * np.eye(2, dtype=complex))
-                continue
-            gamma, delta = (0.0 if case == "EqualRealParts" else gamma,
-                            0.0 if case == "EqualImaginaryParts" else delta)
-            v = q @ np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]], dtype=complex)
-            found.append((v * [mu + 1j * omega, mu + gamma + 1j * (omega + delta)])
-                         @ np.linalg.inv(v))
-    if seed == 1:
-        for alpha, gamma, delta in ((0.5, 1e-4, 50.0), (0.5, 1e-3, 30.0), (0.9, 1e-2, 200.0)):
-            found.append(_matrix(alpha, [1.0, 1.0 + gamma + 1j * delta]))
-        found.append(1e-12 * np.array([[1.0, -1.0], [1.0, 0.0]], dtype=complex))
-    return [canonical_2d_form(eigendecompose(c)) for c in found]
+    """Canonical forms of conftest.batch_2x2_matrices(seed)."""
+    return [canonical_2d_form(eigendecompose(c)) for c in batch_2x2_matrices(seed)]
 
 
 def _two_row_envelope(form, ts, n):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -19,7 +20,7 @@ from hypodecay import (
 )
 from hypodecay import RateOutOfRange, sharp2d
 from hypodecay.sharp2d import ALPHA_FLOOR, _m_plus_minus
-from .conftest import make_2x2_with_overlap
+from .conftest import batch_2x2_matrices, make_2x2_with_overlap
 from .sweep import (_grid_extrema, _gram_coefficients, sector_constant,
                     trajectory_envelope_oracle, trajectory_sup_oracle)
 
@@ -247,7 +248,7 @@ class TestSupMPlus:
         alpha, delta = 0.5, np.sqrt(3.0)
         value, t_at = sup_m_plus(alpha, _beta(alpha), 0.0, delta)
         assert value == pytest.approx((1 + alpha) / (1 - alpha), rel=1e-10)
-        assert t_at == pytest.approx(np.pi / delta, rel=1e-6)
+        assert t_at == np.pi / delta
 
     def test_monotone_approach_closed_form(self):
         alpha, gamma = 0.6, 0.8
@@ -285,7 +286,7 @@ class TestSupMPlus:
 
 
 def _m_plus_mp(alpha, gamma, delta, t):
-    """m_+ in 40-digit arithmetic, from the cosh form of the definition."""
+    """m_+ at mpmath's working precision, from the cosh form of the definition."""
     a, g, d, t = (mpmath.mpf(x) for x in (alpha, gamma, delta, t))
     A = (mpmath.cosh(g * t) - a * a * mpmath.cos(d * t)) / (1 - a * a)
     return mpmath.exp(-g * t) * (A + mpmath.sqrt(A * A - 1))
@@ -323,12 +324,58 @@ def _sup_reference(alpha, gamma, delta, half_periods=4, grid=32, iters=80):
 #: the period 2 pi / |delta|
 ALIASED = [(0.5, 1e-4, 50.0), (0.5, 1e-3, 30.0), (0.9, 1e-2, 200.0)]
 
+#: ALIASED and a grid of overlaps and ratios g = gamma/|delta|, 0 included
+SUP_CASES = ALIASED + [(a, g * abs(d), d) for a in (1e-6, 0.1, 0.5, 0.9, 0.99)
+                       for g, d in ((0.0, 1.0), (1e-5, -7.0), (0.01, 1.0), (0.3, -1.0),
+                                    (3.0, 7.0), (30.0, 1.0))]
+
+
+def _argmax_reference(alpha, g):
+    """The maximizer over s in [0, pi] of the definition m_+ = e (A + sqrt(A^2 - 1)),
+    A = (cosh gs - alpha^2 cos s)/(1 - alpha^2), at 50 digits, in s = |delta| t:
+    the best of 33 samples, then golden section between its neighbours to
+    1e-16 wide. It depends on alpha alone, not on the beta carried beside it:
+    for alpha = 1e-6, a beta^2 one rounding off 1 - alpha^2 moves it by 6e-9."""
+    with mpmath.workdps(50):
+        m = lambda s: _m_plus_mp(alpha, g, 1.0, s)  # noqa: E731
+        ss = [mpmath.pi * k / 32 for k in range(33)]
+        k = max(range(33), key=lambda j: m(ss[j]))
+        lo, hi = ss[max(k - 1, 0)], ss[min(k + 1, 32)]
+        inv = (mpmath.sqrt(5) - 1) / 2
+        x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
+        f1, f2 = m(x1), m(x2)
+        while hi - lo > mpmath.mpf(10) ** -16:
+            if f1 > f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - inv * (hi - lo)
+                f1 = m(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + inv * (hi - lo)
+                f2 = m(x2)
+        return (lo + hi) / 2
+
+
+class _CountingMath:
+    """The math module, with its calls of cos counted: sup_m_plus evaluates
+    cos s once for each slope of its root-find."""
+
+    def __init__(self):
+        self.cos_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def cos(self, x):
+        self.cos_calls += 1
+        return math.cos(x)
+
 
 class TestSupReference:
-    @pytest.mark.parametrize("alpha,gamma,delta", ALIASED + [
-        (a, g * abs(d), d) for a in (1e-6, 0.1, 0.5, 0.9, 0.99)
-        for g, d in ((0.0, 1.0), (1e-5, -7.0), (0.01, 1.0), (0.3, -1.0),
-                     (3.0, 7.0), (30.0, 1.0))])
+    # SUP_CASES and the least and largest overlaps that reach the search
+    @pytest.mark.parametrize("alpha,gamma,delta", SUP_CASES + [
+        (a, g, d) for a in (2.0 ** -54, 1.0 - 1e-12)
+        for g, d in ((1e-5, -1.0), (0.3, 1.0), (3.0, 7.0))])
     def test_matches_mpmath(self, alpha, gamma, delta, monkeypatch):
         ref = _sup_reference(alpha, gamma, delta)
         calls = []
@@ -337,9 +384,8 @@ class TestSupReference:
                             lambda *args: calls.append(args) or m_plus_minus(*args))
         value, _ = sup_m_plus(alpha, _beta(alpha), gamma, delta)
         assert value == pytest.approx(float(ref), rel=1e-13)
-        # golden section to a bracket 1e-3 pi wide takes 17 evaluations of m_+,
-        # and the parabolic steps after it a few
-        assert len(calls) <= 26
+        # the root-find works on the slope of m_+ alone: m_+ is evaluated once
+        assert len(calls) == 1
 
     def test_time_rescaling(self):
         # (0.6, 0.3 s, 1.7 s) is the same problem in the time t / s
@@ -350,14 +396,61 @@ class TestSupReference:
             value, t_at = sup_m_plus(0.6, beta, 0.3 * s, 1.7 * s)
             assert value == pytest.approx(base, rel=1e-15, abs=0.0)
             assert value == pytest.approx(ref, rel=1e-13)
-            # the maximum is flat, so its place is known to ~sqrt(eps) only
-            assert t_at * s == pytest.approx(base_t, rel=1e-7)
+            # the root of the slope places the flat maximum, not a sample near it
+            assert t_at * s == pytest.approx(base_t, rel=1e-12)
+
+    def test_time_meets_a_50_digit_argmax(self):
+        # on SUP_CASES directly and on the FullyDistinct forms of batch_2x2
+        # seeds 1-3 as analyze prints them; an asymptotic sup has no time.
+        # These times sit within 2.3e-16; a stop at a step of 1e-8 s, not
+        # 2 eps s, leaves up to 7.9e-13
+        cases = [(a, _beta(a), g, d, sup_m_plus(a, _beta(a), g, d)[1]) for a, g, d in SUP_CASES]
+        for seed in (1, 2, 3):
+            for c in batch_2x2_matrices(seed):
+                form = _form(c)
+                if form.case is DecayCase.FULLY_DISTINCT:
+                    res = classify_and_sharp_constant(form)
+                    cases.append((form.alpha, form.beta, form.gamma, form.delta,
+                                  res.attained_time))
+        assert len(cases) == len(SUP_CASES) + 63
+        for alpha, beta, gamma, delta, t_at in cases:
+            s = _argmax_reference(alpha, gamma / abs(delta))
+            if t_at is None:
+                # m_+ stays within 1e-12 of its asymptote 1/beta^2
+                with mpmath.workdps(50):
+                    top = _m_plus_mp(alpha, gamma, delta, s / abs(delta))
+                assert top <= (1.0 + 1e-12) / (beta * beta), (alpha, gamma, delta)
+            else:
+                assert abs(t_at * abs(delta) / s - 1) <= 1e-13, (alpha, gamma, delta)
+
+    def test_search_cost(self, monkeypatch):
+        # at most 6 slopes on every FullyDistinct form of batch_2x2 seeds
+        # 1-40, and at most 64, the bisection count, on extreme overlaps and
+        # ratios g = gamma/|delta|, inf included
+        counting = _CountingMath()
+        monkeypatch.setattr(sharp2d, "math", counting)
+        worst = 0
+        for seed in range(1, 41):
+            for c in batch_2x2_matrices(seed):
+                form = _form(c)
+                if form.case is DecayCase.FULLY_DISTINCT:
+                    counting.cos_calls = 0
+                    sup_m_plus(form.alpha, form.beta, form.gamma, form.delta)
+                    worst = max(worst, counting.cos_calls)
+        assert 0 < worst <= 6
+        for alpha in (2.0 ** -54, 1e-8, 0.5, 1.0 - 1e-12):
+            for gamma, delta in ((1e-12, 1.0), (1e-6, -3.0), (1e6, 1.0), (1e12, 1.0),
+                                 (1e200, 1.0), (1.0, 5e-324)):
+                counting.cos_calls = 0
+                sup_m_plus(alpha, _beta(alpha), gamma, delta)
+                assert counting.cos_calls <= 64, (alpha, gamma, delta)
 
 
 class TestHalfPeriodLemma:
-    """The lemma of the sharp2d docstring, in the time s = |delta| t with
+    """The lemmas of the sharp2d docstring, in the time s = |delta| t with
     g = gamma/|delta|: M is non-increasing and bounds m_+, m_+ rises then
-    falls on [0, pi], and the sup there dominates m_+ everywhere."""
+    falls on [0, pi], with the sign of F, and the sup there dominates m_+
+    everywhere."""
 
     ALPHAS = (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6)
 
@@ -389,6 +482,69 @@ class TestHalfPeriodLemma:
             _, m = _m_plus_minus(alpha, beta, g, 1.0, s)
             assert np.all(m <= M * (1.0 + 4e-16)), (alpha, g)
             assert sup_m_plus(alpha, beta, g, 1.0)[0] >= m.max() * (1.0 - 4e-16), (alpha, g)
+
+    @given(alpha=st.floats(2.0 ** -54, 1.0, exclude_max=True),
+           log_g=st.floats(-12.0, 12.0),
+           s=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+    @settings(max_examples=100, deadline=None)
+    def test_sign_of_f(self, alpha, log_g, s):
+        # F(pi/2) > 0 > F(pi), and F has the sign of the slope of the 50-digit
+        # definition of m_+ wherever both stand above the rounding of their
+        # terms (near s = 0 both vanish to second order)
+        with mpmath.workdps(50):
+            a, g, s = mpmath.mpf(alpha), mpmath.mpf(10.0 ** log_g), mpmath.mpf(s)
+
+            def f(x):
+                return (2 * g * (mpmath.sinh(g * x) * mpmath.sin(x)
+                                 + g * mpmath.cosh(g * x) * mpmath.cos(x))
+                        + a * a * (1 + g * g) * mpmath.sin(x) ** 2 - 2 * g * g)
+
+            m = lambda x: _m_plus_mp(alpha, g, 1.0, x)  # noqa: E731
+            assert f(mpmath.pi / 2) > 0 > f(mpmath.pi)
+            slope, tiny = mpmath.diff(m, s), mpmath.mpf(10) ** -35
+            terms = 2 * g * g * mpmath.cosh(g * s) + a * a * (1 + g * g)
+            if abs(slope) > tiny * m(s) and abs(f(s)) > tiny * terms:
+                assert mpmath.sign(f(s)) == mpmath.sign(slope), (alpha, log_g, s)
+
+
+@pytest.mark.filterwarnings("error")
+class TestSupEdges:
+    """Inputs at the ends of the root-find's range, each without a warning."""
+
+    @pytest.mark.parametrize("alpha", [1e-8, 0.3, 0.6, 0.9, 0.999])
+    def test_no_real_spread_peaks_at_the_half_turn(self, alpha):
+        # g = 0: F = alpha^2 sin^2 s > 0, so the sup is m_+(pi) = kappa_min,
+        # at t = pi/|delta|; directly, and through a form built as
+        # EqualEigenvalues with gamma = 0.0 exactly
+        beta = _beta(alpha)
+        kmin = ((1.0 + alpha) / beta) ** 2
+        value, t_at = sup_m_plus(alpha, beta, 0.0, -0.7)
+        assert abs(value / kmin - 1) <= 4 * 2.0 ** -52 and t_at == math.pi / 0.7
+        v = np.array([[1.0, alpha], [0.0, beta]])
+        form = dataclasses.replace(_form(v @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(v)),
+                                   case=DecayCase.EQUAL_EIGENVALUES,
+                                   eigenvalues=np.array([1.0, 1.0 + 5e-11j]))
+        assert form.gamma == 0.0 and form.delta == 5e-11
+        res = classify_and_sharp_constant(form)
+        assert abs(res.c_sharp ** 2 / form.kappa_min - 1) <= 4 * 2.0 ** -52
+        assert res.attained == "finite" and res.attained_time == math.pi / 5e-11
+
+    @pytest.mark.parametrize("gamma,delta", [(1.0, 5e-324), (1e300, 1e-10)])
+    def test_ratio_beyond_the_float_range_is_the_asymptote(self, gamma, delta):
+        # g = gamma/|delta| = inf: m_+ sits on 1/beta^2 past t = 0
+        for alpha in (0.5, 0.99):
+            beta = _beta(alpha)
+            assert sup_m_plus(alpha, beta, gamma, delta) == (1.0 / (beta * beta), None)
+
+    def test_c_sharp_is_bit_invariant_under_powers_of_two(self):
+        # 2^k C has 2^k times the eigenvalues and the same eigenvectors, so the
+        # same alpha, beta and g = gamma/|delta|, bit for bit
+        for seed in (1, 2, 3):
+            for c in batch_2x2_matrices(seed):
+                ref = classify_and_sharp_constant(_form(c)).c_sharp
+                for k in (-40, -3, 5, 60):
+                    got = classify_and_sharp_constant(_form(2.0 ** k * c)).c_sharp
+                    assert got == ref, (seed, k)
 
 
 class TestTriangularNearJordan:
