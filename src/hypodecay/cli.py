@@ -50,7 +50,6 @@ from .errors import CutoffTooLarge, HypodecayError, MatrixFormatError
 
 if TYPE_CHECKING:
     from .goldstein_taylor import TorusField
-    from .spectral import SpectralData
 
 __all__ = ["main"]
 
@@ -165,20 +164,13 @@ def _gap(closed: np.ndarray, reference: np.ndarray) -> float:
     return float(np.max(gap / np.maximum(np.linalg.norm(closed, axis=1), 1e-300)))
 
 
-def _certifiable(C: np.ndarray) -> SpectralData:
-    """eigendecompose(C), unless C is defective or not positive stable."""
-    from .spectral import _require_positive_stable, eigendecompose
-
-    return _require_positive_stable(eigendecompose(C))
-
-
 def cmd_analyze(args) -> int:
-    from .condopt import minimize_kappa_2d, minimize_kappa_weights
     from .lyapunov import build_weighted_p, certificate_from_p
-    from .spectral import canonical_2d_form, classify_stability
+    from .spectral import (_require_positive_stable, canonical_2d_form, classify_stability,
+                           eigendecompose)
 
     C = read_matrix_file(args.matrix_file)
-    data = _certifiable(C)
+    data = _require_positive_stable(eigendecompose(C))
     report = classify_stability(data)
 
     out: dict = {
@@ -200,22 +192,25 @@ def cmd_analyze(args) -> int:
 
             form = canonical_2d_form(data)
             sharp = classify_and_sharp_constant(form)
-            opt = minimize_kappa_2d(form)
+            weights = [1.0, 1.0]  # equal weights attain kappa_min, the least kappa of P
             out.update({
                 "alpha": sharp.alpha,
                 "case": sharp.case.value,
                 "c_sharp": sharp.c_sharp,
                 "bracket": [sharp.bracket[0], sharp.bracket[1]],
-                "kappa": opt.kappa,
+                "kappa": form.kappa_min,
                 "attained": {"kind": sharp.attained, "time": sharp.attained_time},
                 "c1_at_mu": upper_bound_constant(form, report.mu).constant,
             })
         else:
+            from .condopt import minimize_kappa_weights
+
             opt = minimize_kappa_weights(data.left_vectors)
+            weights = opt.weights
             out.update({"kappa_equal": opt.kappa_equal, "kappa_opt": opt.kappa,
                         "constant": float(np.sqrt(opt.kappa)), "rate": report.mu})
-        p = build_weighted_p(data, opt.weights)
-        out["weights"] = [float(w) for w in opt.weights]
+        p = build_weighted_p(data, weights)
+        out["weights"] = [float(w) for w in weights]
         out["residual"] = certificate_from_p(C, p, report.mu).residual
 
     if args.oracle:
@@ -239,13 +234,13 @@ def cmd_analyze(args) -> int:
 def cmd_envelope(args) -> int:
     from .rate_family import family_envelope
     from .sharp2d import envelope_curves
-    from .spectral import canonical_2d_form
+    from .spectral import canonical_2d_form, eigendecompose
 
     C = read_matrix_file(args.matrix_file)
     if C.shape[0] != 2:
         raise UnsupportedMatrix("envelopes are defined for 2x2 matrices only")
-    data = _certifiable(C)
-    form = canonical_2d_form(data)
+    data = eigendecompose(C)
+    form = canonical_2d_form(data)  # refuses a C that does not decay, as analyze does
 
     times = np.linspace(0.0, args.t_max, args.points)
     env = envelope_curves(form, times)

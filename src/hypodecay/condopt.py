@@ -109,8 +109,9 @@ def minimize_kappa_2d(form: Canonical2DForm) -> WeightOptimum:
     """Optimal weights for the 2x2 projector family: equal, by symmetry.
 
     kappa(P(b)) depends on b only through trace(P) = b + 1/b while det(P) is
-    fixed at 1 - alpha^2, so the minimum sits at b = 1 with
-    kappa = (1 + alpha) / (1 - alpha).
+    fixed at 1 - alpha^2, so the minimum sits at b = 1 with kappa =
+    (1 + alpha)/(1 - alpha). Only perfbench's certify-2x2 workload calls it;
+    ROADMAP item 8 removes it with that benchmark change.
     """
     return WeightOptimum(
         weights=np.array([1.0, 1.0]),
@@ -370,15 +371,14 @@ def minimize_kappa_admissible(C, mu: float, seed_P) -> AdmissibleOptimum:
     """
     data = eigendecompose(C)
     C, n = data.matrix, data.n
-    seed = seed_P if isinstance(seed_P, LyapunovMatrix) else LyapunovMatrix(matrix=seed_P)
-    certificate_from_p(C, seed, mu)
+    seed = certificate_from_p(C, seed_P, mu).matrix
 
     lam, V, W = data.eigenvalues, data.right_vectors, data.left_vectors
     Wh = W.conj().T
     kinv = _admissible_kernel(lam, mu)
     kinv_t = kinv.T
     # the seed's factor: seed = W (Z o Kinv) W*, Z = (V* seed V) / Kinv on the support
-    Z = V.conj().T @ seed.matrix @ V
+    Z = V.conj().T @ seed @ V
     Z = np.divide(Z, kinv, out=np.zeros_like(Z), where=kinv != 0.0)
     ez, uz = np.linalg.eigh((Z + Z.conj().T) / 2.0)
     G0 = uz * np.sqrt(np.maximum(ez, 0.0))

@@ -132,11 +132,15 @@ def lyapunov_residual(C, P, rate: float) -> float:
     Non-negative means P certifies decay at `rate` in the P-weighted norm.
     When `rate` equals the spectral gap the best possible value is zero: the
     slowest spectral direction always saturates the inequality. NaN on overflow.
-    A 2x2 takes _residual_2x2, a larger matrix _residual.
     """
     C = as_complex_matrix(C)
     Pm = P.matrix if isinstance(P, LyapunovMatrix) else as_complex_matrix(P)
-    return (_residual_2x2 if len(C) == len(Pm) == 2 else _residual)(C, Pm, rate)
+    return _residual_of(C, Pm, rate)
+
+
+def _residual_of(C: np.ndarray, P: np.ndarray, rate: float) -> float:
+    """The residual of a checked C and P: a 2x2 takes _residual_2x2, a larger one _residual."""
+    return (_residual_2x2 if len(C) == len(P) == 2 else _residual)(C, P, rate)
 
 
 def _residual(C: np.ndarray, P: np.ndarray, rate: float) -> float:
@@ -197,7 +201,7 @@ def certificate_from_p(C, P, rate: float) -> LyapunovCertificate:
     if not isinstance(P, LyapunovMatrix):
         P = LyapunovMatrix(matrix=P)
     C = as_complex_matrix(C)
-    res = lyapunov_residual(C, P, rate)
+    res = _residual_of(C, P.matrix, rate)
     if res != res:
         raise NotAdmissible(f"P is not admissible at rate {rate}: C*P + PC - 2 rate P "
                             "leaves the float range", residual=res)

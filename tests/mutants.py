@@ -159,6 +159,19 @@ MUTANTS = [
     ("cli.py", "        certificate_from_p(C, np.eye(1), report.mu)", "        pass",
      "analyze certifies the 1x1 [[1.7976931348623157e308]], whose 2 Re c overflows",
      ("tests/test_cli.py::TestAnalyzeErrors::test_certificate_beyond_the_float_range",)),
+    ("cli.py", "weights = [1.0, 1.0]", "weights = [1.0, 2.0]",
+     "analyze certifies a 2x2 with weights 1 and 2, not the equal weights that attain kappa_min",
+     ("tests/test_cli.py::TestAnalyze::test_two_dim_certificate",)),
+    ("cli.py", '"kappa": form.kappa_min,', '"kappa": 1.0 / (form.beta * form.beta),',
+     "analyze prints 1/(1 - alpha^2) as the 2x2 kappa, not (1 + alpha)/(1 - alpha)",
+     ("tests/test_cli.py::TestAnalyze::test_two_dim_certificate",)),
+    ("condopt.py", "certificate_from_p(C, seed_P, mu).matrix", "LyapunovMatrix(matrix=seed_P).matrix",
+     "the admissible search starts from a seed it never checks at mu",
+     ("tests/test_condopt.py::TestMinimizeKappaAdmissible::test_rejects_inadmissible_seed",)),
+    ("lyapunov.py", "    C = as_complex_matrix(C)\n    res = _residual_of",
+     "    C = np.asarray(C, dtype=complex)\n    res = _residual_of",
+     "certificate_from_p takes a non-finite or non-square C unchecked",
+     ("tests/test_lyapunov.py::TestCertificateInput::test_refuses_a_malformed_c",)),
 ]
 
 EQUIVALENT = [

@@ -816,8 +816,9 @@ print("done")
                            "lyapunov", "spectral"}),
         (["gt", "harmonic:3", "--oracle"], {"condopt", "sharp2d", "rate_family"}),
         (["analyze", "M3"], {"goldstein_taylor", "sharp2d", "rate_family", "propagator"}),
+        (["analyze", "M2"], {"goldstein_taylor", "condopt", "propagator"}),
         (["envelope", "M2"], {"goldstein_taylor", "condopt", "lyapunov", "propagator"}),
-    ], ids=["gt", "gt-oracle", "analyze-3x3", "envelope"])
+    ], ids=["gt", "gt-oracle", "analyze-3x3", "analyze-2x2", "envelope"])
     def test_a_command_loads_only_its_modules(self, m52_file, m3_file, argv, absent):
         files = {"M2": m52_file, "M3": m3_file}
         argv = [files.get(a, a) for a in argv]

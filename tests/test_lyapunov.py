@@ -29,7 +29,7 @@ from hypodecay.lyapunov import (
     _residual,
     _residual_2x2,
 )
-from hypodecay.spectral import _norm_2x2
+from hypodecay.spectral import _norm_2x2, as_complex_matrix
 
 from .conftest import make_2x2_with_overlap
 
@@ -282,10 +282,37 @@ class TestResidualSlack:
         assert certificate_from_p(s * self.C, np.eye(2), s).residual == 0.0
 
     def test_nan_residual_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(lyapunov, "lyapunov_residual", lambda C, P, rate: float("nan"))
+        # _residual_of is the residual route certificate_from_p takes
+        monkeypatch.setattr(lyapunov, "_residual_of", lambda C, P, rate: float("nan"))
         with pytest.raises(NotAdmissible) as exc:
             certificate_from_p(self.C, np.eye(2), 0.5)
         assert np.isnan(exc.value.residual)
+
+
+class TestCertificateInput:
+    """certificate_from_p converts and checks C once, for the residual and
+    the slack alike; lyapunov_residual keeps its own check."""
+
+    def test_converts_c_once(self, monkeypatch):
+        calls = []
+
+        def counted(obj):
+            calls.append(obj)
+            return as_complex_matrix(obj)
+        P = LyapunovMatrix(np.eye(2))
+        monkeypatch.setattr(lyapunov, "as_complex_matrix", counted)
+        assert certificate_from_p(np.diag([1.0, 2.0]), P, 1.0).residual == 0.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("C", [[[1.0, 0.0], [0.0, float("inf")]],
+                                   [[1.0, 0.0], [0.0, float("nan")]],
+                                   [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]],
+                             ids=["inf", "nan", "non-square"])
+    def test_refuses_a_malformed_c(self, C):
+        with pytest.raises(MatrixFormatError):
+            certificate_from_p(C, np.eye(2), 0.5)
+        with pytest.raises(MatrixFormatError):
+            lyapunov_residual(C, np.eye(2), 0.5)
 
 
 def _mp(A):

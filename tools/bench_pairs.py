@@ -10,7 +10,8 @@ the change in even ones. Each --trace W:S adds one --trace 1 run per side.
 Before every run the checkout's src/**/__pycache__ directories are removed
 and the run gets PYTHONDONTWRITEBYTECODE=1 (PYTHONUNBUFFERED unset), so both
 sides compile the sources they import, whatever the checkout held before.
-Stdlib only.
+The summary marks a metric unresolved where the parent's spread is wider
+than the metric's bound in BENCHMARK.json (read only). Stdlib only.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def quartiles(xs: list[float]) -> dict[str, float]:
@@ -39,12 +41,26 @@ def quartiles(xs: list[float]) -> dict[str, float]:
     return {"median": at(0.5), "q1": at(0.25), "q3": at(0.75)}
 
 
-def summarize(runs: list[dict]) -> dict[str, dict]:
+def end_to_end_bounds() -> dict[str, float]:
+    """{name: bound} of the end-to-end metrics that BENCHMARK.json declares."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in doc["end_to_end"]}
+
+
+def summarize(runs: list[dict], bounds: dict[str, float] | None = None) -> dict[str, dict]:
     """Per "W seed S": each metric's pairs, the pairs where the change reads
     lower (every end-to-end metric is better lower) and ties, each side's
-    quartiles; pass_s adds median_gain (1 - change median / parent median)
-    and parent_iqr_over_median, kappa_vs_equal the largest |change / parent
-    - 1| over the pairs. all_correct and failed cover every run."""
+    quartiles; pass_s adds median_gain (1 - change median / parent median),
+    kappa_vs_equal the largest |change / parent - 1| over the pairs.
+
+    Each metric with a bound (default: end_to_end_bounds()) adds
+    parent_iqr_over_median, the parent's run-to-run spread, and resolved:
+    false when that spread exceeds the bound, so the runs cannot tell a
+    change of the bound's size from noise, unless every run of the change
+    reads lower than every run of the parent. all_correct and failed cover
+    every run."""
+    if bounds is None:
+        bounds = end_to_end_bounds()
     groups: dict[str, dict[int, dict[str, dict]]] = {}
     for run in runs:
         key = f"{run['workload']} seed {run['seed']}"
@@ -60,10 +76,13 @@ def summarize(runs: list[dict]) -> dict[str, dict]:
                  "change_better": sum(c < p for p, c in zip(parent, change)),
                  "ties": sum(c == p for p, c in zip(parent, change)),
                  "parent": quartiles(parent), "change": quartiles(change)}
+            mid = m["parent"]["median"]
             if name == "pass_s":
-                mid = m["parent"]["median"]
                 m["median_gain"] = 1.0 - m["change"]["median"] / mid
+            if name in bounds:
                 m["parent_iqr_over_median"] = (m["parent"]["q3"] - m["parent"]["q1"]) / mid
+                m["resolved"] = (m["parent_iqr_over_median"] <= bounds[name]
+                                 or max(change) < min(parent))
             if name == "kappa_vs_equal":
                 m["max_relative_change"] = max(abs(c / p - 1.0) for p, c in zip(parent, change))
             out[name] = m
