@@ -15,7 +15,10 @@ or the reader closed stdout before the output was written, as `| head` does
 LinAlgError included) while certifying, as for a defective matrix (within
 rounding of a Jordan block, for every n), one not positive stable or larger
 than 16x16, a weighted P not admissible at the spectral gap, a certificate
-outside the float range, or a gt field with energy above --modes. 0: success.
+outside the float range, a gt field with energy above --modes, or a gt time
+at which a kept mode's phase 2 t omega_k leaves the float range; and also a
+MemoryError, as for a --points, --rates or --grid too large to allocate.
+0: success.
 All output is deterministic for fixed inputs and seed.
 
 Each command imports the library modules it uses when it runs, so a process
@@ -394,7 +397,7 @@ def main(argv=None) -> int:
     except (MatrixFormatError, CutoffTooLarge) as exc:
         _err(str(exc))
         return 1
-    except (HypodecayError, ValueError) as exc:
+    except (HypodecayError, ValueError, MemoryError) as exc:
         _err(str(exc))
         return 2
 

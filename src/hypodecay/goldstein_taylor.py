@@ -16,6 +16,7 @@ pair and by nothing else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -288,7 +289,8 @@ def verify_gt_bound(field: TorusField, times, cutoff: int) -> GTBoundReport:
     Only the modes |k| <= cutoff are checked, so a field with energy above
     the cutoff raises ValueError: its squared deviation by grid quadrature
     (deviation_norm, which sums every mode) may exceed the squared deviation
-    of the kept modes by at most a relative GT_TOL.
+    of the kept modes by at most a relative GT_TOL. So does a time at which
+    the phase 2 t omega_k of a kept mode leaves the float range.
     """
     two_pi = 2.0 * np.pi
     if abs(field.mass - two_pi) > MASS_RTOL * two_pi:
@@ -298,6 +300,11 @@ def verify_gt_bound(field: TorusField, times, cutoff: int) -> GTBoundReport:
         raise ValueError("need at least one time, each finite and non-negative")
 
     ks, u = decompose(field, cutoff)
+    # the phase 2 t omega_k of _mode_sums, at the last time and the top mode
+    k_max, t_end = float(np.abs(ks).max()), float(ts.max())
+    if k_max > 0.0 and not math.isfinite(2.0 * t_end * math.sqrt(k_max * k_max - 0.25)):
+        raise ValueError(f"time {t_end:g} puts the phase 2 t omega_k of mode {k_max:g} "
+                         "beyond the float range; a smaller --t-max or --modes checks it")
     # deviation coefficients: the conserved component is the k = 0 mean of p
     d = u.copy()
     d[ks == 0, 0] = 0.0

@@ -172,6 +172,16 @@ MUTANTS = [
      "    C = np.asarray(C, dtype=complex)\n    res = _residual_of",
      "certificate_from_p takes a non-finite or non-square C unchecked",
      ("tests/test_lyapunov.py::TestCertificateInput::test_refuses_a_malformed_c",)),
+    ("goldstein_taylor.py",
+     "    if k_max > 0.0 and not math.isfinite(2.0 * t_end * math.sqrt(k_max * k_max - 0.25)):",
+     "    if False:",
+     "gt prints a verdict on NaN ratios once a kept mode's phase 2 t omega_k overflows",
+     ("tests/test_goldstein_taylor.py::TestVerifyGTBound::test_phase_beyond_the_float_range_is_refused",
+      "tests/test_cli.py::TestExitCodes::test_exit_code[gt-phase-overflow-steady]")),
+    ("cli.py", "    except (HypodecayError, ValueError, MemoryError) as exc:",
+     "    except (HypodecayError, ValueError) as exc:",
+     "a size option beyond memory ends main in a MemoryError traceback, not exit 2",
+     ("tests/test_cli.py::TestExitCodes::test_exit_code[gt-points-beyond-memory]",)),
 ]
 
 EQUIVALENT = [

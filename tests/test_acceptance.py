@@ -29,6 +29,7 @@ from hypodecay import (
     upper_bound_constant,
     verify_gt_bound,
 )
+from .families import make_2x2_with_overlap, make_stable_system
 from .sweep import sector_constant, trajectory_envelope_oracle, trajectory_sup_oracle
 
 W3 = np.array([[1.0, 1.0, 1.0],
@@ -132,24 +133,13 @@ def test_criterion_05_admissibility_family_boundary():
           f"{n_fail}/50 violating samples rejected -> PASS")
 
 
-def _random_2x2_with_overlap(rng):
-    alpha = rng.uniform(0.05, 0.9)
-    lam = (np.sort(rng.uniform(0.2, 1.5, size=2))
-           + 1j * rng.uniform(-1.5, 1.5, size=2))
-    v = np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]],
-                 dtype=complex)
-    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-    v = q @ v
-    return v @ np.diag(lam) @ np.linalg.inv(v)
-
-
 def test_criterion_06_equal_weights_optimal_brute_force():
     rng = np.random.default_rng(77)
     bs = np.logspace(-1.0, 1.0, 2001)
     worst_gap = 0.0
     worst_arg = 0.0
     for _ in range(500):
-        c = _random_2x2_with_overlap(rng)
+        c = make_2x2_with_overlap(rng)[0]
         data = eigendecompose(c)
         form = canonical_2d_form(data)
         w = data.left_vectors
@@ -273,17 +263,8 @@ def test_criterion_10_propagator_cross_oracle():
     times = np.linspace(0.0, 10.0, 11)
     worst = 0.0
     for _ in range(100):
-        n = int(rng.integers(2, 5))
-        lam = rng.uniform(0.15, 1.2, size=n) + 1j * rng.uniform(-1.5, 1.5, size=n)
-        while True:
-            v = np.eye(n) + 0.35 * (rng.normal(size=(n, n))
-                                    + 1j * rng.normal(size=(n, n)))
-            if np.linalg.cond(v) < 6.0:
-                break
-        c = v @ np.diag(lam) @ np.linalg.inv(v)
-        norm_c = np.linalg.norm(c, 2)
-        if norm_c > 4.5:
-            c *= 4.5 / norm_c
+        c = make_stable_system(rng, int(rng.integers(2, 5)), re=(0.15, 1.2), im=(-1.5, 1.5))
+        n = len(c)
         data = eigendecompose(c)
         f0 = rng.normal(size=n) + 1j * rng.normal(size=n)
         f0 /= np.linalg.norm(f0)

@@ -51,7 +51,7 @@ def m3_file(tmp_path):
 def m16_file(tmp_path):
     rng = np.random.default_rng(16)
     lam = rng.uniform(0.2, 1.5, 16) + 1j * rng.uniform(-2.0, 2.0, 16)
-    v = np.eye(16) + 0.1 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    v = np.eye(16) + 0.1 * families.gaussian(rng, 16)
     return write_matrix(tmp_path / "m16.json", (v * lam) @ np.linalg.inv(v), with_imag=True)
 
 
@@ -737,9 +737,19 @@ class TestExitCodes:
         (["analyze", "M"], [[-1.0]], 2),
         (["gt", "harmonic:65"], None, 2),
         (["gt", "harmonic:65", "--modes", "65"], None, 0),
+        # a kept mode's phase 2 t omega_k beyond the float range, and sizes
+        # of 7.11 PiB, beyond the address space, whose allocation fails at once
+        (["gt", "sharp", "--t-max", "1e308", "--points", "3"], None, 2),
+        (["gt", "random:7", "--t-max", "1e307", "--points", "5", "--modes", "127"], None, 2),
+        (["gt", "steady", "--t-max", "1e308", "--points", "3"], None, 2),
+        (["gt", "sharp", "--points", "1000000000000000"], None, 2),
+        (["gt", "sharp", "--grid", "1000000000000000"], None, 2),
+        (["envelope", "M", "--rates", "1000000000000000"], [[1, -1], [1, 0]], 2),
     ], ids=["jordan-3x3", "entry-1e308", "envelope-entry-1e308", "diag-1e308",
             "oracle-1e300", "gt-tol", "gt-seed", "unstable-1x1", "gt-above-modes",
-            "gt-at-modes"])
+            "gt-at-modes", "gt-phase-overflow-sharp", "gt-phase-overflow-random",
+            "gt-phase-overflow-steady", "gt-points-beyond-memory", "gt-grid-beyond-memory",
+            "envelope-rates-beyond-memory"])
     def test_exit_code(self, capsys, tmp_path, argv, mat, expect):
         if mat is not None:
             path = write_matrix(tmp_path / "m.json", mat)

@@ -16,7 +16,7 @@ from hypodecay import (
     minimize_kappa_admissible,
     minimize_kappa_weights,
 )
-from .conftest import make_2x2_with_overlap
+from . import families
 
 
 def build_kappa(w, b):
@@ -33,7 +33,7 @@ class TestMinimizeKappa2D:
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(21)
-        c, _, _ = make_2x2_with_overlap(rng)
+        c, _, _ = families.make_2x2_with_overlap(rng)
         data = eigendecompose(c)
         form = canonical_2d_form(data)
         opt = minimize_kappa_2d(form)
@@ -53,7 +53,7 @@ class TestMinimizeKappaWeights:
     def test_never_worse_than_equal_weights(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            w = np.linalg.qr(rng.normal(size=(3, 3)))[0] + 0.3 * rng.normal(size=(3, 3))
+            w = families.orthogonal(rng, 3) + 0.3 * rng.normal(size=(3, 3))
             w /= np.linalg.norm(w, axis=0)
             opt = minimize_kappa_weights(w)
             # kappa_equal is the search's first point, and the search keeps its best
@@ -68,8 +68,7 @@ class TestMinimizeKappaWeights:
         # no nearby weights, in any of several random directions, do better
         rng = np.random.default_rng(31)
         for n in (3, 4, 5, 6, 7, 8, 3, 5, 8, 6):
-            w = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-                 + 0.4 * rng.normal(size=(n, n)))
+            w = families.unitary(rng, n) + 0.4 * rng.normal(size=(n, n))
             w /= np.linalg.norm(w, axis=0)
             opt = minimize_kappa_weights(w)
             for _ in range(5):
@@ -79,17 +78,11 @@ class TestMinimizeKappaWeights:
                     assert build_kappa(w, b) >= opt.kappa * (1 - 1e-10)
 
     def test_seeded_three_dim_converges(self):
-        # perfbench's seeded_nd(default_rng(1000), 3, 0), built inline: a line
-        # search that also demands a curvature condition fails here at the
-        # rounding floor and leaves a stage unconverged
-        rng = np.random.default_rng(1000)
-        lam = np.sort(rng.uniform(0.2, 1.5, size=3)) + 1j * rng.uniform(-2.0, 2.0, size=3)
-        noise = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        v = q @ (np.eye(3) + 0.6 * noise / np.linalg.norm(noise, 2))
-        v /= np.linalg.norm(v, axis=0)
-        opt = minimize_kappa_weights(eigendecompose((v * lam) @ np.linalg.inv(v)).left_vectors)
+        # perfbench's seeded_nd(default_rng(1000), 3, 0): a line search that
+        # also demands a curvature condition fails here at the rounding floor
+        # and leaves a stage unconverged
+        c = families.seeded_nd(np.random.default_rng(1000), 3)
+        opt = minimize_kappa_weights(eigendecompose(c).left_vectors)
         assert opt.converged
         assert opt.kappa == pytest.approx(3.42784217441905, rel=1e-10)
 
@@ -169,7 +162,7 @@ class TestMinimizeKappaWeights:
                     assert minimize_kappa_weights(same).kappa == pytest.approx(kappa, rel=1e-12), n
 
     def test_orthonormal_basis_gives_identity(self):
-        q = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))[0]
+        q = families.orthogonal(np.random.default_rng(2), 4)
         opt = minimize_kappa_weights(q)
         assert opt.kappa == pytest.approx(1.0, abs=1e-9)
         assert opt.kappa_equal == pytest.approx(1.0, abs=1e-12)
@@ -244,7 +237,7 @@ class TestMinimizeKappaAdmissible:
         rng = np.random.default_rng(12)
         for n in (3, 4, 5):
             lam = np.sort(rng.uniform(0.2, 1.5, n)) + 1j * rng.uniform(-2.0, 2.0, n)
-            v = np.eye(n) + 0.5 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
+            v = np.eye(n) + 0.5 * families.gaussian(rng, n) / n
             c = (v * lam) @ np.linalg.inv(v)
             data = eigendecompose(c)
             weights = minimize_kappa_weights(data.left_vectors)
@@ -278,10 +271,8 @@ def _lbfgsb_stage(fun, x, gtol, maxiter, H):
 
 
 def _seeded_weights(rng, n):
-    """Unit adjoint eigenvectors of a basis V = Q (I + 0.6 N / |N|), cond <= 16."""
-    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    w = np.linalg.inv(q @ (np.eye(n) + 0.6 * noise / np.linalg.norm(noise, 2))).conj().T
+    """Unit adjoint eigenvectors of a basis families.basis(rng, n), cond <= 16."""
+    w = np.linalg.inv(families.basis(rng, n)).conj().T
     return w / np.linalg.norm(w, axis=0)
 
 
@@ -529,21 +520,12 @@ class TestSecantPredictor:
 
 
 def _batch_nd(seed):
-    """Adjoint eigenvectors of the systems of perfbench's batch_nd(seed), built
-    inline: seeded_nd draws at n = 3 (six), 8 (two) and 16, then the
-    triangular system."""
+    """Adjoint eigenvectors of the systems of perfbench's batch_nd(seed): its
+    seeded_nd draws at n = 3 (six), 8 (two) and 16, then the triangular system."""
     rng = np.random.default_rng([seed, 3])
-    found = []
-    for n in (3, 3, 3, 3, 3, 3, 8, 8, 16):
-        lam = np.sort(rng.uniform(0.2, 1.5, size=n)) + 1j * rng.uniform(-2.0, 2.0, size=n)
-        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        v = (q * (np.diag(r) / np.abs(np.diag(r)))) @ (
-            np.eye(n) + 0.6 * noise / np.linalg.norm(noise, 2))
-        v /= np.linalg.norm(v, axis=0)
-        found.append(eigendecompose((v * lam) @ np.linalg.inv(v)).left_vectors)
     triangular = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 1.0, 3.0]])
-    return found + [eigendecompose(triangular).left_vectors]
+    systems = [families.seeded_nd(rng, n) for n in (3, 3, 3, 3, 3, 3, 8, 8, 16)]
+    return [eigendecompose(c).left_vectors for c in systems + [triangular]]
 
 
 class TestLadderExit:
@@ -588,11 +570,9 @@ _TEN_STAGES = 10.0 ** -np.arange(1.0, 11.0)
 
 
 def _seeded_system(rng, n):
-    """C = V diag(lam) V^-1 with V = Q (I + 0.6 N / |N|), Re lam in [0.2, 1.5]."""
+    """C = V diag(lam) V^-1 with V = families.basis(rng, n), Re lam in [0.2, 1.5]."""
     lam = np.sort(rng.uniform(0.2, 1.5, n)) + 1j * rng.uniform(-2.0, 2.0, n)
-    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    v = q @ (np.eye(n) + 0.6 * noise / np.linalg.norm(noise, 2))
+    v = families.basis(rng, n)
     return (v * lam) @ np.linalg.inv(v)
 
 

@@ -234,6 +234,17 @@ class TestVerifyGTBound:
         quotient = rep.deviations[early] / (np.exp(-GT_RATE * ts[early]) * rep.initial_deviation)
         assert np.allclose(rep.ratios[early], quotient, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("field", [TorusField.sharp(256), TorusField.steady(256)],
+                             ids=["sharp", "steady"])
+    def test_phase_beyond_the_float_range_is_refused(self, field):
+        # at cutoff 64, 2 t omega_64 leaves the float range past t = 1.4e306,
+        # where the ratios (and steady's deviations) would turn NaN
+        for t_end in (1.5e306, 1e307, 1e308):
+            with pytest.raises(ValueError, match="phase 2 t omega_k of mode 64"):
+                verify_gt_bound(field, [0.0, t_end], 64)
+        rep = verify_gt_bound(field, np.linspace(0.0, 1e306, 3), 64)
+        assert rep.passed and np.isfinite(rep.ratios).all() and np.isfinite(rep.deviations).all()
+
     def test_verdict_slack_is_gt_tol(self, monkeypatch):
         # with sqrt(3) moved just below the attained ratio, a relative 1e-11
         # overshoot passes and 1e-8 fails: GT_TOL lies between them

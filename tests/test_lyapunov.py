@@ -1,4 +1,3 @@
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +30,7 @@ from hypodecay.lyapunov import (
 )
 from hypodecay.spectral import _norm_2x2, as_complex_matrix
 
-from .conftest import make_2x2_with_overlap
+from . import families, mpref
 
 _EPS = np.finfo(float).eps
 
@@ -67,7 +66,7 @@ class TestLyapunovMatrix:
     @settings(max_examples=20, deadline=None)
     def test_kappa_scale_invariant_and_at_least_one(self, seed):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a = families.gaussian(rng, 3)
         p = a @ a.conj().T + 0.1 * np.eye(3)
         lm = LyapunovMatrix(p)
         assert lm.kappa >= 1.0
@@ -134,7 +133,7 @@ class TestTwoByTwoWeightedP:
         rng = np.random.default_rng(41)
         seen = set()
         for _ in range(60):
-            data = eigendecompose(make_2x2_with_overlap(rng)[0])
+            data = eigendecompose(families.make_2x2_with_overlap(rng)[0])
             b = rng.uniform(0.1, 10.0, size=2)
             b = {"seeded": b, "2^1000": 2.0 ** 1000 * b, "2^-1000": 2.0 ** -1000 * b,
                  "overflow": np.array([1.7e308, 1.7e308]), "tiny": np.array([5e-324, b[0]])}[weights]
@@ -315,49 +314,12 @@ class TestCertificateInput:
             lyapunov_residual(C, np.eye(2), 0.5)
 
 
-def _mp(A):
-    return [[mpmath.mpc(complex(z)) for z in row] for row in np.asarray(A)]
-
-
-def _mp_hermitian_extremes(x, y, off):
-    """Eigenvalues of [[x, off], [conj(off), y]] at the working precision."""
-    mid, half = (x + y) / 2, mpmath.sqrt(((x - y) / 2) ** 2 + abs(off) ** 2)
-    return mid - half, mid + half
-
-
-def _mp_norm(C) -> float:
-    """|C|_2 to 50 digits, from the top eigenvalue of C*C."""
-    with mpmath.workdps(50):
-        (a, b), (c, d) = _mp(C)
-        gram = _mp_hermitian_extremes(abs(a) ** 2 + abs(c) ** 2, abs(b) ** 2 + abs(d) ** 2,
-                                      mpmath.conj(a) * b + mpmath.conj(c) * d)
-        return float(mpmath.sqrt(gram[1]))
-
-
-def _mp_extremes(P) -> tuple[float, float]:
-    """The extreme eigenvalues of (P + P*)/2 to 50 digits."""
-    with mpmath.workdps(50):
-        (a, b), (c, d) = _mp(P)
-        return tuple(map(float, _mp_hermitian_extremes(a.real, d.real, (b + mpmath.conj(c)) / 2)))
-
-
-def _mp_residual(C, P, rate) -> float:
-    """lambda_min of the Hermitian part of C*P + PC - 2 rate P, to 50 digits."""
-    with mpmath.workdps(50):
-        c, p, r = _mp(C), _mp(P), mpmath.mpf(rate)
-        s = [[sum(mpmath.conj(c[k][i]) * p[k][j] + p[i][k] * c[k][j] for k in range(2))
-              - 2 * r * p[i][j] for j in range(2)] for i in range(2)]
-        return float(_mp_hermitian_extremes(s[0][0].real, s[1][1].real,
-                                            (s[0][1] + mpmath.conj(s[1][0])) / 2)[0])
-
-
 def _seeded_draws(seed, count=20):
     """(C, P, rate) with complex Gaussian C, a positive definite P of
     condition up to about 1e3, and a rate of either sign."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        c, a = families.gaussian(rng, 2), families.gaussian(rng, 2)
         yield c, a @ a.conj().T + 1e-3 * np.eye(2), float(rng.normal())
 
 
@@ -366,8 +328,7 @@ def _jordan_like(b, count=5):
     equal-weight projector sum and mu = 1 its gap, where the residual is 0."""
     rng = np.random.default_rng(int(b))
     for _ in range(count):
-        q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-        c = q @ np.array([[1.0, b], [0.0, 2.0]]) @ q.conj().T
+        c = families.rotated_pair(rng, b)
         yield c, build_weighted_p(eigendecompose(c), [1.0, 1.0]).matrix, 1.0
 
 
@@ -395,7 +356,7 @@ class TestTwoByTwoRoute:
 
     def test_norm_agrees_with_svd_and_mpmath(self):
         for c, _, _ in self._cases():
-            ref = _mp_norm(c)
+            ref = mpref.norm_2x2(c)
             for value in (_norm_2x2(c), float(np.linalg.svd(c, compute_uv=False)[0])):
                 assert abs(value - ref) <= _NORM_ULPS * _EPS * ref
 
@@ -405,7 +366,7 @@ class TestTwoByTwoRoute:
                 ps = p * scale
                 closed, reference = _hermitian_part_2x2(ps), _hermitian_part(ps)
                 assert np.array_equal(closed[0], reference[0])
-                lo, hi = _mp_extremes(ps)
+                lo, hi = mpref.hermitian_extremes(ps)
                 for _, low, high in (closed, reference):
                     assert abs(low - lo) <= _EXTREME_ULPS * _EPS * hi
                     assert abs(high - hi) <= _EXTREME_ULPS * _EPS * hi
@@ -418,8 +379,8 @@ class TestTwoByTwoRoute:
 
     def test_residual_agrees_with_eigvalsh_and_mpmath(self):
         for c, p, rate in self._cases():
-            unit = _EPS * (_mp_norm(c) + abs(rate)) * _mp_extremes(p)[1]
-            ref = _mp_residual(c, p, rate)
+            unit = _EPS * (mpref.norm_2x2(c) + abs(rate)) * mpref.hermitian_extremes(p)[1]
+            ref = mpref.residual_2x2(c, p, rate)
             assert lyapunov_residual(c, p, rate) == _residual_2x2(c, p, rate)
             for value in (_residual_2x2(c, p, rate), _residual(c, p, rate)):
                 assert abs(value - ref) <= _RESIDUAL_ULPS * unit
@@ -429,8 +390,8 @@ class TestTwoByTwoRoute:
         # non-Hermitian P gives the residual of H on both routes
         for c, p, rate in _seeded_draws(9):
             skewed = p + np.array([[0.5j, 0.25 + 1j], [-0.25 + 1j, -2j]])
-            unit = _EPS * (_mp_norm(c) + abs(rate)) * _mp_extremes(p)[1]
-            ref = _mp_residual(c, skewed, rate)
+            unit = _EPS * (mpref.norm_2x2(c) + abs(rate)) * mpref.hermitian_extremes(p)[1]
+            ref = mpref.residual_2x2(c, skewed, rate)
             for value in (_residual_2x2(c, skewed, rate), _residual(c, skewed, rate)):
                 assert abs(value - ref) <= _RESIDUAL_ULPS * unit
 

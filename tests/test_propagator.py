@@ -7,7 +7,7 @@ from hypodecay import (
     exact_solution,
     rk4_oracle,
 )
-from .conftest import make_stable_system
+from .families import make_stable_system
 
 
 class TestExactSolution:

@@ -1,7 +1,6 @@
 import dataclasses
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -20,7 +19,7 @@ from hypodecay import (
 )
 from hypodecay.rate_family import _family, _lower_envelope
 
-from .conftest import batch_2x2_matrices, make_2x2_with_overlap
+from . import families, mpref
 
 
 class TestUpperBoundConstant:
@@ -45,8 +44,7 @@ class TestUpperBoundConstant:
     def test_near_tie_of_equal_eigenvalues(self):
         # eigenvalues 1 and 1 + 5e-11i: at the gap the distance is 5e-11, far
         # above rounding, so beta0 = 0 and c = sqrt((1 + alpha)/(1 - alpha)) = 2
-        v = np.array([[1.0, 0.6], [0.0, 0.8]])
-        c = v @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(v)
+        c = families.similar(np.array([[1.0, 0.6], [0.0, 0.8]]), [1.0, 1.0 + 5e-11j])
         form = canonical_2d_form(eigendecompose(c))
         fb = upper_bound_constant(form, form.mu)
         assert fb.beta0 == 0.0
@@ -110,7 +108,7 @@ class TestRangeSlack:
         crossed = 0
         for _ in range(20):
             lam = rng.uniform(0.1, 2.0, 2) + 1j * rng.uniform(-2.0, 2.0, 2)
-            q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            q = families.unitary(rng, 2)
             form = canonical_2d_form(eigendecompose(q @ np.diag(lam) @ q.conj().T))
             crossed += form.mu_s > form.mu or form.nu > form.nu_s
             fam = family_envelope(form, [0.0, 1.0], n_rates=8)
@@ -128,21 +126,6 @@ def test_non_finite_rate_is_out_of_range(member, rate, form_complex_pair):
         member(form_complex_pair, rate)
 
 
-def _mp_constant(form, rate, direction):
-    """The family's closed form at a float rate, in 50 digits from the form's
-    float eigenvalues and alpha."""
-    with mpmath.workdps(50):
-        lo, hi = (form.mu_s, form.mu) if direction == "upper" else (form.nu, form.nu_s)
-        r = min(max(mpmath.mpf(rate), lo), hi)
-        l1, l2 = (mpmath.mpc(complex(z)) for z in form.eigenvalues)
-        a = mpmath.mpf(form.alpha)
-        beta0 = min(1, mpmath.sqrt(max(0, 4 * (l1.real - r) * (l2.real - r))
-                                   / abs(l1 + mpmath.conj(l2) - 2 * r) ** 2))
-        bt = max(-a, -beta0)
-        kappa = (1 + a) * (1 + bt) / ((1 - a) * (1 - bt))
-        return float(mpmath.sqrt(kappa) if direction == "upper" else 1 / mpmath.sqrt(kappa))
-
-
 class TestAgainstMpmath:
     """Upper constants are never more than 4 ulp below the 50-digit value of
     the closed form, lower constants never more than 4 ulp above it."""
@@ -150,10 +133,10 @@ class TestAgainstMpmath:
     @staticmethod
     def _assert_never_optimistic(form, up_rates, lo_rates):
         for r in up_rates:
-            exact = _mp_constant(form, r, "upper")
+            exact = mpref.family_constant(form, r, "upper")
             assert upper_bound_constant(form, r).constant >= exact - 4 * np.spacing(exact), r
         for r in lo_rates:
-            exact = _mp_constant(form, r, "lower")
+            exact = mpref.family_constant(form, r, "lower")
             assert lower_bound_constant(form, r).constant <= exact + 4 * np.spacing(exact), r
 
     def test_near_the_symmetric_bounds(self):
@@ -176,7 +159,8 @@ def test_gap_members_are_the_closed_form_kappa_min():
     # bracket of classify_and_sharp_constant
     rng = np.random.default_rng(15)
     for k in range(48):
-        c, _, _ = make_2x2_with_overlap(rng, equal_real=k % 3 == 1, real_spectrum=k % 3 == 2)
+        c, _, _ = families.make_2x2_with_overlap(rng, equal_real=k % 3 == 1,
+                                                 real_spectrum=k % 3 == 2)
         form = canonical_2d_form(eigendecompose(c))
         edge = float(np.sqrt(form.kappa_min))
         assert upper_bound_constant(form, form.mu).constant == edge
@@ -232,7 +216,7 @@ class TestBoundsHold:
 def _matrix(alpha, lam):
     """The 2x2 with eigenvalues lam and eigenvector overlap alpha."""
     v = np.array([[1.0, alpha], [0.0, np.sqrt(1 - alpha ** 2)]], dtype=complex)
-    return v @ np.diag(lam) @ np.linalg.inv(v)
+    return families.similar(v, lam)
 
 
 def _form(alpha, lam):
@@ -439,8 +423,8 @@ class TestLowerEnvelope:
 
 
 def _batch_2x2_forms(seed):
-    """Canonical forms of conftest.batch_2x2_matrices(seed)."""
-    return [canonical_2d_form(eigendecompose(c)) for c in batch_2x2_matrices(seed)]
+    """Canonical forms of families.batch_2x2_matrices(seed)."""
+    return [canonical_2d_form(eigendecompose(c)) for c in families.batch_2x2_matrices(seed)]
 
 
 def _two_row_envelope(form, ts, n):

@@ -20,7 +20,8 @@ from hypodecay import (
 )
 from hypodecay import RateOutOfRange, sharp2d
 from hypodecay.sharp2d import ALPHA_FLOOR, _m_plus_minus
-from .conftest import batch_2x2_matrices, make_2x2_with_overlap
+from . import families, mpref
+from .families import batch_2x2_matrices, make_2x2_with_overlap
 from .sweep import (_grid_extrema, _gram_coefficients, sector_constant,
                     trajectory_envelope_oracle, trajectory_sup_oracle)
 
@@ -58,7 +59,7 @@ class TestClassification:
         # eigenbasis, so ALPHA_FLOOR stays below these overlaps
         for alpha in (5e-15, 1e-12, 1e-9, 5e-9):
             v = np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]])
-            form = _form(v @ np.diag([1.0 + 1.0j, 1.0 - 1.0j]) @ np.linalg.inv(v))
+            form = _form(families.similar(v, [1.0 + 1.0j, 1.0 - 1.0j]))
             kmin = (1.0 + alpha) / (1.0 - alpha)
             c_sharp = classify_and_sharp_constant(form).c_sharp
             assert c_sharp == pytest.approx(np.sqrt(kmin), rel=1e-15, abs=0.0)
@@ -74,8 +75,7 @@ class TestClassification:
     def test_coinciding_imaginary_parts_bend_the_envelope(self):
         # delta = 1e-10 is within the tolerance, yet not 0: the delta = 0 limit
         # 1/sqrt(1 - alpha^2) = 1.25 lies below the sup that the phase reaches
-        v = np.array([[1.0, 0.6], [0.0, 0.8]])
-        c = v @ np.diag([1.0, 1.0 + 3e-10 + 1e-10j]) @ np.linalg.inv(v)
+        c = families.similar(np.array([[1.0, 0.6], [0.0, 0.8]]), [1.0, 1.0 + 3e-10 + 1e-10j])
         form = _form(c)
         res = classify_and_sharp_constant(form)
         assert res.case is DecayCase.EQUAL_IMAGINARY_PARTS
@@ -92,8 +92,7 @@ class TestClassification:
         # eigenvalues 1 and 1 + 5e-11i lie within the coincidence tolerance
         # but 2.3e5 ulps apart, far above rounding: C is not scalar, and
         # |e^{-(C - mu)t}| reaches 2 at t = pi/5e-11
-        v = np.array([[1.0, 0.6], [0.0, 0.8]])
-        c = v @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(v)
+        c = families.similar(np.array([[1.0, 0.6], [0.0, 0.8]]), [1.0, 1.0 + 5e-11j])
         res = classify_and_sharp_constant(_form(c))
         assert res.case is DecayCase.EQUAL_EIGENVALUES
         assert res.c_sharp == pytest.approx(2.0, rel=1e-11)
@@ -200,7 +199,7 @@ class TestEnvelopes:
         # extreme singular values of e^{-(C - mu)t}, not the pure exponential
         v = np.array([[1.0, 0.6], [0.0, 0.8]])
         lam = np.array([1.0, 1.0 + 5e-11j])
-        form = _form(v @ np.diag(lam) @ np.linalg.inv(v))
+        form = _form(families.similar(v, lam))
         ts = np.array([1.0, 10.0, 100.0])
         env = envelope_curves(form, ts)
         prop = np.einsum("ij,tj,jk->tik", v, np.exp(-np.outer(ts, lam - 1.0)), np.linalg.inv(v))
@@ -229,15 +228,9 @@ class TestEnvelopes:
                 lo, hi = _m_plus_minus(alpha, beta, gamma, delta, ts)
                 pairs = [_m_plus_minus(alpha, beta, gamma, delta, float(t)) for t in ts]
                 with mpmath.workdps(50):
-                    a, g, d = (mpmath.mpf(x) for x in (alpha, gamma, delta))
-                    one = mpmath.mpf(beta) ** 2
                     for k, t in enumerate(ts):
-                        t = mpmath.mpf(t)
-                        am1 = 2 * (mpmath.sinh(g * t / 2) ** 2
-                                   + a * a * mpmath.sin(d * t / 2) ** 2) / one
-                        e = mpmath.exp(-g * t)
-                        root = mpmath.sqrt(am1 * (am1 + 2))
-                        ref_hi, ref_lo = e * (1 + am1 + root), e / (1 + am1 + root)
+                        ref_hi, ref_lo = mpref.m_plus_minus(alpha, gamma, delta, t,
+                                                            one=mpmath.mpf(beta) ** 2)
                         for got_lo, got_hi in ((lo[k], hi[k]), pairs[k]):
                             worst = max(worst, abs(got_hi / ref_hi - 1), abs(got_lo / ref_lo - 1))
         assert worst <= 1e-12, worst
@@ -285,41 +278,6 @@ class TestSupMPlus:
         assert value >= m.max() * (1 - 1e-9)
 
 
-def _m_plus_mp(alpha, gamma, delta, t):
-    """m_+ at mpmath's working precision, from the cosh form of the definition."""
-    a, g, d, t = (mpmath.mpf(x) for x in (alpha, gamma, delta, t))
-    A = (mpmath.cosh(g * t) - a * a * mpmath.cos(d * t)) / (1 - a * a)
-    return mpmath.exp(-g * t) * (A + mpmath.sqrt(A * A - 1))
-
-
-def _sup_reference(alpha, gamma, delta, half_periods=4, grid=32, iters=80):
-    """Max of m_+ over the first two periods and the asymptote 1/(1 - alpha^2):
-    per half period, a grid maximum refined by golden-section search."""
-    with mpmath.workdps(40):
-        f = lambda t: _m_plus_mp(alpha, gamma, delta, t)  # noqa: E731
-        h = mpmath.pi / abs(mpmath.mpf(delta))
-        inv = (mpmath.sqrt(5) - 1) / 2
-        best = 1 / (1 - mpmath.mpf(alpha) ** 2)
-        for j in range(half_periods):
-            ts = [h * (j + mpmath.mpf(k) / grid) for k in range(grid + 1)]
-            vals = [f(t) for t in ts]
-            k = max(range(grid + 1), key=vals.__getitem__)
-            lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, grid)]
-            x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
-            f1, f2 = f(x1), f(x2)
-            for _ in range(iters):
-                if f1 > f2:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - inv * (hi - lo)
-                    f1 = f(x1)
-                else:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + inv * (hi - lo)
-                    f2 = f(x2)
-            best = max(best, vals[k], f1, f2)
-        return best
-
-
 #: (alpha, gamma, delta) where a 20/gamma scan with 1e5 points steps over
 #: the period 2 pi / |delta|
 ALIASED = [(0.5, 1e-4, 50.0), (0.5, 1e-3, 30.0), (0.9, 1e-2, 200.0)]
@@ -328,32 +286,6 @@ ALIASED = [(0.5, 1e-4, 50.0), (0.5, 1e-3, 30.0), (0.9, 1e-2, 200.0)]
 SUP_CASES = ALIASED + [(a, g * abs(d), d) for a in (1e-6, 0.1, 0.5, 0.9, 0.99)
                        for g, d in ((0.0, 1.0), (1e-5, -7.0), (0.01, 1.0), (0.3, -1.0),
                                     (3.0, 7.0), (30.0, 1.0))]
-
-
-def _argmax_reference(alpha, g):
-    """The maximizer over s in [0, pi] of the definition m_+ = e (A + sqrt(A^2 - 1)),
-    A = (cosh gs - alpha^2 cos s)/(1 - alpha^2), at 50 digits, in s = |delta| t:
-    the best of 33 samples, then golden section between its neighbours to
-    1e-16 wide. It depends on alpha alone, not on the beta carried beside it:
-    for alpha = 1e-6, a beta^2 one rounding off 1 - alpha^2 moves it by 6e-9."""
-    with mpmath.workdps(50):
-        m = lambda s: _m_plus_mp(alpha, g, 1.0, s)  # noqa: E731
-        ss = [mpmath.pi * k / 32 for k in range(33)]
-        k = max(range(33), key=lambda j: m(ss[j]))
-        lo, hi = ss[max(k - 1, 0)], ss[min(k + 1, 32)]
-        inv = (mpmath.sqrt(5) - 1) / 2
-        x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
-        f1, f2 = m(x1), m(x2)
-        while hi - lo > mpmath.mpf(10) ** -16:
-            if f1 > f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - inv * (hi - lo)
-                f1 = m(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + inv * (hi - lo)
-                f2 = m(x2)
-        return (lo + hi) / 2
 
 
 class _CountingMath:
@@ -377,7 +309,7 @@ class TestSupReference:
         (a, g, d) for a in (2.0 ** -54, 1.0 - 1e-12)
         for g, d in ((1e-5, -1.0), (0.3, 1.0), (3.0, 7.0))])
     def test_matches_mpmath(self, alpha, gamma, delta, monkeypatch):
-        ref = _sup_reference(alpha, gamma, delta)
+        ref = mpref.sup_reference(alpha, gamma, delta)
         calls = []
         m_plus_minus = sharp2d._m_plus_minus
         monkeypatch.setattr(sharp2d, "_m_plus_minus",
@@ -389,7 +321,7 @@ class TestSupReference:
 
     def test_time_rescaling(self):
         # (0.6, 0.3 s, 1.7 s) is the same problem in the time t / s
-        ref = float(_sup_reference(0.6, 0.3, 1.7))
+        ref = float(mpref.sup_reference(0.6, 0.3, 1.7))
         beta = _beta(0.6)
         base, base_t = sup_m_plus(0.6, beta, 0.3, 1.7)
         for s in 10.0 ** np.arange(-12, 11):
@@ -414,11 +346,11 @@ class TestSupReference:
                                   res.attained_time))
         assert len(cases) == len(SUP_CASES) + 63
         for alpha, beta, gamma, delta, t_at in cases:
-            s = _argmax_reference(alpha, gamma / abs(delta))
+            s = mpref.argmax_reference(alpha, gamma / abs(delta))
             if t_at is None:
                 # m_+ stays within 1e-12 of its asymptote 1/beta^2
                 with mpmath.workdps(50):
-                    top = _m_plus_mp(alpha, gamma, delta, s / abs(delta))
+                    top = mpref.m_plus_minus(alpha, gamma, delta, s / abs(delta))[0]
                 assert top <= (1.0 + 1e-12) / (beta * beta), (alpha, gamma, delta)
             else:
                 assert abs(t_at * abs(delta) / s - 1) <= 1e-13, (alpha, gamma, delta)
@@ -499,7 +431,7 @@ class TestHalfPeriodLemma:
                                  + g * mpmath.cosh(g * x) * mpmath.cos(x))
                         + a * a * (1 + g * g) * mpmath.sin(x) ** 2 - 2 * g * g)
 
-            m = lambda x: _m_plus_mp(alpha, g, 1.0, x)  # noqa: E731
+            m = lambda x: mpref.m_plus_minus(alpha, g, 1.0, x)[0]  # noqa: E731
             assert f(mpmath.pi / 2) > 0 > f(mpmath.pi)
             slope, tiny = mpmath.diff(m, s), mpmath.mpf(10) ** -35
             terms = 2 * g * g * mpmath.cosh(g * s) + a * a * (1 + g * g)
@@ -521,7 +453,7 @@ class TestSupEdges:
         value, t_at = sup_m_plus(alpha, beta, 0.0, -0.7)
         assert abs(value / kmin - 1) <= 4 * 2.0 ** -52 and t_at == math.pi / 0.7
         v = np.array([[1.0, alpha], [0.0, beta]])
-        form = dataclasses.replace(_form(v @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(v)),
+        form = dataclasses.replace(_form(families.similar(v, [1.0, 1.0 + 5e-11j])),
                                    case=DecayCase.EQUAL_EIGENVALUES,
                                    eigenvalues=np.array([1.0, 1.0 + 5e-11j]))
         assert form.gamma == 0.0 and form.delta == 5e-11
@@ -571,24 +503,15 @@ class TestTriangularNearJordan:
             got = [sharp.c_sharp, form.kappa_min, c1]
             want = [root / gg, q * q, q]
             for k, t in enumerate(ts):
-                # the squared singular values of e^{-Ct} = [[u, x], [0, w]]
+                # the squared singular values of e^{-Ct} = [[u, x], [0, w]]: the
+                # eigenvalues of its Gram matrix, whose product is (u w)^2
                 u, w = mpmath.exp(-t), mpmath.exp(-(1 + gg) * t)
                 x = bb / gg * (w - u)
-                tr = u * u + x * x + w * w
-                top = (tr + mpmath.sqrt(tr * tr - 4 * (u * w) ** 2)) / 2
+                top = mpref.hermitian_eigvals(u * u, x * x + w * w, u * x)[1]
                 got += [env.h_plus[k], env.h_minus[k]]
                 want += [top, (u * w) ** 2 / top]
             worst = max(abs(x / y - 1) for x, y in zip(got, want))
         assert worst <= 1e-15, float(worst)
-
-
-def _system(alpha, lam, seed):
-    """C = V diag(lam) V^-1 with unit right eigenvectors of overlap alpha,
-    turned by a random unitary; V is returned with C."""
-    rng = np.random.default_rng(seed)
-    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-    v = q @ np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]])
-    return v @ np.diag(lam) @ np.linalg.inv(v), v
 
 
 class TestSharpConstantProperties:
@@ -601,10 +524,11 @@ class TestSharpConstantProperties:
     @settings(max_examples=40, deadline=None)
     def test_symmetries_and_sampled_lower_bound(self, alpha, mu, gamma, delta, log_s, seed):
         lam = np.array([mu + 0.5j, mu + gamma + (0.5 + delta) * 1j])
-        c, v = _system(alpha, lam, seed)
+        v = families.overlap_basis(alpha, np.random.default_rng(seed))
+        c = families.similar(v, lam)
         res = classify_and_sharp_constant(_form(c))
         rng = np.random.default_rng(seed + 1)
-        q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        q = families.unitary(rng, 2)
         for other in (10.0 ** log_s * c, q @ c @ q.conj().T):
             res_o = classify_and_sharp_constant(_form(other))
             assert res_o.case is res.case

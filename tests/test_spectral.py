@@ -29,7 +29,6 @@ from hypodecay.spectral import (
     coincidence_tol,
 )
 from . import families
-from .conftest import make_2x2_with_overlap
 
 _EPS = np.finfo(float).eps
 
@@ -154,19 +153,12 @@ class TestEigendecompose:
             assert np.allclose(lhs, np.conj(data.eigenvalues[j]) * w, atol=1e-12)
 
 
-def _rotated_pair(rng, b):
-    """Q [[1, b], [0, 2]] Q* for a random unitary Q, and its eigenvalue
-    condition number sqrt(1 + b^2)."""
-    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-    return q @ np.array([[1.0, b], [0.0, 2.0]]) @ q.conj().T, np.hypot(1.0, b)
-
-
 def _seeded_pairs(rng, count):
     """(C, eigenvalue condition number 1/sqrt(1 - alpha^2)) in the three
     regimes of make_2x2_with_overlap."""
     for i in range(count):
-        c, _, alpha = make_2x2_with_overlap(rng, **({}, {"equal_real": True},
-                                                    {"real_spectrum": True})[i % 3])
+        kw = ({}, {"equal_real": True}, {"real_spectrum": True})[i % 3]
+        c, _, alpha = families.make_2x2_with_overlap(rng, **kw)
         yield c, 1.0 / np.sqrt(1.0 - alpha * alpha)
 
 
@@ -209,7 +201,8 @@ class TestClosedForm2x2:
     def test_agrees_on_rotated_non_normal_pairs(self, b):
         rng = np.random.default_rng(int(np.log10(b)))
         for _ in range(20):
-            self._agree(*_rotated_pair(rng, b))
+            # the eigenvalue condition number is sqrt(1 + b^2)
+            self._agree(families.rotated_pair(rng, b), np.hypot(1.0, b))
 
     @pytest.mark.parametrize("s", 10.0 ** np.arange(-300, 301, 50), ids=lambda s: f"{s:.0e}")
     def test_agrees_at_every_scale(self, s):
@@ -246,10 +239,10 @@ class TestClosedForm2x2:
 
     def test_no_worse_than_eig_route_against_mpmath(self):
         rng = np.random.default_rng(7)
-        draws = [*_seeded_pairs(rng, 30), *(_rotated_pair(rng, b) for b in (3.0, 30.0, 300.0)),
-                 *((rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), None)
-                   for _ in range(10))]
-        for c, _ in draws:
+        draws = [*(c for c, _ in _seeded_pairs(rng, 30)),
+                 *(families.rotated_pair(rng, b) for b in (3.0, 30.0, 300.0)),
+                 *(families.gaussian(rng, 2) for _ in range(10))]
+        for c in draws:
             self._within_8_units(c)
 
     @pytest.mark.parametrize("s", [1e-200, 1.0, 1e200], ids=lambda s: f"{s:.0e}")
@@ -259,13 +252,12 @@ class TestClosedForm2x2:
         # unitary, and the tie 5e-11 apart at overlap 0.6: each gets the
         # closed-form record, as accurate as the eig route's
         rng = np.random.default_rng(8)
-        draws = [_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06)]
+        draws = [families.similar(_V06, [1.0, 1.0 + 5e-11j])]
         for gap, alpha in [*((g, a) for g in (1e-7, 1e-9, 1e-11) for a in (0.0, 0.6, 0.99)),
                            (1e-7, 1.0 - 1e-6)]:
             lam = rng.uniform(0.2, 1.5) + 1j * rng.uniform(-1.5, 1.5)
             lam = np.array([lam, lam + abs(lam) * gap * np.exp(2j * np.pi * rng.uniform())])
-            v = _unitary(rng) @ np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]])
-            draws.append(v @ np.diag(lam) @ np.linalg.inv(v))
+            draws.append(families.similar(families.overlap_basis(alpha, rng), lam))
         for c in draws:
             self._within_8_units(s * c)
 
@@ -357,9 +349,9 @@ class TestSvdOnlyWhereRead:
     def test_clustered_spectrum_makes_one(self, svd_calls):
         # a near tie 5e-11 apart is not linked; a tie within rounding is, and
         # its unit eigenvectors make the one svd
-        eigendecompose(_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06))
+        eigendecompose(families.similar(_V06, [1.0, 1.0 + 5e-11j]))
         assert svd_calls == []
-        eigendecompose(_V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09))
+        eigendecompose(families.similar(_V09, [1.0 + 1.0j, 1.0 + 1.0j]))
         assert len(svd_calls) == 1
 
     def test_unlinked_nd_spectrum_makes_no_svd(self, svd_calls, mat_triangular):
@@ -438,14 +430,14 @@ class TestJordanClusters:
         assert self._verdicts(np.array(c, dtype=complex), np.random.default_rng(0)) == {True}
 
     def test_2x2_scalar_tie_is_not(self):
-        c = _V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09)
+        c = families.similar(_V09, [1.0 + 1.0j, 1.0 + 1.0j])
         assert self._verdicts(c, np.random.default_rng(0)) == {False}
         # nor is a well-conditioned pair split by 400 eps at |C|_2 ~ 1: with
         # kappa_1 = kappa_2 = 1/beta the link reaches 128 and 80 eps, and
         # would reach 1024 and 640 eps at 8 times ROUNDING_RTOL
         for beta in (0.5, 0.8):
             v = np.array([[1.0, np.sqrt(1.0 - beta * beta)], [0.0, beta]])
-            c = v @ np.diag([1.0, 1.0 + 400 * _EPS]) @ np.linalg.inv(v)
+            c = families.similar(v, [1.0, 1.0 + 400 * _EPS])
             assert self._verdicts(c, np.random.default_rng(0)) == {False}
 
     def test_clusters_are_connected_components(self):
@@ -514,7 +506,7 @@ class TestCanonical2DForm:
         # ranges over, to the bit, in every regime
         rng = np.random.default_rng(7)
         for kw in ({}, {"equal_real": True}, {"real_spectrum": True}) * 20:
-            data = eigendecompose(make_2x2_with_overlap(rng, **kw)[0])
+            data = eigendecompose(families.make_2x2_with_overlap(rng, **kw)[0])
             rep, form = classify_stability(data), canonical_2d_form(data)
             assert (rep.mu_s, rep.nu_s) == (form.mu_s, form.nu_s) == (data.mu_s, data.nu_s)
             assert rep.coercive == (data.mu_s > 0.0)
@@ -533,7 +525,7 @@ class TestCanonical2DForm:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         for c, expected in ((mat_real_distinct, 0),
-                            (_V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09), 1),
+                            (families.similar(_V09, [1.0 + 1.0j, 1.0 + 1.0j]), 1),
                             (np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [1.0, 1.0, 3.0]]), 1)):
             calls.clear()
             data = eigendecompose(c)
@@ -547,7 +539,7 @@ class TestCanonical2DForm:
         # in dimension two the right and adjoint eigenvector overlaps agree
         rng = np.random.default_rng(11)
         for _ in range(50):
-            c, _, _ = make_2x2_with_overlap(rng)
+            c, _, _ = families.make_2x2_with_overlap(rng)
             data = eigendecompose(c)
             v = data.right_vectors
             a_right = abs(np.vdot(v[:, 0], v[:, 1])) / np.prod(np.linalg.norm(v, axis=0))
@@ -556,7 +548,7 @@ class TestCanonical2DForm:
     def test_constructed_overlap_recovered(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            c, _, alpha = make_2x2_with_overlap(rng)
+            c, _, alpha = families.make_2x2_with_overlap(rng)
             form = canonical_2d_form(eigendecompose(c))
             assert form.alpha == pytest.approx(alpha, abs=1e-9)
 
@@ -587,16 +579,16 @@ class TestCanonical2DForm:
         rng = np.random.default_rng(0)
         for _ in range(50):
             lam = rng.uniform(0.2, 1.5) + 1j * rng.uniform(-1.5, 1.5)
-            q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            q = families.unitary(rng, 2)
             c = q @ np.array([[lam, 100.0 * abs(lam)], [0.0, lam]]) @ q.conj().T
             with pytest.raises(DefectiveInput):
                 canonical_2d_form(eigendecompose(c))
 
     @pytest.mark.parametrize("c, scalar", [
         # eigenvalues 1 and 1 + 5e-11i, alpha 0.6: split times sqrt(1 - alpha^2) is 4e-11
-        (_V06 @ np.diag([1.0, 1.0 + 5e-11j]) @ np.linalg.inv(_V06), False),
+        (families.similar(_V06, [1.0, 1.0 + 5e-11j]), False),
         (np.array([[2.0, 0.0], [0.0, 2.0]]), True),
-        (_V09 @ np.diag([1.0 + 1.0j, 1.0 + 1.0j]) @ np.linalg.inv(_V09), True),
+        (families.similar(_V09, [1.0 + 1.0j, 1.0 + 1.0j]), True),
     ], ids=["near-tie", "scalar", "scalar-up-to-rounding"])
     def test_near_ties_keep_their_form(self, c, scalar):
         assert canonical_2d_form(eigendecompose(c)).scalar == scalar
@@ -625,8 +617,7 @@ class TestCoincidence:
     def test_decisions_agree_on_a_real_part_gap(self, s, factor):
         # the gap is factor times the tolerance, relative to |1 + 2i| = sqrt(5)
         lam = s * np.array([1.0 + 2.0j, 1.0 + factor * COINCIDENCE_RTOL * np.sqrt(5.0) - 2.0j])
-        v = np.array([[1.0, 0.6], [0.0, 0.8]])
-        data = eigendecompose(v @ np.diag(lam) @ np.linalg.inv(v))
+        data = eigendecompose(families.similar(_V06, lam))
         tie = factor < 1.0
         # tied real parts are ordered by imaginary part, distinct ones by size
         assert (data.eigenvalues[0].imag < 0.0) == tie
@@ -692,10 +683,6 @@ class TestOrderingOnFloats:
         assert math.isnan(form.mu)
 
 
-def _unitary(rng):
-    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-
-
 #: (case, scalar) -> lambda_2 - lambda_1 in units of |lambda_1|, from a size d
 #: and an angle phi off both axes
 _SPLITS = {
@@ -731,9 +718,8 @@ class TestRegimeDecision:
         lam0 = re + 1j * im
         lam = np.array([lam0, lam0 + abs(lam0) * _SPLITS[regime](d, phi)])
         rng = np.random.default_rng(seed)
-        v = _unitary(rng) @ np.array([[1.0, alpha], [0.0, np.sqrt(1.0 - alpha * alpha)]])
-        c = v @ np.diag(lam) @ np.linalg.inv(v)
-        q = _unitary(rng)
+        c = families.similar(families.overlap_basis(alpha, rng), lam)
+        q = families.unitary(rng, 2)
         ref = canonical_2d_form(eigendecompose(c))
         tol = 1e-13 * np.linalg.norm(c, 2)
         for f, other in ((1.0, c), (1e-12, 1e-12 * c), (10.0 ** log_s, 10.0 ** log_s * c),
