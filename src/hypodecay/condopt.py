@@ -301,11 +301,6 @@ def minimize_kappa_weights(W) -> WeightOptimum:
     Raises DefectiveInput if no evaluated P is positive definite.
     """
     W = as_complex_matrix(W)
-    n = W.shape[0]
-    if n == 1:
-        return WeightOptimum(weights=np.ones(1), kappa=1.0, kappa_equal=1.0,
-                             converged=True, nfev=0)
-
     gram = W.conj().T @ W
 
     def P_of(x):
@@ -317,7 +312,7 @@ def minimize_kappa_weights(W) -> WeightOptimum:
         # of eigenvalue i is lam_i |U_ji|^2; the entries sum to zero
         return np.abs(U) ** 2 @ (lam * g)
 
-    x, kappa, kappa_equal, nfev, converged = _minimize_log_cond(P_of, gradient, np.zeros(n))
+    x, kappa, kappa_equal, nfev, converged = _minimize_log_cond(P_of, gradient, np.zeros(len(W)))
     if not np.isfinite(kappa):
         raise DefectiveInput("the adjoint eigenvectors are numerically dependent")
     return WeightOptimum(weights=_nice_rescale(np.exp(x - x[0])), kappa=kappa,

@@ -6,8 +6,9 @@ inequality C*P + PC >= 2 mu P at the spectral gap mu. Any admissible P turns
 into an explicit decay estimate |f(t)| <= sqrt(kappa(P)) e^{-mu t} |f0|, so the
 whole game is certifying admissibility and minimizing kappa(P).
 
-Each step has two routes. A 2x2 is worked on Python scalars: P is formed
-entry by entry, the extremes of P and of the residual matrix
+P is tested for being Hermitian once, by one numpy test for every size.
+After it each step has two routes. A 2x2 is worked on Python scalars: P is
+formed entry by entry, the extremes of P and of the residual matrix
 S = C*P + PC - 2 mu P come from spectral._hermitian_extremes and |C|_2 from
 spectral._norm_2x2, all closed forms, so a 2x2 certificate makes no LAPACK
 call. Every larger matrix takes numpy's matmul, eigvalsh and svd, the
@@ -46,8 +47,7 @@ class LyapunovMatrix:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        P = as_complex_matrix(self.matrix)
-        self._hold(*(_hermitian_part_2x2 if len(P) == 2 else _hermitian_part)(P), self.weights)
+        self._hold(*_hermitian_part(as_complex_matrix(self.matrix)), self.weights)
 
     def _hold(self, H: np.ndarray, lo: float, hi: float, weights) -> None:
         """Keep the Hermitian H, its extremes and weights; ValueError unless lo > 0."""
@@ -70,29 +70,23 @@ class LyapunovMatrix:
 
 
 def _hermitian_part(P: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(P + P*)/2 with its extreme eigenvalues, from eigvalsh. ValueError
-    unless P is Hermitian to HERMITIAN_RTOL of its largest entry."""
-    herm_defect = np.abs(P - P.conj().T).max()
-    if herm_defect > HERMITIAN_RTOL * np.abs(P).max():
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.2e})")
+    """(P + P*)/2 with its extreme eigenvalues. ValueError unless P is
+    Hermitian to HERMITIAN_RTOL of its largest entry, by one test for every
+    size, which refuses a defect past the float range as inf. A 2x2 is then
+    formed on Python scalars with the extremes from
+    spectral._hermitian_extremes, a larger P by numpy and eigvalsh."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_defect = np.abs(P - P.conj().T).max()
+        if herm_defect > HERMITIAN_RTOL * np.abs(P).max():
+            raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.2e})")
+    if len(P) == 2:
+        (p00, p01), (p10, p11) = P.tolist()
+        off = p01 + p10.conjugate()
+        h, x, y = off / 2.0, p00.real, p11.real
+        return np.array([[x, h], [h.conjugate(), y]]), *_hermitian_extremes(x, y, off)
     H = (P + P.conj().T) / 2.0
     ev = np.linalg.eigvalsh(H).tolist()
     return H, ev[0], ev[-1]
-
-
-def _hermitian_part_2x2(P: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """_hermitian_part of a 2x2 on Python scalars: the same matrix to the
-    bit, the same Hermitian test, and the extremes from
-    spectral._hermitian_extremes."""
-    (p00, p01), (p10, p11) = P.tolist()
-    skew = p01 - p10.conjugate()
-    herm_defect = max(2.0 * abs(p00.imag), 2.0 * abs(p11.imag), math.hypot(skew.real, skew.imag))
-    if herm_defect > HERMITIAN_RTOL * max(math.hypot(z.real, z.imag) for z in (p00, p01, p10, p11)):
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.2e})")
-    off = p01 + p10.conjugate()
-    h, x, y = off / 2.0, p00.real, p11.real
-    return (np.array([[x, h], [h.conjugate(), y]]),
-            *_hermitian_extremes(x, y, off))
 
 
 def build_weighted_p(data: SpectralData, weights) -> LyapunovMatrix:

@@ -38,6 +38,7 @@ PACKAGE = Path("src") / "hypodecay"
 RUN_TIMEOUT_S = 300
 
 _ENVELOPES = "        h_minus, h_plus = pre * m_lo, pre * m_hi\n"
+_HERMITIAN_TEST = '    with np.errstate(over="ignore", invalid="ignore"):\n        herm_defect'
 
 MUTANTS = [
     ("spectral.py", "DEFECT_SIGMA = 1e-6", "DEFECT_SIGMA = 1e-8",
@@ -71,6 +72,16 @@ MUTANTS = [
      "a P whose residual is 1e-6 below zero is admitted",
      ("tests/test_lyapunov.py::TestResidualSlack::test_slack_edge",
       "tests/test_lyapunov.py::TestResidualSlack::test_verdict_is_scale_free")),
+    ("lyapunov.py", "HERMITIAN_RTOL = 1e-12", "HERMITIAN_RTOL = 1e-9",
+     "a P whose skew part is 1e-11 of its largest entry is taken as Hermitian",
+     ("tests/test_lyapunov.py::TestLyapunovMatrix::test_hermitian_tolerance_is_hermitian_rtol",)),
+    ("lyapunov.py", "HERMITIAN_RTOL = 1e-12", "HERMITIAN_RTOL = 1e-15",
+     "a P whose skew part is 1e-13 of its largest entry is refused",
+     ("tests/test_lyapunov.py::TestLyapunovMatrix::test_hermitian_tolerance_is_hermitian_rtol",)),
+    ("lyapunov.py", _HERMITIAN_TEST,
+     _HERMITIAN_TEST.replace('over="ignore", invalid="ignore"', 'over="warn", invalid="warn"'),
+     "a P whose defect overflows warns before it is refused",
+     ("tests/test_lyapunov.py::TestLyapunovMatrix::test_defect_past_the_float_range_is_refused",)),
     ("cli.py", "ORACLE_RTOL = 1e-8", "ORACLE_RTOL = 1e-4",
      "--oracle passes a propagator 1e-4 off",
      ("tests/test_cli.py::TestAnalyze::test_oracle_catches_a_planted_disagreement",)),

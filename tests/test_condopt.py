@@ -93,10 +93,11 @@ class TestMinimizeKappaWeights:
         assert opt.kappa <= opt.kappa_equal
 
     def test_dependent_vectors_are_defective(self):
-        # no weights make W diag(b) W* positive definite
-        w = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(DefectiveInput, match="numerically dependent"):
-            minimize_kappa_weights(w)
+        # no weights make W diag(b) W* positive definite, at n = 1 as at
+        # n = 3 (the square of 1e-320 underflows to zero)
+        for w in ([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [[0.0]], [[1e-320]]):
+            with pytest.raises(DefectiveInput, match="numerically dependent"):
+                minimize_kappa_weights(w)
 
     def test_one_dimension(self):
         opt = minimize_kappa_weights([[2.0 + 1.0j]])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,11 +26,10 @@ from hypodecay import lyapunov
 from hypodecay.lyapunov import (
     RESIDUAL_RTOL,
     _hermitian_part,
-    _hermitian_part_2x2,
     _residual,
     _residual_2x2,
 )
-from hypodecay.spectral import _norm_2x2, as_complex_matrix
+from hypodecay.spectral import _hermitian_extremes, _norm_2x2, as_complex_matrix
 
 from . import families, mpref
 
@@ -58,6 +59,34 @@ class TestLyapunovMatrix:
             certificate_from_p(c, s * skew, 0.5)
         assert certificate_from_p(c, s * herm, 0.5).kappa \
             == certificate_from_p(c, herm, 0.5).kappa
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    def test_hermitian_tolerance_is_hermitian_rtol(self, n, k):
+        # a defect 1e-11 of the largest entry is refused and 1e-13 is not,
+        # at every scale and size, which pins HERMITIAN_RTOL = 1e-12
+        s = 2.0 ** k
+        for defect, hermitian in ((1e-11, False), (1e-13, True)):
+            P = s * np.eye(n)
+            P[0, 1] = s * defect
+            if hermitian:
+                assert LyapunovMatrix(P).lambda_min > 0.0
+            else:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    LyapunovMatrix(P)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_defect_past_the_float_range_is_refused(self, n):
+        # P - P* overflows: the defect reads inf and P is refused, with no
+        # numpy warning, by LyapunovMatrix and certificate_from_p alike
+        P = 1e308 * np.eye(n)
+        P[0, 1], P[1, 0] = 1.5e308, -1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(defect inf\)$"):
+                LyapunovMatrix(P)
+            with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(defect inf\)$"):
+                certificate_from_p(np.diag(np.arange(1.0, n + 1.0)), P, 0.5)
 
     def test_kappa_of_diagonal(self):
         assert LyapunovMatrix(np.diag([1.0, 4.0])).kappa == pytest.approx(4.0)
@@ -364,17 +393,21 @@ class TestTwoByTwoRoute:
         for _, p, _ in self._cases():
             for scale in _SCALES:
                 ps = p * scale
-                closed, reference = _hermitian_part_2x2(ps), _hermitian_part(ps)
-                assert np.array_equal(closed[0], reference[0])
+                H, *closed = _hermitian_part(ps)
+                assert np.array_equal(H, (ps + ps.conj().T) / 2.0)
+                (p00, p01), (p10, p11) = ps.tolist()
+                assert closed == list(_hermitian_extremes(p00.real, p11.real, p01 + p10.conjugate()))
+                reference = np.linalg.eigvalsh(H)[[0, -1]].tolist()
                 lo, hi = mpref.hermitian_extremes(ps)
-                for _, low, high in (closed, reference):
+                for low, high in (closed, reference):
                     assert abs(low - lo) <= _EXTREME_ULPS * _EPS * hi
                     assert abs(high - hi) <= _EXTREME_ULPS * _EPS * hi
 
     def test_lyapunov_matrix_takes_the_closed_form(self):
         for _, p, _ in self._cases():
             lm = LyapunovMatrix(p)
-            _, lo, hi = _hermitian_part_2x2(lm.matrix)
+            (x, h), (_, y) = lm.matrix.tolist()
+            lo, hi = _hermitian_extremes(x.real, y.real, h + h)
             assert (lm.lambda_min, lm.lambda_max, lm.kappa) == (lo, hi, hi / lo)
 
     def test_residual_agrees_with_eigvalsh_and_mpmath(self):
@@ -411,7 +444,9 @@ class TestTwoByTwoRoute:
 
     def test_certify_2x2_makes_no_lapack_call(self, monkeypatch, mat_complex_pair):
         # the full closed-form sequence on 2x2s, including one whose
-        # residual at the gap rounds below zero (so |C|_2 is read)
+        # residual at the gap rounds below zero, but inside half the slack,
+        # so |C|_2 is not read; then a certificate at a rate inside the
+        # slack band, as TestResidualSlack builds its edge, which reads it
         def refused(*args, **kwargs):
             raise AssertionError("LAPACK called")
 
@@ -420,6 +455,8 @@ class TestTwoByTwoRoute:
                                  eigendecompose(below).spectral_gap) < 0.0
         for name in ("eig", "eigh", "eigvalsh", "svd", "inv"):
             monkeypatch.setattr(np.linalg, name, refused)
+        norm_reads = []
+        monkeypatch.setattr(lyapunov, "_norm_2x2", lambda c: norm_reads.append(c) or _norm_2x2(c))
         times = np.linspace(0.0, 10.0, 50)
         for c in (mat_complex_pair, below, [[1.0, 1e4], [0.0, 2.0]]):
             data = eigendecompose(c)
@@ -435,3 +472,7 @@ class TestTwoByTwoRoute:
             family_envelope(form, times)
             upper_bound_constant(form, report.mu)
             lower_bound_constant(form, report.nu)
+        assert norm_reads == []
+        edge, rate = np.diag([1.0, 2.0]), 1.0 + RESIDUAL_RTOL * (1.0 - 1e-4)
+        assert certificate_from_p(edge, np.eye(2), rate).residual == 2.0 - 2.0 * rate
+        assert len(norm_reads) == 1

@@ -213,15 +213,9 @@ class TestBoundsHold:
                 assert np.all(norms >= env * (1 - 1e-9))
 
 
-def _matrix(alpha, lam):
-    """The 2x2 with eigenvalues lam and eigenvector overlap alpha."""
-    v = np.array([[1.0, alpha], [0.0, np.sqrt(1 - alpha ** 2)]], dtype=complex)
-    return families.similar(v, lam)
-
-
 def _form(alpha, lam):
     """Canonical form of the 2x2 with eigenvalues lam and eigenvector overlap alpha."""
-    return canonical_2d_form(eigendecompose(_matrix(alpha, lam)))
+    return canonical_2d_form(eigendecompose(families.similar(families.overlap_basis(alpha), lam)))
 
 
 @pytest.fixture
@@ -249,7 +243,7 @@ def _assert_jordan_refusal(alpha, lam):
     eigenvalue split over the sum of the two eigenvalue condition numbers,
     each 1/sqrt(1 - alpha^2), is at most 32 eps |C|_2, recomputed here with
     numpy, up to a rounding slack of 1e-12 relative."""
-    c = _matrix(alpha, lam)
+    c = families.similar(families.overlap_basis(alpha), lam)
     ev, v = np.linalg.eig(c)
     w = np.linalg.inv(v).conj().T
     w /= np.linalg.norm(w, axis=0)
